@@ -9,14 +9,11 @@ from .errors import (ExpHomError, FieldError, KtqError, NoSolutionError,
                      OrbitError, ParseError, PrecisionError, SeriesError)
 from .fields import (EXHAUSTIVE_BOUND, MAX_EXTENSION_DEGREE, AdditivePoly,
                      FFElement, FieldCtx, FiniteField, HypothesisAVerdict,
-                     RationalField, additive_eval, frobenius,
-                     hypothesis_a_check, make_field, nth_roots,
-                     separable_part)
+                     RationalField, hypothesis_a_check, make_field)
 from .morphisms import (ExpHom, Invert, OrbitClass, Rescale, ScaleExp,
                         SubstDiagnostics, Substitute, SubstResult, Transform,
-                        Translate, apply_transform, classify_orbit,
-                        orbit_transform, rescale, scale_exponents,
-                        standard_endomorphism, substitute)
+                        Translate, classify_orbit, orbit_transform, rescale,
+                        scale_exponents, standard_endomorphism, substitute)
 from .parsing import (EvalEnv, eval_expression, format_expr,
                       parse_additive_poly, parse_coefficient, parse_expression,
                       parse_modulus)
@@ -38,13 +35,12 @@ __all__ = [
     "OrbitError", "POSITIVE", "ParseError", "PrecisionError", "RationalField",
     "Rescale", "ScaleExp", "Series", "SeriesError", "SubstDiagnostics",
     "SubstResult", "Substitute", "Transform", "Translate", "UnknownAtLeast",
-    "additive_eval", "apply_additive", "apply_transform", "artin_schreier",
-    "cap_add", "cap_mul", "check_additive_images", "classify_orbit",
-    "eval_expression", "format_expr", "format_series", "frobenius",
-    "frobenius_map", "hypothesis_a_check", "make_field", "norm_leading",
-    "nth_root", "nth_roots", "orbit_transform", "parse_additive_poly",
-    "parse_coefficient", "parse_expression", "parse_modulus", "pow_rat",
-    "rat_binomial", "rescale", "scale_exponents", "separable_part",
+    "apply_additive", "artin_schreier", "cap_add", "cap_mul",
+    "check_additive_images", "classify_orbit", "eval_expression",
+    "format_expr", "format_series", "frobenius_map", "hypothesis_a_check",
+    "make_field", "norm_leading", "nth_root", "orbit_transform",
+    "parse_additive_poly", "parse_coefficient", "parse_expression",
+    "parse_modulus", "pow_rat", "rat_binomial", "rescale", "scale_exponents",
     "series_from_json", "solve_additive", "standard_endomorphism",
     "substitute", "trace", "valuation_sign_via_trace",
 ]

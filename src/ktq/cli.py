@@ -15,11 +15,10 @@ from fractions import Fraction
 
 from .errors import KtqError, ParseError
 from .fields import hypothesis_a_check, make_field
-from .morphisms import (Invert, Rescale, ScaleExp, Substitute, Translate,
-                        classify_orbit, orbit_transform, substitute)
+from .morphisms import classify_orbit, orbit_transform, substitute
 from .parsing import (EvalEnv, eval_expression, parse_additive_poly,
                       parse_expression)
-from .series import INF, Series
+from .series import Series
 from .solvers import (artin_schreier, norm_leading, solve_additive, trace,
                       valuation_sign_via_trace)
 
@@ -33,8 +32,6 @@ def _add_common(sub):
                      help="working precision cap, a rational (default 8)")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      dest="fmt", help="output format (default text)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized subcommands")
 
 
 def _build_parser():
@@ -111,13 +108,6 @@ def _make_ctx(args):
     return make_field(spec)
 
 
-def _cap_json(cap):
-    if cap == INF:
-        return "inf"
-    f = Fraction(cap)
-    return [f.numerator, f.denominator]
-
-
 def _print_series(s: Series, fmt: str):
     if fmt == "json":
         print(json.dumps(s.to_json_dict()))
@@ -133,28 +123,6 @@ def _require_series(value, what="expression"):
     if isinstance(value, Series):
         return value
     raise ParseError(f"{what} must evaluate to a series")
-
-
-def _describe_hom(lam) -> str:
-    if lam.is_trivial:
-        return "the trivial character"
-    parts = [f"lambda(1/{d}) = {lam.ctx.format_coeff(u)}"
-             for d, u in sorted(lam.committed.items())]
-    return "; ".join(parts)
-
-
-def _describe_step(step, ctx) -> str:
-    if isinstance(step, Translate):
-        return f"translate by {ctx.format_coeff(step.c)}"
-    if isinstance(step, Invert):
-        return "invert"
-    if isinstance(step, Rescale):
-        return f"rescale by {_describe_hom(step.lam)}"
-    if isinstance(step, ScaleExp):
-        return f"scale exponents by {step.r}"
-    if isinstance(step, Substitute):
-        return f"substitute t -> {step.x}"
-    return str(step)
 
 
 _NEG_RATIONAL = re.compile(r"-\d+(/\d+)?$")
@@ -223,9 +191,10 @@ def _dispatch(args) -> int:
         y = _require_series(_eval_arg(args.yexpr, env), "--y")
         result = substitute(x, y, args.cap)
         if args.fmt == "json":
+            series = result.series.to_json_dict()
             print(json.dumps({
-                "series": result.series.to_json_dict(),
-                "achieved_cap": _cap_json(result.achieved_cap),
+                "series": series,
+                "achieved_cap": series["cap"],
                 "hypothesis_a_risk": result.diagnostics.hypothesis_a_risk,
             }))
         else:
@@ -247,7 +216,7 @@ def _dispatch(args) -> int:
             print(json.dumps(T.to_json()))
         else:
             for step in T.steps:
-                print(_describe_step(step, ctx))
+                print(step.describe())
         return 0
 
     if cmd == "trace":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import product
 
 from .errors import FieldError
 
@@ -100,7 +100,6 @@ def _pinv(a, mod, p):
     s0, s1 = (), (1,)
     while r1:
         # divide r0 by r1
-        q = []
         rem = list(r0)
         d1, lead_inv = len(r1) - 1, pow(r1[-1], p - 2, p)
         q = [0] * max(len(rem) - d1, 1)
@@ -130,13 +129,13 @@ def _psub(a, b, p):
     return _ptrim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
+def _base_p_vectors(p, n):
+    """All n-digit vectors over 0..p-1 in counting order, lowest digit first."""
+    return (digits[::-1] for digits in product(range(p), repeat=n))
+
+
 def _monic_polys(degree, p):
-    for k in range(p ** degree):
-        coeffs, kk = [], k
-        for _ in range(degree):
-            coeffs.append(kk % p)
-            kk //= p
-        yield tuple(coeffs) + (1,)
+    return (v + (1,) for v in _base_p_vectors(p, degree))
 
 
 def _is_irreducible(mod, p):
@@ -329,8 +328,6 @@ class FFElement:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
         if not isinstance(other, FFElement):
             return NotImplemented
         return self.field == other.field and self.vec == other.vec
@@ -412,17 +409,7 @@ class FiniteField(FieldCtx):
         return f"F{self.q}:{self.format_modulus()}"
 
     def format_modulus(self):
-        parts = []
-        for i in range(self.e, -1, -1):
-            c = self.modulus[i] if i < len(self.modulus) else 0
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                xp = "x" if i == 1 else f"x^{i}"
-                parts.append(xp if c == 1 else f"{c}*{xp}")
-        return "+".join(parts) if parts else "0"
+        return _format_poly(self.modulus, "x")
 
     def _from_poly(self, poly):
         vec = tuple(poly) + (0,) * (self.e - len(poly))
@@ -451,14 +438,8 @@ class FiniteField(FieldCtx):
         if self.q > EXHAUSTIVE_BOUND:
             raise FieldError("field too large for exhaustive enumeration")
         if self._element_cache is None:
-            out = []
-            for k in range(self.q):
-                vec, kk = [], k
-                for _ in range(self.e):
-                    vec.append(kk % self.p)
-                    kk //= self.p
-                out.append(FFElement(self, tuple(vec)))
-            self._element_cache = tuple(out)
+            self._element_cache = tuple(FFElement(self, v)
+                                        for v in _base_p_vectors(self.p, self.e))
         return self._element_cache
 
     def frobenius(self, c: FFElement, b: int = 1) -> FFElement:
@@ -479,24 +460,27 @@ class FiniteField(FieldCtx):
         return [r for r in self.elements() if r ** n == c]
 
     def format_coeff(self, c: FFElement) -> str:
-        c = self.coerce(c)
-        if self.e == 1:
-            return str(c.vec[0])
-        parts = []
-        for i in range(self.e - 1, -1, -1):
-            v = c.vec[i]
-            if v == 0:
-                continue
-            if i == 0:
-                parts.append(str(v))
-            else:
-                gp = "g" if i == 1 else f"g^{i}"
-                parts.append(gp if v == 1 else f"{v}*{gp}")
-        return "+".join(parts) if parts else "0"
+        return _format_poly(self.coerce(c).vec, "g")
 
     def parse_coeff(self, text: str) -> FFElement:
         from .parsing import parse_coefficient
         return parse_coefficient(self, text)
+
+
+def _format_poly(coeffs, sym: str) -> str:
+    """Ascending integer coefficients as text in sym, highest power first:
+    (1, 2, 1) in "g" gives "g^2+2*g+1"."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            power = sym if i == 1 else f"{sym}^{i}"
+            parts.append(power if c == 1 else f"{c}*{power}")
+    return "+".join(parts) if parts else "0"
 
 
 def make_field(spec) -> FieldCtx:
@@ -526,19 +510,10 @@ def make_field(spec) -> FieldCtx:
 
 
 def _prime_power_split(q: int):
-    if q < 2:
-        raise FieldError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q:
-            p = q
-        if q % p == 0:
-            e = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                e += 1
-            if qq != 1:
-                raise FieldError(f"{q} is not a prime power")
+    """(p, e) with q = p^e, found by a perfect-power test for each e."""
+    for e in range(1, max(q, 2).bit_length()):
+        p = _int_nth_root(q, e)
+        if p is not None and _is_prime(p):
             return p, e
     raise FieldError(f"{q} is not a prime power")
 
@@ -627,28 +602,6 @@ class AdditivePoly:
 
     def __repr__(self):
         return f"AdditivePoly({self.format()!r} over {self.ctx.spec_string()})"
-
-
-def additive_eval(P: AdditivePoly, c):
-    """Evaluate P at a single coefficient."""
-    return P(c)
-
-
-def frobenius(ctx: FieldCtx, c, b: int = 1):
-    """c^(p^b) in a finite field; b < 0 takes unique p^|b|-th roots."""
-    if ctx.characteristic == 0:
-        raise FieldError("Frobenius is undefined in characteristic 0")
-    return ctx.frobenius(c, b)
-
-
-def nth_roots(ctx: FieldCtx, c, n: int):
-    """All n-th roots of c in ctx, deterministically ordered."""
-    return ctx.nth_roots(c, n)
-
-
-def separable_part(P: AdditivePoly):
-    """Module-level alias for AdditivePoly.separable_part."""
-    return P.separable_part()
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,13 @@ Classification sorts nonconstant elements into S_infinity (negative
 valuation) or S_c (valuation 0 with constant coefficient c, including c = 0
 for positive valuation), and orbit_transform builds an explicit chain of
 invertible steps carrying t onto a given element, certified below the caps.
+
+A Transform is a tuple of steps (Translate, Invert, Rescale, ScaleExp,
+Substitute).  Each step class owns its whole encoding: a class-level JSON
+`key`, `apply(z, requested_cap)`, `to_json()` giving the value stored under
+that key, the classmethod `from_json(ctx, value)` inverting it, and
+`describe()` giving the line the CLI prints.  A new kind of step needs only
+a new class and an entry in `_STEPS`.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ExpHomError, FieldError, OrbitError, SeriesError
-from .fields import FieldCtx, nth_roots
+from .fields import FieldCtx
 from .powers import _padic_val, pow_rat
-from .series import INF, Series, cap_mul
+from .series import INF, Series, cap_mul, series_from_json
 
 
 class ExpHom:
@@ -87,7 +94,7 @@ class ExpHom:
     def inverse(self):
         if self.is_trivial:
             return self
-        inv = {d: _unit_inv(self.ctx, u) for d, u in self.committed.items()}
+        inv = {d: 1 / u for d, u in self.committed.items()}
         return ExpHom(self.ctx, inv)
 
     def to_json(self):
@@ -115,20 +122,11 @@ class ExpHom:
         return f"ExpHom({inner})"
 
 
-def _unit_inv(ctx, u):
-    if ctx.characteristic == 0:
-        return 1 / u
-    return u.inverse()
-
-
 def rescale(lam: ExpHom, y: Series) -> Series:
     """sum c_i t^i  |->  sum lam(i) c_i t^i.  The cap is unchanged."""
     if lam.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
-    s = Series.__new__(Series)
-    s.ctx, s.cap = y.ctx, y.cap
-    s.terms = tuple((e, lam.query(e) * c) for e, c in y.terms)
-    return s
+    return Series._raw(y.ctx, ((e, lam.query(e) * c) for e, c in y.terms), y.cap)
 
 
 def scale_exponents(y: Series, r) -> Series:
@@ -136,10 +134,7 @@ def scale_exponents(y: Series, r) -> Series:
     r = Fraction(r)
     if r <= 0:
         raise SeriesError("exponent scaling factor must be positive")
-    s = Series.__new__(Series)
-    s.ctx, s.cap = y.ctx, cap_mul(y.cap, r)
-    s.terms = tuple(sorted((e * r, c) for e, c in y.terms))
-    return s
+    return Series._raw(y.ctx, ((e * r, c) for e, c in y.terms), cap_mul(y.cap, r))
 
 
 def standard_endomorphism(lam: ExpHom, r, y: Series) -> Series:
@@ -263,26 +258,101 @@ def classify_orbit(y: Series) -> OrbitClass:
 @dataclass(frozen=True)
 class Translate:
     c: object
+    key = "translate"
+
+    def apply(self, z: Series, requested_cap=INF) -> Series:
+        return z + Series.constant(z.ctx, self.c)
+
+    def to_json(self):
+        return str(self.c)
+
+    @classmethod
+    def from_json(cls, ctx, value):
+        return cls(ctx.parse_coeff(value))
+
+    def describe(self) -> str:
+        return f"translate by {self.c}"
 
 
 @dataclass(frozen=True)
 class Invert:
-    pass
+    key = "invert"
+
+    def apply(self, z: Series, requested_cap=INF) -> Series:
+        return z.invert(requested_cap)
+
+    def to_json(self):
+        return True
+
+    @classmethod
+    def from_json(cls, ctx, value):
+        return cls()
+
+    def describe(self) -> str:
+        return "invert"
 
 
 @dataclass(frozen=True)
 class Rescale:
     lam: ExpHom
+    key = "rescale"
+
+    def apply(self, z: Series, requested_cap=INF) -> Series:
+        return rescale(self.lam, z)
+
+    def to_json(self):
+        return self.lam.to_json()
+
+    @classmethod
+    def from_json(cls, ctx, value):
+        return cls(ExpHom.from_json(ctx, value))
+
+    def describe(self) -> str:
+        if self.lam.is_trivial:
+            return "rescale by the trivial character"
+        return "rescale by " + "; ".join(f"lambda(1/{d}) = {u}"
+                                         for d, u in self.lam.committed.items())
 
 
 @dataclass(frozen=True)
 class ScaleExp:
     r: Fraction
+    key = "scale_exp"
+
+    def apply(self, z: Series, requested_cap=INF) -> Series:
+        return scale_exponents(z, self.r)
+
+    def to_json(self):
+        return str(self.r)
+
+    @classmethod
+    def from_json(cls, ctx, value):
+        return cls(Fraction(value))
+
+    def describe(self) -> str:
+        return f"scale exponents by {self.r}"
 
 
 @dataclass(frozen=True)
 class Substitute:
     x: Series
+    key = "substitute"
+
+    def apply(self, z: Series, requested_cap=INF) -> Series:
+        return substitute(self.x, z, requested_cap).series
+
+    def to_json(self):
+        return self.x.to_json_dict()
+
+    @classmethod
+    def from_json(cls, ctx, value):
+        return cls(series_from_json(value, ctx))
+
+    def describe(self) -> str:
+        return f"substitute t -> {self.x}"
+
+
+_STEPS = {step.key: step for step in (Translate, Invert, Rescale, ScaleExp, Substitute)}
 
 
 class Transform:
@@ -295,55 +365,20 @@ class Transform:
 
     def apply(self, z: Series, requested_cap=INF) -> Series:
         for step in self.steps:
-            if isinstance(step, Translate):
-                z = z + Series.constant(z.ctx, step.c)
-            elif isinstance(step, Invert):
-                z = z.invert(requested_cap)
-            elif isinstance(step, Rescale):
-                z = rescale(step.lam, z)
-            elif isinstance(step, ScaleExp):
-                z = scale_exponents(z, step.r)
-            elif isinstance(step, Substitute):
-                z = substitute(step.x, z, requested_cap).series
-            else:
-                raise SeriesError(f"unknown transform step {step!r}")
+            z = step.apply(z, requested_cap)
         return z
 
     def to_json(self):
-        out = []
-        for step in self.steps:
-            if isinstance(step, Translate):
-                ctx = getattr(step.c, "field", None)
-                text = ctx.format_coeff(step.c) if ctx else str(step.c)
-                out.append({"translate": text})
-            elif isinstance(step, Invert):
-                out.append({"invert": True})
-            elif isinstance(step, Rescale):
-                out.append({"rescale": step.lam.to_json()})
-            elif isinstance(step, ScaleExp):
-                out.append({"scale_exp": str(step.r)})
-            elif isinstance(step, Substitute):
-                out.append({"substitute": step.x.to_json_dict()})
-        return out
+        return [{step.key: step.to_json()} for step in self.steps]
 
     @classmethod
     def from_json(cls, ctx, data):
-        from .series import series_from_json
         steps = []
         for entry in data:
             (key, value), = entry.items()
-            if key == "translate":
-                steps.append(Translate(ctx.parse_coeff(value)))
-            elif key == "invert":
-                steps.append(Invert())
-            elif key == "rescale":
-                steps.append(Rescale(ExpHom.from_json(ctx, value)))
-            elif key == "scale_exp":
-                steps.append(ScaleExp(Fraction(value)))
-            elif key == "substitute":
-                steps.append(Substitute(series_from_json(value, ctx)))
-            else:
+            if key not in _STEPS:
                 raise SeriesError(f"unknown transform step key {key!r}")
+            steps.append(_STEPS[key].from_json(ctx, value))
         return cls(steps)
 
     def __eq__(self, other):
@@ -351,10 +386,6 @@ class Transform:
 
     def __repr__(self):
         return f"Transform({list(self.steps)!r})"
-
-
-def apply_transform(T: Transform, z: Series, requested_cap=INF) -> Series:
-    return T.apply(z, requested_cap)
 
 
 def _monic_witness(core: Series):
@@ -372,7 +403,7 @@ def _monic_witness(core: Series):
     D = lcm(*(exp.denominator for exp, _ in core.terms))
     N = e.numerator * (D // e.denominator)
     try:
-        roots = nth_roots(ctx, a, N)
+        roots = ctx.nth_roots(a, N)
     except FieldError as exc:
         raise OrbitError(f"leading coefficient {a} has no usable root: {exc}") from exc
     if not roots:

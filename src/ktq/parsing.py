@@ -10,6 +10,11 @@ Exponents are integers, or parenthesized rationals: t^2 is fine, negative and
 fractional exponents need parentheses, as in t^(-1) and t^(1/2).  The symbol
 t is the uniformizer, g the generator of a finite extension field, and x is
 reserved for additive-polynomial literals such as "x^2+x".
+
+Nesting is bounded by MAX_DEPTH, both for parentheses and function calls and
+for the operator tree (a sum of n terms is n - 1 operators deep), so that no
+input can exhaust the interpreter's stack in the parser or in the recursive
+walks over the tree; deeper input is a ParseError.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from .fields import AdditivePoly, FieldCtx, FiniteField, RationalField
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),=]))")
 
-FUNCTIONS = ("inv", "trace", "solve", "subst", "classify", "root", "norm", "h")
-RESERVED = FUNCTIONS + ("t", "g", "x")
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open parentheses and calls
 
     def peek(self):
         return self.tokens[self.i]
@@ -118,6 +123,19 @@ class _Parser:
         kind, val, col = self.peek()
         if kind != "end":
             raise ParseError(f"syntax error at column {col}: unexpected {val!r}", col)
+        if _height(node) > MAX_DEPTH:
+            raise ParseError(f"expression nests more than {MAX_DEPTH} operators deep")
+        return node
+
+    def nested(self):
+        """An expr inside parentheses or a call's argument list."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            col = self.tokens[self.i - 1][2]  # the opening parenthesis
+            raise ParseError(f"syntax error at column {col}: more than "
+                             f"{MAX_DEPTH} nested parentheses", col)
+        node = self.expr()
+        self.depth -= 1
         return node
 
     def expr(self):
@@ -135,13 +153,13 @@ class _Parser:
         return node
 
     def factor(self):
-        if self.peek()[1] == "-":
-            self.next()
-            return Neg(self.factor())
-        if self.peek()[1] == "+":
-            self.next()
-            return self.factor()
-        return self.power()
+        negations = 0
+        while self.peek()[1] in ("+", "-"):
+            negations += self.next()[1] == "-"
+        node = self.power()
+        for _ in range(negations):
+            node = Neg(node)
+        return node
 
     def power(self):
         node = self.atom()
@@ -196,19 +214,40 @@ class _Parser:
                 return GSym()
             if self.peek()[1] == "(":
                 self.next()
-                args = [self.expr()]
+                args = [self.nested()]
                 while self.peek()[1] == ",":
                     self.next()
-                    args.append(self.expr())
+                    args.append(self.nested())
                 self.expect(")")
                 return Call(val, tuple(args))
             return Var(val)
         if val == "(":
             self.next()
-            node = self.expr()
+            node = self.nested()
             self.expect(")")
             return node
         self.fail("a value")
+
+
+def _children(node):
+    if isinstance(node, Neg):
+        return (node.expr,)
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _height(node) -> int:
+    """Operators on the longest root-to-leaf path, found without recursion."""
+    level, height = _children(node), 0
+    while level:
+        height += 1
+        level = [child for n in level for child in _children(n)]
+    return height
 
 
 def parse_expression(text: str):
@@ -300,9 +339,7 @@ def eval_expression(node, env: EvalEnv):
     if isinstance(node, TSym):
         return Series.t(ctx)
     if isinstance(node, GSym):
-        if not isinstance(ctx, FiniteField):
-            raise FieldError("the symbol g needs a finite extension field")
-        return Series.constant(ctx, ctx.g)
+        return Series.constant(ctx, _eval_const(ctx, node))
     if isinstance(node, Var):
         if node.name not in env.bindings:
             raise ParseError(f"unbound variable {node.name!r}")
@@ -389,31 +426,27 @@ def _int_power(base, k: int, env: EvalEnv):
 # ------------------------------------------------- additive-polynomial texts
 
 
+def _signed_terms(node, negate=False):
+    """The summands of a +/- tree, left to right, as (negated, node) pairs."""
+    if isinstance(node, Bin) and node.op in ("+", "-"):
+        yield from _signed_terms(node.left, negate)
+        yield from _signed_terms(node.right, negate != (node.op == "-"))
+    elif isinstance(node, Neg):
+        yield from _signed_terms(node.expr, not negate)
+    else:
+        yield negate, node
+
+
 def expr_to_additive_poly(ctx: FieldCtx, node) -> AdditivePoly:
     """Interpret an expression in the reserved variable x, such as x^2+x or
     (g+1)*x^9+x, as an additive polynomial."""
     terms = {}
-
-    def add_term(deg, coeff):
-        if deg in terms:
-            terms[deg] = terms[deg] + coeff
-        else:
-            terms[deg] = coeff
-
-    def walk(n, negate):
-        if isinstance(n, Bin) and n.op in ("+", "-"):
-            walk(n.left, negate)
-            walk(n.right, negate != (n.op == "-"))
-            return
-        if isinstance(n, Neg):
-            walk(n.expr, not negate)
-            return
+    for negate, n in _signed_terms(node):
         deg, coeff = _split_monomial(ctx, n)
         if deg == 0:
             raise ParseError("additive polynomials have no constant term")
-        add_term(deg, -coeff if negate else coeff)
-
-    walk(node, False)
+        coeff = -coeff if negate else coeff
+        terms[deg] = terms[deg] + coeff if deg in terms else coeff
     p = ctx.characteristic
     coeffs = {}
     for deg, coeff in terms.items():
@@ -488,21 +521,10 @@ def parse_coefficient(ctx: FieldCtx, text: str):
 
 def parse_modulus(text: str, p: int):
     """Parse a modulus like "x^2+1" to an ascending coefficient tuple."""
-    node = parse_expression(text)
     coeffs = {}
-
-    def walk(n, negate):
-        if isinstance(n, Bin) and n.op in ("+", "-"):
-            walk(n.left, negate)
-            walk(n.right, negate != (n.op == "-"))
-            return
-        if isinstance(n, Neg):
-            walk(n.expr, not negate)
-            return
+    for negate, n in _signed_terms(parse_expression(text)):
         deg, c = _modulus_monomial(n)
         coeffs[deg] = (coeffs.get(deg, 0) + (-c if negate else c)) % p
-
-    walk(node, False)
     if not coeffs or max(coeffs) < 1:
         raise ParseError(f"bad modulus {text!r}")
     top = max(coeffs)

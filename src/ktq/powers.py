@@ -16,34 +16,40 @@ with large power-of-p denominators.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import FieldError, PrecisionError, SeriesError
 from .fields import FieldCtx
 from .series import INF, Series, cap_add, cap_mul
 
 
-def rat_binomial(ctx: FieldCtx, i, n: int):
-    """The binomial coefficient C(i, n) for rational i, mapped into ctx.
+def _binomials(ctx: FieldCtx, i: Fraction):
+    """C(i, 0), C(i, 1), ... for rational i, each mapped into ctx.
 
-    For characteristic p the denominator of i must be coprime to p; the
-    reduced value is then p-integral and reduces cleanly mod p.
+    For characteristic p the denominator of i must be coprime to p; every
+    C(i, n) is then p-integral and reduces cleanly mod p.
     """
-    i = Fraction(i)
-    if n < 0:
-        raise SeriesError("binomial index must be >= 0")
     p = ctx.characteristic
     if p and i.denominator % p == 0:
         raise FieldError(f"exponent {i} has a p-divisible denominator (p={p})")
     value = Fraction(1)
-    for k in range(n):
-        value *= Fraction(i - k, k + 1)
-    if p == 0:
-        return value
-    if value.denominator % p == 0:
-        raise FieldError(f"binomial C({i},{n}) is not p-integral")
-    num = ctx.from_int(value.numerator)
-    den = ctx.from_int(value.denominator)
-    return num / den
+    n = 0
+    while True:
+        if p == 0:
+            yield value
+        elif value.denominator % p:
+            yield ctx.from_int(value.numerator) / ctx.from_int(value.denominator)
+        else:
+            raise FieldError(f"binomial C({i},{n}) is not p-integral")
+        value *= Fraction(i - n, n + 1)
+        n += 1
+
+
+def rat_binomial(ctx: FieldCtx, i, n: int):
+    """The binomial coefficient C(i, n) for rational i, mapped into ctx."""
+    if n < 0:
+        raise SeriesError("binomial index must be >= 0")
+    return next(islice(_binomials(ctx, Fraction(i)), n, None))
 
 
 def _padic_val(i: Fraction, p: int) -> int:
@@ -70,11 +76,8 @@ def frobenius_map(x: Series, b: int) -> Series:
     if b == 0:
         return x
     factor = Fraction(p) ** b
-    s = Series.__new__(Series)
-    s.ctx = ctx
-    s.cap = cap_mul(x.cap, factor)
-    s.terms = tuple((e * factor, ctx.frobenius(c, b)) for e, c in x.terms)
-    return s
+    return Series._raw(ctx, ((e * factor, ctx.frobenius(c, b)) for e, c in x.terms),
+                       cap_mul(x.cap, factor))
 
 
 def pow_rat(x: Series, i, requested_cap=INF) -> Series:
@@ -96,14 +99,9 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         raise SeriesError("rational powers need a monic base")
     requested_cap = INF if requested_cap == INF else Fraction(requested_cap)
     p = ctx.characteristic
-    if p:
-        b = _padic_val(i, p)
-        qpart = i / (Fraction(p) ** b)
-        scale = Fraction(p) ** b
-    else:
-        b = 0
-        qpart = i
-        scale = Fraction(1)
+    b = _padic_val(i, p) if p else 0
+    scale = Fraction(p or 1) ** b
+    qpart = i / scale
 
     m = x.terms[0][0]
     eps = x.shift(-m) - Series.one(ctx)
@@ -124,7 +122,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         acc = {}
         cap_y = INF
         eps_pow = Series.one(ctx)
-        binom = Fraction(1)  # running C(qpart, n)
+        binoms = _binomials(ctx, qpart)
         truncated = False
         n = 0
         while True:
@@ -133,10 +131,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
             if n > 0 and target != INF and n * w >= target:
                 truncated = True
                 break
-            if p and binom.denominator % p == 0:
-                raise FieldError(f"binomial C({qpart},{n}) is not p-integral")
-            c_n = binom if p == 0 else \
-                ctx.from_int(binom.numerator) / ctx.from_int(binom.denominator)
+            c_n = next(binoms)
             if c_n:
                 for e, c in eps_pow.terms:
                     prev = acc.get(e)
@@ -146,7 +141,6 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
                     elif prev is not None:
                         del acc[e]
                 cap_y = min(cap_y, eps_pow.cap)
-            binom *= Fraction(qpart - n, n + 1)
             eps_pow = eps_pow * eps
             if not natural:
                 eps_pow = eps_pow.truncate(target)

@@ -86,14 +86,18 @@ class Series:
     # ------------------------------------------------------------ builders
 
     @classmethod
+    def _raw(cls, ctx, terms, cap):
+        """Internal: wrap trusted terms, already sorted, nonzero and below cap."""
+        s = cls.__new__(cls)
+        s.ctx, s.terms, s.cap = ctx, tuple(terms), cap
+        return s
+
+    @classmethod
     def _make(cls, ctx, mapping, cap):
         """Internal: drop zeros and out-of-cap terms instead of rejecting."""
-        s = cls.__new__(cls)
-        s.ctx = ctx
-        s.cap = _as_cap(cap)
-        s.terms = tuple(sorted((e, c) for e, c in mapping.items()
-                               if c and e < s.cap))
-        return s
+        cap = _as_cap(cap)
+        return cls._raw(ctx, sorted((e, c) for e, c in mapping.items()
+                                    if c and e < cap), cap)
 
     @classmethod
     def zero(cls, ctx):
@@ -174,10 +178,7 @@ class Series:
         return Series._make(self.ctx, acc, cap)
 
     def __neg__(self):
-        s = Series.__new__(Series)
-        s.ctx, s.cap = self.ctx, self.cap
-        s.terms = tuple((e, -c) for e, c in self.terms)
-        return s
+        return Series._raw(self.ctx, ((e, -c) for e, c in self.terms), self.cap)
 
     def __sub__(self, other):
         return self + (-other)
@@ -202,28 +203,21 @@ class Series:
         c = self.ctx.coerce(c)
         if not c:
             return Series.zero(self.ctx)
-        s = Series.__new__(Series)
-        s.ctx, s.cap = self.ctx, self.cap
-        s.terms = tuple((e, c * v) for e, v in self.terms)
-        return s
+        return Series._raw(self.ctx, ((e, c * v) for e, v in self.terms), self.cap)
 
     def shift(self, delta):
         """Multiply by t^delta (an exact monomial)."""
         delta = _as_exp(delta)
-        s = Series.__new__(Series)
-        s.ctx, s.cap = self.ctx, cap_add(self.cap, delta)
-        s.terms = tuple((e + delta, c) for e, c in self.terms)
-        return s
+        return Series._raw(self.ctx, ((e + delta, c) for e, c in self.terms),
+                           cap_add(self.cap, delta))
 
     def truncate(self, bound):
         """Forget everything at or above bound.  Caps only ever go down."""
         bound = _as_cap(bound)
         if bound >= self.cap:
             return self
-        s = Series.__new__(Series)
-        s.ctx, s.cap = self.ctx, bound
-        s.terms = tuple((e, c) for e, c in self.terms if e < bound)
-        return s
+        return Series._raw(self.ctx, ((e, c) for e, c in self.terms if e < bound),
+                           bound)
 
     def invert(self, requested_cap=INF):
         """Multiplicative inverse, certified below min(requested, cap - 2v).
@@ -238,8 +232,9 @@ class Series:
             raise PrecisionError("cannot invert: no visible leading term")
         requested_cap = _as_cap(requested_cap)
         v, c = self.terms[0]
+        c_inv = 1 / c
         result_cap = min(requested_cap, cap_add(self.cap, -2 * v))
-        rel = self.shift(-v).scale(_coeff_inv(self.ctx, c))
+        rel = self.shift(-v).scale(c_inv)
         eps = rel - Series.one(self.ctx)
         if result_cap == INF and eps.terms:
             raise PrecisionError("inverse has infinite support; pass a finite cap")
@@ -254,7 +249,7 @@ class Series:
                 acc = acc * neg
                 total = total + acc
                 n += 1
-        result = total.scale(_coeff_inv(self.ctx, c)).shift(-v)
+        result = total.scale(c_inv).shift(-v)
         return result.truncate(result_cap)
 
     # ----------------------------------------------------------- equality
@@ -294,12 +289,6 @@ class Series:
         }
 
 
-def _coeff_inv(ctx, c):
-    if ctx.characteristic == 0:
-        return 1 / c
-    return c.inverse()
-
-
 def format_exp_part(e) -> str:
     """The "t^..." piece for exponent e, with parentheses where the
     expression grammar needs them (negative or fractional exponents)."""
@@ -320,19 +309,14 @@ def format_series(x: Series) -> str:
         sign = "+"
         if ctx.characteristic == 0 and c < 0:
             sign, c = "-", -c
-        if e == 0:
+        if e != 0 and c == ctx.one:
+            body = format_exp_part(e)
+        else:
             body = ctx.format_coeff(c)
             if "+" in body or "-" in body[1:]:
                 body = f"({body})"
-        else:
-            tpart = format_exp_part(e)
-            if c == ctx.one:
-                body = tpart
-            else:
-                cstr = ctx.format_coeff(c)
-                if "+" in cstr or "-" in cstr[1:]:
-                    cstr = f"({cstr})"
-                body = f"{cstr}*{tpart}"
+            if e != 0:
+                body = f"{body}*{format_exp_part(e)}"
         parts.append((sign, body))
     if not x.is_exact:
         parts.append(("+", f"O({format_exp_part(x.cap)})"))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import (FieldError, NoSolutionError, PrecisionError, SeriesError)
 from .fields import AdditivePoly, FiniteField
 from .powers import frobenius_map
-from .series import INF, Series
+from .series import Series
 
 POSITIVE = "positive"
 NEGATIVE = "negative"

@@ -51,6 +51,14 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_over_deep_expressions_exit_2_without_traceback(capsys):
+    assert run(["eval", "(" * 250 + "t" + ")" * 250]) == 2
+    assert run(["eval", "+".join(["t"] * 2000)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("ktq: ") == 2
+
+
 def test_errors_name_the_tool(capsys):
     run(["eval", "inv(0)", "--field", "Q"])
     err = capsys.readouterr().err

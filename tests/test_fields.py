@@ -1,13 +1,13 @@
 """Coefficient fields: F_p^e towers, rationals, additive polynomials."""
 
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from ktq import (AdditivePoly, FieldError, FiniteField, RationalField,
-                 additive_eval, frobenius, hypothesis_a_check, make_field,
-                 nth_roots, separable_part)
+                 hypothesis_a_check, make_field)
 
 
 # ------------------------------------------------------------- construction
@@ -102,6 +102,19 @@ def test_from_int_reduces_mod_p(F3):
     assert F3.from_int(-1) == F3.from_int(2)
 
 
+def test_equality_never_crosses_to_int(F3):
+    # hash(2) differs from hash(F3.from_int(5)), so no int may compare equal
+    assert F3.from_int(2) != 2 and F3.from_int(2) != 5 and F3.from_int(2) != -1
+    assert F3.zero != 0 and F3.one != 1
+
+
+def test_equal_implies_same_hash(F9):
+    values = list(F9.elements()) + [0, 1, 2, -1, 3, 9]
+    for a, b in product(values, repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+
+
 def test_int_coercion_in_arithmetic(F9):
     g = F9.g
     assert g + 3 == g
@@ -156,11 +169,6 @@ def test_frobenius_inverse_roundtrip(F4):
     assert F4.frobenius(F4.g, -1) == F4.g + 1  # sqrt(g) = g^2
 
 
-def test_frobenius_char0_rejected(Q):
-    with pytest.raises(FieldError):
-        frobenius(Q, Fraction(2))
-
-
 # -------------------------------------------------------------------- roots
 
 def test_rational_nth_roots(Q):
@@ -178,7 +186,7 @@ def test_rational_nth_roots(Q):
 def test_finite_field_roots_verified_by_power(F9):
     for c in F9.elements():
         for n in (1, 2, 3, 4, 8):
-            roots = nth_roots(F9, c, n)
+            roots = F9.nth_roots(c, n)
             expected = [a for a in F9.elements() if a ** n == c]
             assert roots == expected
 
@@ -186,7 +194,7 @@ def test_finite_field_roots_verified_by_power(F9):
 def test_every_unit_has_pth_root(F4):
     # x -> x^p is bijective, so p-th roots always exist and are unique
     for c in F4.elements():
-        assert len(nth_roots(F4, c, 2)) == 1
+        assert len(F4.nth_roots(c, 2)) == 1
 
 
 # -------------------------------------------------------- additive polynomials
@@ -195,8 +203,8 @@ def test_additive_poly_basics(F2):
     P = AdditivePoly(F2, [1, 1])  # x^2 + x
     assert P.p_degree == 1
     assert P.format() == "x^2+x"
-    assert additive_eval(P, F2.zero) == F2.zero
-    assert additive_eval(P, F2.one) == F2.zero
+    assert P(F2.zero) == F2.zero
+    assert P(F2.one) == F2.zero
 
 
 def test_additive_poly_is_additive(F9):
@@ -230,7 +238,7 @@ def test_separable_part_f2(F2):
 def test_separable_part_recomposition(F9):
     # coefficients of Q are the p^(-j) Frobenius images, so F^j o Q = P
     P = AdditivePoly(F9, [0, F9.g, 1])
-    Q_, j = separable_part(P)
+    Q_, j = P.separable_part()
     assert j == 1
     for c in F9.elements():
         assert P(c) == Q_(c) ** (3 ** j)
@@ -289,6 +297,22 @@ def test_large_prime_field_arithmetic_but_no_enumeration():
     assert a * a.inverse() == big.one
     with pytest.raises(FieldError):
         big.elements()
+
+
+def test_large_prime_field_builds_quickly():
+    start = time.perf_counter()
+    big = make_field("F2305843009213693951")  # 2^61 - 1, a prime
+    assert time.perf_counter() - start < 1.0
+    assert (big.p, big.e) == (2 ** 61 - 1, 1)
+    assert big.from_int(2 ** 60) * 2 == big.from_int(1)
+
+
+def test_large_non_prime_powers_rejected_quickly():
+    start = time.perf_counter()
+    for q in ((2 ** 61 - 1) * (2 ** 31 - 1), (2 ** 31 - 1) ** 2 * 3, 2 ** 62 + 1):
+        with pytest.raises(FieldError, match="not a prime power"):
+            make_field(f"F{q}")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_word_size_bound():

@@ -6,9 +6,8 @@ import pytest
 
 from ktq import (INF, ExpHom, ExpHomError, Invert, OrbitClass, OrbitError,
                  Rescale, ScaleExp, Series, SeriesError, Substitute,
-                 Transform, Translate, apply_transform, classify_orbit,
-                 orbit_transform, rescale, scale_exponents,
-                 standard_endomorphism, substitute)
+                 Transform, Translate, classify_orbit, orbit_transform,
+                 rescale, scale_exponents, standard_endomorphism, substitute)
 from conftest import random_monic_positive, random_series, rng_for
 
 F = Fraction
@@ -253,7 +252,7 @@ def test_witness_monic_positive_is_substitution_only(Q):
     y = Series(Q, {F(1): 1, F(2): 7})
     T = orbit_transform(y)
     assert [type(s) for s in T.steps] == [Substitute]
-    assert apply_transform(T, Series.t(Q)) == y
+    assert T.apply(Series.t(Q)) == y
 
 
 def test_witness_with_constant_translate(F4):
@@ -261,7 +260,7 @@ def test_witness_with_constant_translate(F4):
     y = Series.constant(F4, g) + Series.t(F4)
     T = orbit_transform(y)
     assert [type(s) for s in T.steps] == [Substitute, Translate]
-    assert apply_transform(T, Series.t(F4)) == y
+    assert T.apply(Series.t(F4)) == y
 
 
 def test_witness_nonmonic_needs_rescaling(F9):
@@ -270,7 +269,7 @@ def test_witness_nonmonic_needs_rescaling(F9):
     T = orbit_transform(y)
     kinds = [type(s) for s in T.steps]
     assert Rescale in kinds
-    out = apply_transform(T, Series.t(F9))
+    out = T.apply(Series.t(F9))
     assert out.agrees_below(y)
 
 
@@ -278,7 +277,7 @@ def test_witness_inverts_negative_valuation(F2):
     y = Series(F2, {F(-2): 1, F(1): 1})
     T = orbit_transform(y, work_cap=F(8))
     assert isinstance(T.steps[-1], Invert)
-    out = apply_transform(T, Series.t(F2))
+    out = T.apply(Series.t(F2))
     assert out.agrees_below(y, F(4))
 
 
@@ -292,7 +291,7 @@ def test_witness_random_round_trips(Q, F2, F9):
                 T = orbit_transform(y, work_cap=F(6))
             except OrbitError:
                 continue
-            out = apply_transform(T, Series.t(ctx), F(6))
+            out = T.apply(Series.t(ctx), F(6))
             assert out.agrees_below(y, F(3))
             done += 1
     assert done >= 15

@@ -7,7 +7,7 @@ import pytest
 from ktq import (EvalEnv, FieldError, OrbitClass, ParseError, Series,
                  eval_expression, format_expr, parse_additive_poly,
                  parse_coefficient, parse_expression, parse_modulus)
-from ktq.parsing import Bin, Call, Neg, Num, Pow, TSym, Var
+from ktq.parsing import MAX_DEPTH, Bin, Call, Neg, Num, Pow, TSym, Var
 
 F = Fraction
 
@@ -75,6 +75,38 @@ def test_negative_exponent_needs_parens():
         parse_expression("t^-1")
     # without parentheses the slash is plain division, not a syntax error
     assert parse_expression("t^1/2") == Bin("/", Pow(TSym(), F(1)), Num(2))
+
+
+# ------------------------------------------------------------ nesting depth
+
+def test_deep_parentheses_rejected():
+    with pytest.raises(ParseError, match="nested parentheses") as exc:
+        parse_expression("(" * 250 + "t" + ")" * 250)
+    assert exc.value.position == MAX_DEPTH + 1
+
+
+def test_long_flat_sum_rejected():
+    with pytest.raises(ParseError, match="operators deep"):
+        parse_expression("+".join(["t"] * 2000))
+
+
+def test_long_chain_of_signs_rejected():
+    with pytest.raises(ParseError, match="operators deep"):
+        parse_expression("-" * 2000 + "t")
+
+
+def test_nesting_at_the_limit_evaluates(Q):
+    env = EvalEnv(Q, F(8))
+    parens = "(" * (MAX_DEPTH - 1) + "1 - t" + ")" * (MAX_DEPTH - 1)
+    assert eval_expression(parse_expression(f"inv({parens})"), env) == \
+        eval_expression(parse_expression("inv(1 - t)"), env)
+    flat = "+".join(["t"] * (MAX_DEPTH + 1))  # MAX_DEPTH operators deep
+    assert eval_expression(parse_expression(flat), env) == \
+        Series.monomial(Q, MAX_DEPTH + 1, 1)
+    with pytest.raises(ParseError):
+        parse_expression(flat + "+t")
+    with pytest.raises(ParseError):
+        parse_expression(f"inv(({parens}))")
 
 
 # ---------------------------------------------------------------- round trip
