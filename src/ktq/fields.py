@@ -10,6 +10,16 @@ The rational field reuses fractions.Fraction, which is already exact and
 canonical, so no wrapper type is introduced; rational coefficients simply are
 Fraction values.
 
+Each field kind also has an encode/decode pair, the coefficient side of the
+series kernel: `encode(coeffs, n)` turns coefficients into Python ints and a
+common denominator, such that integer sums of at most n pairwise products of
+encoded values stay exact, and `decode(value, den, n)` turns such a sum back
+into one coefficient.  For F_p an element is its residue; for F_{p^e} its
+vector is packed into one int, slot i (W bits wide) holding c_i, so the
+product of two packed ints is the packed product polynomial and W is chosen
+so that no slot of a sum of n products carries into the next; for Q the
+values are numerators over the coefficients' common denominator.
+
 Exhaustive operations (element enumeration, root search, surjectivity
 checks) are restricted to q <= 2**20.  Larger prime fields still construct,
 but the exhaustive oracles refuse to run on them.
@@ -20,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import FieldError
 
@@ -165,6 +176,12 @@ class FieldCtx:
     def spec_string(self) -> str:
         raise NotImplementedError
 
+    def encode(self, coeffs, n):
+        raise NotImplementedError
+
+    def decode(self, value, den, n):
+        raise NotImplementedError
+
 
 class RationalField(FieldCtx):
     """The exact rational numbers, characteristic 0."""
@@ -196,6 +213,14 @@ class RationalField(FieldCtx):
         if isinstance(value, int):
             return Fraction(value)
         raise FieldError(f"not a rational coefficient: {value!r}")
+
+    def encode(self, coeffs, n):
+        """Numerators over the coefficients' common denominator: (ints, den)."""
+        den = lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+    def decode(self, value, den, n):
+        return Fraction(value, den)
 
     def format_coeff(self, c: Fraction) -> str:
         return str(c)
@@ -459,6 +484,35 @@ class FiniteField(FieldCtx):
             return [self.zero]
         return [r for r in self.elements() if r ** n == c]
 
+    def _slot_bits(self, n):
+        # A product slot sums at most e products below p, and a kernel
+        # sum adds at most n such products.
+        return (max(n, 1) * self.e * (self.p - 1) ** 2).bit_length()
+
+    def encode(self, coeffs, n):
+        """Residues (e = 1) or vectors packed in _slot_bits(n)-bit slots,
+        lowest degree in the lowest slot: (ints, 1)."""
+        if self.e == 1:
+            return [c.vec[0] for c in coeffs], 1
+        w = self._slot_bits(n)
+        return [sum(ci << (w * i) for i, ci in enumerate(c.vec)) for c in coeffs], 1
+
+    def decode(self, value, den, n):
+        """The element standing for a sum of at most n products of encoded
+        values: unpack the slots, reduce mod p, then mod the modulus once."""
+        p = self.p
+        if self.e == 1:
+            return FFElement(self, (value % p,))
+        w = self._slot_bits(n)
+        mask = (1 << w) - 1
+        poly = []
+        while value:
+            poly.append((value & mask) % p)
+            value >>= w
+        if len(poly) > self.e:
+            poly = _pmod(poly, self.modulus, p)
+        return self._from_poly(poly)
+
     def format_coeff(self, c: FFElement) -> str:
         return _format_poly(self.coerce(c).vec, "g")
 
@@ -501,6 +555,8 @@ def make_field(spec) -> FieldCtx:
         q = int(text[1:])
     except ValueError:
         raise FieldError(f"bad field spec {spec!r}") from None
+    if q.bit_length() > 63:  # FiniteField's bound, checked before the root search
+        raise FieldError(f"{q} is not a prime power below 2^63")
     p, e = _prime_power_split(q)
     modulus = None
     if mod_text is not None:

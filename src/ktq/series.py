@@ -13,14 +13,28 @@ Arithmetic propagates caps so that certified coefficients stay certified:
     invert: cap = min(requested, cap_x - 2 v(x))
 
 where v*(z) is the valuation of the known part, falling back to the cap when
-no term is known.  The invert rule is what the geometric-series computation
-yields on its own; it is enforced explicitly as well.
+no term is known.  The invert rule is the precision of the recurrence in
+`Series.invert`: writing x = c t^v (1 + eps), eps is known below cap_x - v,
+and so is 1/(1 + eps).
+
+Products and inverses run on a packed form of their operands.  Exponents
+become ints k standing for k/D, where D is the least common denominator of
+the operands' exponents; the cap becomes the least int bound at or above
+cap*D, so a row of a product stops at its first pair at or above the cap.
+Coefficients become ints through the field's `encode` (residues mod p,
+vectors of F_{p^e} packed into one int, numerators over a common
+denominator for Q, as the `fields` docstring describes) and are summed as
+plain ints; each output term is decoded once, into one Fraction exponent
+and one coefficient.  Nothing is allocated per lattice point, so a huge D
+costs nothing by itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import lcm
 
 from .errors import PrecisionError, SeriesError
 from .fields import FieldCtx
@@ -43,13 +57,32 @@ def _as_cap(c):
 
 
 def cap_add(cap, delta: Fraction):
-    return INF if cap == INF else cap + delta
+    # A cap is a Fraction or INF, the only float: the type test is the
+    # cheap form of cap == INF.
+    return INF if type(cap) is float else cap + delta
 
 
 def cap_mul(cap, factor: Fraction):
     if factor <= 0:
         raise SeriesError("cap scaling factor must be positive")
     return INF if cap == INF else cap * factor
+
+
+def _exp_den(terms) -> int:
+    """The least d with every exponent of terms in (1/d)Z."""
+    return lcm(*(e.denominator for e, _ in terms))
+
+
+def _int_bound(cap, d):
+    """The least int k with k/d >= cap (INF stays INF)."""
+    return INF if cap == INF else -(-cap.numerator * d // cap.denominator)
+
+
+def _kernel_form(ctx, terms, d, n):
+    """Exponents as ints over d, coefficients encoded for n-product sums,
+    and the coefficients' common denominator."""
+    vals, den = ctx.encode([c for _, c in terms], n)
+    return [e.numerator * (d // e.denominator) for e, _ in terms], vals, den
 
 
 @dataclass(frozen=True)
@@ -187,16 +220,28 @@ class Series:
         self._check_peer(other)
         cap = min(cap_add(self.cap, other.known_valuation()),
                   cap_add(other.cap, self.known_valuation()))
+        ctx = self.ctx
+        n = min(len(self.terms), len(other.terms))  # most pairs per exponent
+        d = _exp_den(self.terms + other.terms)
+        xs, xv, xden = _kernel_form(ctx, self.terms, d, n)
+        ys, yv, yden = _kernel_form(ctx, other.terms, d, n)
+        bound = _int_bound(cap, d)
+        ys_vals = list(zip(ys, yv))
         acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if e >= cap:
-                    continue
-                s = acc.get(e)
-                prod = c1 * c2
-                acc[e] = prod if s is None else s + prod
-        return Series._make(self.ctx, acc, cap)
+        get = acc.get
+        for kx, vx in zip(xs, xv):
+            for ky, vy in ys_vals:
+                k = kx + ky
+                if k >= bound:
+                    break
+                acc[k] = get(k, 0) + vx * vy
+        den = xden * yden
+        out = []
+        for k, value in sorted(acc.items()):
+            coeff = ctx.decode(value, den, n)
+            if coeff:
+                out.append((Fraction(k, d), coeff))
+        return Series._raw(ctx, out, cap)
 
     def scale(self, c):
         """Multiply by a single coefficient.  Scaling by zero is exactly 0."""
@@ -222,35 +267,63 @@ class Series:
     def invert(self, requested_cap=INF):
         """Multiplicative inverse, certified below min(requested, cap - 2v).
 
-        Writes x = c t^v (1 + eps) with v(eps) > 0 and sums the geometric
-        series in -eps.  An exact non-monomial input needs a finite
-        requested_cap, since its inverse has infinite support.
+        Writes x = c t^v (1 + eps) with v(eps) > 0 and eps = sum a_j t^(e_j),
+        known below cap - v.  Then 1/(1 + eps) = sum b_k t^k with b_0 = 1 and
+        b_k = -sum_j a_j b_(k - e_j), so b_k is zero off the sums of the e_j
+        and depends only on eps below k: every b_k below cap - v is certified.
+        The recurrence visits those sums in increasing order, below the
+        relative target min(requested, cap - 2v) + v, in the kernel form
+        described in the module docstring.  An exact non-monomial input needs
+        a finite requested_cap, since its inverse has infinite support.
         """
         if not self.terms:
             if self.is_exact:
                 raise SeriesError("cannot invert the zero series")
             raise PrecisionError("cannot invert: no visible leading term")
         requested_cap = _as_cap(requested_cap)
+        ctx = self.ctx
         v, c = self.terms[0]
         c_inv = 1 / c
         result_cap = min(requested_cap, cap_add(self.cap, -2 * v))
-        rel = self.shift(-v).scale(c_inv)
-        eps = rel - Series.one(self.ctx)
-        if result_cap == INF and eps.terms:
+        eps = self.terms[1:]
+        if result_cap == INF and eps:
             raise PrecisionError("inverse has infinite support; pass a finite cap")
-        target = cap_add(result_cap, v)  # relative precision needed
-        total = Series.one(self.ctx)
-        if eps.terms or not eps.is_exact:
-            neg = -eps
-            acc = Series.one(self.ctx)
-            w = eps.known_valuation()
-            n = 1
-            while eps.terms and n * w < target:
-                acc = acc * neg
-                total = total + acc
-                n += 1
-        result = total.scale(c_inv).shift(-v)
-        return result.truncate(result_cap)
+        n = len(eps)
+        d = _exp_den(self.terms)
+        # b_k scaled by c_inv: b_0 = c_inv and the steps are -a_j * c_inv,
+        # all over one denominator den (1 except over Q).
+        exps, vals, den = _kernel_form(
+            ctx, [(v, c_inv)] + [(e, -a * c_inv) for e, a in eps], d, n)
+        kv = exps[0]
+        steps = [(k - kv, a) for k, a in zip(exps[1:], vals[1:])]
+        # b_k is kept as a numerator over den^(1 + k // w): a step adds at
+        # least w to k and one factor of den, so no division is needed.
+        w = steps[0][0] if steps else 1
+        bound = _int_bound(cap_add(result_cap, v), d)
+        b = {}
+        out = []
+        heap = [0] if 0 < bound else []
+        seen = set(heap)
+        while heap:
+            k = heappop(heap)
+            level = k // w
+            m = vals[0] if k == 0 else sum(
+                a * b[k - e] * den ** (level - (k - e) // w - 1)
+                for e, a in steps if k - e in b)
+            coeff = ctx.decode(m, den ** (level + 1), n)
+            if not coeff:
+                continue  # its successors are reached from nonzero b_k, if at all
+            out.append((Fraction(k - kv, d), coeff))
+            # Finite-field sums are reduced before reuse; over Q they are exact.
+            b[k] = ctx.encode([coeff], n)[0][0] if ctx.characteristic else m
+            for e, _ in steps:
+                succ = k + e
+                if succ >= bound:
+                    break
+                if succ not in seen:
+                    seen.add(succ)
+                    heappush(heap, succ)
+        return Series._raw(ctx, out, result_cap)
 
     # ----------------------------------------------------------- equality
 

@@ -59,6 +59,13 @@ def test_over_deep_expressions_exit_2_without_traceback(capsys):
     assert err.count("ktq: ") == 2
 
 
+def test_huge_field_spec_exits_1_without_traceback(capsys):
+    assert run(["eval", "t", "--field", "F" + str(10 ** 4000 + 1)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("ktq: ") and "not a prime power below 2^63" in err
+
+
 def test_errors_name_the_tool(capsys):
     run(["eval", "inv(0)", "--field", "Q"])
     err = capsys.readouterr().err

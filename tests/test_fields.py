@@ -315,6 +315,12 @@ def test_large_non_prime_powers_rejected_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+def test_huge_field_spec_rejected_before_root_search():
+    for q in (10 ** 4000 + 1, 2 ** 63, 3 ** 40):
+        with pytest.raises(FieldError, match="not a prime power below 2\\^63"):
+            make_field(f"F{q}")
+
+
 def test_word_size_bound():
     with pytest.raises(FieldError):
         FiniteField(2305843009213693951, 2)  # q = p^2 >= 2^63

@@ -1,0 +1,243 @@
+"""The series kernel (`*` and `invert`) against brute force.
+
+The reference works on plain dicts keyed by Fraction exponents: a schoolbook
+product over every pair of terms, and an inverse computed coefficient by
+coefficient at every point of a dense grid.  Coefficients are Fractions over
+Q, ints mod p over F_p and vectors multiplied with `_pmul`/`_pmod` over
+F_{p^e}; field inverses are found by search.  Terms and caps must match
+exactly.
+"""
+
+from fractions import Fraction
+from math import comb, lcm
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ktq import INF, Series, make_field
+from ktq.errors import PrecisionError, SeriesError
+from ktq.fields import _pmod, _pmul
+
+SPECS = ("Q", "F2", "F3", "F7", "F4", "F9")
+FIELDS = {spec: make_field(spec) for spec in SPECS}
+DENS = (1, 2, 3, 9, 27, 30)
+EXAMPLES = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class Ref:
+    """Brute-force coefficient arithmetic, independent of the kernel."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.p = ctx.characteristic
+        self.e = getattr(ctx, "e", 1)
+
+    def of(self, c):
+        if self.p == 0:
+            return c
+        return c.vec[0] if self.e == 1 else c.vec
+
+    def zero(self):
+        return Fraction(0) if self.p == 0 else (0 if self.e == 1 else (0,) * self.e)
+
+    def one(self):
+        return self.of(self.ctx.one)
+
+    def add(self, a, b):
+        if self.p == 0:
+            return a + b
+        if self.e == 1:
+            return (a + b) % self.p
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        if self.p == 0:
+            return -a
+        if self.e == 1:
+            return -a % self.p
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        if self.p == 0:
+            return a * b
+        if self.e == 1:
+            return a * b % self.p
+        poly = _pmod(_pmul(a, b, self.p), self.ctx.modulus, self.p)
+        return tuple(poly) + (0,) * (self.e - len(poly))
+
+    def inv(self, a):
+        if self.p == 0:
+            return 1 / a
+        return next(self.of(x) for x in self.ctx.elements() if self.mul(a, self.of(x)) == self.one())
+
+
+def ref_terms(R, x):
+    return {e: R.of(c) for e, c in x.terms}
+
+
+def dump(R, terms):
+    """Sorted nonzero terms, in the reference's coefficient form."""
+    return sorted((e, c) for e, c in terms.items() if c != R.zero())
+
+
+def v_star(x):
+    return x.terms[0][0] if x.terms else x.cap
+
+
+def cap_plus(cap, delta):
+    return INF if cap == INF else cap + delta
+
+
+def ref_mul(R, x, y):
+    cap = min(cap_plus(x.cap, v_star(y)), cap_plus(y.cap, v_star(x)))
+    acc = {}
+    for e1, c1 in ref_terms(R, x).items():
+        for e2, c2 in ref_terms(R, y).items():
+            if e1 + e2 < cap:
+                acc[e1 + e2] = R.add(acc.get(e1 + e2, R.zero()), R.mul(c1, c2))
+    return dump(R, acc), cap
+
+
+def ref_inverse(R, x, requested):
+    """Solve x * y = 1 for y one coefficient at a time, at every point of
+    the grid (1/D)Z from -v up to the result cap."""
+    v, c = x.terms[0]
+    cap = min(requested, cap_plus(x.cap, -2 * v))
+    xs = ref_terms(R, x)
+    D = lcm(*(e.denominator for e in xs))
+    c_inv = R.inv(R.of(c))
+    y = {}
+    k = int(-v * D)
+    while Fraction(k, D) < cap:
+        s = Fraction(k, D)
+        total = R.one() if s + v == 0 else R.zero()
+        for e, a in xs.items():
+            if e > v and s + v - e in y:
+                total = R.add(total, R.neg(R.mul(a, y[s + v - e])))
+        y[s] = R.mul(total, c_inv)
+        k += 1
+    return dump(R, y), cap
+
+
+def got(R, s):
+    return [(e, R.of(c)) for e, c in s.terms], s.cap
+
+
+@st.composite
+def series(draw, ctx, den=None, min_terms=0, exact=None):
+    den = den or draw(st.sampled_from(DENS))
+    exps = draw(st.lists(st.integers(-3 * den, 6 * den), min_size=min_terms,
+                         max_size=6, unique=True))
+    if ctx.characteristic == 0:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    else:
+        coeff = st.sampled_from(ctx.elements()[1:])
+    terms = {Fraction(k, den): draw(coeff) for k in exps}
+    if exact is None:
+        exact = draw(st.booleans())
+    if exact:
+        return Series(ctx, terms)
+    cap = Fraction(draw(st.integers(-3 * den, 8 * den)), den)
+    if min_terms and not any(e < cap for e in terms):
+        cap = max(terms) + Fraction(1, den)
+    return Series(ctx, {e: c for e, c in terms.items() if e < cap}, cap)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@EXAMPLES
+@given(data=st.data())
+def test_mul_matches_schoolbook(spec, data):
+    ctx, R = FIELDS[spec], Ref(FIELDS[spec])
+    x = data.draw(series(ctx))
+    y = data.draw(series(ctx))
+    assert got(R, x * y) == ref_mul(R, x, y)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@EXAMPLES
+@given(data=st.data())
+def test_invert_matches_coefficientwise(spec, data):
+    ctx, R = FIELDS[spec], Ref(FIELDS[spec])
+    x = data.draw(series(ctx, min_terms=1))
+    requested = Fraction(data.draw(st.integers(-24, 24)), data.draw(st.sampled_from((1, 2, 3, 4))))
+    assert got(R, x.invert(requested)) == ref_inverse(R, x, requested)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_empty_operands(spec):
+    ctx = FIELDS[spec]
+    x = Series(ctx, {Fraction(-1, 2): ctx.one, Fraction(5, 3): ctx.one}, Fraction(4))
+    for y in (Series.zero(ctx), Series(ctx, (), Fraction(-2)), Series(ctx, (), Fraction(7, 3))):
+        R = Ref(ctx)
+        assert got(R, x * y) == ref_mul(R, x, y)
+        assert got(R, y * x) == ref_mul(R, y, x)
+    with pytest.raises(SeriesError):
+        Series.zero(ctx).invert(Fraction(3))
+    with pytest.raises(PrecisionError):
+        Series(ctx, (), Fraction(1)).invert(Fraction(3))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_monomial_inverse_is_exact_without_a_cap(spec):
+    ctx = FIELDS[spec]
+    c = ctx.elements()[-1] if ctx.characteristic else Fraction(-3, 4)
+    x = Series.monomial(ctx, c, Fraction(-7, 9))
+    assert x.invert() == Series.monomial(ctx, 1 / c, Fraction(7, 9))
+    with pytest.raises(PrecisionError):
+        (x + Series.one(ctx)).invert()
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@EXAMPLES
+@given(data=st.data())
+def test_total_cancellation(spec, data):
+    """x * x^-1 sums every cross term to zero: only the 1 survives."""
+    ctx, R = FIELDS[spec], Ref(FIELDS[spec])
+    x = data.draw(series(ctx, min_terms=1, exact=True))
+    y = x.invert(Fraction(data.draw(st.integers(1, 40)), 4) - x.terms[0][0])
+    one = x * y
+    assert got(R, one) == ref_mul(R, x, y)
+    assert one.terms == ((Fraction(0), ctx.one),)
+    assert one.cap == y.cap + x.terms[0][0]
+
+
+# ------------------------------------------------------- sparse lattices
+# The exponents 1/2^40 and 1/3^25 share the denominator 2^40 * 3^25 > 2^60,
+# so a kernel that allocated one slot per lattice point below the cap could
+# not run at all.
+
+A, B = Fraction(1, 2 ** 40), Fraction(1, 3 ** 25)
+
+
+@pytest.mark.parametrize("spec", ("Q", "F2", "F3"))
+def test_sparse_lattice_mul(spec):
+    ctx = FIELDS[spec]
+    assert lcm(A.denominator, B.denominator) > 2 ** 60
+    x = Series(ctx, {0: ctx.one, A: ctx.one})
+    y = Series(ctx, {0: ctx.one, B: ctx.one}, 3 * B)
+    prod = x * y
+    assert prod.cap == 3 * B
+    assert prod.terms == tuple(sorted((e, ctx.one) for e in (0, A, B, A + B)))
+    square = {0: ctx.one, A: ctx.from_int(2), 2 * A: ctx.one}
+    assert (x * x).terms == tuple((e, c) for e, c in sorted(square.items()) if c)
+
+
+@pytest.mark.parametrize("spec", ("Q", "F2", "F3"))
+@pytest.mark.parametrize("exact", (True, False))
+def test_sparse_lattice_invert(spec, exact):
+    """1/(1 + t^A + t^B) = sum over (n, m) of (-1)^(n+m) C(n+m, n) t^(nA+mB)."""
+    ctx = FIELDS[spec]
+    cap = 5 * A
+    x = Series(ctx, {0: ctx.one, A: ctx.one, B: ctx.one}, INF if exact else 3 * B)
+    want_cap = cap if exact else 3 * B
+    want = {}
+    for n in range(6):
+        for m in range(6):
+            if n * A + m * B < want_cap:
+                want[n * A + m * B] = ctx.from_int((-1) ** (n + m) * comb(n + m, n))
+    inv = x.invert(cap)
+    assert inv.cap == want_cap
+    assert inv.terms == tuple(sorted((e, c) for e, c in want.items() if c))
+    assert len(inv.terms) > 5
