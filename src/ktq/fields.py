@@ -4,7 +4,9 @@ A finite field is represented in a polynomial basis over F_p with an explicit
 monic irreducible modulus of degree e.  Elements are immutable coefficient
 vectors (c_0, ..., c_{e-1}) standing for c_0 + c_1*g + ... + c_{e-1}*g^{e-1},
 where g is the residue of x modulo the modulus.  Arithmetic reduces modulo the
-modulus; inverses come from the extended Euclidean algorithm in F_p[x].
+modulus.  A scalar product goes through the same encode/decode pair as the
+series kernel (below), powers use the builtin pow when e = 1 and
+square-and-multiply otherwise, and inverses follow Fermat: c^-1 = c^(q-2).
 
 The rational field reuses fractions.Fraction, which is already exact and
 canonical, so no wrapper type is introduced; rational coefficients simply are
@@ -77,17 +79,6 @@ def _ptrim(cs):
     return tuple(cs)
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pmod(a, b, p):
     a = list(a)
     db, lead = len(b) - 1, b[-1]
@@ -103,41 +94,6 @@ def _pmod(a, b, p):
             a[shift + i] = (a[shift + i] - f * bi) % p
         a.pop()
     return _ptrim(a)
-
-
-def _pinv(a, mod, p):
-    # Inverse of a modulo mod in F_p[x], via extended Euclid.
-    r0, r1 = _ptrim(mod), _ptrim(a)
-    s0, s1 = (), (1,)
-    while r1:
-        # divide r0 by r1
-        rem = list(r0)
-        d1, lead_inv = len(r1) - 1, pow(r1[-1], p - 2, p)
-        q = [0] * max(len(rem) - d1, 1)
-        while len(rem) - 1 >= d1 and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            f = rem[-1] * lead_inv % p
-            shift = len(rem) - 1 - d1
-            q[shift] = f
-            for i, bi in enumerate(r1):
-                rem[shift + i] = (rem[shift + i] - f * bi) % p
-            rem.pop()
-        qt = _ptrim(q)
-        r0, r1 = r1, _ptrim(rem)
-        s0, s1 = s1, _psub(s0, _pmul(qt, s1, p), p)
-    if len(r0) != 1:
-        raise FieldError("element is not invertible")
-    c = pow(r0[0], p - 2, p)
-    return _ptrim(tuple(x * c % p for x in s0))
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _ptrim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
 def _base_p_vectors(p, n):
@@ -316,16 +272,15 @@ class FFElement:
         if o is None:
             return NotImplemented
         f = self.field
-        prod = _pmul(_ptrim(self.vec), _ptrim(o.vec), f.p)
-        return f._from_poly(_pmod(prod, f.modulus, f.p))
+        (a, b), _ = f.encode((self, o), 1)
+        return f.decode(a * b, 1, 1)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise FieldError("division by zero in finite field")
-        f = self.field
-        return f._from_poly(_pinv(_ptrim(self.vec), f.modulus, f.p))
+        return self ** (self.field.q - 2)  # Fermat: c^(q-1) = 1
 
     def __truediv__(self, other):
         o = self._peer(other)
@@ -344,7 +299,10 @@ class FFElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = self.field.one, self
+        f = self.field
+        if f.e == 1:
+            return FFElement(f, (pow(self.vec[0], n, f.p),))
+        result, base = f.one, self
         while n:
             if n & 1:
                 result = result * base
@@ -471,9 +429,7 @@ class FiniteField(FieldCtx):
         """c^(p^b); negative b applies the inverse automorphism."""
         c = self.coerce(c)
         b %= self.e  # the Frobenius has order e on F_{p^e}
-        for _ in range(b):
-            c = c ** self.p
-        return c
+        return c ** self.p ** b
 
     def nth_roots(self, c, n: int):
         """All n-th roots of c, in enumeration order (may be empty)."""

@@ -38,7 +38,7 @@ def _binomials(ctx: FieldCtx, i: Fraction):
         if p == 0:
             yield value
         elif value.denominator % p:
-            yield ctx.from_int(value.numerator) / ctx.from_int(value.denominator)
+            yield ctx.from_int(value.numerator * pow(value.denominator, -1, p))
         else:
             raise FieldError(f"binomial C({i},{n}) is not p-integral")
         value *= Fraction(i - n, n + 1)
@@ -116,7 +116,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     if not eps.terms and eps.is_exact:
         y = Series.one(ctx)  # exact monomial base
     else:
-        if target == INF and not natural:
+        if type(target) is float and not natural:
             raise PrecisionError("power expansion has infinite support; pass a finite cap")
         w = eps.known_valuation()
         acc = {}
@@ -128,7 +128,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         while True:
             if natural and n > qpart:
                 break
-            if n > 0 and target != INF and n * w >= target:
+            if n > 0 and type(target) is not float and n * w >= target:
                 truncated = True
                 break
             c_n = next(binoms)

@@ -65,7 +65,7 @@ def cap_add(cap, delta: Fraction):
 def cap_mul(cap, factor: Fraction):
     if factor <= 0:
         raise SeriesError("cap scaling factor must be positive")
-    return INF if cap == INF else cap * factor
+    return INF if type(cap) is float else cap * factor
 
 
 def _exp_den(terms) -> int:
@@ -75,7 +75,7 @@ def _exp_den(terms) -> int:
 
 def _int_bound(cap, d):
     """The least int k with k/d >= cap (INF stays INF)."""
-    return INF if cap == INF else -(-cap.numerator * d // cap.denominator)
+    return INF if type(cap) is float else -(-cap.numerator * d // cap.denominator)
 
 
 def _kernel_form(ctx, terms, d, n):
@@ -160,7 +160,7 @@ class Series:
 
     @property
     def is_exact(self) -> bool:
-        return self.cap == INF
+        return type(self.cap) is float
 
     def valuation(self):
         """Least exponent of the support; INF for exact zero; otherwise a

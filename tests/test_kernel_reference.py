@@ -1,13 +1,17 @@
-"""The series kernel (`*` and `invert`) against brute force.
+"""The series kernel (`*` and `invert`) and the field arithmetic against
+brute force.
 
-The reference works on plain dicts keyed by Fraction exponents: a schoolbook
-product over every pair of terms, and an inverse computed coefficient by
-coefficient at every point of a dense grid.  Coefficients are Fractions over
-Q, ints mod p over F_p and vectors multiplied with `_pmul`/`_pmod` over
-F_{p^e}; field inverses are found by search.  Terms and caps must match
-exactly.
+The reference shares no code with ktq's arithmetic.  Series are plain dicts
+keyed by Fraction exponents: a schoolbook product over every pair of terms,
+and an inverse computed coefficient by coefficient at every point of a dense
+grid.  Coefficients are Fractions over Q, ints mod p over F_p and vectors over
+F_{p^e}, multiplied by `ref_polymul` (schoolbook) and reduced by `ref_polymod`
+(long division by the modulus), both defined here; field inverses are found by
+search and powers by repeated multiplication.  Terms, caps and elements must
+match exactly.
 """
 
+import random
 from fractions import Fraction
 from math import comb, lcm
 
@@ -16,14 +20,32 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ktq import INF, Series, make_field
-from ktq.errors import PrecisionError, SeriesError
-from ktq.fields import _pmod, _pmul
+from ktq.errors import FieldError, PrecisionError, SeriesError
 
 SPECS = ("Q", "F2", "F3", "F7", "F4", "F9")
 FIELDS = {spec: make_field(spec) for spec in SPECS}
 DENS = (1, 2, 3, 9, 27, 30)
 EXAMPLES = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def ref_polymul(a, b, p):
+    """Schoolbook product of two coefficient vectors over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def ref_polymod(a, mod, p):
+    """The remainder of a by the monic mod (degree e), as an e-tuple."""
+    a, e = list(a), len(mod) - 1
+    for k in range(len(a) - 1, e - 1, -1):
+        f = a[k]
+        for i, m in enumerate(mod):
+            a[k - e + i] = (a[k - e + i] - f * m) % p
+    return tuple(a[:e]) + (0,) * (e - len(a))
 
 
 class Ref:
@@ -64,8 +86,7 @@ class Ref:
             return a * b
         if self.e == 1:
             return a * b % self.p
-        poly = _pmod(_pmul(a, b, self.p), self.ctx.modulus, self.p)
-        return tuple(poly) + (0,) * (self.e - len(poly))
+        return ref_polymod(ref_polymul(a, b, self.p), self.ctx.modulus, self.p)
 
     def inv(self, a):
         if self.p == 0:
@@ -241,3 +262,75 @@ def test_sparse_lattice_invert(spec, exact):
     assert inv.cap == want_cap
     assert inv.terms == tuple(sorted((e, c) for e, c in want.items() if c))
     assert len(inv.terms) > 5
+
+
+# ---------------------------------------------------------- field arithmetic
+
+SMALL_EXTENSIONS = ("F4", "F8", "F9", "F16", "F25", "F27", "F64")
+PRIMES = (2, 3, 7, 1048583, 2305843009213693951)
+
+
+def ref_pow(R, a, n):
+    out = R.one()
+    for _ in range(n):
+        out = R.mul(out, a)
+    return out
+
+
+@pytest.mark.parametrize("spec", SMALL_EXTENSIONS)
+def test_extension_field_arithmetic_exhaustive(spec):
+    """Every pair for * and /, every element for inverse(), frobenius and **."""
+    ctx = make_field(spec)
+    R, p, q = Ref(ctx), ctx.p, ctx.q
+    els = ctx.elements()
+    inv = {}
+    for a in els:
+        for b in els:
+            want = R.mul(a.vec, b.vec)
+            assert (a * b).vec == want
+            if want == R.one():
+                inv[a.vec] = b.vec
+    assert len(inv) == q - 1
+    for a in els:
+        if a:
+            assert a.inverse().vec == inv[a.vec]
+        for b in els[1:]:
+            assert (a / b).vec == R.mul(a.vec, inv[b.vec])
+    for c in els:
+        for b in (0, 1, 2):
+            assert ctx.frobenius(c, b).vec == ref_pow(R, c.vec, p ** b)
+        assert ref_pow(R, ctx.frobenius(c, -1).vec, p) == c.vec
+        for n in (0, 1, q - 1, q, 2 * q + 1):
+            assert (c ** n).vec == ref_pow(R, c.vec, n)
+        if c:
+            for n in (-1, -q):
+                assert (c ** n).vec == ref_pow(R, inv[c.vec], -n)
+    with pytest.raises(FieldError):
+        ctx.zero.inverse()
+    with pytest.raises(FieldError):
+        ctx.zero ** -1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prime_field_arithmetic_sampled(p):
+    """The builtin-pow branch of ** (e = 1) against repeated multiplication."""
+    ctx = make_field(f"F{p}")
+    R = Ref(ctx)
+    rng = random.Random(p)
+    samples = [0, 1, p - 1] + [rng.randrange(p) for _ in range(30)]
+    for v in samples:
+        a = ctx.from_int(v)
+        w = rng.randrange(p)
+        assert (a * ctx.from_int(w)).vec == (v * w % p,)
+        for n in (0, 1, 2, 3, rng.randrange(4, 80)):
+            assert (a ** n).vec == (ref_pow(R, v, n),)
+        if v:
+            assert (a ** (p - 1)).vec == (1,)
+            assert R.mul(v, a.inverse().vec[0]) == 1
+            assert (ctx.from_int(w) / a).vec == (R.mul(w, a.inverse().vec[0]),)
+            n = rng.randrange(1, 40)
+            assert R.mul(ref_pow(R, v, n), (a ** -n).vec[0]) == 1
+    with pytest.raises(FieldError):
+        ctx.zero.inverse()
+    with pytest.raises(FieldError):
+        ctx.zero ** -1
