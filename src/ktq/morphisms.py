@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ExpHomError, FieldError, OrbitError, SeriesError
 from .fields import FieldCtx
 from .powers import _padic_val, pow_rat
-from .series import INF, Series, cap_mul, series_from_json
+from .series import INF, Series, _exp_den, cap_mul, series_from_json
 
 
 class ExpHom:
@@ -400,7 +400,7 @@ def _monic_witness(core: Series):
     e, a = core.terms[0]
     if a == ctx.one:
         return [Substitute(core)]
-    D = lcm(*(exp.denominator for exp, _ in core.terms))
+    D = _exp_den(core.terms)
     N = e.numerator * (D // e.denominator)
     try:
         roots = ctx.nth_roots(a, N)

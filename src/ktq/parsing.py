@@ -356,11 +356,7 @@ def eval_expression(node, env: EvalEnv):
             return left * right
         return left * right.invert(env.cap)
     if isinstance(node, Pow):
-        base = ev(node.base)
-        e = node.exp
-        if e.denominator == 1:
-            return _int_power(base, e.numerator, env)
-        return pow_rat(base, e, env.cap)
+        return pow_rat(ev(node.base), node.exp, env.cap)
     if isinstance(node, Call):
         name, args = node.name, node.args
         if name == "inv":
@@ -404,23 +400,6 @@ def _int_arg(node, what) -> int:
     if isinstance(node, Neg) and isinstance(node.expr, Num):
         return -node.expr.value
     raise ParseError(f"{what} must be an integer literal")
-
-
-def _int_power(base, k: int, env: EvalEnv):
-    from .series import Series
-    if len(base.terms) == 1 and base.is_exact:
-        e, c = base.terms[0]
-        return Series.monomial(base.ctx, c ** k, e * k)
-    if k < 0:
-        base = base.invert(env.cap)
-        k = -k
-    result = Series.one(base.ctx)
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
 
 
 # ------------------------------------------------- additive-polynomial texts
@@ -521,27 +500,13 @@ def parse_coefficient(ctx: FieldCtx, text: str):
 
 def parse_modulus(text: str, p: int):
     """Parse a modulus like "x^2+1" to an ascending coefficient tuple."""
+    prime = FiniteField(p)
     coeffs = {}
     for negate, n in _signed_terms(parse_expression(text)):
-        deg, c = _modulus_monomial(n)
+        deg, c = _split_monomial(prime, n)
+        c = c.vec[0]
         coeffs[deg] = (coeffs.get(deg, 0) + (-c if negate else c)) % p
     if not coeffs or max(coeffs) < 1:
         raise ParseError(f"bad modulus {text!r}")
     top = max(coeffs)
     return tuple(coeffs.get(i, 0) for i in range(top + 1))
-
-
-def _modulus_monomial(node):
-    if isinstance(node, Num):
-        return 0, node.value
-    if isinstance(node, Var) and node.name == "x":
-        return 1, 1
-    if isinstance(node, Pow) and isinstance(node.base, Var) and node.base.name == "x":
-        if node.exp.denominator != 1 or node.exp < 1:
-            raise ParseError(f"bad modulus power {node.exp}")
-        return int(node.exp), 1
-    if isinstance(node, Bin) and node.op == "*":
-        d1, c1 = _modulus_monomial(node.left)
-        d2, c2 = _modulus_monomial(node.right)
-        return d1 + d2, c1 * c2
-    raise ParseError(f"bad modulus term {format_expr(node)!r}")

@@ -81,22 +81,32 @@ def frobenius_map(x: Series, b: int) -> Series:
 
 
 def pow_rat(x: Series, i, requested_cap=INF) -> Series:
-    """x^i for monic x with a visible leading term and rational i.
+    """x^i for rational i and x with a visible leading term.
+
+    A fractional i needs a monic x.  An integer i also takes a non-monic x =
+    c * u, as c^i * u^i, and a positive integer i takes an x with no visible
+    term by the product rule: exact 0 stays 0, and O(t^c)^i is O(t^(i c)).
 
     The result keeps its full intrinsic precision when the expansion
-    terminates on its own (i a nonnegative integer after removing the p-part),
-    so exact inputs give exact integer powers.  Otherwise the expansion is
-    infinite and a finite requested_cap is required unless the input's own
-    cap already bounds the work.
+    terminates on its own (i a nonnegative integer after removing the p-part)
+    before the requested cap truncates it, so exact inputs give exact integer
+    powers such as (1+t)^3.  Otherwise it is certified below
+    min(requested_cap, its intrinsic cap), and a finite requested_cap is
+    required unless the input's own cap already bounds the work.
     """
     ctx = x.ctx
     i = Fraction(i)
     if i == 0:
         return Series.one(ctx)
     if not x.terms:
+        if i.denominator == 1 and i > 0:
+            return Series._raw(ctx, (), cap_mul(x.cap, i))
         raise PrecisionError("no visible leading term to raise to a power")
     if not x.is_monic():
-        raise SeriesError("rational powers need a monic base")
+        if i.denominator != 1:
+            raise SeriesError("rational powers need a monic base")
+        c = x.leading_coeff()
+        return pow_rat(x.scale(1 / c), i, requested_cap).scale(c ** i.numerator)
     requested_cap = INF if requested_cap == INF else Fraction(requested_cap)
     p = ctx.characteristic
     b = _padic_val(i, p) if p else 0

@@ -56,16 +56,22 @@ def _as_cap(c):
     return _as_exp(c)
 
 
+def _float_cap(cap):
+    # A cap is a Fraction or INF, the only float allowed: the callers' type
+    # test is the cheap form of cap == INF, and any other float is rejected.
+    if cap != INF:
+        raise SeriesError(f"a cap is rational or INF, got {cap!r}")
+    return INF
+
+
 def cap_add(cap, delta: Fraction):
-    # A cap is a Fraction or INF, the only float: the type test is the
-    # cheap form of cap == INF.
-    return INF if type(cap) is float else cap + delta
+    return _float_cap(cap) if type(cap) is float else cap + delta
 
 
 def cap_mul(cap, factor: Fraction):
     if factor <= 0:
         raise SeriesError("cap scaling factor must be positive")
-    return INF if type(cap) is float else cap * factor
+    return _float_cap(cap) if type(cap) is float else cap * factor
 
 
 def _exp_den(terms) -> int:

@@ -45,6 +45,7 @@ def test_golden_demo_p3(capsys):
 def test_exit_codes(capsys):
     assert run(["eval", "t @ 2", "--field", "Q"]) == 2       # syntax
     assert run(["eval", "inv(0)", "--field", "Q"]) == 1      # domain
+    assert run(["eval", "(2+t)^(1/2)", "--field", "Q"]) == 1  # non-monic base
     assert run(["bogus-cmd"]) == 2                           # usage
     assert run(["eval", "t", "--field", "F6"]) == 1          # bad field
     assert run(["eval"]) == 2                                # missing arg
@@ -79,6 +80,12 @@ def test_eval_default_field_and_cap(capsys):
     assert run(["eval", "1/(1-t)"]) == 0
     out = capsys.readouterr().out
     assert out.endswith("+ t^7 + O(t^8)\n")
+
+
+def test_eval_integer_power_stops_at_the_working_cap(capsys):
+    assert run(["eval", "--field", "Q", "(1+t)^3000"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("1 + 3000*t + 4498500*t^2 + ") and out.endswith("+ O(t^8)\n")
 
 
 def test_eval_negative_cap_flag(capsys):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ktq import (EvalEnv, FieldError, OrbitClass, ParseError, Series,
-                 eval_expression, format_expr, parse_additive_poly,
-                 parse_coefficient, parse_expression, parse_modulus)
+                 eval_expression, format_expr, make_field, parse_additive_poly,
+                 parse_coefficient, parse_expression, parse_modulus, pow_rat)
 from ktq.parsing import MAX_DEPTH, Bin, Call, Neg, Num, Pow, TSym, Var
 
 F = Fraction
@@ -158,6 +158,23 @@ def test_eval_exact_monomial_powers(Q):
     assert out == Series.monomial(Q, 1, -1) and out.is_exact
     half = eval_expression(parse_expression("t^(1/2)*t^(1/2)"), env)
     assert half == Series.t(Q) and half.is_exact
+
+
+@pytest.mark.parametrize("spec, text, printed", [
+    ("Q", "(1+t)^3", "1 + 3*t + 3*t^2 + t^3"),
+    ("Q", "(2+t)^3", "8 + 12*t + 6*t^2 + t^3"),
+    ("F9", "(g+t)^3", "2*g + t^3"),
+    ("Q", "(t+t^2)^(-2)", "t^(-2) - 2*t^(-1) + 3 - 4*t + 5*t^2 - 6*t^3 + 7*t^4"
+                          " - 8*t^5 + 9*t^6 - 10*t^7 + O(t^8)"),
+    ("Q", "0^2", "0"),
+    ("Q", "inv(t^(-20)+1)^2", "O(t^16)"),
+])
+def test_eval_power_is_pow_rat_at_the_working_cap(spec, text, printed):
+    env = EvalEnv(make_field(spec), F(8))
+    node = parse_expression(text)
+    out = eval_expression(node, env)
+    assert out == pow_rat(eval_expression(node.base, env), node.exp, env.cap)
+    assert str(out) == printed
 
 
 def test_eval_inverse_cancels(Q):

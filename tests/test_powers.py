@@ -83,6 +83,24 @@ def test_power_zero_is_one(Q):
     assert pow_rat(Series.t(Q), 0) == Series.one(Q)
 
 
+def test_integer_powers_of_non_monic_bases(Q, F9):
+    x = Series.constant(Q, 2) + Series.t(Q)
+    assert pow_rat(x, 3) == _int_pow(x, 3) and pow_rat(x, 3).is_exact
+    assert pow_rat(x, -1, F(8)) == x.invert(F(8))
+    y = Series.constant(F9, F9.g) * Series.t(F9) + Series.monomial(F9, 1, 2)
+    assert pow_rat(y, 5) == _int_pow(y, 5)
+    assert pow_rat(y, -2, F(6)) == _int_pow(y.invert(F(8)), 2).truncate(F(6))
+
+
+def test_integer_powers_of_invisible_bases(Q):
+    assert pow_rat(Series.zero(Q), 3) == Series.zero(Q)
+    assert pow_rat(Series(Q, (), cap=F(3)), 2) == Series(Q, (), cap=F(6))
+    with pytest.raises(PrecisionError):
+        pow_rat(Series.zero(Q), -1, F(8))
+    with pytest.raises(PrecisionError):
+        pow_rat(Series(Q, (), cap=F(3)), -2, F(8))
+
+
 # ------------------------------------------------------ pow_rat, fractional
 
 def test_binomial_expansion_golden(Q):

@@ -265,6 +265,10 @@ def test_cap_arithmetic():
     assert cap_add(F(3), F(-1)) == F(2)
     assert cap_mul(INF, F(2)) == INF
     assert cap_mul(F(3), F(1, 2)) == F(3, 2)
+    with pytest.raises(SeriesError):
+        cap_add(2.5, F(1))
+    with pytest.raises(SeriesError):
+        cap_mul(2.5, F(2))
 
 
 # --------------------------------------------------------------- formatting
