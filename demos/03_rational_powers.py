@@ -3,8 +3,10 @@ Rational powers x^e
 ===================
 
 Powers of a monic series split into a monomial part and a binomial series
-in the tail.  In characteristic p the exponent's p-part is handled exactly
-by the Frobenius of the series field, the rest by the binomial expansion.
+in the tail.  Over Q the tail comes from Miller's power recurrence.  In
+characteristic p the exponent's p-part is handled exactly by the Frobenius
+of the series field, and the rest, a p-adic integer, by a product of
+Frobenius images of the tail over its base-p digits.
 """
 
 from fractions import Fraction as F

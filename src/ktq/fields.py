@@ -6,7 +6,8 @@ vectors (c_0, ..., c_{e-1}) standing for c_0 + c_1*g + ... + c_{e-1}*g^{e-1},
 where g is the residue of x modulo the modulus.  Arithmetic reduces modulo the
 modulus.  A scalar product goes through the same encode/decode pair as the
 series kernel (below), powers use the builtin pow when e = 1 and
-square-and-multiply otherwise, and inverses follow Fermat: c^-1 = c^(q-2).
+square-and-multiply on packed codes otherwise, and inverses follow Fermat:
+c^-1 = c^(q-2).
 
 The rational field reuses fractions.Fraction, which is already exact and
 canonical, so no wrapper type is introduced; rational coefficients simply are
@@ -29,6 +30,7 @@ but the exhaustive oracles refuse to run on them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -179,7 +181,12 @@ class RationalField(FieldCtx):
         return Fraction(value, den)
 
     def format_coeff(self, c: Fraction) -> str:
-        return str(c)
+        try:
+            return str(c)
+        except ValueError as exc:  # CPython's bound on int-to-str conversion
+            raise FieldError(
+                f"coefficient too large to print: over {sys.get_int_max_str_digits()}"
+                " decimal digits, the interpreter's integer-to-string limit") from exc
 
     def parse_coeff(self, text: str) -> Fraction:
         try:
@@ -302,13 +309,16 @@ class FFElement:
         f = self.field
         if f.e == 1:
             return FFElement(f, (pow(self.vec[0], n, f.p),))
-        result, base = f.one, self
+        # Square-and-multiply on packed codes, reduced after every product.
+        w = f._slot_bits(1)
+        result, base = 1, f._pack(self.vec, w)
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = f._pack(f._reduce(result * base, w), w)
             n >>= 1
-        return result
+            if n:
+                base = f._pack(f._reduce(base * base, w), w)
+        return f._from_poly(f._reduce(result, w))
 
     def __eq__(self, other):
         if not isinstance(other, FFElement):
@@ -445,29 +455,35 @@ class FiniteField(FieldCtx):
         # sum adds at most n such products.
         return (max(n, 1) * self.e * (self.p - 1) ** 2).bit_length()
 
+    @staticmethod
+    def _pack(vec, w):
+        return sum(ci << (w * i) for i, ci in enumerate(vec))
+
+    def _reduce(self, value, w):
+        """The reduced polynomial of a packed value with w-bit slots: unpack
+        the slots, reduce mod p, then mod the modulus once."""
+        p = self.p
+        mask = (1 << w) - 1
+        poly = []
+        while value:
+            poly.append((value & mask) % p)
+            value >>= w
+        return _pmod(poly, self.modulus, p) if len(poly) > self.e else poly
+
     def encode(self, coeffs, n):
         """Residues (e = 1) or vectors packed in _slot_bits(n)-bit slots,
         lowest degree in the lowest slot: (ints, 1)."""
         if self.e == 1:
             return [c.vec[0] for c in coeffs], 1
         w = self._slot_bits(n)
-        return [sum(ci << (w * i) for i, ci in enumerate(c.vec)) for c in coeffs], 1
+        return [self._pack(c.vec, w) for c in coeffs], 1
 
     def decode(self, value, den, n):
         """The element standing for a sum of at most n products of encoded
-        values: unpack the slots, reduce mod p, then mod the modulus once."""
-        p = self.p
+        values."""
         if self.e == 1:
-            return FFElement(self, (value % p,))
-        w = self._slot_bits(n)
-        mask = (1 << w) - 1
-        poly = []
-        while value:
-            poly.append((value & mask) % p)
-            value >>= w
-        if len(poly) > self.e:
-            poly = _pmod(poly, self.modulus, p)
-        return self._from_poly(poly)
+            return FFElement(self, (value % self.p,))
+        return self._from_poly(self._reduce(value, self._slot_bits(n)))
 
     def format_coeff(self, c: FFElement) -> str:
         return _format_poly(self.coerce(c).vec, "g")

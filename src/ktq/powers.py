@@ -1,55 +1,44 @@
-"""Rational powers of monic series.
+"""Rational powers of monic series: x^i = t^(m i) (1 + eps)^i for monic
+x = t^m (1 + eps), with (1 + eps)^i expanded below the precision needed.
 
-In characteristic 0, x^i for monic x = t^m (1 + eps) is the binomial series
-t^(m i) * sum_n C(i, n) eps^n, truncated once n * v(eps) reaches the needed
-relative precision.
+Over Q the expansion is J.C.P. Miller's power recurrence (Knuth, TAOCP
+vol. 2, 4.7): for eps = sum a_j t^(e_j) and (1 + eps)^q = sum b_k t^k in
+lattice units, b_0 = 1 and k b_k = sum_j ((q + 1) e_j - k) a_j b_(k - e_j),
+run on the reachable-support walk of `Series.invert`.
 
 In characteristic p the exponent splits as i = p^b * q with b the exact
-p-adic valuation of i and q having p-free denominator.  The q-th power goes
-through the binomial series (all C(q, n) are p-integral), and the p^b-th
-power is the termwise map z |-> z^(p^b): exponents scale by p^b, coefficients
-take Frobenius images or unique p-th roots, and the cap scales by p^b.  That
-cap scaling is the mechanism behind shrinking certification for exponents
-with large power-of-p denominators.
+p-adic valuation of i and q having p-free denominator.  The p^b-th power is
+the termwise map z |-> z^(p^b): exponents scale by p^b, coefficients take
+Frobenius images or unique p-th roots, and the cap scales by p^b, which is
+what shrinks certification for exponents with large power-of-p
+denominators.  The same map gives the q-th power: q is a p-adic integer
+with base-p digits d_j and (1 + eps)^(p^j) = 1 + F^j(eps), so (1 + eps)^q
+is the product of (1 + F^j(eps))^(d_j), stopping once p^j v(eps) reaches
+the target.  A negative integer q takes the digits of |q| and one inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 
 from .errors import FieldError, PrecisionError, SeriesError
-from .fields import FieldCtx
-from .series import INF, Series, cap_add, cap_mul
+from .series import (INF, Series, _exp_den, _int_bound, _kernel_form, _reachable, cap_add,
+                     cap_mul)
 
 
-def _binomials(ctx: FieldCtx, i: Fraction):
-    """C(i, 0), C(i, 1), ... for rational i, each mapped into ctx.
-
-    For characteristic p the denominator of i must be coprime to p; every
-    C(i, n) is then p-integral and reduces cleanly mod p.
-    """
+def rat_binomial(ctx, i, n: int):
+    """The binomial coefficient C(i, n) for rational i, mapped into ctx; in
+    characteristic p, i needs a p-free denominator, making C(i, n) p-integral."""
+    if n < 0:
+        raise SeriesError("binomial index must be >= 0")
+    i = Fraction(i)
     p = ctx.characteristic
     if p and i.denominator % p == 0:
         raise FieldError(f"exponent {i} has a p-divisible denominator (p={p})")
     value = Fraction(1)
-    n = 0
-    while True:
-        if p == 0:
-            yield value
-        elif value.denominator % p:
-            yield ctx.from_int(value.numerator * pow(value.denominator, -1, p))
-        else:
-            raise FieldError(f"binomial C({i},{n}) is not p-integral")
-        value *= Fraction(i - n, n + 1)
-        n += 1
-
-
-def rat_binomial(ctx: FieldCtx, i, n: int):
-    """The binomial coefficient C(i, n) for rational i, mapped into ctx."""
-    if n < 0:
-        raise SeriesError("binomial index must be >= 0")
-    return next(islice(_binomials(ctx, Fraction(i)), n, None))
+    for k in range(n):
+        value *= Fraction(i - k, k + 1)
+    return ctx.from_int(value.numerator * pow(value.denominator, -1, p)) if p else value
 
 
 def _padic_val(i: Fraction, p: int) -> int:
@@ -80,6 +69,61 @@ def frobenius_map(x: Series, b: int) -> Series:
                        cap_mul(x.cap, factor))
 
 
+def _bound(x: Series, q: Fraction, req):
+    """Relative precision of x^q at cap req, x = t^m (1 + eps) monic, q p-free:
+    min(cap(eps), req - m q), or all of cap(eps) for a natural q with eps^q
+    starting below that (exact inputs give exact natural powers).  INF for
+    q = 0 or an exact monomial x."""
+    m = x.terms[0][0]
+    cap_rel = cap_add(x.cap, -m)
+    if not q or len(x.terms) == 1 and type(cap_rel) is float:
+        return INF
+    w = x.terms[1][0] - m if len(x.terms) > 1 else cap_rel  # v*(eps)
+    target = cap_rel if type(req) is float else min(cap_rel, req - m * q)
+    if q.denominator == 1 and q > 0:
+        return cap_rel if type(target) is float or q * w < target else target
+    if type(target) is float:
+        raise PrecisionError("power expansion has infinite support; pass a finite cap")
+    return target
+
+
+def _miller(eps: Series, q: Fraction, bound) -> Series:
+    """(1 + eps)^q below bound in characteristic 0, by Miller's recurrence."""
+    d = _exp_den(eps.terms)
+    exps, vals, den = _kernel_form(eps.ctx, eps.terms, d, 1)  # a_j = vals[j] / den
+    rs = q.numerator + q.denominator  # q + 1 = rs / s
+    s = q.denominator
+    steps = list(zip(exps, vals))
+    b = {}
+    out = []
+    for k in _reachable(exps, _int_bound(bound, d), b):
+        c = Fraction(sum((rs * e - s * k) * a * b[k - e] for e, a in steps if k - e in b),
+                     s * den * k) if k else Fraction(1)
+        if c:
+            b[k] = c
+            out.append((Fraction(k, d), c))
+    return Series._raw(eps.ctx, out, bound)
+
+
+def _digits(eps: Series, q: Fraction, bound) -> Series:
+    """(1 + eps)^q below bound in characteristic p, for p-free q: the
+    product of (1 + F^j(eps))^(d_j) over the base-p digits d_j of q."""
+    p = eps.ctx.characteristic
+    one = Series.one(eps.ctx)
+    y = one.truncate(bound)
+    w = eps.known_valuation()
+    j = 0
+    while q and p ** j * w < bound:
+        d = q.numerator * pow(q.denominator, -1, p) % p
+        if d:
+            f = one + frobenius_map(eps.truncate(bound / p ** j), j)
+            for _ in range(d):
+                y = y * f
+        q = (q - d) / p
+        j += 1
+    return y
+
+
 def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     """x^i for rational i and x with a visible leading term.
 
@@ -92,7 +136,9 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     before the requested cap truncates it, so exact inputs give exact integer
     powers such as (1+t)^3.  Otherwise it is certified below
     min(requested_cap, its intrinsic cap), and a finite requested_cap is
-    required unless the input's own cap already bounds the work.
+    required unless the input's own cap already bounds the work.  The
+    expansion is Miller's recurrence over Q and the digit product in
+    characteristic p, via one inverse for a negative integer q.
     """
     ctx = x.ctx
     i = Fraction(i)
@@ -111,53 +157,18 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     p = ctx.characteristic
     b = _padic_val(i, p) if p else 0
     scale = Fraction(p or 1) ** b
-    qpart = i / scale
-
+    q = i / scale
     m = x.terms[0][0]
-    eps = x.shift(-m) - Series.one(ctx)
-    cap_rel = cap_add(x.cap, -m)  # relative precision of the input
-
-    natural = qpart.denominator == 1 and qpart >= 0
-    if requested_cap == INF:
-        target = cap_rel
+    bound = _bound(x, q, requested_cap / scale)
+    eps = (x.shift(-m) - Series.one(ctx)).truncate(bound)
+    if bound <= 0:
+        y = Series._raw(ctx, (), bound)
+    elif not p:
+        y = _miller(eps, q, bound)
+    elif q < 0 and q.denominator == 1:
+        y = _digits(eps, -q, bound).invert(bound)
     else:
-        target = min(cap_rel, (requested_cap - m * i) / scale)
-
-    if not eps.terms and eps.is_exact:
-        y = Series.one(ctx)  # exact monomial base
-    else:
-        if type(target) is float and not natural:
-            raise PrecisionError("power expansion has infinite support; pass a finite cap")
-        w = eps.known_valuation()
-        acc = {}
-        cap_y = INF
-        eps_pow = Series.one(ctx)
-        binoms = _binomials(ctx, qpart)
-        truncated = False
-        n = 0
-        while True:
-            if natural and n > qpart:
-                break
-            if n > 0 and type(target) is not float and n * w >= target:
-                truncated = True
-                break
-            c_n = next(binoms)
-            if c_n:
-                for e, c in eps_pow.terms:
-                    prev = acc.get(e)
-                    value = c * c_n if prev is None else prev + c * c_n
-                    if value:
-                        acc[e] = value
-                    elif prev is not None:
-                        del acc[e]
-                cap_y = min(cap_y, eps_pow.cap)
-            eps_pow = eps_pow * eps
-            if not natural:
-                eps_pow = eps_pow.truncate(target)
-            n += 1
-        y = Series._make(ctx, acc, cap_y)
-        if truncated:
-            y = y.truncate(target)
+        y = _digits(eps, q, bound)
     if b:
         y = frobenius_map(y, b)
     return y.shift(m * i)

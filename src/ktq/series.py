@@ -91,6 +91,28 @@ def _kernel_form(ctx, terms, d, n):
     return [e.numerator * (d // e.denominator) for e, _ in terms], vals, den
 
 
+def _reachable(steps, bound, b):
+    """The sums of the ascending positive ints in steps, from 0 and below
+    bound, in increasing order: the support walk of the recurrences for
+    1/(1 + eps) and (1 + eps)^q, whose coefficient at k is a combination of
+    the coefficients at k - step.  A sum is extended only once the caller has
+    stored its (nonzero) coefficient in b, so a zero coefficient adds no
+    successors and the walk visits only sums that can be nonzero."""
+    heap = [0] if 0 < bound else []
+    seen = set(heap)
+    while heap:
+        k = heappop(heap)
+        yield k
+        if k in b:
+            for e in steps:
+                succ = k + e
+                if succ >= bound:
+                    break
+                if succ not in seen:
+                    seen.add(succ)
+                    heappush(heap, succ)
+
+
 @dataclass(frozen=True)
 class UnknownAtLeast:
     """Valuation outcome when no term is known below the cap."""
@@ -308,27 +330,16 @@ class Series:
         bound = _int_bound(cap_add(result_cap, v), d)
         b = {}
         out = []
-        heap = [0] if 0 < bound else []
-        seen = set(heap)
-        while heap:
-            k = heappop(heap)
+        for k in _reachable([e for e, _ in steps], bound, b):
             level = k // w
             m = vals[0] if k == 0 else sum(
                 a * b[k - e] * den ** (level - (k - e) // w - 1)
                 for e, a in steps if k - e in b)
             coeff = ctx.decode(m, den ** (level + 1), n)
-            if not coeff:
-                continue  # its successors are reached from nonzero b_k, if at all
-            out.append((Fraction(k - kv, d), coeff))
-            # Finite-field sums are reduced before reuse; over Q they are exact.
-            b[k] = ctx.encode([coeff], n)[0][0] if ctx.characteristic else m
-            for e, _ in steps:
-                succ = k + e
-                if succ >= bound:
-                    break
-                if succ not in seen:
-                    seen.add(succ)
-                    heappush(heap, succ)
+            if coeff:
+                out.append((Fraction(k - kv, d), coeff))
+                # Finite-field sums are reduced before reuse; over Q they are exact.
+                b[k] = ctx.encode([coeff], n)[0][0] if ctx.characteristic else m
         return Series._raw(ctx, out, result_cap)
 
     # ----------------------------------------------------------- equality

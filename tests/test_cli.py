@@ -67,6 +67,18 @@ def test_huge_field_spec_exits_1_without_traceback(capsys):
     assert err.startswith("ktq: ") and "not a prime power below 2^63" in err
 
 
+def test_huge_coefficient_exits_1_without_traceback(capsys):
+    assert run(["eval", "--field", "Q", "2^20000"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("ktq: ") and "integer-to-string limit" in err
+
+
+def test_big_coefficient_below_the_limit_prints_exactly(capsys):
+    assert run(["eval", "--field", "Q", "2^100"]) == 0
+    assert capsys.readouterr().out == f"{2 ** 100}\n"
+
+
 def test_errors_name_the_tool(capsys):
     run(["eval", "inv(0)", "--field", "Q"])
     err = capsys.readouterr().err
