@@ -13,15 +13,18 @@ The rational field reuses fractions.Fraction, which is already exact and
 canonical, so no wrapper type is introduced; rational coefficients simply are
 Fraction values.
 
-Each field kind also has an encode/decode pair, the coefficient side of the
-series kernel: `encode(coeffs, n)` turns coefficients into Python ints and a
-common denominator, such that integer sums of at most n pairwise products of
-encoded values stay exact, and `decode(value, den, n)` turns such a sum back
-into one coefficient.  For F_p an element is its residue; for F_{p^e} its
-vector is packed into one int, slot i (W bits wide) holding c_i, so the
-product of two packed ints is the packed product polynomial and W is chosen
-so that no slot of a sum of n products carries into the next; for Q the
-values are numerators over the coefficients' common denominator.
+A series stores each coefficient as its field's code (`code(c)`, and
+`element(k)` back): the residue over F_p, the vector packed into one int with
+slots just wide enough for p - 1 over F_{p^e}, the Fraction itself over Q.
+Codes are canonical, and the code of 1 is 1.  The kernel side is a pair on
+lists of codes: `encode(codes, n)` gives ints and a common denominator such
+that integer sums of at most n pairwise products of them stay exact, and
+`decode(values, den, n)` maps such sums back to codes.  Over F_p the encoding
+is the code; over F_{p^e} the vector is repacked in W-bit slots, W chosen so
+that a product of packed ints is the packed product polynomial and no slot
+of a sum of n products carries; over Q it is numerators over a common
+denominator.  `frobenius_codes` is c |-> c^(p^b) on codes, one map per field:
+the identity over F_p, and over F_{p^e} whenever e divides b.
 
 Exhaustive operations (element enumeration, root search, surjectivity
 checks) are restricted to q <= 2**20.  Larger prime fields still construct,
@@ -134,10 +137,17 @@ class FieldCtx:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    def encode(self, coeffs, n):
+    def code(self, c):
+        """The code a series stores for coefficient c (c itself by default)."""
+        return c
+
+    def element(self, k):
+        return k
+
+    def encode(self, codes, n):
         raise NotImplementedError
 
-    def decode(self, value, den, n):
+    def decode(self, values, den, n):
         raise NotImplementedError
 
 
@@ -172,13 +182,13 @@ class RationalField(FieldCtx):
             return Fraction(value)
         raise FieldError(f"not a rational coefficient: {value!r}")
 
-    def encode(self, coeffs, n):
+    def encode(self, codes, n):
         """Numerators over the coefficients' common denominator: (ints, den)."""
-        den = lcm(*(c.denominator for c in coeffs))
-        return [c.numerator * (den // c.denominator) for c in coeffs], den
+        den = lcm(*(c.denominator for c in codes))
+        return [c.numerator * (den // c.denominator) for c in codes], den
 
-    def decode(self, value, den, n):
-        return Fraction(value, den)
+    def decode(self, values, den, n):
+        return [Fraction(v, den) for v in values]
 
     def format_coeff(self, c: Fraction) -> str:
         try:
@@ -279,8 +289,8 @@ class FFElement:
         if o is None:
             return NotImplemented
         f = self.field
-        (a, b), _ = f.encode((self, o), 1)
-        return f.decode(a * b, 1, 1)
+        (a, b), _ = f.encode([f.code(self), f.code(o)], 1)
+        return f.element(f.decode([a * b], 1, 1)[0])
 
     __rmul__ = __mul__
 
@@ -367,6 +377,7 @@ class FiniteField(FieldCtx):
                 if not _is_irreducible(modulus, p):
                     raise FieldError("modulus is reducible")
         self.modulus = modulus
+        self._bits = (p - 1).bit_length()  # code slot width
         self.zero = FFElement(self, (0,) * e)
         self.one = FFElement(self, (1,) + (0,) * (e - 1))
         self._element_cache = None
@@ -457,7 +468,10 @@ class FiniteField(FieldCtx):
 
     @staticmethod
     def _pack(vec, w):
-        return sum(ci << (w * i) for i, ci in enumerate(vec))
+        value = 0
+        for ci in reversed(vec):  # the highest slot first
+            value = value << w | ci
+        return value
 
     def _reduce(self, value, w):
         """The reduced polynomial of a packed value with w-bit slots: unpack
@@ -470,20 +484,35 @@ class FiniteField(FieldCtx):
             value >>= w
         return _pmod(poly, self.modulus, p) if len(poly) > self.e else poly
 
-    def encode(self, coeffs, n):
-        """Residues (e = 1) or vectors packed in _slot_bits(n)-bit slots,
-        lowest degree in the lowest slot: (ints, 1)."""
-        if self.e == 1:
-            return [c.vec[0] for c in coeffs], 1
-        w = self._slot_bits(n)
-        return [self._pack(c.vec, w) for c in coeffs], 1
+    def code(self, c):
+        return c.vec[0] if self.e == 1 else self._pack(c.vec, self._bits)
 
-    def decode(self, value, den, n):
-        """The element standing for a sum of at most n products of encoded
+    def element(self, k):
+        if self.e == 1:
+            return FFElement(self, (k,))
+        return self._from_poly(self._reduce(k, self._bits))
+
+    def encode(self, codes, n):
+        """The codes (e = 1) or their vectors repacked in _slot_bits(n)-bit
+        slots, lowest degree in the lowest slot: (ints, 1)."""
+        if self.e == 1:
+            return codes, 1
+        w, bits = self._slot_bits(n), self._bits
+        return [self._pack(self._reduce(k, bits), w) for k in codes], 1
+
+    def decode(self, values, den, n):
+        """The codes standing for sums of at most n products of encoded
         values."""
         if self.e == 1:
-            return FFElement(self, (value % self.p,))
-        return self._from_poly(self._reduce(value, self._slot_bits(n)))
+            return [v % self.p for v in values]
+        w, bits = self._slot_bits(n), self._bits
+        return [self._pack(self._reduce(v, w), bits) for v in values]
+
+    def frobenius_codes(self, codes, b):
+        """The codes of c^(p^b) for the codes of c (b < 0: the inverse)."""
+        if b % self.e == 0:
+            return codes
+        return [self.code(self.frobenius(self.element(k), b)) for k in codes]
 
     def format_coeff(self, c: FFElement) -> str:
         return _format_poly(self.coerce(c).vec, "g")

@@ -35,7 +35,7 @@ from math import gcd
 from .errors import ExpHomError, FieldError, OrbitError, SeriesError
 from .fields import FieldCtx
 from .powers import _padic_val, pow_rat
-from .series import INF, Series, _exp_den, cap_mul, series_from_json
+from .series import INF, Series, cap_mul, series_from_json
 
 
 class ExpHom:
@@ -126,7 +126,8 @@ def rescale(lam: ExpHom, y: Series) -> Series:
     """sum c_i t^i  |->  sum lam(i) c_i t^i.  The cap is unchanged."""
     if lam.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
-    return Series._raw(y.ctx, ((e, lam.query(e) * c) for e, c in y.terms), y.cap)
+    return Series._build(y.ctx, y.den, y.ks,
+                         [y.ctx.code(lam.query(e) * c) for e, c in y.terms], y.cap)
 
 
 def scale_exponents(y: Series, r) -> Series:
@@ -134,7 +135,8 @@ def scale_exponents(y: Series, r) -> Series:
     r = Fraction(r)
     if r <= 0:
         raise SeriesError("exponent scaling factor must be positive")
-    return Series._raw(y.ctx, ((e * r, c) for e, c in y.terms), cap_mul(y.cap, r))
+    return Series._build(y.ctx, y.den * r.denominator, [k * r.numerator for k in y.ks], y.cs,
+                         cap_mul(y.cap, r))
 
 
 def standard_endomorphism(lam: ExpHom, r, y: Series) -> Series:
@@ -173,11 +175,11 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     if x.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
     ctx = x.ctx
-    if not x.terms:
+    if not x.ks:
         raise SeriesError("substitution base has no visible leading term")
     if not x.is_monic():
         raise SeriesError("substitution base must be monic")
-    m = x.terms[0][0]
+    m = x.known_valuation()
     if m <= 0:
         raise SeriesError("substitution base must have positive valuation")
 
@@ -237,17 +239,17 @@ def classify_orbit(y: Series) -> OrbitClass:
     Bare constants are not classified; an all-unknown known part is an error
     since the sign of the valuation is undecidable at the current cap.
     """
-    if not y.terms:
+    if not y.ks:
         if y.is_exact:
             raise OrbitError("bare constants (here 0) are not classified")
         raise OrbitError(f"valuation sign undecidable below cap {y.cap}")
-    v, lead = y.terms[0]
+    v, lead = y.known_valuation(), y.leading_coeff()
     if v < 0:
         return OrbitClass.infinity()
     if v > 0:
         return OrbitClass.constant(y.ctx.zero)
     # v == 0: split off the constant coefficient
-    if y.is_exact and len(y.terms) == 1:
+    if y.is_exact and len(y.ks) == 1:
         raise OrbitError("bare constants are not classified")
     return OrbitClass.constant(lead)
 
@@ -395,12 +397,12 @@ def _monic_witness(core: Series):
     committed rescaling with lam(num/den) = a over the lattice spanned by all
     known exponents, hence an N-th root of a with N = num * (D / den)."""
     ctx = core.ctx
-    if not core.terms:
+    if not core.ks:
         raise OrbitError("no visible terms to build a witness from")
-    e, a = core.terms[0]
+    e, a = core.known_valuation(), core.leading_coeff()
     if a == ctx.one:
         return [Substitute(core)]
-    D = _exp_den(core.terms)
+    D = core.den
     N = e.numerator * (D // e.denominator)
     try:
         roots = ctx.nth_roots(a, N)
@@ -428,6 +430,6 @@ def orbit_transform(y: Series, work_cap=Fraction(8)) -> Transform:
         return Transform(_monic_witness(z) + [Invert()])
     c = cls.c
     core = y - Series.constant(ctx, c) if c else y
-    if not core.terms:
+    if not core.ks:
         raise OrbitError("nothing known beyond the constant term")
     return Transform(_monic_witness(core) + ([Translate(c)] if c else []))

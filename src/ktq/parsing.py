@@ -20,6 +20,7 @@ walks over the tree; deeper input is a ParseError.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,8 +87,15 @@ def _tokenize(text):
             col = len(text) - len(stripped) + 1
             raise ParseError(f"syntax error at column {col}: "
                              f"unexpected character {stripped[0]!r}", col)
-        col = m.start(m.lastindex) + 1
-        tokens.append((m.lastgroup or str(m.lastindex), m.group(m.lastindex), col))
+        col, val = m.start(m.lastindex) + 1, m.group(m.lastindex)
+        if m.lastindex == 1:
+            try:
+                int(val)
+            except ValueError:  # CPython's limit on the digits int() converts
+                raise ParseError(f"integer literal at column {col} has {len(val)} digits, over "
+                                 f"the interpreter's limit of {sys.get_int_max_str_digits()}",
+                                 col) from None
+        tokens.append((m.lastgroup or str(m.lastindex), val, col))
         pos = m.end()
     tokens.append(("end", "", len(text) + 1))
     return tokens

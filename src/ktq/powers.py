@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FieldError, PrecisionError, SeriesError
-from .series import (INF, Series, _exp_den, _int_bound, _kernel_form, _reachable, cap_add,
-                     cap_mul)
+from .series import INF, Series, _int_bound, _reachable, cap_add, cap_mul
 
 
 def rat_binomial(ctx, i, n: int):
@@ -57,16 +56,18 @@ def _padic_val(i: Fraction, p: int) -> int:
 
 def frobenius_map(x: Series, b: int) -> Series:
     """The termwise map z |-> z^(p^b) on series: exponents and the cap scale
-    by p^b, coefficients move by the Frobenius (or its inverse for b < 0)."""
+    by p^b (the ints for b > 0, the lattice denominator for b < 0), and
+    coefficients move by the Frobenius (or its inverse for b < 0)."""
     ctx = x.ctx
     p = ctx.characteristic
     if p == 0:
         raise FieldError("termwise Frobenius needs characteristic p > 0")
     if b == 0:
         return x
-    factor = Fraction(p) ** b
-    return Series._raw(ctx, ((e * factor, ctx.frobenius(c, b)) for e, c in x.terms),
-                       cap_mul(x.cap, factor))
+    f = p ** abs(b)
+    ks, den = ([k * f for k in x.ks], x.den) if b > 0 else (x.ks, x.den * f)
+    return Series._build(ctx, den, ks, ctx.frobenius_codes(x.cs, b),
+                         cap_mul(x.cap, Fraction(p) ** b))
 
 
 def _bound(x: Series, q: Fraction, req):
@@ -74,11 +75,11 @@ def _bound(x: Series, q: Fraction, req):
     min(cap(eps), req - m q), or all of cap(eps) for a natural q with eps^q
     starting below that (exact inputs give exact natural powers).  INF for
     q = 0 or an exact monomial x."""
-    m = x.terms[0][0]
+    m = x.known_valuation()
     cap_rel = cap_add(x.cap, -m)
-    if not q or len(x.terms) == 1 and type(cap_rel) is float:
+    if not q or len(x.ks) == 1 and type(cap_rel) is float:
         return INF
-    w = x.terms[1][0] - m if len(x.terms) > 1 else cap_rel  # v*(eps)
+    w = Fraction(x.ks[1], x.den) - m if len(x.ks) > 1 else cap_rel  # v*(eps)
     target = cap_rel if type(req) is float else min(cap_rel, req - m * q)
     if q.denominator == 1 and q > 0:
         return cap_rel if type(target) is float or q * w < target else target
@@ -89,20 +90,17 @@ def _bound(x: Series, q: Fraction, req):
 
 def _miller(eps: Series, q: Fraction, bound) -> Series:
     """(1 + eps)^q below bound in characteristic 0, by Miller's recurrence."""
-    d = _exp_den(eps.terms)
-    exps, vals, den = _kernel_form(eps.ctx, eps.terms, d, 1)  # a_j = vals[j] / den
+    vals, den = eps.ctx.encode(eps.cs, 1)  # a_j = vals[j] / den
     rs = q.numerator + q.denominator  # q + 1 = rs / s
     s = q.denominator
-    steps = list(zip(exps, vals))
+    steps = list(zip(eps.ks, vals))
     b = {}
-    out = []
-    for k in _reachable(exps, _int_bound(bound, d), b):
+    for k in _reachable(eps.ks, _int_bound(bound, eps.den), b):
         c = Fraction(sum((rs * e - s * k) * a * b[k - e] for e, a in steps if k - e in b),
                      s * den * k) if k else Fraction(1)
         if c:
-            b[k] = c
-            out.append((Fraction(k, d), c))
-    return Series._raw(eps.ctx, out, bound)
+            b[k] = c  # the codes over Q are the coefficients
+    return Series._build(eps.ctx, eps.den, list(b), list(b.values()), bound)
 
 
 def _digits(eps: Series, q: Fraction, bound) -> Series:
@@ -144,9 +142,9 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     i = Fraction(i)
     if i == 0:
         return Series.one(ctx)
-    if not x.terms:
+    if not x.ks:
         if i.denominator == 1 and i > 0:
-            return Series._raw(ctx, (), cap_mul(x.cap, i))
+            return Series(ctx, (), cap_mul(x.cap, i))
         raise PrecisionError("no visible leading term to raise to a power")
     if not x.is_monic():
         if i.denominator != 1:
@@ -158,11 +156,11 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     b = _padic_val(i, p) if p else 0
     scale = Fraction(p or 1) ** b
     q = i / scale
-    m = x.terms[0][0]
+    m = x.known_valuation()
     bound = _bound(x, q, requested_cap / scale)
     eps = (x.shift(-m) - Series.one(ctx)).truncate(bound)
     if bound <= 0:
-        y = Series._raw(ctx, (), bound)
+        y = Series(ctx, (), bound)
     elif not p:
         y = _miller(eps, q, bound)
     elif q < 0 and q.denominator == 1:

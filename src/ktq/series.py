@@ -17,24 +17,31 @@ no term is known.  The invert rule is the precision of the recurrence in
 `Series.invert`: writing x = c t^v (1 + eps), eps is known below cap_x - v,
 and so is 1/(1 + eps).
 
-Products and inverses run on a packed form of their operands.  Exponents
-become ints k standing for k/D, where D is the least common denominator of
-the operands' exponents; the cap becomes the least int bound at or above
-cap*D, so a row of a product stops at its first pair at or above the cap.
-Coefficients become ints through the field's `encode` (residues mod p,
-vectors of F_{p^e} packed into one int, numerators over a common
-denominator for Q, as the `fields` docstring describes) and are summed as
-plain ints; each output term is decoded once, into one Fraction exponent
-and one coefficient.  Nothing is allocated per lattice point, so a huge D
-costs nothing by itself.
+Storage is packed and canonical: a lattice denominator `den`, ascending ints
+`ks` for the exponents k/den, one nonzero code per term in `cs` (the field's
+`code`; see the `fields` docstring) and the cap.  `den` is the least
+denominator of the support (gcd(den, *ks) = 1, den = 1 without terms), so
+equal elements have equal fields.  `Series._build` is the one builder; it
+drops zero codes and reduces the lattice.  On that form `+` merges int-keyed
+dicts over lcm(den), summing codes only where exponents meet; `shift` adds an
+int to each exponent; `truncate` is a bisect; `scale`, products and inverses
+sum the field's kernel encoding of the codes as plain ints and decode once
+per output term, with the cap as the least int bound at or above cap*den, so
+nothing is allocated per lattice point.
+
+Coefficients and Fraction exponents are decoded only at the boundary: `terms`
+(a tuple of (Fraction, coefficient) pairs, built on first use and cached, which
+`format_series` and `to_json_dict` read), `coeff` (a bisect), `valuation` and
+`leading_coeff`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PrecisionError, SeriesError
 from .fields import FieldCtx
@@ -74,21 +81,9 @@ def cap_mul(cap, factor: Fraction):
     return _float_cap(cap) if type(cap) is float else cap * factor
 
 
-def _exp_den(terms) -> int:
-    """The least d with every exponent of terms in (1/d)Z."""
-    return lcm(*(e.denominator for e, _ in terms))
-
-
 def _int_bound(cap, d):
     """The least int k with k/d >= cap (INF stays INF)."""
     return INF if type(cap) is float else -(-cap.numerator * d // cap.denominator)
-
-
-def _kernel_form(ctx, terms, d, n):
-    """Exponents as ints over d, coefficients encoded for n-product sums,
-    and the coefficients' common denominator."""
-    vals, den = ctx.encode([c for _, c in terms], n)
-    return [e.numerator * (d // e.denominator) for e, _ in terms], vals, den
 
 
 def _reachable(steps, bound, b):
@@ -123,7 +118,7 @@ class UnknownAtLeast:
 class Series:
     """An element of k((t^Q)), known exactly below its cap."""
 
-    __slots__ = ("ctx", "terms", "cap")
+    __slots__ = ("ctx", "den", "ks", "cs", "cap", "_terms")
 
     def __init__(self, ctx: FieldCtx, terms=(), cap=INF):
         cap = _as_cap(cap)
@@ -140,25 +135,36 @@ class Series:
             if e in seen:
                 raise SeriesError(f"duplicate exponent {e}")
             seen[e] = c
-        self.ctx = ctx
-        self.terms = tuple(sorted(seen.items()))
-        self.cap = cap
+        pairs = sorted(seen.items())
+        den = lcm(*(e.denominator for e, _ in pairs))
+        self._pack(ctx, den, [e.numerator * (den // e.denominator) for e, _ in pairs],
+                   [ctx.code(c) for _, c in pairs], cap)
 
     # ------------------------------------------------------------ builders
 
-    @classmethod
-    def _raw(cls, ctx, terms, cap):
-        """Internal: wrap trusted terms, already sorted, nonzero and below cap."""
-        s = cls.__new__(cls)
-        s.ctx, s.terms, s.cap = ctx, tuple(terms), cap
-        return s
+    def _pack(self, ctx, den, ks, cs, cap):
+        """Fill self from ascending int lists ks (exponents k/den, all below
+        cap) and cs (codes): zero codes are dropped and the lattice reduced
+        to the canonical form."""
+        if not all(cs):
+            keep = [i for i, c in enumerate(cs) if c]
+            ks, cs = [ks[i] for i in keep], [cs[i] for i in keep]
+        g = gcd(den, *ks)
+        if g != 1:
+            den //= g
+            ks = [k // g for k in ks]
+        self.ctx, self.den, self.ks, self.cs, self.cap, self._terms = ctx, den, ks, cs, cap, None
+        return self
 
     @classmethod
-    def _make(cls, ctx, mapping, cap):
-        """Internal: drop zeros and out-of-cap terms instead of rejecting."""
-        cap = _as_cap(cap)
-        return cls._raw(ctx, sorted((e, c) for e, c in mapping.items()
-                                    if c and e < cap), cap)
+    def _build(cls, ctx, den, ks, cs, cap):
+        """Internal, the one builder on the packed form (see _pack)."""
+        return cls.__new__(cls)._pack(ctx, den, ks, cs, cap)
+
+    def _exps(self, den):
+        """The exponents as ints over den, a multiple of self.den."""
+        m = den // self.den
+        return self.ks if m == 1 else [k * m for k in self.ks]
 
     @classmethod
     def zero(cls, ctx):
@@ -187,38 +193,44 @@ class Series:
     # ------------------------------------------------------------- queries
 
     @property
+    def terms(self):
+        """The (Fraction exponent, coefficient) pairs, decoded on first use."""
+        if self._terms is None:
+            self._terms = tuple(zip(map(Fraction, self.ks, [self.den] * len(self.ks)),
+                                    map(self.ctx.element, self.cs)))
+        return self._terms
+
+    @property
     def is_exact(self) -> bool:
         return type(self.cap) is float
 
     def valuation(self):
         """Least exponent of the support; INF for exact zero; otherwise a
         lower bound wrapped in UnknownAtLeast when nothing is visible."""
-        if self.terms:
-            return self.terms[0][0]
-        if self.is_exact:
-            return INF
-        return UnknownAtLeast(self.cap)
+        return self.known_valuation() if self.ks or self.is_exact else UnknownAtLeast(self.cap)
 
     def known_valuation(self):
         """Valuation of the known part, falling back to the cap (v*)."""
-        return self.terms[0][0] if self.terms else self.cap
+        return Fraction(self.ks[0], self.den) if self.ks else self.cap
 
     def leading_coeff(self):
-        if not self.terms:
+        if not self.ks:
             raise SeriesError("no visible leading term")
-        return self.terms[0][1]
+        return self.ctx.element(self.cs[0])
 
     def is_monic(self) -> bool:
-        return bool(self.terms) and self.terms[0][1] == self.ctx.one
+        return bool(self.ks) and self.cs[0] == 1
 
     def coeff(self, e):
         """The certified coefficient at exponent e."""
         e = _as_exp(e)
         if e >= self.cap:
             raise PrecisionError(f"coefficient at {e} is not certified (cap {self.cap})")
-        for ee, c in self.terms:
-            if ee == e:
-                return c
+        if self.den % e.denominator == 0:
+            k = e.numerator * (self.den // e.denominator)
+            i = bisect_left(self.ks, k)
+            if i < len(self.ks) and self.ks[i] == k:
+                return self.ctx.element(self.cs[i])
         return self.ctx.zero
 
     # ---------------------------------------------------------- arithmetic
@@ -231,15 +243,19 @@ class Series:
 
     def __add__(self, other):
         self._check_peer(other)
-        cap = min(self.cap, other.cap)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            s = acc.get(e)
-            acc[e] = c if s is None else s + c
-        return Series._make(self.ctx, acc, cap)
+        ctx, cap, den = self.ctx, min(self.cap, other.cap), lcm(self.den, other.den)
+        acc = dict(zip(self._exps(den), self.cs))
+        more = dict(zip(other._exps(den), other.cs))
+        both = list(acc.keys() & more.keys())  # the exponents whose codes are summed
+        vals, cden = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 2)
+        acc.update(more)
+        acc.update(zip(both, ctx.decode([x + y for x, y in zip(vals, vals[len(both):])], cden, 2)))
+        bound = _int_bound(cap, den)
+        ks = sorted(k for k in acc if k < bound)
+        return Series._build(ctx, den, ks, [acc[k] for k in ks], cap)
 
     def __neg__(self):
-        return Series._raw(self.ctx, ((e, -c) for e, c in self.terms), self.cap)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -249,48 +265,51 @@ class Series:
         cap = min(cap_add(self.cap, other.known_valuation()),
                   cap_add(other.cap, self.known_valuation()))
         ctx = self.ctx
-        n = min(len(self.terms), len(other.terms))  # most pairs per exponent
-        d = _exp_den(self.terms + other.terms)
-        xs, xv, xden = _kernel_form(ctx, self.terms, d, n)
-        ys, yv, yden = _kernel_form(ctx, other.terms, d, n)
-        bound = _int_bound(cap, d)
-        ys_vals = list(zip(ys, yv))
+        n = min(len(self.ks), len(other.ks))  # most pairs per exponent
+        den = lcm(self.den, other.den)
+        xv, xden = ctx.encode(self.cs, n)
+        yv, yden = ctx.encode(other.cs, n)
+        bound = _int_bound(cap, den)
+        ys_vals = list(zip(other._exps(den), yv))
         acc = {}
         get = acc.get
-        for kx, vx in zip(xs, xv):
+        for kx, vx in zip(self._exps(den), xv):
             for ky, vy in ys_vals:
                 k = kx + ky
                 if k >= bound:
                     break
                 acc[k] = get(k, 0) + vx * vy
-        den = xden * yden
-        out = []
-        for k, value in sorted(acc.items()):
-            coeff = ctx.decode(value, den, n)
-            if coeff:
-                out.append((Fraction(k, d), coeff))
-        return Series._raw(ctx, out, cap)
+        ks = sorted(acc)
+        return Series._build(ctx, den, ks, ctx.decode([acc[k] for k in ks], xden * yden, n),
+                             cap)
 
     def scale(self, c):
         """Multiply by a single coefficient.  Scaling by zero is exactly 0."""
-        c = self.ctx.coerce(c)
+        ctx = self.ctx
+        c = ctx.coerce(c)
         if not c:
-            return Series.zero(self.ctx)
-        return Series._raw(self.ctx, ((e, c * v) for e, v in self.terms), self.cap)
+            return Series.zero(ctx)
+        if c == ctx.one:
+            return self
+        (*vals, vc), den = ctx.encode(self.cs + [ctx.code(c)], 1)
+        return Series._build(ctx, self.den, self.ks,
+                             ctx.decode([v * vc for v in vals], den * den, 1), self.cap)
 
     def shift(self, delta):
         """Multiply by t^delta (an exact monomial)."""
         delta = _as_exp(delta)
-        return Series._raw(self.ctx, ((e + delta, c) for e, c in self.terms),
-                           cap_add(self.cap, delta))
+        den = lcm(self.den, delta.denominator)
+        dk = delta.numerator * (den // delta.denominator)
+        return Series._build(self.ctx, den, [k + dk for k in self._exps(den)], self.cs,
+                             cap_add(self.cap, delta))
 
     def truncate(self, bound):
         """Forget everything at or above bound.  Caps only ever go down."""
         bound = _as_cap(bound)
         if bound >= self.cap:
             return self
-        return Series._raw(self.ctx, ((e, c) for e, c in self.terms if e < bound),
-                           bound)
+        i = bisect_left(self.ks, _int_bound(bound, self.den))
+        return Series._build(self.ctx, self.den, self.ks[:i], self.cs[:i], bound)
 
     def invert(self, requested_cap=INF):
         """Multiplicative inverse, certified below min(requested, cap - 2v).
@@ -300,47 +319,44 @@ class Series:
         b_k = -sum_j a_j b_(k - e_j), so b_k is zero off the sums of the e_j
         and depends only on eps below k: every b_k below cap - v is certified.
         The recurrence visits those sums in increasing order, below the
-        relative target min(requested, cap - 2v) + v, in the kernel form
+        relative target min(requested, cap - 2v) + v, in the kernel encoding
         described in the module docstring.  An exact non-monomial input needs
         a finite requested_cap, since its inverse has infinite support.
         """
-        if not self.terms:
+        if not self.ks:
             if self.is_exact:
                 raise SeriesError("cannot invert the zero series")
             raise PrecisionError("cannot invert: no visible leading term")
         requested_cap = _as_cap(requested_cap)
         ctx = self.ctx
-        v, c = self.terms[0]
-        c_inv = 1 / c
+        v = self.known_valuation()
+        c_inv = 1 / self.leading_coeff()
         result_cap = min(requested_cap, cap_add(self.cap, -2 * v))
-        eps = self.terms[1:]
-        if result_cap == INF and eps:
+        n = len(self.ks) - 1
+        if result_cap == INF and n:
             raise PrecisionError("inverse has infinite support; pass a finite cap")
-        n = len(eps)
-        d = _exp_den(self.terms)
         # b_k scaled by c_inv: b_0 = c_inv and the steps are -a_j * c_inv,
         # all over one denominator den (1 except over Q).
-        exps, vals, den = _kernel_form(
-            ctx, [(v, c_inv)] + [(e, -a * c_inv) for e, a in eps], d, n)
-        kv = exps[0]
-        steps = [(k - kv, a) for k, a in zip(exps[1:], vals[1:])]
+        vals, den = ctx.encode([ctx.code(c_inv)] + self.scale(-c_inv).cs[1:], n)
+        kv = self.ks[0]
+        steps = [(k - kv, a) for k, a in zip(self.ks[1:], vals[1:])]
         # b_k is kept as a numerator over den^(1 + k // w): a step adds at
         # least w to k and one factor of den, so no division is needed.
         w = steps[0][0] if steps else 1
-        bound = _int_bound(cap_add(result_cap, v), d)
-        b = {}
-        out = []
+        bound = _int_bound(cap_add(result_cap, v), self.den)
+        b, out = {}, {}
+        decode, encode, exact = ctx.decode, ctx.encode, not ctx.characteristic
         for k in _reachable([e for e, _ in steps], bound, b):
             level = k // w
             m = vals[0] if k == 0 else sum(
                 a * b[k - e] * den ** (level - (k - e) // w - 1)
                 for e, a in steps if k - e in b)
-            coeff = ctx.decode(m, den ** (level + 1), n)
-            if coeff:
-                out.append((Fraction(k - kv, d), coeff))
+            code, = decode([m], den ** (level + 1), n)
+            if code:
+                out[k - kv] = code
                 # Finite-field sums are reduced before reuse; over Q they are exact.
-                b[k] = ctx.encode([coeff], n)[0][0] if ctx.characteristic else m
-        return Series._raw(ctx, out, result_cap)
+                b[k] = m if exact else encode([code], n)[0][0]
+        return Series._build(ctx, self.den, list(out), list(out.values()), result_cap)
 
     # ----------------------------------------------------------- equality
 
@@ -348,18 +364,17 @@ class Series:
         """Do the certified parts agree below min(caps, bound)?"""
         self._check_peer(other)
         joint = min(self.cap, other.cap, _as_cap(bound))
-        mine = [(e, c) for e, c in self.terms if e < joint]
-        theirs = [(e, c) for e, c in other.terms if e < joint]
-        return mine == theirs
+        a, b = self.truncate(joint), other.truncate(joint)
+        return (a.den, a.ks, a.cs) == (b.den, b.ks, b.cs)  # canonical forms
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.ctx == other.ctx and self.terms == other.terms
-                and self.cap == other.cap)
+        return (self.ctx == other.ctx and self.den == other.den and self.ks == other.ks
+                and self.cs == other.cs and self.cap == other.cap)
 
     def __hash__(self):
-        return hash((self.ctx, self.terms, self.cap))
+        return hash((self.ctx, self.den, tuple(self.ks), tuple(self.cs), self.cap))
 
     # --------------------------------------------------------- formatting
 

@@ -69,7 +69,7 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
         x = b.scale(1 / P.coeffs[0])
         return x if target_cap is None else x.truncate(target_cap)
 
-    if not b.terms and b.is_exact:
+    if not b.ks and b.is_exact:
         return Series.zero(ctx)
     if b.cap <= 0:
         raise PrecisionError("the constant level of the right side is not certified")
@@ -113,24 +113,24 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
         solution[Fraction(0)] = x0
 
     # positive side
-    r = Series._make(ctx, dict(pos_terms), bp.cap)
-    while r.terms and r.terms[0][0] < bound:
-        e, c = r.terms[0]
+    r = Series(ctx, pos_terms, bp.cap)
+    while r.ks and (e := r.known_valuation()) < bound:
+        c = r.leading_coeff()
         delta = Series.monomial(ctx, c / q0, e)
-        solution[e] = solution.get(e, ctx.zero) + delta.terms[0][1]
+        solution[e] = solution.get(e, ctx.zero) + delta.leading_coeff()
         r = r - apply_additive(Q, delta)
 
     # negative side
-    r = Series._make(ctx, dict(neg_terms), bp.cap)
-    while r.terms and r.terms[0][0] < bound:
-        e, c = r.terms[0]
+    r = Series(ctx, neg_terms, bp.cap)
+    while r.ks and (e := r.known_valuation()) < bound:
+        c = r.leading_coeff()
         root = ctx.frobenius(c / qn, -n)
         de = e / pn
         delta = Series.monomial(ctx, root, de)
         solution[de] = solution.get(de, ctx.zero) + root
         r = r - apply_additive(Q, delta)
 
-    return Series._make(ctx, solution, bound)
+    return Series(ctx, {e: c for e, c in solution.items() if c}).truncate(bound)
 
 
 def artin_schreier(x: Series, n: int = 1, target_cap=None) -> Series:
@@ -153,11 +153,11 @@ def valuation_sign_via_trace(x: Series) -> str:
     p = ctx.characteristic
     if p == 0:
         raise FieldError("needs characteristic p > 0")
-    if not x.terms:
+    if not x.ks:
         raise SeriesError("no visible leading term")
     if trace(x):
         raise SeriesError("defined only for trace-zero elements")
-    v = x.terms[0][0]
+    v = x.known_valuation()
     if v == 0:
         raise SeriesError("valuation 0 has no sign to decide")
     num = frobenius_map(x, 1)

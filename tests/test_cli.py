@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, exit codes, JSON/text agreement."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +78,16 @@ def test_huge_coefficient_exits_1_without_traceback(capsys):
 def test_big_coefficient_below_the_limit_prints_exactly(capsys):
     assert run(["eval", "--field", "Q", "2^100"]) == 0
     assert capsys.readouterr().out == f"{2 ** 100}\n"
+
+
+@pytest.mark.parametrize("expr, col", [("1" * 5000, 1), ("t^" + "1" * 5000, 3)])
+def test_overlong_integer_literal_exits_2_without_traceback(capsys, expr, col):
+    limit = sys.get_int_max_str_digits()
+    assert run(["eval", "--field", "Q", expr]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == (f"ktq: integer literal at column {col} has 5000 digits, "
+                   f"over the interpreter's limit of {limit}\n")
 
 
 def test_errors_name_the_tool(capsys):

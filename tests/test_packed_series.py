@@ -1,0 +1,303 @@
+"""The packed Series form against a plain dict-of-Fraction reference.
+
+A Series stores a lattice denominator, int exponents and field codes; the
+reference here stores {Fraction exponent: coefficient} and a cap, with its
+own coefficient arithmetic (Fractions over Q, ints mod p over F_p, vectors
+multiplied by schoolbook and long division over F_{p^e}), so it shares no
+code with the kernel.  Every result must match the reference term for term
+and cap for cap, and must be in canonical form: the least lattice
+denominator, strictly increasing exponents, nonzero codes, and equal (with
+an equal hash) to the same element rebuilt by the validating constructor.
+"""
+
+import json
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ktq import INF, Series, make_field, series_from_json
+from ktq.errors import PrecisionError
+from ktq.fields import FFElement
+from ktq.powers import frobenius_map
+from ktq.series import UnknownAtLeast
+
+SPECS = ("Q", "F2", "F3", "F7", "F4", "F9", "F4096", "F1000003")
+FIELDS = {spec: make_field(spec) for spec in SPECS}
+FINITE = SPECS[1:]
+DENS = (1, 2, 3, 4, 6, 9, 8)
+EXAMPLES = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class Ref:
+    """Coefficient arithmetic on plain values, independent of ktq's."""
+
+    def __init__(self, ctx):
+        self.ctx, self.p = ctx, ctx.characteristic
+        self.e = getattr(ctx, "e", 1)
+
+    def of(self, c):
+        if self.p == 0:
+            return c
+        return c.vec[0] if self.e == 1 else c.vec
+
+    def zero(self):
+        return Fraction(0) if self.p == 0 else (0 if self.e == 1 else (0,) * self.e)
+
+    def add(self, a, b):
+        if self.p == 0:
+            return a + b
+        if self.e == 1:
+            return (a + b) % self.p
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return self.mul(a, self.of(self.ctx.coerce(-1)))
+
+    def mul(self, a, b):
+        if self.p == 0:
+            return a * b
+        if self.e == 1:
+            return a * b % self.p
+        p, mod, e = self.p, self.ctx.modulus, self.e
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for k in range(len(prod) - 1, e - 1, -1):
+            f = prod[k]
+            for i, m in enumerate(mod):
+                prod[k - e + i] = (prod[k - e + i] - f * m) % p
+        return tuple(prod[:e])
+
+    def frob(self, a, b):
+        """a^(p^b), the inverse automorphism for b < 0 (square and multiply)."""
+        n, out = self.p ** (b % self.e), self.of(self.ctx.one)
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a, n = self.mul(a, a), n >> 1
+        return out
+
+
+def ref(R, x):
+    return {e: R.of(c) for e, c in x.terms}, x.cap
+
+
+def clean(R, terms, cap):
+    return {e: c for e, c in terms.items() if c != R.zero() and e < cap}, cap
+
+
+def ref_add(R, x, y):
+    (xs, xc), (ys, yc) = x, y
+    out = dict(xs)
+    for e, c in ys.items():
+        out[e] = R.add(out[e], c) if e in out else c
+    return clean(R, out, min(xc, yc))
+
+
+def ref_neg(R, x):
+    return {e: R.neg(c) for e, c in x[0].items()}, x[1]
+
+
+def assert_canonical(s):
+    assert isinstance(s.terms, tuple)
+    exps = [e for e, _ in s.terms]
+    assert exps == sorted(set(exps)) and all(e < s.cap for e in exps)
+    assert all(type(e) is Fraction and c for e, c in s.terms)
+    assert s.den == lcm(*(e.denominator for e in exps))
+    assert len(s.ks) == len(s.cs) and all(s.cs)
+    rebuilt = Series(s.ctx, s.terms, s.cap)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+
+
+def check(R, got, want):
+    assert_canonical(got)
+    assert ref(R, got) == clean(R, *want)
+
+
+def element(ctx, n):
+    """Element number n of the field: n itself over Q, else the element whose
+    base-p digits (lowest first) are those of 1 + (n - 1) mod (q - 1), so
+    that only n = 0 gives zero."""
+    if ctx.characteristic == 0:
+        return ctx.coerce(n)
+    n = 1 + (n - 1) % (ctx.q - 1) if n else 0
+    digits = []
+    for _ in range(ctx.e):
+        n, d = divmod(n, ctx.p)
+        digits.append(d)
+    return FFElement(ctx, tuple(digits))
+
+
+def coeffs(ctx, nonzero=True):
+    if ctx.characteristic == 0:
+        nums = st.integers(-9, 9).filter(bool) if nonzero else st.integers(-9, 9)
+        return st.builds(Fraction, nums, st.integers(1, 6))
+    return st.builds(element, st.just(ctx), st.integers(1 if nonzero else 0, ctx.q - 1))
+
+
+@st.composite
+def exponents(draw):
+    """Fractions over mixed denominators, so operands sit on different lattices."""
+    den = draw(st.sampled_from(DENS))
+    return Fraction(draw(st.integers(-3 * den, 5 * den)), den)
+
+
+@st.composite
+def series(draw, ctx, exact=None):
+    terms = draw(st.dictionaries(exponents(), coeffs(ctx), max_size=7))
+    if exact is None:
+        exact = draw(st.booleans())
+    if exact:
+        return Series(ctx, terms)
+    cap = draw(exponents())
+    return Series(ctx, {e: c for e, c in terms.items() if e < cap}, cap)
+
+
+@st.composite
+def pairs_with_cancellation(draw, ctx):
+    """(x, y) where y repeats some of x's terms negated, so x + y loses
+    them and, when they were the only fractional ones, the lattice shrinks."""
+    x = draw(series(ctx))
+    y = draw(series(ctx, exact=x.is_exact))
+    kept = [(e, c) for e, c in x.terms if e < y.cap and draw(st.booleans())]
+    extra = {e: c for e, c in y.terms if e not in dict(kept)}
+    return x, Series(ctx, {**extra, **{e: -c for e, c in kept}}, y.cap)
+
+
+# ------------------------------------------------------------- reference
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@EXAMPLES
+@given(data=st.data())
+def test_add_sub_neg_match_reference(spec, data):
+    ctx = FIELDS[spec]
+    R = Ref(ctx)
+    x, y = data.draw(pairs_with_cancellation(ctx))
+    check(R, x + y, ref_add(R, ref(R, x), ref(R, y)))
+    check(R, y + x, ref_add(R, ref(R, x), ref(R, y)))
+    check(R, x - y, ref_add(R, ref(R, x), ref_neg(R, ref(R, y))))
+    check(R, -x, ref_neg(R, ref(R, x)))
+    check(R, x - x, ({}, x.cap))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@EXAMPLES
+@given(data=st.data())
+def test_shift_scale_truncate_match_reference(spec, data):
+    ctx = FIELDS[spec]
+    R = Ref(ctx)
+    x = data.draw(series(ctx))
+    xs, cap = ref(R, x)
+    d = data.draw(exponents())
+    check(R, x.shift(d), ({e + d: c for e, c in xs.items()}, INF if cap == INF else cap + d))
+    c = data.draw(coeffs(ctx, nonzero=False))
+    want = ({e: R.mul(R.of(c), v) for e, v in xs.items()}, cap) if c else ({}, INF)
+    check(R, x.scale(c), want)
+    check(R, x.scale(ctx.one), (xs, cap))
+    bound = data.draw(exponents())
+    want = (xs, cap) if bound >= cap else ({e: v for e, v in xs.items() if e < bound}, bound)
+    check(R, x.truncate(bound), want)
+
+
+@pytest.mark.parametrize("spec", FINITE)
+@EXAMPLES
+@given(data=st.data())
+def test_frobenius_map_matches_reference(spec, data):
+    ctx = FIELDS[spec]
+    R = Ref(ctx)
+    x = data.draw(series(ctx))
+    b = data.draw(st.integers(-3, 3))
+    f = Fraction(ctx.p) ** b
+    xs, cap = ref(R, x)
+    want = ({e * f: R.frob(c, b) for e, c in xs.items()}, INF if cap == INF else cap * f)
+    check(R, frobenius_map(x, b), want)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@EXAMPLES
+@given(data=st.data())
+def test_queries_match_reference(spec, data):
+    ctx = FIELDS[spec]
+    R = Ref(ctx)
+    x, y = data.draw(pairs_with_cancellation(ctx))
+    xs, cap = ref(R, x)
+    for e in data.draw(st.lists(exponents(), max_size=8)) + list(xs):
+        if e >= cap:
+            with pytest.raises(PrecisionError):
+                x.coeff(e)
+        else:
+            assert R.of(x.coeff(e)) == xs.get(e, R.zero())
+    want = min(xs) if xs else (INF if cap == INF else UnknownAtLeast(cap))
+    assert x.valuation() == want
+    assert x.known_valuation() == (min(xs) if xs else cap)
+    bound = data.draw(st.one_of(st.just(INF), exponents()))
+    joint = min(cap, y.cap, bound)
+    ys = ref(R, y)[0]
+    assert x.agrees_below(y, bound) == (
+        {e: c for e, c in xs.items() if e < joint} == {e: c for e, c in ys.items() if e < joint})
+    assert x.agrees_below(x.truncate(bound))
+    assert x.agrees_below(x + y, y.known_valuation())  # y adds nothing below it
+
+
+# -------------------------------------------------------- canonical form
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_one_element_by_four_routes(spec):
+    """The constructor, a sum whose cancellation lowers the lattice, a shift
+    and its inverse, and a Frobenius and its inverse give equal series with
+    equal hashes and the same packed fields."""
+    ctx = FIELDS[spec]
+    a = Series(ctx, {Fraction(-1): element(ctx, 3), 2: element(ctx, 1),
+                     Fraction(7, 2): element(ctx, 5)}, Fraction(9, 2))
+    b = Series(ctx, {Fraction(1, 6): element(ctx, 2), Fraction(5, 9): element(ctx, 1)})
+    c = Series(ctx, {Fraction(-1): element(ctx, 3), 2: element(ctx, 1),
+                     Fraction(7, 2): element(ctx, 5), Fraction(1, 6): element(ctx, 2),
+                     Fraction(5, 9): element(ctx, 1)}, Fraction(9, 2))
+    assert c.den == 18 and a.den == 2
+    d = Fraction(5, 12)
+    routes = [(c - b), a.shift(d).shift(-d)]
+    if ctx.characteristic:
+        routes += [frobenius_map(frobenius_map(a, j), -j) for j in (1, 2, 5)]
+        routes += [frobenius_map(frobenius_map(a, -j), j) for j in (1, 3)]
+    for s in routes:
+        assert s == a and hash(s) == hash(a)
+        assert (s.den, s.ks, s.cs, s.cap) == (a.den, a.ks, a.cs, a.cap)
+    assert (c - b).den == 2
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_terms_keep_the_pair_layout(spec):
+    ctx = FIELDS[spec]
+    pairs = {Fraction(3, 4): element(ctx, 2), Fraction(-2): ctx.one,
+             Fraction(-1): element(ctx, 5), Fraction(1, 3): element(ctx, 4)}
+    x = Series(ctx, pairs, Fraction(5))
+    assert x.terms == tuple(sorted(pairs.items()))
+    assert all(type(e) is Fraction and type(c) is type(ctx.one) for e, c in x.terms)
+    assert x.terms is x.terms  # decoded once, then cached
+    want = dict(pairs)
+    for e, c in pairs.items():
+        want[e + 1] = want[e + 1] + c if e + 1 in want else c
+    assert (x + x.shift(1)).terms == tuple(sorted((e, c) for e, c in want.items() if c))
+
+
+# --------------------------------------------------------------- JSON
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@EXAMPLES
+@given(data=st.data())
+def test_json_round_trip(spec, data):
+    ctx = FIELDS[spec]
+    x = data.draw(series(ctx))
+    blob = x.to_json_dict()
+    assert series_from_json(blob) == x
+    assert series_from_json(json.loads(json.dumps(blob)), ctx) == x
+    assert blob["terms"] == [[e.numerator, e.denominator, ctx.format_coeff(c)]
+                             for e, c in x.terms]
