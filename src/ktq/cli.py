@@ -3,6 +3,11 @@
 Subcommands: eval, solve, subst, classify, orbit-witness, trace, norm, hypA,
 artin-schreier, sign-via-trace, demo.  Exit codes: 0 success, 1 domain error,
 2 usage or syntax error.
+
+Each subcommand computes its result (`_compute`), and every result reaches
+stdout through the one printer `_render`, which builds only the requested
+format, text or JSON.  That printer is the hook point for per-run reports
+such as cap provenance (`--explain`) and work counters (`--stats`).
 """
 
 from __future__ import annotations
@@ -11,11 +16,14 @@ import argparse
 import json
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import KtqError, ParseError
-from .fields import hypothesis_a_check, make_field
-from .morphisms import classify_orbit, orbit_transform, substitute
+from .fields import (FFElement, HypothesisAVerdict, _is_prime,
+                     hypothesis_a_check, make_field)
+from .morphisms import (OrbitClass, SubstResult, Transform, classify_orbit,
+                        orbit_transform, substitute)
 from .parsing import (EvalEnv, eval_expression, parse_additive_poly,
                       parse_expression)
 from .series import Series
@@ -23,12 +31,20 @@ from .solvers import (artin_schreier, norm_leading, solve_additive, trace,
                       valuation_sign_via_trace)
 
 
+def _rational(text):
+    """The argparse type of --cap; a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _add_common(sub):
     sub.add_argument("--field", default="Q",
                      help="coefficient field: Q, F2, F9, F9:x^2+1, ... (default Q)")
     sub.add_argument("--modulus", default=None,
                      help="modulus polynomial for an extension field, like x^2+1")
-    sub.add_argument("--cap", type=Fraction, default=Fraction(8),
+    sub.add_argument("--cap", type=_rational, default=Fraction(8),
                      help="working precision cap, a rational (default 8)")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      dest="fmt", help="output format (default text)")
@@ -57,22 +73,13 @@ def _build_parser():
     p.add_argument("--y", required=True, dest="yexpr", help="series to map")
     _add_common(p)
 
-    p = sub.add_parser("classify", help="orbit class of a series")
-    p.add_argument("expr")
-    _add_common(p)
-
-    p = sub.add_parser("orbit-witness",
-                       help="transform chain carrying t to the given series")
-    p.add_argument("expr")
-    _add_common(p)
-
-    p = sub.add_parser("trace", help="constant coefficient of a series")
-    p.add_argument("expr")
-    _add_common(p)
-
-    p = sub.add_parser("norm", help="leading coefficient of a series")
-    p.add_argument("expr")
-    _add_common(p)
+    for name, text in (("classify", "orbit class of a series"),
+                       ("orbit-witness", "transform chain carrying t to the given series"),
+                       ("trace", "constant coefficient of a series"),
+                       ("norm", "leading coefficient of a series")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("expr")
+        _add_common(p)
 
     p = sub.add_parser("hypA", help="check Hypothesis A for the field")
     p.add_argument("--poly", default=None,
@@ -108,18 +115,10 @@ def _make_ctx(args):
     return make_field(spec)
 
 
-def _print_series(s: Series, fmt: str):
-    if fmt == "json":
-        print(json.dumps(s.to_json_dict()))
-    else:
-        print(str(s))
-
-
-def _eval_arg(text: str, env: EvalEnv):
-    return eval_expression(parse_expression(text), env)
-
-
-def _require_series(value, what="expression"):
+def _series_arg(text: str, env: EvalEnv, what: str) -> Series:
+    """Evaluate the argument named `what` (an option, a binding or
+    "expression"), which must give a series."""
+    value = eval_expression(parse_expression(text), env)
     if isinstance(value, Series):
         return value
     raise ParseError(f"{what} must evaluate to a series")
@@ -152,153 +151,127 @@ def run(argv) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
 
     try:
-        return _dispatch(args)
-    except ParseError as exc:
-        print(f"ktq: {exc}", file=sys.stderr)
-        return 2
+        ctx = _make_ctx(args)
+        result = _compute(args, ctx, EvalEnv(ctx, args.cap))
+        for line in _render(result, ctx, args.fmt):
+            print(line)
+        return 0
     except KtqError as exc:
         print(f"ktq: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
-def _dispatch(args) -> int:
-    ctx = _make_ctx(args)
-    env = EvalEnv(ctx, args.cap)
+def _compute(args, ctx, env):
+    """The subcommand's result, before any formatting."""
     cmd = args.command
-
     if cmd == "eval":
         for binding in args.let:
             name, sep, text = binding.partition("=")
             name = name.strip()
             if not sep or not name.isidentifier():
                 raise ParseError(f"bad --let binding {binding!r}")
-            env.bindings[name] = _require_series(_eval_arg(text, env), name)
-        value = _eval_arg(args.expr, env)
-        if isinstance(value, Series):
-            _print_series(value, args.fmt)
-        else:  # a top-level classify()
-            _print_class(value, ctx, args.fmt)
-        return 0
-
+            env.bindings[name] = _series_arg(text, env, name)
+        return eval_expression(parse_expression(args.expr), env)  # or an OrbitClass
     if cmd == "solve":
         P = parse_additive_poly(ctx, args.poly)
-        b = _require_series(_eval_arg(args.rhs, env), "--rhs")
-        _print_series(solve_additive(P, b, args.cap), args.fmt)
-        return 0
-
+        return solve_additive(P, _series_arg(args.rhs, env, "--rhs"), args.cap)
     if cmd == "subst":
-        x = _require_series(_eval_arg(args.xexpr, env), "--x")
-        y = _require_series(_eval_arg(args.yexpr, env), "--y")
-        result = substitute(x, y, args.cap)
-        if args.fmt == "json":
-            series = result.series.to_json_dict()
-            print(json.dumps({
-                "series": series,
-                "achieved_cap": series["cap"],
-                "hypothesis_a_risk": result.diagnostics.hypothesis_a_risk,
-            }))
-        else:
-            print(str(result.series))
-            if result.diagnostics.hypothesis_a_risk:
-                print("warning: HypothesisARisk, certified precision shrinks "
-                      "along the support", file=sys.stderr)
-        return 0
-
-    if cmd == "classify":
-        value = classify_orbit(_require_series(_eval_arg(args.expr, env)))
-        _print_class(value, ctx, args.fmt)
-        return 0
-
-    if cmd == "orbit-witness":
-        y = _require_series(_eval_arg(args.expr, env))
-        T = orbit_transform(y, work_cap=args.cap)
-        if args.fmt == "json":
-            print(json.dumps(T.to_json()))
-        else:
-            for step in T.steps:
-                print(step.describe())
-        return 0
-
-    if cmd == "trace":
-        c = trace(_require_series(_eval_arg(args.expr, env)))
-        _print_coeff(c, ctx, args.fmt)
-        return 0
-
-    if cmd == "norm":
-        c = norm_leading(_require_series(_eval_arg(args.expr, env)))
-        _print_coeff(c, ctx, args.fmt)
-        return 0
-
+        x = _series_arg(args.xexpr, env, "--x")
+        return substitute(x, _series_arg(args.yexpr, env, "--y"), args.cap)
     if cmd == "hypA":
-        P = parse_additive_poly(ctx, args.poly) if args.poly else None
-        verdict = hypothesis_a_check(ctx, P)
-        if args.fmt == "json":
-            witness = None if verdict.witness is None \
-                else ctx.format_coeff(verdict.witness)
-            print(json.dumps({"satisfies": verdict.satisfies, "witness": witness}))
-        else:
-            print(str(verdict))
-        return 0
-
-    if cmd == "artin-schreier":
-        x = _require_series(_eval_arg(args.expr, env))
-        _print_series(artin_schreier(x, args.n, args.cap), args.fmt)
-        return 0
-
-    if cmd == "sign-via-trace":
-        x = _require_series(_eval_arg(args.expr, env))
-        sign = valuation_sign_via_trace(x)
-        if args.fmt == "json":
-            print(json.dumps({"sign": sign}))
-        else:
-            print(sign)
-        return 0
-
+        return hypothesis_a_check(ctx, parse_additive_poly(ctx, args.poly) if args.poly else None)
     if cmd == "demo":
-        return _demo_divergence(args)
-
-    raise ParseError(f"unknown command {cmd!r}")
-
-
-def _print_class(value, ctx, fmt):
-    if fmt == "json":
-        if value.is_infinity:
-            print(json.dumps({"class": "S_infinity"}))
-        else:
-            print(json.dumps({"class": "S_c", "c": ctx.format_coeff(value.c)}))
-    else:
-        print(str(value))
-
-
-def _print_coeff(c, ctx, fmt):
-    if fmt == "json":
-        print(json.dumps({"field": ctx.spec_string(), "value": ctx.format_coeff(c)}))
-    else:
-        print(ctx.format_coeff(c))
+        return _demo_divergence(args.p, args.K)
+    x = _series_arg(args.expr, env, "expression")
+    if cmd == "classify":
+        return classify_orbit(x)
+    if cmd == "orbit-witness":
+        return orbit_transform(x, work_cap=args.cap)
+    if cmd == "trace":
+        return trace(x)
+    if cmd == "norm":
+        return norm_leading(x)
+    if cmd == "artin-schreier":
+        return artin_schreier(x, args.n, args.cap)
+    return valuation_sign_via_trace(x)  # sign-via-trace
 
 
-def _demo_divergence(args) -> int:
-    p, K_max = args.p, args.K
+# The divergence demo's result: rows (K, t^0 coefficient, HypothesisARisk) over ctx = F_p.
+_Divergence = namedtuple("_Divergence", "ctx rows")
+
+
+def _demo_divergence(p, K_max) -> _Divergence:
     if K_max < 1:
         raise ParseError("--K must be at least 1")
+    if not _is_prime(p):
+        raise ParseError(f"--p must be a prime, got {p}")
     ctx = make_field(f"F{p}")
     x = Series.t(ctx) - Series.monomial(ctx, 1, 2)
     rows = []
     for K in range(1, K_max + 1):
         y = Series(ctx, {Fraction(-1, p ** k): ctx.one for k in range(1, K + 1)})
         result = substitute(x, y, Fraction(1))
-        t0 = result.series.coeff(Fraction(0))
-        rows.append((K, t0, result.diagnostics.hypothesis_a_risk))
-    if args.fmt == "json":
-        print(json.dumps([{"K": K, "t0": ctx.format_coeff(t0), "risk": risk}
-                          for K, t0, risk in rows]))
-        return 0
-    print(f"char-p divergence over F_{p}: x = t - t^2, "
-          f"y_K = t^(-1/p) + ... + t^(-1/p^K)")
-    print("K  t^0  HypothesisARisk")
-    for K, t0, risk in rows:
-        print(f"{K}  {ctx.format_coeff(t0)}    {'yes' if risk else 'no'}")
-    return 0
+        rows.append((K, result.series.coeff(Fraction(0)), result.diagnostics.hypothesis_a_risk))
+    return _Divergence(ctx, rows)
+
+
+# ------------------------------------------------------------- the printer
+
+
+def _render(value, ctx, fmt):
+    """The one printer: yields the stdout lines of a result in fmt, building
+    only that format."""
+    if fmt == "json":
+        yield json.dumps(_json(value, ctx))
+    else:
+        yield from _text(value, ctx)
+
+
+def _text(value, ctx):
+    """The text lines of a result.  A substitution's HypothesisARisk warning
+    is a note, not a result: it goes to stderr right after the series line."""
+    if isinstance(value, SubstResult):
+        yield str(value.series)
+        if value.diagnostics.hypothesis_a_risk:
+            print("warning: HypothesisARisk, certified precision shrinks "
+                  "along the support", file=sys.stderr)
+    elif isinstance(value, Transform):
+        for step in value.steps:
+            yield step.describe()
+    elif isinstance(value, _Divergence):
+        yield (f"char-p divergence over F_{value.ctx.p}: x = t - t^2, "
+               f"y_K = t^(-1/p) + ... + t^(-1/p^K)")
+        yield "K  t^0  HypothesisARisk"
+        for K, t0, risk in value.rows:
+            yield f"{K}  {value.ctx.format_coeff(t0)}    {'yes' if risk else 'no'}"
+    elif isinstance(value, (Fraction, FFElement)):
+        yield ctx.format_coeff(value)
+    else:  # a series, an orbit class, a Hypothesis A verdict or a valuation sign
+        yield str(value)
+
+
+def _json(value, ctx):
+    if isinstance(value, Series):
+        return value.to_json_dict()
+    if isinstance(value, SubstResult):
+        series = value.series.to_json_dict()
+        return {"series": series, "achieved_cap": series["cap"],
+                "hypothesis_a_risk": value.diagnostics.hypothesis_a_risk}
+    if isinstance(value, OrbitClass):
+        if value.is_infinity:
+            return {"class": "S_infinity"}
+        return {"class": "S_c", "c": ctx.format_coeff(value.c)}
+    if isinstance(value, Transform):
+        return value.to_json()
+    if isinstance(value, HypothesisAVerdict):
+        witness = None if value.witness is None else ctx.format_coeff(value.witness)
+        return {"satisfies": value.satisfies, "witness": witness}
+    if isinstance(value, str):  # a valuation sign
+        return {"sign": value}
+    if isinstance(value, _Divergence):
+        return [{"K": K, "t0": value.ctx.format_coeff(t0), "risk": risk}
+                for K, t0, risk in value.rows]
+    return {"field": ctx.spec_string(), "value": ctx.format_coeff(value)}  # a coefficient
 
 
 def main():

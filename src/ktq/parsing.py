@@ -11,6 +11,11 @@ fractional exponents need parentheses, as in t^(-1) and t^(1/2).  The symbol
 t is the uniformizer, g the generator of a finite extension field, and x is
 reserved for additive-polynomial literals such as "x^2+x".
 
+Constant coefficients (of additive polynomials, moduli and coefficient
+literals) evaluate through eval_expression at an infinite cap, so they share
+its arithmetic and its errors; a coefficient that mentions t or a variable
+is refused before evaluation.
+
 Nesting is bounded by MAX_DEPTH, both for parentheses and function calls and
 for the operator tree (a sum of n terms is n - 1 operators deep), so that no
 input can exhaust the interpreter's stack in the parser or in the recursive
@@ -26,6 +31,10 @@ from fractions import Fraction
 
 from .errors import FieldError, ParseError
 from .fields import AdditivePoly, FieldCtx, FiniteField, RationalField
+from .morphisms import OrbitClass, classify_orbit, substitute
+from .powers import nth_root, pow_rat
+from .series import INF, Series
+from .solvers import artin_schreier, norm_leading, solve_additive, trace
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),=]))")
 
@@ -327,11 +336,6 @@ class EvalEnv:
 
 def eval_expression(node, env: EvalEnv):
     """Evaluate an AST; returns a Series, or an OrbitClass at top level."""
-    from .morphisms import OrbitClass, classify_orbit, substitute
-    from .powers import nth_root, pow_rat
-    from .series import Series
-    from .solvers import artin_schreier, norm_leading, solve_additive, trace
-
     ctx = env.ctx
 
     def as_series(value):
@@ -347,7 +351,9 @@ def eval_expression(node, env: EvalEnv):
     if isinstance(node, TSym):
         return Series.t(ctx)
     if isinstance(node, GSym):
-        return Series.constant(ctx, _eval_const(ctx, node))
+        if not isinstance(ctx, FiniteField):
+            raise FieldError("the symbol g needs a finite extension field")
+        return Series.constant(ctx, ctx.g)
     if isinstance(node, Var):
         if node.name not in env.bindings:
             raise ParseError(f"unbound variable {node.name!r}")
@@ -470,28 +476,20 @@ def _split_monomial(ctx, node):
 
 
 def _eval_const(ctx, node):
-    if isinstance(node, Num):
-        return ctx.coerce(node.value)
-    if isinstance(node, GSym):
-        if not isinstance(ctx, FiniteField):
-            raise FieldError("the symbol g needs a finite extension field")
-        return ctx.g
-    if isinstance(node, Neg):
-        return -_eval_const(ctx, node.expr)
-    if isinstance(node, Bin):
-        left = _eval_const(ctx, node.left)
-        right = _eval_const(ctx, node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-    if isinstance(node, Pow) and node.exp.denominator == 1:
-        return _eval_const(ctx, node.base) ** int(node.exp)
-    raise ParseError(f"expected a constant coefficient, found {format_expr(node)!r}")
+    """The constant coefficient node stands for, evaluated by eval_expression
+    at an infinite cap.  A node that mentions t or a variable is refused
+    before any evaluation, so a coefficient such as (1+t)^100000 costs
+    nothing."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (TSym, Var)):
+            raise ParseError(f"expected a constant coefficient, found {format_expr(node)!r}")
+        stack.extend(_children(n))
+    value = eval_expression(node, EvalEnv(ctx, INF))
+    if not value.is_exact or any(value.ks):
+        raise ParseError(f"expected a constant coefficient, found {format_expr(node)!r}")
+    return value.coeff(0)
 
 
 def parse_additive_poly(ctx: FieldCtx, text: str) -> AdditivePoly:

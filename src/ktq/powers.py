@@ -105,7 +105,8 @@ def _miller(eps: Series, q: Fraction, bound) -> Series:
 
 def _digits(eps: Series, q: Fraction, bound) -> Series:
     """(1 + eps)^q below bound in characteristic p, for p-free q: the
-    product of (1 + F^j(eps))^(d_j) over the base-p digits d_j of q."""
+    product of (1 + F^j(eps))^(d_j) over the base-p digits d_j of q, each
+    power taken by squaring, so a digit costs O(log p) products."""
     p = eps.ctx.characteristic
     one = Series.one(eps.ctx)
     y = one.truncate(bound)
@@ -114,9 +115,13 @@ def _digits(eps: Series, q: Fraction, bound) -> Series:
     while q and p ** j * w < bound:
         d = q.numerator * pow(q.denominator, -1, p) % p
         if d:
-            f = one + frobenius_map(eps.truncate(bound / p ** j), j)
-            for _ in range(d):
-                y = y * f
+            f, e = one + frobenius_map(eps.truncate(bound / p ** j), j), d
+            while e:
+                if e & 1:
+                    y = y * f
+                e >>= 1
+                if e:
+                    f = f * f
         q = (q - d) / p
         j += 1
     return y
@@ -150,6 +155,8 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         if i.denominator != 1:
             raise SeriesError("rational powers need a monic base")
         c = x.leading_coeff()
+        if x.is_exact and len(x.ks) == 1:  # c t^m: exact, and no inverse of c
+            return Series.monomial(ctx, c ** i.numerator, x.known_valuation() * i)
         return pow_rat(x.scale(1 / c), i, requested_cap).scale(c ** i.numerator)
     requested_cap = INF if requested_cap == INF else Fraction(requested_cap)
     p = ctx.characteristic

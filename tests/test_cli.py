@@ -231,3 +231,60 @@ def test_json_hypa(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["satisfies"] is False
     assert payload["witness"] == "1"
+
+
+# ------------------------------------------------------------- error paths
+
+def test_zero_denominator_cap_is_a_usage_error(capsys):
+    assert run(["eval", "t", "--cap", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.endswith("error: argument --cap: invalid Fraction value: '1/0'\n")
+
+
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+def test_demo_rejects_a_non_prime_p(capsys, p):
+    assert run(["demo", "char-p-divergence", "--p", p, "--K", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ktq: --p must be a prime, got {p}\n"
+
+
+@pytest.mark.parametrize("field", ["Q", "F3"])
+def test_poly_coefficient_division_by_zero_is_a_domain_error(capsys, field):
+    assert run(["solve", "--field", field, "--poly", "(1/0)*x", "--rhs", "1"]) == 1
+    assert capsys.readouterr().err == "ktq: cannot invert the zero series\n"
+
+
+# ---------------------------------------------------------------- printing
+
+TEXT_AND_JSON_CASES = [
+    ["eval", "--field", "F2", "--cap", "4", "inv(t - t^2)"],
+    ["eval", "classify(1 - t)", "--field", "Q"],
+    ["solve", "--poly", "x^2+x", "--rhs", "t", "--field", "F2", "--cap", "16"],
+    ["subst", "--x", "t - t^2", "--y", "t^(-1/2) + t^(-1/4)", "--field", "F2", "--cap", "1"],
+    ["classify", "inv(t)", "--field", "F2"],
+    ["orbit-witness", "g*t + t^2", "--field", "F4"],
+    ["trace", "g*t + g", "--field", "F4"],
+    ["norm", "g*t^(-1)", "--field", "F9"],
+    ["hypA", "--field", "F2", "--poly", "x^2+x"],
+    ["artin-schreier", "t^(-1)", "--field", "F2", "--n", "2", "--cap", "-1/64"],
+    ["sign-via-trace", "t + t^2", "--field", "F2"],
+    ["demo", "char-p-divergence", "--p", "3", "--K", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", TEXT_AND_JSON_CASES, ids=lambda argv: argv[0])
+def test_each_run_builds_only_the_requested_format(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("built the format that was not asked for")
+
+    with monkeypatch.context() as m:
+        m.setattr(Series, "to_json_dict", refuse)
+        assert run(argv) == 0
+    text = capsys.readouterr().out
+    with monkeypatch.context() as m:
+        m.setattr(Series, "__str__", refuse)
+        assert run(argv + ["--format", "json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert text

@@ -307,3 +307,21 @@ def test_parse_modulus():
         parse_modulus("x^2+t", 3)
     with pytest.raises(ParseError):
         parse_modulus("5", 3)
+
+
+# ------------------------------------------------- coefficient evaluation
+
+
+def test_coefficient_with_t_is_refused_before_evaluation(F4):
+    with pytest.raises(ParseError, match=r"found '\(1 \+ t\)\^100000'"):
+        parse_additive_poly(F4, "(1+t)^100000*x")
+
+
+def test_coefficients_evaluate_like_expressions(F4, Q):
+    from ktq import AdditivePoly, SeriesError
+    g = F4.g
+    assert parse_additive_poly(F4, "trace(g)*x") == AdditivePoly(F4, [g])
+    assert parse_additive_poly(F4, "inv(g)*x^2+x") == AdditivePoly(F4, [F4.one, 1 / g])
+    assert parse_additive_poly(Q, "(3/4)^2*x") == AdditivePoly(Q, [F(9, 16)])
+    with pytest.raises(SeriesError, match="cannot invert the zero series"):
+        parse_additive_poly(Q, "(1/0)*x")

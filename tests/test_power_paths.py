@@ -249,3 +249,30 @@ def test_divergence_family_products_stay_few(monkeypatch):
     r = substitute(x, y, F(1))
     assert r.series.coeff(0) == F3.from_int(8 % 3)
     assert len(calls) <= 100
+
+
+# ------------------------------------------------------ a large prime field
+
+
+@pytest.mark.parametrize("i", [F(1, 2), F(-1), F(-3), F(-5, 7)])
+def test_large_prime_digits_match_reference(i):
+    """Over F1000003 one base-p digit is as large as ~p (1/2 has 500002), so
+    each digit's power must be taken by squaring, not by ~p products."""
+    ctx = make_field("F1000003")
+    c = ctx.from_int
+    bases = (Series(ctx, {F(0): ctx.one, F(1): ctx.one}),
+             Series(ctx, {F(0): ctx.one, F(1, 2): c(3), F(2): c(-7)}, F(7, 2)),
+             Series(ctx, {F(-1): ctx.one, F(0): c(5), F(1, 3): c(999999)}))
+    for x in bases:
+        got = pow_rat(x, i, F(4))
+        assert (list(got.terms), got.cap) == reference_pow(x, i, F(4)), (x, i)
+
+
+@pytest.mark.parametrize("spec", ("Q", "F7", "F9", "F4096"))
+def test_integer_powers_of_exact_monomials_are_exact(spec):
+    ctx = make_field(spec)
+    c = ctx.from_int(3) if ctx.characteristic in (0, 7) else ctx.g
+    x = Series.monomial(ctx, c, F(2, 3))
+    assert pow_rat(x, 3, F(1)) == x * x * x
+    got = pow_rat(x, -2, F(1))
+    assert got.is_exact and got.terms == ((F(-4, 3), 1 / (c * c)),)
