@@ -583,7 +583,8 @@ class AdditivePoly:
 
     The coefficient list runs a_0 .. a_n with a_n nonzero.  Over the
     rationals only the degenerate degree-one case P(x) = a_0 x exists,
-    since x^(p^i) has no meaning without a positive characteristic.
+    since x^(p^i) has no meaning without a positive characteristic.  It
+    takes the same evaluation path: with only a_0, the sum is a_0 x^(p^0).
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -607,8 +608,6 @@ class AdditivePoly:
 
     def __call__(self, c):
         c = self.ctx.coerce(c)
-        if self.ctx.characteristic == 0:
-            return self.coeffs[0] * c
         p = self.ctx.characteristic
         acc, power = self.ctx.zero, c
         for a in self.coeffs:
@@ -617,14 +616,17 @@ class AdditivePoly:
             power = power ** p
         return acc
 
+    def preimage(self, c):
+        """The first z in the field's enumeration order with P(z) = c, or
+        None: an exhaustive search over the q elements."""
+        return next((z for z in self.ctx.elements() if self(z) == c), None)
+
     def separable_part(self):
         """Write P = F^j o Q with Q separable; return (Q, j).
 
         F is the p-th power map.  The coefficients of Q are the p^(-j)-th
         Frobenius images of P's, so that applying F^j to Q(x) restores P(x).
         """
-        if self.ctx.characteristic == 0:
-            return self, 0
         j = next(i for i, a in enumerate(self.coeffs) if a)
         if j == 0:
             return self, 0
@@ -639,7 +641,7 @@ class AdditivePoly:
             a = self.coeffs[i]
             if not a:
                 continue
-            deg = p ** i if p else 1
+            deg = p ** i
             xp = "x" if deg == 1 else f"x^{deg}"
             if a == self.ctx.one:
                 parts.append(xp)

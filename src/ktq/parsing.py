@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldError, ParseError
-from .fields import AdditivePoly, FieldCtx, FiniteField, RationalField
+from .fields import AdditivePoly, FieldCtx, FiniteField
 from .morphisms import OrbitClass, classify_orbit, substitute
 from .powers import nth_root, pow_rat
 from .series import INF, Series
@@ -497,11 +497,9 @@ def parse_additive_poly(ctx: FieldCtx, text: str) -> AdditivePoly:
 
 
 def parse_coefficient(ctx: FieldCtx, text: str):
-    """Parse one coefficient literal, like "g+1" or "-3/7"."""
-    if isinstance(ctx, RationalField):
-        return ctx.parse_coeff(text)
-    node = parse_expression(text)
-    return _eval_const(ctx, node)
+    """Parse one coefficient literal, like "g+1" or "-3/7", through the
+    expression grammar in every field."""
+    return _eval_const(ctx, parse_expression(text))
 
 
 def parse_modulus(text: str, p: int):

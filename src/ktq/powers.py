@@ -57,13 +57,14 @@ def _padic_val(i: Fraction, p: int) -> int:
 def frobenius_map(x: Series, b: int) -> Series:
     """The termwise map z |-> z^(p^b) on series: exponents and the cap scale
     by p^b (the ints for b > 0, the lattice denominator for b < 0), and
-    coefficients move by the Frobenius (or its inverse for b < 0)."""
+    coefficients move by the Frobenius (or its inverse for b < 0).  b = 0 is
+    the identity in every characteristic."""
+    if b == 0:
+        return x
     ctx = x.ctx
     p = ctx.characteristic
     if p == 0:
         raise FieldError("termwise Frobenius needs characteristic p > 0")
-    if b == 0:
-        return x
     f = p ** abs(b)
     ks, den = ([k * f for k in x.ks], x.den) if b > 0 else (x.ks, x.den * f)
     return Series._build(ctx, den, ks, ctx.frobenius_codes(x.cs, b),
@@ -174,9 +175,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         y = _digits(eps, -q, bound).invert(bound)
     else:
         y = _digits(eps, q, bound)
-    if b:
-        y = frobenius_map(y, b)
-    return y.shift(m * i)
+    return frobenius_map(y, b).shift(m * i)
 
 
 def nth_root(x: Series, n: int, requested_cap=INF) -> Series:

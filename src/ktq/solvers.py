@@ -6,23 +6,26 @@ onto the coefficient field that commutes with p-th powers.
 solve_additive inverts P(x) = b for an additive P over F_q.  The inseparable
 part peels off first: writing P = F^j o Q with Q separable, any solution of
 Q(x) = b^(1/p^j) (a termwise p^j-th root) already satisfies P(x) = b.  The
-separable equation splits by exponent sign:
+separable equation splits by exponent sign, and one greedy loop serves both
+sides: the correction (lead(r)/q_i)^(1/p^i) t^(v(r)/p^i) kills the lowest
+residual term, where i is the index of the dominant coefficient of Q.
 
-* positive side, greedy from the leading term: the correction
-  (lead(r)/q_0) t^(v(r)) kills the lowest residual term and every byproduct
-  lands strictly higher, so valuations climb through a discrete lattice.
-* negative side, greedy from the most negative term: the correction
-  (lead(r)/q_n)^(1/p^n) t^(v(r)/p^n) uses the top coefficient instead, and
-  byproducts land at v(r)/p^i, still negative but closer to zero.  Supports
-  accumulate at 0 from below, so only targets strictly below zero terminate
-  and a solution certified at any positive cap is unreachable whenever b has
-  negative exponents.
-* the constant level is a finite problem in k, solved by exhaustion; an
-  unreachable constant is a genuine obstruction reported as NoSolution.
+* positive side, i = 0: the correction is (lead(r)/q_0) t^(v(r)) and every
+  byproduct lands strictly higher, so valuations climb through a discrete
+  lattice.
+* negative side, i = n (the top coefficient): byproducts land at
+  v(r)/p^k for k < n, still negative but closer to zero.  Supports accumulate at 0
+  from below, so only targets strictly below zero terminate and a solution
+  certified at any positive cap is unreachable whenever b has negative
+  exponents.
+* the constant level is a finite problem in k, solved by exhaustion
+  (`AdditivePoly.preimage`); an unreachable constant is a genuine
+  obstruction reported as NoSolution.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (FieldError, NoSolutionError, PrecisionError, SeriesError)
@@ -43,8 +46,6 @@ def apply_additive(P: AdditivePoly, b: Series) -> Series:
     """P evaluated on a series: sum a_i * b^(p^i), termwise p-powers."""
     if P.ctx != b.ctx:
         raise SeriesError("coefficient-field mismatch")
-    if P.ctx.characteristic == 0:
-        return b.scale(P.coeffs[0])
     acc = Series.zero(b.ctx)
     for i, a in enumerate(P.coeffs):
         if a:
@@ -81,19 +82,14 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
         target_cap = Fraction(target_cap)
 
     Q, j = P.separable_part()
-    bp = frobenius_map(b, -j) if j else b
+    bp = frobenius_map(b, -j)
 
     c0 = bp.coeff(0)
-    x0 = ctx.zero
-    if c0:
-        for z in ctx.elements():
-            if Q(z) == c0:
-                x0 = z
-                break
-        else:
-            raise NoSolutionError(
-                f"constant obstruction: {ctx.format_coeff(c0)} is outside the image of "
-                f"{Q.format()} on {ctx.spec_string()}", witness=c0)
+    x0 = Q.preimage(c0) if c0 else ctx.zero
+    if x0 is None:
+        raise NoSolutionError(
+            f"constant obstruction: {ctx.format_coeff(c0)} is outside the image of "
+            f"{Q.format()} on {ctx.spec_string()}", witness=c0)
 
     neg_terms = [(e, c) for e, c in bp.terms if e < 0]
     pos_terms = [(e, c) for e, c in bp.terms if e > 0]
@@ -103,32 +99,14 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
             "pass a target_cap below 0")
 
     bound = min(target_cap, bp.cap)
-    q0 = Q.coeffs[0]
-    n = Q.p_degree
-    qn = Q.coeffs[-1]
-    pn = p ** n
-
-    solution = {}
-    if x0:
-        solution[Fraction(0)] = x0
-
-    # positive side
-    r = Series(ctx, pos_terms, bp.cap)
-    while r.ks and (e := r.known_valuation()) < bound:
-        c = r.leading_coeff()
-        delta = Series.monomial(ctx, c / q0, e)
-        solution[e] = solution.get(e, ctx.zero) + delta.leading_coeff()
-        r = r - apply_additive(Q, delta)
-
-    # negative side
-    r = Series(ctx, neg_terms, bp.cap)
-    while r.ks and (e := r.known_valuation()) < bound:
-        c = r.leading_coeff()
-        root = ctx.frobenius(c / qn, -n)
-        de = e / pn
-        delta = Series.monomial(ctx, root, de)
-        solution[de] = solution.get(de, ctx.zero) + root
-        r = r - apply_additive(Q, delta)
+    solution = {Fraction(0): x0} if x0 else {}
+    for terms, i in ((pos_terms, 0), (neg_terms, Q.p_degree)):
+        r = Series(ctx, terms, bp.cap)
+        while r.ks and (e := r.known_valuation()) < bound:
+            root = ctx.frobenius(r.leading_coeff() / Q.coeffs[i], -i)
+            de = e / p ** i
+            solution[de] = solution.get(de, ctx.zero) + root
+            r = r - apply_additive(Q, Series.monomial(ctx, root, de))
 
     return Series(ctx, {e: c for e, c in solution.items() if c}).truncate(bound)
 
@@ -180,34 +158,25 @@ def norm_leading(x: Series):
     return x.leading_coeff()
 
 
+@dataclass(frozen=True)
 class ImageEntry:
     """One row of an image-membership report."""
 
-    __slots__ = ("poly", "ok", "detail")
-
-    def __init__(self, poly, ok, detail):
-        self.poly, self.ok, self.detail = poly, ok, detail
-
-    def __repr__(self):
-        flag = "ok" if self.ok else "FAIL"
-        return f"<{self.poly.format()}: {flag} ({self.detail})>"
+    poly: AdditivePoly
+    ok: bool
+    detail: str
 
 
+@dataclass(frozen=True)
 class ImageReport:
     """Solvability of P(x) = target across a list of additive P."""
 
-    __slots__ = ("trace_value", "entries")
-
-    def __init__(self, trace_value, entries):
-        self.trace_value = trace_value
-        self.entries = tuple(entries)
+    trace_value: object
+    entries: tuple
 
     @property
     def all_ok(self):
         return all(e.ok for e in self.entries)
-
-    def __repr__(self):
-        return f"ImageReport(trace={self.trace_value}, {list(self.entries)!r})"
 
 
 def check_additive_images(x: Series, polys, target_cap=None) -> ImageReport:
@@ -215,11 +184,13 @@ def check_additive_images(x: Series, polys, target_cap=None) -> ImageReport:
     with back-substitution verified below the joint caps).  For nonzero
     trace c, check instead whether c lies in each P's image on k, which the
     canonical x^q - x never allows."""
-    ctx = x.ctx
     c = trace(x)
     entries = []
-    if not c:
-        for P in polys:
+    for P in polys:
+        if c:
+            ok = P.preimage(c) is not None
+            detail = "constant reachable" if ok else "constant outside the image"
+        else:
             try:
                 y = solve_additive(P, x, target_cap)
                 back = apply_additive(P, y)
@@ -227,10 +198,5 @@ def check_additive_images(x: Series, polys, target_cap=None) -> ImageReport:
                 detail = "solved" if ok else "back-substitution mismatch"
             except (NoSolutionError, SeriesError, PrecisionError) as exc:
                 ok, detail = False, str(exc)
-            entries.append(ImageEntry(P, ok, detail))
-    else:
-        for P in polys:
-            hit = any(P(z) == c for z in ctx.elements())
-            detail = "constant reachable" if hit else "constant outside the image"
-            entries.append(ImageEntry(P, hit, detail))
-    return ImageReport(c, entries)
+        entries.append(ImageEntry(P, ok, detail))
+    return ImageReport(c, tuple(entries))

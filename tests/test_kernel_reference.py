@@ -334,3 +334,47 @@ def test_prime_field_arithmetic_sampled(p):
         ctx.zero.inverse()
     with pytest.raises(FieldError):
         ctx.zero ** -1
+
+
+def ref_sub(R, a, b):
+    return R.add(a, R.neg(b))
+
+
+@pytest.mark.parametrize("spec", SMALL_EXTENSIONS)
+def test_extension_field_addition_exhaustive(spec):
+    """Every pair for + and binary -, every element for unary - and for the
+    int-on-the-left forms n + c and n - c."""
+    ctx = make_field(spec)
+    R, p = Ref(ctx), ctx.p
+    els = ctx.elements()
+    for a in els:
+        for b in els:
+            assert (a + b).vec == R.add(a.vec, b.vec)
+            assert (a - b).vec == ref_sub(R, a.vec, b.vec)
+        assert (-a).vec == R.neg(a.vec)
+        for n in (0, 1, p - 1, p, -1, 2 * p + 1):
+            nv = ctx.from_int(n).vec
+            assert (n + a).vec == R.add(nv, a.vec)
+            assert (a + n).vec == R.add(a.vec, nv)
+            assert (n - a).vec == ref_sub(R, nv, a.vec)
+            assert (a - n).vec == ref_sub(R, a.vec, nv)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prime_field_addition_sampled(p):
+    """+, binary and unary -, n + c and n - c against residues mod p."""
+    ctx = make_field(f"F{p}")
+    R = Ref(ctx)
+    rng = random.Random(-p)
+    samples = [0, 1, p - 1] + [rng.randrange(p) for _ in range(30)]
+    for v in samples:
+        a = ctx.from_int(v)
+        w = rng.choice([0, 1, p - 1, rng.randrange(p)])
+        b = ctx.from_int(w)
+        assert (a + b).vec == (R.add(v, w),)
+        assert (a - b).vec == (R.add(v, R.neg(w)),)
+        assert (-a).vec == (R.neg(v),)
+        n = rng.randrange(-3 * p, 3 * p)
+        assert (n + a).vec == ((n + v) % p,)
+        assert (n - a).vec == ((n - v) % p,)
+        assert (a - n).vec == ((v - n) % p,)

@@ -285,6 +285,14 @@ def test_parse_coefficient_rational(Q):
     assert parse_coefficient(Q, "-2") == F(-2)
 
 
+def test_parse_coefficient_rational_reads_the_grammar(Q):
+    assert parse_coefficient(Q, "1/2+1") == F(3, 2)
+    assert parse_coefficient(Q, "(2/3)^2") == F(4, 9)
+    for text in ("1.5", "1e3", "t", "x"):
+        with pytest.raises(ParseError):
+            parse_coefficient(Q, text)
+
+
 def test_parse_coefficient_finite(F9):
     g = F9.g
     assert parse_coefficient(F9, "g+1") == g + 1

@@ -7,8 +7,8 @@ import pytest
 from ktq import (AdditivePoly, FieldError, NEGATIVE, POSITIVE,
                  NoSolutionError, PrecisionError, Series, SeriesError,
                  apply_additive, artin_schreier, check_additive_images,
-                 frobenius_map, norm_leading, solve_additive, trace,
-                 valuation_sign_via_trace)
+                 frobenius_map, make_field, norm_leading, parse_additive_poly,
+                 solve_additive, trace, valuation_sign_via_trace)
 from conftest import random_coeff, random_series, rng_for
 
 F = Fraction
@@ -331,3 +331,33 @@ def test_image_report_nonzero_trace(F2):
     assert report.trace_value == F2.one
     assert [e.ok for e in report.entries] == [False, True]
     assert not report.all_ok
+
+
+# ------------------------------------------- characteristic 0, format round trip
+
+def test_apply_additive_char0_is_scaling(Q):
+    P = AdditivePoly(Q, [F(5, 2)])
+    rng = rng_for("apply-char0")
+    for _ in range(10):
+        b = random_series(rng, Q)
+        assert apply_additive(P, b) == b.scale(F(5, 2))
+
+
+def test_separable_part_char0_is_identity(Q):
+    P = AdditivePoly(Q, [F(5, 2)])
+    assert P.separable_part() == (P, 0)
+    assert P(F(4)) == F(10)
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("Q", "-3*x"),
+    ("Q", "5/2*x"),
+    ("F4", "(g+1)*x^4+g*x"),
+    ("F8", "g*x^4+x^2+(g+1)*x"),
+    ("F9", "g*x^9+2*x"),
+])
+def test_format_round_trips_through_the_parser(spec, text):
+    ctx = make_field(spec)
+    P = parse_additive_poly(ctx, text)
+    assert P.format() == text
+    assert parse_additive_poly(ctx, P.format()) == P
