@@ -85,18 +85,15 @@ def _ptrim(cs):
 
 
 def _pmod(a, b, p):
+    """a mod b over F_p, for a monic b: each step cancels the top term."""
     a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv_lead = pow(lead, p - 2, p)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] * inv_lead % p
-        shift = da - db
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * bi) % p
+    db = len(b) - 1
+    while len(a) > db:
+        f = a[-1]
+        if f:
+            shift = len(a) - 1 - db
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * bi) % p
         a.pop()
     return _ptrim(a)
 
@@ -214,12 +211,12 @@ class RationalField(FieldCtx):
         if c == 0:
             return [Fraction(0)]
         if c < 0 and n % 2 == 0:
-            raise FieldError(f"{c} has no rational {n}-th root")
+            raise FieldError(f"{self.format_coeff(c)} has no rational {n}-th root")
         sign = -1 if c < 0 else 1
         num = _int_nth_root(abs(c.numerator), n)
         den = _int_nth_root(c.denominator, n)
         if num is None or den is None:
-            raise FieldError(f"{c} has no rational {n}-th root")
+            raise FieldError(f"{self.format_coeff(c)} has no rational {n}-th root")
         r = Fraction(sign * num, den)
         if n % 2 == 0:
             return [r, -r]
@@ -250,12 +247,8 @@ class FFElement:
         self.vec = vec
 
     def _peer(self, other):
-        if isinstance(other, FFElement):
-            if other.field != self.field:
-                raise FieldError("finite-field context mismatch")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
+        if isinstance(other, (FFElement, int)):
+            return self.field.coerce(other)
         return None
 
     def __add__(self, other):
@@ -538,6 +531,14 @@ def _format_poly(coeffs, sym: str) -> str:
     return "+".join(parts) if parts else "0"
 
 
+def format_coeff(c) -> str:
+    """A coefficient as text, formatted by its own field: an FFElement knows
+    its field, and any other coefficient is rational."""
+    if isinstance(c, FFElement):
+        return c.field.format_coeff(c)
+    return RationalField().format_coeff(c)
+
+
 def make_field(spec) -> FieldCtx:
     """Build a field context from a spec string like "Q", "F2", "F9:x^2+1"."""
     if isinstance(spec, FieldCtx):
@@ -618,7 +619,10 @@ class AdditivePoly:
 
     def preimage(self, c):
         """The first z in the field's enumeration order with P(z) = c, or
-        None: an exhaustive search over the q elements."""
+        None: an exhaustive search over the q elements.  Over Q, where P is
+        the bijection a_0 x, it is c / a_0."""
+        if self.ctx.characteristic == 0:
+            return c / self.coeffs[0]
         return next((z for z in self.ctx.elements() if self(z) == c), None)
 
     def separable_part(self):
@@ -674,8 +678,7 @@ class HypothesisAVerdict:
     def __str__(self):
         if self.satisfies:
             return "Satisfies"
-        w = self.poly.ctx.format_coeff(self.witness) if self.poly else str(self.witness)
-        return f"FAILS: witness b={w}"
+        return f"FAILS: witness b={format_coeff(self.witness)}"
 
 
 def hypothesis_a_check(ctx: FieldCtx, P: AdditivePoly = None) -> HypothesisAVerdict:

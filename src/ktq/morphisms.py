@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ExpHomError, FieldError, OrbitError, SeriesError
-from .fields import FieldCtx
+from .fields import FieldCtx, format_coeff
 from .powers import _padic_val, pow_rat
 from .series import INF, Series, cap_mul, series_from_json
 
@@ -230,7 +230,7 @@ class OrbitClass:
             return "S_infinity"
         if not self.c:
             return "S_0"
-        return f"S_c, c = {self.c}"
+        return f"S_c, c = {format_coeff(self.c)}"
 
 
 def classify_orbit(y: Series) -> OrbitClass:
@@ -266,14 +266,14 @@ class Translate:
         return z + Series.constant(z.ctx, self.c)
 
     def to_json(self):
-        return str(self.c)
+        return format_coeff(self.c)
 
     @classmethod
     def from_json(cls, ctx, value):
         return cls(ctx.parse_coeff(value))
 
     def describe(self) -> str:
-        return f"translate by {self.c}"
+        return f"translate by {format_coeff(self.c)}"
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ class Rescale:
     def describe(self) -> str:
         if self.lam.is_trivial:
             return "rescale by the trivial character"
-        return "rescale by " + "; ".join(f"lambda(1/{d}) = {u}"
+        return "rescale by " + "; ".join(f"lambda(1/{d}) = {self.lam.ctx.format_coeff(u)}"
                                          for d, u in self.lam.committed.items())
 
 
@@ -407,10 +407,11 @@ def _monic_witness(core: Series):
     try:
         roots = ctx.nth_roots(a, N)
     except FieldError as exc:
-        raise OrbitError(f"leading coefficient {a} has no usable root: {exc}") from exc
+        raise OrbitError(f"leading coefficient {ctx.format_coeff(a)} has no usable root: "
+                         f"{exc}") from exc
     if not roots:
-        raise OrbitError(
-            f"leading coefficient {a} is not an {N}-th power; no constructible rescaling")
+        raise OrbitError(f"leading coefficient {ctx.format_coeff(a)} is not an {N}-th power; "
+                         "no constructible rescaling")
     lam = ExpHom(ctx, {D: roots[0]})
     x0 = rescale(lam.inverse(), core)
     return [Substitute(x0), Rescale(lam)]

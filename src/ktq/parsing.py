@@ -11,10 +11,16 @@ fractional exponents need parentheses, as in t^(-1) and t^(1/2).  The symbol
 t is the uniformizer, g the generator of a finite extension field, and x is
 reserved for additive-polynomial literals such as "x^2+x".
 
-Constant coefficients (of additive polynomials, moduli and coefficient
-literals) evaluate through eval_expression at an infinite cap, so they share
-its arithmetic and its errors; a coefficient that mentions t or a variable
-is refused before evaluation.
+Functions (_ARITY; a call's name is checked, then its argument count, then
+its arguments evaluate left to right): inv(y), trace(y), norm(y), root(y, n)
+and h(y, n) with n an integer literal, solve(P, b) with P an additive
+polynomial, subst(x, y), and classify(y), which no operand may be.
+
+Additive polynomials and moduli are read by one collector, _x_terms, which
+turns a +/- sum of products c*x^d into {d: c}.  Their constant coefficients,
+like coefficient literals, evaluate through eval_expression at an infinite
+cap, so they share its arithmetic and its errors; a coefficient that
+mentions t or a variable is refused before evaluation.
 
 Nesting is bounded by MAX_DEPTH, both for parentheses and function calls and
 for the operator tree (a sum of n terms is n - 1 operators deep), so that no
@@ -32,7 +38,7 @@ from fractions import Fraction
 from .errors import FieldError, ParseError
 from .fields import AdditivePoly, FieldCtx, FiniteField
 from .morphisms import OrbitClass, classify_orbit, substitute
-from .powers import nth_root, pow_rat
+from .powers import _padic_val, nth_root, pow_rat
 from .series import INF, Series
 from .solvers import artin_schreier, norm_leading, solve_additive, trace
 
@@ -155,19 +161,18 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
+    def chain(self, operand, ops):
+        node = operand()
+        while self.peek()[1] in ops:
             op = self.next()[1]
-            node = Bin(op, node, self.term())
+            node = Bin(op, node, operand())
         return node
 
+    def expr(self):
+        return self.chain(self.term, ("+", "-"))
+
     def term(self):
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            node = Bin(op, node, self.factor())
-        return node
+        return self.chain(self.factor, ("*", "/"))
 
     def factor(self):
         negations = 0
@@ -334,18 +339,12 @@ class EvalEnv:
         self.bindings = dict(bindings or {})
 
 
+_ARITY = {"inv": 1, "trace": 1, "norm": 1, "root": 2, "h": 2, "solve": 2, "subst": 2, "classify": 1}
+
+
 def eval_expression(node, env: EvalEnv):
     """Evaluate an AST; returns a Series, or an OrbitClass at top level."""
     ctx = env.ctx
-
-    def as_series(value):
-        if isinstance(value, OrbitClass):
-            raise ParseError("classify(...) cannot be used inside arithmetic")
-        return value
-
-    def ev(n):
-        return as_series(eval_expression(n, env))
-
     if isinstance(node, Num):
         return Series.constant(ctx, node.value)
     if isinstance(node, TSym):
@@ -359,9 +358,9 @@ def eval_expression(node, env: EvalEnv):
             raise ParseError(f"unbound variable {node.name!r}")
         return env.bindings[node.name]
     if isinstance(node, Neg):
-        return -ev(node.expr)
+        return -_series(node.expr, env)
     if isinstance(node, Bin):
-        left, right = ev(node.left), ev(node.right)
+        left, right = _series(node.left, env), _series(node.right, env)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -370,42 +369,40 @@ def eval_expression(node, env: EvalEnv):
             return left * right
         return left * right.invert(env.cap)
     if isinstance(node, Pow):
-        return pow_rat(ev(node.base), node.exp, env.cap)
+        return pow_rat(_series(node.base, env), node.exp, env.cap)
     if isinstance(node, Call):
         name, args = node.name, node.args
+        if name not in _ARITY:
+            raise ParseError(f"unknown function {name!r}")
+        if len(args) != _ARITY[name]:
+            raise ParseError(f"{name}() takes {_ARITY[name]} argument(s), got {len(args)}")
         if name == "inv":
-            _arity(node, 1)
-            return ev(args[0]).invert(env.cap)
+            return _series(args[0], env).invert(env.cap)
         if name == "trace":
-            _arity(node, 1)
-            return Series.constant(ctx, trace(ev(args[0])))
+            return Series.constant(ctx, trace(_series(args[0], env)))
         if name == "norm":
-            _arity(node, 1)
-            return Series.constant(ctx, norm_leading(ev(args[0])))
+            return Series.constant(ctx, norm_leading(_series(args[0], env)))
         if name == "root":
-            _arity(node, 2)
-            return nth_root(ev(args[0]), _int_arg(args[1], "root order"), env.cap)
+            return nth_root(_series(args[0], env), _int_arg(args[1], "root order"), env.cap)
         if name == "h":
-            _arity(node, 2)
-            return artin_schreier(ev(args[0]), _int_arg(args[1], "h degree"),
+            return artin_schreier(_series(args[0], env), _int_arg(args[1], "h degree"),
                                   env.cap)
         if name == "solve":
-            _arity(node, 2)
             P = expr_to_additive_poly(ctx, args[0])
-            return solve_additive(P, ev(args[1]), env.cap)
+            return solve_additive(P, _series(args[1], env), env.cap)
         if name == "subst":
-            _arity(node, 2)
-            return substitute(ev(args[0]), ev(args[1]), env.cap).series
+            return substitute(_series(args[0], env), _series(args[1], env), env.cap).series
         if name == "classify":
-            _arity(node, 1)
-            return classify_orbit(ev(args[0]))
-        raise ParseError(f"unknown function {name!r}")
+            return classify_orbit(_series(args[0], env))
     raise ParseError(f"cannot evaluate {node!r}")
 
 
-def _arity(node, n):
-    if len(node.args) != n:
-        raise ParseError(f"{node.name}() takes {n} argument(s), got {len(node.args)}")
+def _series(node, env):
+    """An operand's value, which classify(...) cannot be."""
+    value = eval_expression(node, env)
+    if isinstance(value, OrbitClass):
+        raise ParseError("classify(...) cannot be used inside arithmetic")
+    return value
 
 
 def _int_arg(node, what) -> int:
@@ -430,32 +427,33 @@ def _signed_terms(node, negate=False):
         yield negate, node
 
 
-def expr_to_additive_poly(ctx: FieldCtx, node) -> AdditivePoly:
-    """Interpret an expression in the reserved variable x, such as x^2+x or
-    (g+1)*x^9+x, as an additive polynomial."""
+def _x_terms(ctx, node, additive=False):
+    """{x-degree: coefficient} of a +/- sum of products c*x^d, read left to
+    right.  An additive polynomial refuses a constant term where it stands,
+    so that the leftmost fault in the text is the one reported."""
     terms = {}
     for negate, n in _signed_terms(node):
         deg, coeff = _split_monomial(ctx, n)
-        if deg == 0:
+        if additive and deg == 0:
             raise ParseError("additive polynomials have no constant term")
         coeff = -coeff if negate else coeff
         terms[deg] = terms[deg] + coeff if deg in terms else coeff
+    return terms
+
+
+def expr_to_additive_poly(ctx: FieldCtx, node) -> AdditivePoly:
+    """Interpret an expression in the reserved variable x, such as x^2+x or
+    (g+1)*x^9+x, as an additive polynomial."""
+    terms = _x_terms(ctx, node, additive=True)
     p = ctx.characteristic
     coeffs = {}
     for deg, coeff in terms.items():
-        i, d = 0, deg
-        if p:
-            while d % p == 0:
-                d //= p
-                i += 1
-        if d != 1:
+        i = _padic_val(deg, p) if p else 0
+        if deg != p ** i:
             raise ParseError(f"monomial degree {deg} is not a power of "
                              f"the characteristic")
         coeffs[i] = coeff
-    if not coeffs:
-        raise ParseError("empty additive polynomial")
-    top = max(coeffs)
-    return AdditivePoly(ctx, [coeffs.get(i, ctx.zero) for i in range(top + 1)])
+    return AdditivePoly(ctx, [coeffs.get(i, ctx.zero) for i in range(max(coeffs) + 1)])
 
 
 def _split_monomial(ctx, node):
@@ -504,13 +502,7 @@ def parse_coefficient(ctx: FieldCtx, text: str):
 
 def parse_modulus(text: str, p: int):
     """Parse a modulus like "x^2+1" to an ascending coefficient tuple."""
-    prime = FiniteField(p)
-    coeffs = {}
-    for negate, n in _signed_terms(parse_expression(text)):
-        deg, c = _split_monomial(prime, n)
-        c = c.vec[0]
-        coeffs[deg] = (coeffs.get(deg, 0) + (-c if negate else c)) % p
-    if not coeffs or max(coeffs) < 1:
+    terms = _x_terms(FiniteField(p), parse_expression(text))
+    if max(terms) < 1:
         raise ParseError(f"bad modulus {text!r}")
-    top = max(coeffs)
-    return tuple(coeffs.get(i, 0) for i in range(top + 1))
+    return tuple(terms[i].vec[0] if i in terms else 0 for i in range(max(terms) + 1))

@@ -136,8 +136,6 @@ def valuation_sign_via_trace(x: Series) -> str:
     if trace(x):
         raise SeriesError("defined only for trace-zero elements")
     v = x.known_valuation()
-    if v == 0:
-        raise SeriesError("valuation 0 has no sign to decide")
     num = frobenius_map(x, 1)
     den = num - x
     inv = den.invert(1 - p * v)

@@ -75,6 +75,20 @@ def test_huge_coefficient_exits_1_without_traceback(capsys):
     assert err.startswith("ktq: ") and "integer-to-string limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "2^20000 + t"],
+    ["eval", "classify(2^20000+t)"],
+    ["orbit-witness", "2^20000 + t"],
+    ["orbit-witness", "2^20000 + t", "--format", "json"],
+    ["orbit-witness", "inv(2^20000*t)"],
+    ["orbit-witness", "2^20001*t^2"],
+])
+def test_huge_coefficient_in_a_class_or_witness_exits_1(capsys, argv):
+    assert run(argv + ["--field", "Q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ktq: coefficient too large to print: ")
+
+
 def test_big_coefficient_below_the_limit_prints_exactly(capsys):
     assert run(["eval", "--field", "Q", "2^100"]) == 0
     assert capsys.readouterr().out == f"{2 ** 100}\n"

@@ -8,6 +8,7 @@ import pytest
 
 from ktq import (AdditivePoly, FieldError, FiniteField, RationalField,
                  hypothesis_a_check, make_field)
+from ktq.fields import _is_prime
 
 
 # ------------------------------------------------------------- construction
@@ -33,6 +34,23 @@ def test_composite_characteristic_rejected():
         FiniteField(4, 1)
     with pytest.raises(FieldError):
         FiniteField(15)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if by_trial(n)]
+
+
+@pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383,
+                               341550071728321, 3825123056546413051])
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2 ** 61 - 1, 2 ** 89 - 1])
+def test_is_prime_accepts_mersenne_primes(n):
+    assert _is_prime(n)
 
 
 def test_extension_degree_bound():
@@ -121,6 +139,14 @@ def test_int_coercion_in_arithmetic(F9):
     assert 2 * g == g + g
     assert g - 1 == g + 2
     assert 1 / (g + 1) == (g + 1).inverse()
+
+
+def test_arithmetic_across_fields_refused(F4, F9):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(FieldError, match="finite-field context mismatch"):
+            op(F4.g, F9.g)
+    assert F4.g.__add__(0.5) is NotImplemented
 
 
 def test_pow_matches_repeated_multiplication(F9):

@@ -272,6 +272,13 @@ def test_additive_poly_rejections(F2):
         parse_additive_poly(F2, "x^(1/2)")
 
 
+def test_additive_poly_leading_and_double_minus(F3):
+    from ktq import AdditivePoly
+    assert parse_additive_poly(F3, "-x^3 + x") == AdditivePoly(F3, [1, -1])
+    assert parse_additive_poly(F3, "x - -x^3") == AdditivePoly(F3, [1, 1])
+    assert parse_modulus("-(-x^2) - 2", 3) == (1, 0, 1)
+
+
 def test_additive_poly_cancellation_is_visible(F2):
     # x^2 - x^2 + x collapses to the identity map
     P = parse_additive_poly(F2, "x^2 - x^2 + x")

@@ -333,6 +333,20 @@ def test_image_report_nonzero_trace(F2):
     assert not report.all_ok
 
 
+def test_image_report_nonzero_trace_over_q(Q):
+    report = check_additive_images(Series.one(Q), [AdditivePoly(Q, [F(5, 2)])])
+    (entry,) = report.entries
+    assert entry.ok and entry.detail == "constant reachable"
+    assert AdditivePoly(Q, [F(5, 2)]).preimage(F(5)) == 2
+
+
+def test_image_report_failed_solve(F2):
+    x = Series.monomial(F2, 1, -1)
+    report = check_additive_images(x, [AdditivePoly(F2, [1, 1])], F(1))
+    (entry,) = report.entries
+    assert not entry.ok and "no positive cap is reachable" in entry.detail
+
+
 # ------------------------------------------- characteristic 0, format round trip
 
 def test_apply_additive_char0_is_scaling(Q):
