@@ -153,7 +153,7 @@ def run(argv) -> int:
     try:
         ctx = _make_ctx(args)
         result = _compute(args, ctx, EvalEnv(ctx, args.cap))
-        for line in _render(result, ctx, args.fmt):
+        for line in list(_render(result, ctx, args.fmt)):  # all or nothing
             print(line)
         return 0
     except KtqError as exc:

@@ -7,7 +7,7 @@ where g is the residue of x modulo the modulus.  Arithmetic reduces modulo the
 modulus.  A scalar product goes through the same encode/decode pair as the
 series kernel (below), powers use the builtin pow when e = 1 and
 square-and-multiply on packed codes otherwise, and inverses follow Fermat:
-c^-1 = c^(q-2).
+c^-1 = c^(q-2).  `parse_coeff` reads back exactly what `format_coeff` writes.
 
 The rational field reuses fractions.Fraction, which is already exact and
 canonical, so no wrapper type is introduced; rational coefficients simply are
@@ -108,16 +108,8 @@ def _monic_polys(degree, p):
 
 
 def _is_irreducible(mod, p):
-    e = len(mod) - 1
-    if e < 1:
-        return False
-    if e == 1:
-        return True
-    for d in range(1, e // 2 + 1):
-        for cand in _monic_polys(d, p):
-            if not _pmod(mod, cand, p):
-                return False
-    return True
+    return all(_pmod(mod, cand, p) for d in range(1, (len(mod) - 1) // 2 + 1)
+               for cand in _monic_polys(d, p))
 
 
 # ------------------------------------------------------------ field contexts
@@ -364,11 +356,10 @@ class FiniteField(FieldCtx):
             modulus = _ptrim(tuple(c % p for c in modulus))
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise FieldError("modulus must be monic of degree e")
-            if e >= 2:
-                if p ** (e // 2) > EXHAUSTIVE_BOUND:
-                    raise FieldError("modulus verification exceeds desk-scale bound")
-                if not _is_irreducible(modulus, p):
-                    raise FieldError("modulus is reducible")
+            if p ** (e // 2) > EXHAUSTIVE_BOUND:
+                raise FieldError("modulus verification exceeds desk-scale bound")
+            if not _is_irreducible(modulus, p):
+                raise FieldError("modulus is reducible")
         self.modulus = modulus
         self._bits = (p - 1).bit_length()  # code slot width
         self.zero = FFElement(self, (0,) * e)
@@ -511,8 +502,10 @@ class FiniteField(FieldCtx):
         return _format_poly(self.coerce(c).vec, "g")
 
     def parse_coeff(self, text: str) -> FFElement:
-        from .parsing import parse_coefficient
-        return parse_coefficient(self, text)
+        vec = _parse_poly(text, "g", self.e, self.p)  # the inverse of format_coeff
+        if vec is None:
+            raise FieldError(f"not a coefficient of {self.spec_string()}: {text!r}")
+        return FFElement(self, vec)
 
 
 def _format_poly(coeffs, sym: str) -> str:
@@ -529,6 +522,20 @@ def _format_poly(coeffs, sym: str) -> str:
             power = sym if i == 1 else f"{sym}^{i}"
             parts.append(power if c == 1 else f"{c}*{power}")
     return "+".join(parts) if parts else "0"
+
+
+def _parse_poly(text: str, sym: str, n: int, p: int):
+    """The inverse of _format_poly on n coefficients below p: their tuple, or
+    None for any text it does not write (the re-format check refuses it)."""
+    vec, width = [0] * n, len(str(max(n, p)))  # digits bounded before int()
+    for part in text.split("+"):
+        head, s, tail = part.partition(sym)
+        c, i = (head[:-1] or "1", tail[1:] or "1") if s else (part, "0")
+        if not all(d.isascii() and d.isdigit() and len(d) <= width for d in (c, i)) \
+                or int(c) >= p or int(i) >= n:
+            return None
+        vec[int(i)] = int(c)
+    return tuple(vec) if _format_poly(vec, sym) == text else None
 
 
 def format_coeff(c) -> str:

@@ -20,7 +20,8 @@ Additive polynomials and moduli are read by one collector, _x_terms, which
 turns a +/- sum of products c*x^d into {d: c}.  Their constant coefficients,
 like coefficient literals, evaluate through eval_expression at an infinite
 cap, so they share its arithmetic and its errors; a coefficient that
-mentions t or a variable is refused before evaluation.
+mentions t or a variable is refused before evaluation.  This grammar reads
+user text only: ktq's own JSON reads back through the fields' parse_coeff.
 
 Nesting is bounded by MAX_DEPTH, both for parentheses and function calls and
 for the operator tree (a sum of n terms is n - 1 operators deep), so that no

@@ -132,8 +132,8 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     """x^i for rational i and x with a visible leading term.
 
     A fractional i needs a monic x.  An integer i also takes a non-monic x =
-    c * u, as c^i * u^i, and a positive integer i takes an x with no visible
-    term by the product rule: exact 0 stays 0, and O(t^c)^i is O(t^(i c)).
+    c * u, as c^i * u^i, and a positive integer i an x with no visible term:
+    exact 0 stays 0, and O(t^c)^i is O(t^(i c)) cut at the requested cap.
 
     The result keeps its full intrinsic precision when the expansion
     terminates on its own (i a nonnegative integer after removing the p-part)
@@ -148,18 +148,16 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     i = Fraction(i)
     if i == 0:
         return Series.one(ctx)
+    requested_cap = INF if requested_cap == INF else Fraction(requested_cap)
     if not x.ks:
         if i.denominator == 1 and i > 0:
-            return Series(ctx, (), cap_mul(x.cap, i))
+            return Series(ctx, (), x.cap if x.is_exact else min(requested_cap, cap_mul(x.cap, i)))
         raise PrecisionError("no visible leading term to raise to a power")
     if not x.is_monic():
         if i.denominator != 1:
             raise SeriesError("rational powers need a monic base")
         c = x.leading_coeff()
-        if x.is_exact and len(x.ks) == 1:  # c t^m: exact, and no inverse of c
-            return Series.monomial(ctx, c ** i.numerator, x.known_valuation() * i)
         return pow_rat(x.scale(1 / c), i, requested_cap).scale(c ** i.numerator)
-    requested_cap = INF if requested_cap == INF else Fraction(requested_cap)
     p = ctx.characteristic
     b = _padic_val(i, p) if p else 0
     scale = Fraction(p or 1) ** b

@@ -44,7 +44,7 @@ from heapq import heappop, heappush
 from math import gcd, lcm
 
 from .errors import PrecisionError, SeriesError
-from .fields import FieldCtx
+from .fields import FieldCtx, make_field
 
 INF = float("inf")
 
@@ -436,9 +436,7 @@ def format_series(x: Series) -> str:
 
 def series_from_json(data, ctx=None) -> Series:
     """Inverse of Series.to_json_dict."""
-    from .fields import make_field
-    if ctx is None:
-        ctx = make_field(data["field"])
+    ctx = make_field(data["field"]) if ctx is None else ctx
     cap = data.get("cap", "inf")
     cap = INF if cap == "inf" else Fraction(cap[0], cap[1])
     terms = [(Fraction(num, den), ctx.parse_coeff(cstr))

@@ -8,10 +8,10 @@ the lower one below the lower one's cap.  A rule whose lower run raises a
 `KtqError` (too little precision, a root that does not exist, ...) changes
 nothing.
 
-The chains do not assert that the higher copy's cap stays at or above the
-lower one's: `pow_rat` bounds a base with no visible term by the product
-rule and ignores the requested cap, so `O(t)^2` at cap 1 is `O(t^2)` while
-`(-6t + O(t^2))^2` at cap 1 is `O(t)`.
+Caps are also monotone: the higher copy's cap never falls below the lower
+one's.  Every rule cuts an inexact result at the requested cap, so `O(t)^2`
+at cap 1 is `O(t)`, like `(-6t + O(t^2))^2`, and not the product rule's
+`O(t^2)`, which would give the less precise input the higher cap.
 """
 
 from fractions import Fraction
@@ -68,6 +68,7 @@ class CapChains(RuleBasedStateMachine):
             return
         hi = op(*(hi for _, hi in pairs))
         assert hi.agrees_below(lo), (op, pairs, lo, hi)
+        assert hi.cap >= lo.cap, (op, pairs, lo, hi)
         self.regs.append((lo, hi))
         del self.regs[:-MAX_REGISTERS]
 

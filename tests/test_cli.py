@@ -85,8 +85,9 @@ def test_huge_coefficient_exits_1_without_traceback(capsys):
 ])
 def test_huge_coefficient_in_a_class_or_witness_exits_1(capsys, argv):
     assert run(argv + ["--field", "Q"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ktq: coefficient too large to print: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ktq: coefficient too large to print: ")
+    assert captured.out == ""  # no step lines rendered before the failing one
 
 
 def test_big_coefficient_below_the_limit_prints_exactly(capsys):
@@ -134,6 +135,9 @@ def test_eval_negative_cap_flag(capsys):
 def test_eval_let_bindings(capsys):
     assert run(["eval", "y*y", "--field", "F2", "--let", "y=t+t^2"]) == 0
     assert capsys.readouterr().out == "t^2 + t^4\n"
+    for binding in ("noequals", "1x=t"):
+        assert run(["eval", "t", "--let", binding]) == 2
+        assert capsys.readouterr().err == f"ktq: bad --let binding {binding!r}\n"
 
 
 def test_solve_subcommand(capsys):
@@ -186,6 +190,8 @@ def test_modulus_flag(capsys):
     assert capsys.readouterr().out == "2*g\n"
     assert run(["trace", "t", "--field", "F7", "--modulus", "x^2+1"]) == 1
     capsys.readouterr()
+    assert run(["trace", "t", "--field", "F9:x^2+1", "--modulus", "x^2+1"]) == 2
+    assert capsys.readouterr().err == "ktq: --modulus conflicts with a modulus in --field\n"
 
 
 def test_subst_warns_on_risk(capsys):

@@ -1,13 +1,18 @@
 """Coefficient fields: F_p^e towers, rationals, additive polynomials."""
 
+import json
+import random
 import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from ktq import (AdditivePoly, FieldError, FiniteField, RationalField,
-                 hypothesis_a_check, make_field)
+import ktq.parsing
+from ktq import (AdditivePoly, ExpHom, FieldError, FiniteField, Invert,
+                 RationalField, Rescale, ScaleExp, Series, Substitute,
+                 Transform, Translate, hypothesis_a_check, make_field,
+                 series_from_json)
 from ktq.fields import _is_prime
 
 
@@ -313,6 +318,70 @@ def test_hypothesis_a_bijective_poly_satisfies(F9):
     # Frobenius itself, P(x) = x^3, is bijective on F_9
     P = AdditivePoly(F9, [0, 1])
     assert hypothesis_a_check(F9, P).satisfies
+
+
+# ------------------------------------------------------- coefficient text
+
+SMALL_FIELDS = [f"F{q}" for q in range(2, 65)
+                if sum(q % p == 0 for p in range(2, q + 1) if _is_prime(p)) == 1]
+
+
+@pytest.mark.parametrize("spec", SMALL_FIELDS + ["F4096"])
+def test_parse_coeff_inverts_format_coeff_on_every_element(spec):
+    ctx = make_field(spec)
+    for c in ctx.elements():
+        assert ctx.parse_coeff(ctx.format_coeff(c)) == c
+
+
+@pytest.mark.parametrize("spec", ["F1000003", "F2305843009213693951"])
+def test_parse_coeff_inverts_format_coeff_on_large_prime_fields(spec):
+    ctx = make_field(spec)
+    rng = random.Random(spec)
+    for n in [0, 1, ctx.p - 1] + [rng.randrange(ctx.p) for _ in range(300)]:
+        c = ctx.from_int(n)
+        assert ctx.parse_coeff(ctx.format_coeff(c)) == c
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("F9", "g + 1"), ("F9", "1+g"), ("F9", "(g+1)^2"), ("F9", "2*g+0"),
+    ("F9", "g^1"), ("F3", "3"), ("F9", "-1"), ("F9", "g^-1"), ("F9", ""),
+    ("F3", "g"), ("F9", "g^2"), ("F9", "01"), ("F9", "g+g"), ("F9", "2g"),
+    ("F9", "g^\u00b2"), ("F9", "\u0661"),
+    pytest.param("F9", "1" * 5000, id="F9-5000-digit-constant"),
+    pytest.param("F9", "g^" + "1" * 5000, id="F9-5000-digit-exponent"),
+    pytest.param("F1000003", "1" * 5000, id="F1000003-5000-digit-constant"),
+])
+def test_parse_coeff_refuses_text_format_coeff_does_not_write(spec, text):
+    with pytest.raises(FieldError, match="not a coefficient of"):
+        make_field(spec).parse_coeff(text)
+
+
+def _units(ctx):
+    if ctx.characteristic == 0:
+        return Fraction(-3, 4), Fraction(5)
+    if ctx.e == 1:
+        return ctx.one, ctx.from_int(-1)
+    return ctx.g, ctx.g ** 11 + ctx.g + 1
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F9", "F4096", "F1000003"])
+def test_json_reads_back_without_the_expression_evaluator(spec, monkeypatch):
+    ctx = make_field(spec)  # a modulus in the spec is user text, read by the grammar
+    a, b = _units(ctx)
+    x = Series(ctx, {Fraction(1, 2): ctx.one, Fraction(3, 2): b}, Fraction(5, 2))
+    y = Series(ctx, {Fraction(-1): a, Fraction(0): b, Fraction(2, 3): a * b})
+    lam = ExpHom(ctx, {2: a * a, 4: a})
+    T = Transform([Translate(b), Invert(), Rescale(lam), Rescale(ExpHom.trivial(ctx)),
+                   ScaleExp(Fraction(1, 2)), Substitute(x)])
+    docs = json.loads(json.dumps([y.to_json_dict(), lam.to_json(), T.to_json()]))
+
+    def refuse(*args):
+        raise AssertionError("JSON read back through the expression evaluator")
+
+    monkeypatch.setattr(ktq.parsing, "eval_expression", refuse)
+    assert series_from_json(docs[0], ctx) == y
+    assert ExpHom.from_json(ctx, docs[1]) == lam
+    assert Transform.from_json(ctx, docs[2]) == T
 
 
 # ------------------------------------------------------------- desk bounds
