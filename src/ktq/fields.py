@@ -1,12 +1,12 @@
 """Coefficient fields: exact rationals and finite fields F_{p^e}.
 
 A finite field is represented in a polynomial basis over F_p with an explicit
-monic irreducible modulus of degree e.  Elements are immutable coefficient
-vectors (c_0, ..., c_{e-1}) standing for c_0 + c_1*g + ... + c_{e-1}*g^{e-1},
-where g is the residue of x modulo the modulus.  Arithmetic reduces modulo the
-modulus.  A scalar product goes through the same encode/decode pair as the
-series kernel (below), powers use the builtin pow when e = 1 and
-square-and-multiply on packed codes otherwise, and inverses follow Fermat:
+monic irreducible modulus of degree e.  An immutable `FFElement` holds the
+code (below) of c_0 + c_1*g + ... + c_{e-1}*g^{e-1}, g the residue of x, and
+`vec` is the view (c_0, ..., c_{e-1}).  A sum, a negation ((p - 1) * code) or
+a product of two codes is one int operation reduced by one
+`decode([value], 1, 1)`; powers use the builtin pow when e = 1 and
+square-and-multiply on codes otherwise, and inverses follow Fermat:
 c^-1 = c^(q-2).  `parse_coeff` reads back exactly what `format_coeff` writes.
 
 The rational field reuses fractions.Fraction, which is already exact and
@@ -14,17 +14,18 @@ canonical, so no wrapper type is introduced; rational coefficients simply are
 Fraction values.
 
 A series stores each coefficient as its field's code (`code(c)`, and
-`element(k)` back): the residue over F_p, the vector packed into one int with
-slots just wide enough for p - 1 over F_{p^e}, the Fraction itself over Q.
-Codes are canonical, and the code of 1 is 1.  The kernel side is a pair on
-lists of codes: `encode(codes, n)` gives ints and a common denominator such
-that integer sums of at most n pairwise products of them stay exact, and
-`decode(values, den, n)` maps such sums back to codes.  Over F_p the encoding
-is the code; over F_{p^e} the vector is repacked in W-bit slots, W chosen so
-that a product of packed ints is the packed product polynomial and no slot
-of a sum of n products carries; over Q it is numerators over a common
-denominator.  `frobenius_codes` is c |-> c^(p^b) on codes, one map per field:
-the identity over F_p, and over F_{p^e} whenever e divides b.
+`element(k)` back): the residue over F_p, the vector packed into one int in
+`_slot_bits(1)`-bit slots over F_{p^e} (its own n = 1 kernel encoding), and
+the Fraction itself over Q.  Codes are canonical, and the code of 1 is 1.
+The kernel side is a pair on lists of codes: `encode(codes, n)` gives ints
+and a common denominator such that integer sums of at most n pairwise
+products of them stay exact, and `decode(values, den, n)` maps such sums
+back to codes.  Over F_p the encoding is the code; over F_{p^e} the code is
+repacked in W-bit slots, W chosen so that a product of packed ints is the
+packed product polynomial and no slot of a sum of n products carries; over
+Q it is numerators over a common denominator.  `frobenius_codes` is
+c |-> c^(p^b) on codes, one map per field: the identity over F_p, and over
+F_{p^e} whenever e divides b.
 
 Exhaustive operations (element enumeration, root search, surjectivity
 checks) are restricted to q <= 2**20.  Larger prime fields still construct,
@@ -230,13 +231,19 @@ def _int_nth_root(m: int, n: int):
 
 
 class FFElement:
-    """An element of a finite field, as a coefficient vector over F_p."""
+    """An element of a finite field, held as its field's code."""
 
-    __slots__ = ("field", "vec")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field, vec):
+    def __init__(self, field, code):
         self.field = field
-        self.vec = vec
+        self.code = code
+
+    @property
+    def vec(self):
+        """The coefficient vector (c_0, ..., c_{e-1}) over F_p."""
+        poly = self.field._reduce(self.code, self.field._bits)
+        return tuple(poly) + (0,) * (self.field.e - len(poly))
 
     def _peer(self, other):
         if isinstance(other, (FFElement, int)):
@@ -247,15 +254,14 @@ class FFElement:
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        return FFElement(self.field,
-                         tuple((a + b) % p for a, b in zip(self.vec, o.vec)))
+        f = self.field
+        return FFElement(f, f.decode([self.code + o.code], 1, 1)[0])
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple((-a) % p for a in self.vec))
+        f = self.field
+        return FFElement(f, f.decode([(f.p - 1) * self.code], 1, 1)[0])
 
     def __sub__(self, other):
         o = self._peer(other)
@@ -274,8 +280,7 @@ class FFElement:
         if o is None:
             return NotImplemented
         f = self.field
-        (a, b), _ = f.encode([f.code(self), f.code(o)], 1)
-        return f.element(f.decode([a * b], 1, 1)[0])
+        return FFElement(f, f.decode([self.code * o.code], 1, 1)[0])
 
     __rmul__ = __mul__
 
@@ -303,28 +308,27 @@ class FFElement:
             return self.inverse() ** (-n)
         f = self.field
         if f.e == 1:
-            return FFElement(f, (pow(self.vec[0], n, f.p),))
-        # Square-and-multiply on packed codes, reduced after every product.
-        w = f._slot_bits(1)
-        result, base = 1, f._pack(self.vec, w)
+            return FFElement(f, pow(self.code, n, f.p))
+        # Square-and-multiply on codes, reduced after every product.
+        result, base = 1, self.code
         while n:
             if n & 1:
-                result = f._pack(f._reduce(result * base, w), w)
+                result = f._pack(f._reduce(result * base, f._bits), f._bits)
             n >>= 1
             if n:
-                base = f._pack(f._reduce(base * base, w), w)
-        return f._from_poly(f._reduce(result, w))
+                base = f._pack(f._reduce(base * base, f._bits), f._bits)
+        return FFElement(f, result)
 
     def __eq__(self, other):
         if not isinstance(other, FFElement):
             return NotImplemented
-        return self.field == other.field and self.vec == other.vec
+        return self.code == other.code and (self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.vec))
+        return hash((self.field.p, self.field.modulus, self.code))
 
     def __bool__(self):
-        return any(self.vec)
+        return self.code != 0
 
     def __str__(self):
         return self.field.format_coeff(self)
@@ -361,9 +365,9 @@ class FiniteField(FieldCtx):
             if not _is_irreducible(modulus, p):
                 raise FieldError("modulus is reducible")
         self.modulus = modulus
-        self._bits = (p - 1).bit_length()  # code slot width
-        self.zero = FFElement(self, (0,) * e)
-        self.one = FFElement(self, (1,) + (0,) * (e - 1))
+        self._bits = self._slot_bits(1)  # code slot width
+        self.zero = FFElement(self, 0)
+        self.one = FFElement(self, 1)
         self._element_cache = None
 
     @property
@@ -399,22 +403,18 @@ class FiniteField(FieldCtx):
     def format_modulus(self):
         return _format_poly(self.modulus, "x")
 
-    def _from_poly(self, poly):
-        vec = tuple(poly) + (0,) * (self.e - len(poly))
-        return FFElement(self, vec)
-
     def from_int(self, n: int) -> FFElement:
-        return FFElement(self, (n % self.p,) + (0,) * (self.e - 1))
+        return FFElement(self, n % self.p)
 
     @property
     def g(self) -> FFElement:
         if self.e < 2:
             raise FieldError("prime fields have no generator symbol g")
-        return FFElement(self, (0, 1) + (0,) * (self.e - 2))
+        return FFElement(self, 1 << self._bits)
 
     def coerce(self, value):
         if isinstance(value, FFElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldError("finite-field context mismatch")
             return value
         if isinstance(value, int):
@@ -426,7 +426,7 @@ class FiniteField(FieldCtx):
         if self.q > EXHAUSTIVE_BOUND:
             raise FieldError("field too large for exhaustive enumeration")
         if self._element_cache is None:
-            self._element_cache = tuple(FFElement(self, v)
+            self._element_cache = tuple(FFElement(self, self._pack(v, self._bits))
                                         for v in _base_p_vectors(self.p, self.e))
         return self._element_cache
 
@@ -469,12 +469,10 @@ class FiniteField(FieldCtx):
         return _pmod(poly, self.modulus, p) if len(poly) > self.e else poly
 
     def code(self, c):
-        return c.vec[0] if self.e == 1 else self._pack(c.vec, self._bits)
+        return c.code
 
     def element(self, k):
-        if self.e == 1:
-            return FFElement(self, (k,))
-        return self._from_poly(self._reduce(k, self._bits))
+        return FFElement(self, k)
 
     def encode(self, codes, n):
         """The codes (e = 1) or their vectors repacked in _slot_bits(n)-bit
@@ -496,16 +494,17 @@ class FiniteField(FieldCtx):
         """The codes of c^(p^b) for the codes of c (b < 0: the inverse)."""
         if b % self.e == 0:
             return codes
-        return [self.code(self.frobenius(self.element(k), b)) for k in codes]
+        return [self.frobenius(FFElement(self, k), b).code for k in codes]
 
     def format_coeff(self, c: FFElement) -> str:
-        return _format_poly(self.coerce(c).vec, "g")
+        code = self.coerce(c).code
+        return str(code) if self.e == 1 else _format_poly(self._reduce(code, self._bits), "g")
 
     def parse_coeff(self, text: str) -> FFElement:
         vec = _parse_poly(text, "g", self.e, self.p)  # the inverse of format_coeff
         if vec is None:
             raise FieldError(f"not a coefficient of {self.spec_string()}: {text!r}")
-        return FFElement(self, vec)
+        return FFElement(self, self._pack(vec, self._bits))
 
 
 def _format_poly(coeffs, sym: str) -> str:

@@ -506,4 +506,4 @@ def parse_modulus(text: str, p: int):
     terms = _x_terms(FiniteField(p), parse_expression(text))
     if max(terms) < 1:
         raise ParseError(f"bad modulus {text!r}")
-    return tuple(terms[i].vec[0] if i in terms else 0 for i in range(max(terms) + 1))
+    return tuple(terms[i].code if i in terms else 0 for i in range(max(terms) + 1))

@@ -26,6 +26,9 @@ def test_make_field_specs(Q, F2, F9):
     assert make_field("F9:x^2+1") == F9
     assert make_field(Q.spec_string()) == Q
     assert make_field(F9.spec_string()) == F9
+    assert make_field(F9) is F9
+    with pytest.raises(FieldError, match="bad field spec 3"):
+        make_field(3)
 
 
 @pytest.mark.parametrize("bad", ["F1", "F6", "F12", "F0", "Fx"])
@@ -79,10 +82,13 @@ def test_supplied_modulus_checked():
         make_field("F4:x^2+1")  # (x+1)^2
 
 
-def test_spec_strings(F2, F4, F9):
+def test_spec_strings(Q, F2, F4, F9):
     assert F2.spec_string() == "F2"
     assert F4.spec_string() == "F4:x^2+x+1"
     assert F9.spec_string() == "F9:x^2+1"
+    assert repr(Q) == "RationalField()"
+    assert repr(F9) == "FiniteField('F9:x^2+1')"
+    assert repr(F9.g + 2) == "<g+2 in F9:x^2+1>"
 
 
 # ----------------------------------------------------------------- elements
@@ -146,12 +152,20 @@ def test_int_coercion_in_arithmetic(F9):
     assert 1 / (g + 1) == (g + 1).inverse()
 
 
-def test_arithmetic_across_fields_refused(F4, F9):
+def test_arithmetic_across_fields_refused(Q, F4, F9):
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
                lambda a, b: a / b):
         with pytest.raises(FieldError, match="finite-field context mismatch"):
             op(F4.g, F9.g)
     assert F4.g.__add__(0.5) is NotImplemented
+    g = F4.g
+    for op in (lambda: g - 0.5, lambda: 0.5 - g, lambda: g * 0.5, lambda: g / 0.5,
+               lambda: 0.5 / g, lambda: g ** Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            op()
+    for ctx in (Q, F4):
+        with pytest.raises(FieldError, match="0.5"):
+            ctx.coerce(0.5)
 
 
 def test_pow_matches_repeated_multiplication(F9):
@@ -212,6 +226,8 @@ def test_rational_nth_roots(Q):
         Q.nth_roots(Fraction(2), 2)
     with pytest.raises(FieldError):
         Q.nth_roots(Fraction(-4), 2)
+    with pytest.raises(FieldError, match="root order"):
+        Q.nth_roots(Fraction(4), 0)
 
 
 def test_finite_field_roots_verified_by_power(F9):
@@ -226,6 +242,8 @@ def test_every_unit_has_pth_root(F4):
     # x -> x^p is bijective, so p-th roots always exist and are unique
     for c in F4.elements():
         assert len(F4.nth_roots(c, 2)) == 1
+    with pytest.raises(FieldError, match="root order"):
+        F4.nth_roots(F4.g, 0)
 
 
 # -------------------------------------------------------- additive polynomials
@@ -236,6 +254,8 @@ def test_additive_poly_basics(F2):
     assert P.format() == "x^2+x"
     assert P(F2.zero) == F2.zero
     assert P(F2.one) == F2.zero
+    assert P == AdditivePoly(F2, [1, 1, 0]) and hash(P) == hash(AdditivePoly(F2, [1, 1, 0]))
+    assert repr(P) == "AdditivePoly('x^2+x' over F2)"
 
 
 def test_additive_poly_is_additive(F9):
@@ -304,13 +324,15 @@ def test_hypothesis_a_image_of_canonical(F4):
     assert verdict.witness == F4.one
 
 
-def test_hypothesis_a_explicit_poly(F4):
+def test_hypothesis_a_explicit_poly(F2, F4):
     # x^2 + x on F_4 has image {0, 1}; first missing element is g
     P = AdditivePoly(F4, [1, 1])
     verdict = hypothesis_a_check(F4, P)
     assert not verdict.satisfies
     assert verdict.witness == F4.g
     assert str(verdict) == "FAILS: witness b=g"
+    with pytest.raises(FieldError, match="different field"):
+        hypothesis_a_check(F4, AdditivePoly(F2, [1, 1]))
 
 
 def test_hypothesis_a_bijective_poly_satisfies(F9):
@@ -356,6 +378,17 @@ def test_parse_coeff_refuses_text_format_coeff_does_not_write(spec, text):
         make_field(spec).parse_coeff(text)
 
 
+@pytest.mark.parametrize("spec", SMALL_FIELDS + ["F4096"])
+def test_an_element_is_its_code(spec):
+    """An element holds the code a series stores, and that code is its own
+    n = 1 kernel encoding; element k of the enumeration has base-p digits k."""
+    ctx = make_field(spec)
+    for k, c in enumerate(ctx.elements()):
+        assert ctx.code(c) == c.code and ctx.element(c.code) == c
+        assert ctx.encode([c.code], 1) == ([c.code], 1)
+        assert sum(d * ctx.p ** i for i, d in enumerate(c.vec)) == k
+
+
 def _units(ctx):
     if ctx.characteristic == 0:
         return Fraction(-3, 4), Fraction(5)
@@ -392,6 +425,12 @@ def test_large_prime_field_arithmetic_but_no_enumeration():
     assert a * a.inverse() == big.one
     with pytest.raises(FieldError):
         big.elements()
+    with pytest.raises(FieldError, match="exhaustive surjectivity"):
+        hypothesis_a_check(big)
+    with pytest.raises(FieldError, match="default modulus search exceeds desk-scale"):
+        FiniteField(1048583, 2)
+    with pytest.raises(FieldError, match="modulus verification exceeds desk-scale"):
+        FiniteField(1048583, 2, (3, 0, 1))
 
 
 def test_large_prime_field_builds_quickly():

@@ -378,3 +378,45 @@ def test_prime_field_addition_sampled(p):
         assert (n + a).vec == ((n + v) % p,)
         assert (n - a).vec == ((n - v) % p,)
         assert (a - n).vec == ((v - n) % p,)
+
+
+LARGE_EXTENSIONS = ("F4096", "F1331", "F3125")  # e = 12; p = 11; p = 5 with e = 5
+
+
+@pytest.mark.parametrize("spec", LARGE_EXTENSIONS)
+def test_extension_field_arithmetic_sampled(spec):
+    """The checks of the two exhaustive tests above on a seeded sample, where
+    a code's slots are widest (they grow with e(p-1)^2); an inverse is
+    checked by its product with the element."""
+    ctx = make_field(spec)
+    R, p, q = Ref(ctx), ctx.p, ctx.q
+    els = ctx.elements()
+    rng = random.Random(q)
+    sample = [ctx.zero, ctx.one, ctx.from_int(-1), ctx.g, els[-1]]
+    sample += [rng.choice(els) for _ in range(100)]
+    for a, b in zip(sample, rng.sample(sample, len(sample))):
+        assert (a + b).vec == R.add(a.vec, b.vec)
+        assert (a - b).vec == ref_sub(R, a.vec, b.vec)
+        assert (a * b).vec == R.mul(a.vec, b.vec)
+        if b:
+            assert R.mul(b.vec, b.inverse().vec) == R.one()
+            assert (a / b).vec == R.mul(a.vec, b.inverse().vec)
+    for c in sample:
+        assert (-c).vec == R.neg(c.vec)
+        n = rng.randrange(-3 * p, 3 * p)
+        nv = ctx.from_int(n).vec
+        assert (n + c).vec == R.add(nv, c.vec)
+        assert (n - c).vec == ref_sub(R, nv, c.vec)
+        assert (c - n).vec == ref_sub(R, c.vec, nv)
+        assert (n * c).vec == R.mul(nv, c.vec)
+        for b in (0, 1, 2):
+            assert ctx.frobenius(c, b).vec == ref_pow(R, c.vec, p ** b)
+        assert ref_pow(R, ctx.frobenius(c, -1).vec, p) == c.vec
+        for n in (0, 1, 2, 3, rng.randrange(4, 80)):
+            assert (c ** n).vec == ref_pow(R, c.vec, n)
+        if c:
+            assert (c ** (q - 1)).vec == R.one()
+            n = rng.randrange(1, 40)
+            assert (c ** -n).vec == ref_pow(R, c.inverse().vec, n)
+    with pytest.raises(FieldError):
+        ctx.zero.inverse()

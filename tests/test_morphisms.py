@@ -23,6 +23,7 @@ def test_exphom_query_on_committed_lattice(F9):
     assert lam.query(F(1)) == g ** 2
     assert lam.query(F(-1, 2)) == g ** -1
     assert lam.query(F(0)) == F9.one
+    assert repr(lam) == "ExpHom(1/2 -> g)"
 
 
 def test_exphom_outside_lattice_is_an_error(F9):
@@ -35,6 +36,8 @@ def test_exphom_trivial_answers_everywhere(F9):
     lam = ExpHom.trivial(F9)
     for e in (F(1, 7), F(22, 3), F(-5, 13)):
         assert lam.query(e) == F9.one
+    assert lam.inverse() is lam
+    assert repr(lam) == "ExpHom(trivial)"
 
 
 def test_exphom_validation(F9):
@@ -68,12 +71,14 @@ def test_exphom_json_round_trip(F9):
 
 # ------------------------------------------------------------------ rescale
 
-def test_rescale_golden(F9):
+def test_rescale_golden(Q, F9):
     g = F9.g
     lam = ExpHom(F9, {2: g})
     y = Series(F9, {F(1, 2): F9.one, F(1): F9.one})
     out = rescale(lam, y)
     assert out.terms == ((F(1, 2), g), (F(1), g * g))
+    with pytest.raises(SeriesError, match="coefficient-field mismatch"):
+        rescale(lam, Series.t(Q))
 
 
 def test_rescale_is_multiplicative(F9):
@@ -166,8 +171,10 @@ def test_substitute_valuation_law(Q):
             assert r.valuation() == F(2) * y.valuation()
 
 
-def test_substitute_requires_monic_positive(Q):
+def test_substitute_requires_monic_positive(Q, F2):
     y = Series.t(Q)
+    with pytest.raises(SeriesError, match="coefficient-field mismatch"):
+        substitute(Series.t(F2), y, F(4))
     with pytest.raises(SeriesError):
         substitute(Series.constant(Q, 1) + y, y, F(4))
     with pytest.raises(SeriesError):
@@ -331,3 +338,5 @@ def test_transform_apply_steps(Q):
     assert T.apply(t) == Series.monomial(Q, 1, 2)
     T = Transform([Invert()])
     assert T.apply(t, F(4)).terms == ((F(-1), F(1)),)
+    T = Transform([Translate(F(5)), Invert()])
+    assert repr(T) == "Transform([Translate(c=Fraction(5, 1)), Invert()])"

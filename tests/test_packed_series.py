@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from ktq import INF, Series, make_field, series_from_json
 from ktq.errors import PrecisionError
-from ktq.fields import FFElement
 from ktq.powers import frobenius_map
 from ktq.series import UnknownAtLeast
 
@@ -126,11 +125,7 @@ def element(ctx, n):
     if ctx.characteristic == 0:
         return ctx.coerce(n)
     n = 1 + (n - 1) % (ctx.q - 1) if n else 0
-    digits = []
-    for _ in range(ctx.e):
-        n, d = divmod(n, ctx.p)
-        digits.append(d)
-    return FFElement(ctx, tuple(digits))
+    return ctx.from_int(n) if ctx.e == 1 else ctx.elements()[n]
 
 
 def coeffs(ctx, nonzero=True):

@@ -60,6 +60,9 @@ def test_ast_bare_name_is_variable():
     ("(1+t", 5, "expected ')'"),
     ("t^(1/2", 7, "expected ')'"),
     ("t^(1/0)", 6, "zero denominator"),
+    ("t^(x)", 4, "expected a number"),
+    ("t^(-x)", 5, "expected a number"),
+    ("t^(1/x)", 6, "expected a denominator"),
     ("", 1, "expected a value"),
     ("1+", 3, "expected a value"),
 ])
@@ -239,6 +242,10 @@ def test_eval_rejects_unknowns(Q):
         eval_expression(parse_expression("g"), env)
     with pytest.raises(ParseError, match="integer literal"):
         eval_expression(parse_expression("root(t, t)"), env)
+    with pytest.raises(ParseError, match="cannot evaluate"):
+        eval_expression(object(), env)
+    with pytest.raises(ParseError, match="cannot format"):
+        format_expr(object())
 
 
 # ------------------------------------------------------- additive-poly texts

@@ -26,6 +26,8 @@ def test_binomial_rational_values(Q):
     assert rat_binomial(Q, F(1, 2), 2) == F(-1, 8)
     assert rat_binomial(Q, F(-1), 3) == -1
     assert rat_binomial(Q, F(3), 2) == 3
+    with pytest.raises(SeriesError, match="index must be >= 0"):
+        rat_binomial(Q, F(1, 2), -1)
 
 
 def test_binomial_reduces_mod_p(F3):

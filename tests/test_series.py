@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktq import (INF, PrecisionError, Series, SeriesError, UnknownAtLeast,
-                 cap_add, cap_mul, make_field, series_from_json)
+from ktq import (INF, FieldError, PrecisionError, Series, SeriesError,
+                 UnknownAtLeast, cap_add, cap_mul, make_field, series_from_json)
 from conftest import random_series, rng_for
 
 F = Fraction
@@ -36,6 +36,8 @@ def test_term_at_or_above_cap_rejected(Q):
 def test_duplicate_exponent_rejected(Q):
     with pytest.raises(SeriesError):
         Series(Q, [(F(1), 1), (F(1), 2)])
+    with pytest.raises(SeriesError, match="exponent must be rational"):
+        Series(Q, [(0.5, 1)])
 
 
 def test_builders(Q):
@@ -44,6 +46,8 @@ def test_builders(Q):
     assert Series.t(Q).terms == ((F(1), F(1)),)
     assert Series.constant(Q, 0) == Series.zero(Q)
     assert Series.monomial(Q, 5, F(-3, 2)).terms == ((F(-3, 2), F(5)),)
+    with pytest.raises(SeriesError, match="nonzero coefficient"):
+        Series.monomial(Q, 0, 1)
 
 
 def test_negative_caps_allowed(Q):
@@ -269,6 +273,8 @@ def test_cap_arithmetic():
         cap_add(2.5, F(1))
     with pytest.raises(SeriesError):
         cap_mul(2.5, F(2))
+    with pytest.raises(SeriesError, match="must be positive"):
+        cap_mul(F(3), F(0))
 
 
 # --------------------------------------------------------------- formatting
@@ -286,6 +292,7 @@ def test_format_golden(Q, F4):
     assert str(Series(F4, {F(5): g + 1})) == "(g+1)*t^5"
     assert str(Series(F4, {F(1): g}, cap=F(3))) == "g*t + O(t^3)"
     assert str(Series(Q, (), cap=F(-2))) == "O(t^(-2))"
+    assert repr(Series(Q, {F(1, 2): 1}, cap=F(2))) == "Series(t^(1/2) + O(t^2))"
 
 
 # --------------------------------------------------------------------- JSON
@@ -317,6 +324,8 @@ def test_json_with_supplied_context(Q):
     s = Series(Q, {F(1): F(2, 3)})
     back = series_from_json(s.to_json_dict(), Q)
     assert back == s
+    with pytest.raises(FieldError, match="bad rational literal"):
+        series_from_json({"field": "Q", "terms": [[1, 1, "1/0"]], "cap": "inf"}, Q)
 
 
 # ----------------------------------------------------------- field mismatch
@@ -326,3 +335,6 @@ def test_mixed_contexts_rejected(Q, F2):
         Series.t(Q) + Series.t(F2)
     with pytest.raises(SeriesError):
         Series.t(Q) * Series.one(F2)
+    with pytest.raises(SeriesError, match="expected a series"):
+        Series.t(Q) + 1
+    assert Series.one(Q) != 1

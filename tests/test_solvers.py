@@ -56,12 +56,14 @@ def test_trace_frobenius_equivariant(F9):
 
 # ----------------------------------------------------------- apply_additive
 
-def test_apply_additive_matches_manual(F2):
+def test_apply_additive_matches_manual(F2, F4):
     P = AdditivePoly(F2, [1, 1])
     b = Series(F2, {F(1): 1, F(3): 1})
     out = apply_additive(P, b)
     manual = b + b * b
     assert out == manual
+    with pytest.raises(SeriesError, match="coefficient-field mismatch"):
+        apply_additive(P, Series.t(F4))
 
 
 def test_apply_additive_is_additive(F9):
@@ -77,11 +79,13 @@ def test_apply_additive_is_additive(F9):
 
 # ----------------------------------------------------- solve: worked examples
 
-def test_solve_positive_golden(F2):
+def test_solve_positive_golden(F2, F4):
     P = AdditivePoly(F2, [1, 1])
     x = solve_additive(P, Series.t(F2), F(16))
     assert str(x) == "t + t^2 + t^4 + t^8 + O(t^16)"
     assert apply_additive(P, x).agrees_below(Series.t(F2), F(16))
+    with pytest.raises(SeriesError, match="coefficient-field mismatch"):
+        solve_additive(P, Series.t(F4), F(16))
 
 
 def test_solve_negative_golden(F2):
