@@ -1,11 +1,10 @@
 """Structure-preserving maps of k((t^Q)) and the orbit classification.
 
-Three families of maps are provided:
+Three families of maps are provided, with caps as in the `series` table:
 
 * rescale(lam, y): send sum c_i t^i to sum lam(i) c_i t^i for a finitely
   committed homomorphism lam from exponents to nonzero coefficients.
-* scale_exponents(y, r): send t^i to t^(r i) for rational r > 0; caps scale
-  by r as well.
+* scale_exponents(y, r): send t^i to t^(r i) for rational r > 0.
 * substitute(x, y): evaluate y at a monic x of positive valuation, i.e.
   sum c_i x^i with x^i given by rational powers.  Per-term caps are tracked
   and reported, since in characteristic p the p-part of each exponent
@@ -34,8 +33,9 @@ from math import gcd
 
 from .errors import ExpHomError, FieldError, OrbitError, SeriesError
 from .fields import FieldCtx, format_coeff
-from .powers import _padic_val, pow_rat
-from .series import INF, Series, cap_mul, series_from_json
+from .powers import pow_rat
+from .series import (INF, Series, _as_cap, _as_exp, _padic_val, cap_mul, series_from_json,
+                     substitute_cap)
 
 
 class ExpHom:
@@ -132,7 +132,7 @@ def rescale(lam: ExpHom, y: Series) -> Series:
 
 def scale_exponents(y: Series, r) -> Series:
     """t^i |-> t^(r i) for rational r > 0; the cap scales by r too."""
-    r = Fraction(r)
+    r = _as_exp(r, "exponent scaling factor")
     if r <= 0:
         raise SeriesError("exponent scaling factor must be positive")
     return Series._build(y.ctx, y.den * r.denominator, [k * r.numerator for k in y.ks], y.cs,
@@ -168,19 +168,17 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     """Evaluate y at x: sum over y's support of c_i * x^i.
 
     Needs x monic with positive valuation m; then exponents map to m-fold
-    multiples, y's own cap contributes m * cap_y, and each term is limited by
-    the cap of the rational power x^i.  The achieved cap is the minimum of
-    all three with the requested cap.
+    multiples.  The achieved cap is the substitute rule of the `series`
+    table, joined with the cap of each term's rational power x^i.
     """
     if x.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
-    ctx = x.ctx
+    ctx, requested_cap = x.ctx, _as_cap(requested_cap)
     if not x.ks:
         raise SeriesError("substitution base has no visible leading term")
     if not x.is_monic():
         raise SeriesError("substitution base must be monic")
-    m = x.known_valuation()
-    if m <= 0:
+    if x.known_valuation() <= 0:
         raise SeriesError("substitution base must have positive valuation")
 
     acc = Series.zero(ctx)
@@ -189,8 +187,7 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
         xi = pow_rat(x, i, requested_cap)
         term_caps.append((i, xi.cap))
         acc = acc + xi.scale(c)
-    bound = min(requested_cap, cap_mul(y.cap, m))
-    result = acc.truncate(bound)
+    result = acc.truncate(substitute_cap(x, y, requested_cap))
 
     p = ctx.characteristic
     risk = False
@@ -377,7 +374,8 @@ class Transform:
     def from_json(cls, ctx, data):
         steps = []
         for entry in data:
-            (key, value), = entry.items()
+            # a step is one {key: value} pair; several keys read as one unknown key
+            key, value = next(iter(entry.items())) if len(entry) == 1 else (tuple(entry), None)
             if key not in _STEPS:
                 raise SeriesError(f"unknown transform step key {key!r}")
             steps.append(_STEPS[key].from_json(ctx, value))

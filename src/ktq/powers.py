@@ -9,8 +9,8 @@ run on the reachable-support walk of `Series.invert`.
 In characteristic p the exponent splits as i = p^b * q with b the exact
 p-adic valuation of i and q having p-free denominator.  The p^b-th power is
 the termwise map z |-> z^(p^b): exponents scale by p^b, coefficients take
-Frobenius images or unique p-th roots, and the cap scales by p^b, which is
-what shrinks certification for exponents with large power-of-p
+Frobenius images or unique p-th roots, and the cap scales by p^b (the power
+rule in `series`), which shrinks certification for large power-of-p
 denominators.  The same map gives the q-th power: q is a p-adic integer
 with base-p digits d_j and (1 + eps)^(p^j) = 1 + F^j(eps), so (1 + eps)^q
 is the product of (1 + F^j(eps))^(d_j), stopping once p^j v(eps) reaches
@@ -22,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FieldError, PrecisionError, SeriesError
-from .series import INF, Series, _int_bound, _reachable, cap_add, cap_mul
+from .series import (INF, Series, _as_cap, _int_bound, _padic_val, _reachable, cap_add,
+                     cap_mul, power_cap)
 
 
 def rat_binomial(ctx, i, n: int):
@@ -40,20 +41,6 @@ def rat_binomial(ctx, i, n: int):
     return ctx.from_int(value.numerator * pow(value.denominator, -1, p)) if p else value
 
 
-def _padic_val(i: Fraction, p: int) -> int:
-    """The exact power of p in the rational i != 0."""
-    b = 0
-    num = i.numerator
-    while num % p == 0:
-        num //= p
-        b += 1
-    den = i.denominator
-    while den % p == 0:
-        den //= p
-        b -= 1
-    return b
-
-
 def frobenius_map(x: Series, b: int) -> Series:
     """The termwise map z |-> z^(p^b) on series: exponents and the cap scale
     by p^b (the ints for b > 0, the lattice denominator for b < 0), and
@@ -69,24 +56,6 @@ def frobenius_map(x: Series, b: int) -> Series:
     ks, den = ([k * f for k in x.ks], x.den) if b > 0 else (x.ks, x.den * f)
     return Series._build(ctx, den, ks, ctx.frobenius_codes(x.cs, b),
                          cap_mul(x.cap, Fraction(p) ** b))
-
-
-def _bound(x: Series, q: Fraction, req):
-    """Relative precision of x^q at cap req, x = t^m (1 + eps) monic, q p-free:
-    min(cap(eps), req - m q), or all of cap(eps) for a natural q with eps^q
-    starting below that (exact inputs give exact natural powers).  INF for
-    q = 0 or an exact monomial x."""
-    m = x.known_valuation()
-    cap_rel = cap_add(x.cap, -m)
-    if not q or len(x.ks) == 1 and type(cap_rel) is float:
-        return INF
-    w = Fraction(x.ks[1], x.den) - m if len(x.ks) > 1 else cap_rel  # v*(eps)
-    target = cap_rel if type(req) is float else min(cap_rel, req - m * q)
-    if q.denominator == 1 and q > 0:
-        return cap_rel if type(target) is float or q * w < target else target
-    if type(target) is float:
-        raise PrecisionError("power expansion has infinite support; pass a finite cap")
-    return target
 
 
 def _miller(eps: Series, q: Fraction, bound) -> Series:
@@ -132,26 +101,21 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     """x^i for rational i and x with a visible leading term.
 
     A fractional i needs a monic x.  An integer i also takes a non-monic x =
-    c * u, as c^i * u^i, and a positive integer i an x with no visible term:
-    exact 0 stays 0, and O(t^c)^i is O(t^(i c)) cut at the requested cap.
-
-    The result keeps its full intrinsic precision when the expansion
-    terminates on its own (i a nonnegative integer after removing the p-part)
-    before the requested cap truncates it, so exact inputs give exact integer
-    powers such as (1+t)^3.  Otherwise it is certified below
-    min(requested_cap, its intrinsic cap), and a finite requested_cap is
-    required unless the input's own cap already bounds the work.  The
-    expansion is Miller's recurrence over Q and the digit product in
-    characteristic p, via one inverse for a negative integer q.
+    c * u, as c^i * u^i, and a positive integer i an x with no visible term
+    (exact 0 stays 0).  The cap is the power rule of the `series` table, so
+    exact inputs give exact integer powers such as (1+t)^3, and an expansion
+    that never ends needs a finite requested_cap.  The expansion is Miller's
+    recurrence over Q and the digit product in characteristic p, via one
+    inverse for a negative integer q.
     """
     ctx = x.ctx
     i = Fraction(i)
+    requested_cap = _as_cap(requested_cap)
     if i == 0:
         return Series.one(ctx)
-    requested_cap = INF if requested_cap == INF else Fraction(requested_cap)
     if not x.ks:
         if i.denominator == 1 and i > 0:
-            return Series(ctx, (), x.cap if x.is_exact else min(requested_cap, cap_mul(x.cap, i)))
+            return Series(ctx, (), power_cap(x, i, requested_cap))
         raise PrecisionError("no visible leading term to raise to a power")
     if not x.is_monic():
         if i.denominator != 1:
@@ -163,7 +127,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     scale = Fraction(p or 1) ** b
     q = i / scale
     m = x.known_valuation()
-    bound = _bound(x, q, requested_cap / scale)
+    bound = cap_mul(cap_add(power_cap(x, i, requested_cap), -m * i), 1 / scale)
     eps = (x.shift(-m) - Series.one(ctx)).truncate(bound)
     if bound <= 0:
         y = Series(ctx, (), bound)

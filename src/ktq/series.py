@@ -6,16 +6,30 @@ the zero ones, and nothing is claimed at or above the cap.  A cap of INF means
 the stored terms are the whole element.  Caps may be zero or negative, which
 matters for solutions whose supports accumulate at 0 from below.
 
-Arithmetic propagates caps so that certified coefficients stay certified:
+Every cap a public operation returns comes from one rule of this table, one
+function each in the "cap rules" section below; `_as_cap` is the one reader
+of a cap from outside (INF, an int or a Fraction).  v*(z) is the valuation
+of the known part (the cap if no term is known), m = v*(x), req the request.
 
-    add:    cap = min(cap_x, cap_y)
-    mul:    cap = min(cap_x + v*(y), cap_y + v*(x))
-    invert: cap = min(requested, cap_x - 2 v(x))
+    rule        cap of the result                    function        callers
+    add         min(cap_x, cap_y)                    min             +, -
+    shift       cap_x + d                            cap_add         shift
+    scale       r cap_x, r > 0 (p^b in Frobenius)    cap_mul         scale_exponents, frobenius_map
+    mul         min(cap_x + v*(y), cap_y + v*(x))    product_cap     *
+    invert      min(req, cap_x - 2m)                 inverse_cap     invert
+    power       min(req, m i + p^b (cap_x - m))      power_cap       pow_rat, nth_root
+    substitute  min(req, m cap_y)                    substitute_cap  substitute
+    solve       min(target, p^(-j) cap_b)            solve_cap       solve_additive
 
-where v*(z) is the valuation of the known part, falling back to the cap when
-no term is known.  The invert rule is the precision of the recurrence in
-`Series.invert`: writing x = c t^v (1 + eps), eps is known below cap_x - v,
-and so is 1/(1 + eps).
+invert: for x = c t^m (1 + eps), 1/(1 + eps) is known below cap_x - m; an INF
+cap is refused unless x is a monomial.  power: i = p^b q, q p-free (b = 0 over
+Q); INF for i = 0 or an exact monomial x; min(req, i c) for x = O(t^c) and a
+natural i; if q is natural and i e_1 (e_1 the second exponent of x, or cap_x)
+is below the rule's value, the expansion ends by itself and the cap is
+m i + p^b (cap_x - m); an INF cap is refused otherwise.  substitute: each x^i
+adds its power cap by the add rule.  solve: P = F^j o Q with Q separable;
+target defaults to min(0, v*(b)) / 2 (INF over Q); over F_p an INF cap is
+refused if b has a nonconstant term; exact b = 0 gives exact 0.
 
 Storage is packed and canonical: a lattice denominator `den`, ascending ints
 `ks` for the exponents k/den, one nonzero code per term in `cs` (the field's
@@ -49,36 +63,83 @@ from .fields import FieldCtx, make_field
 INF = float("inf")
 
 
-def _as_exp(e) -> Fraction:
+def _as_exp(e, what="exponent") -> Fraction:
     if isinstance(e, Fraction):
         return e
     if isinstance(e, int):
         return Fraction(e)
-    raise SeriesError(f"exponent must be rational, got {e!r}")
+    raise SeriesError(f"{what} must be rational, got {e!r}")
+
+
+# ----------------------------------------------------------------- cap rules
 
 
 def _as_cap(c):
-    if c == INF:
-        return INF
-    return _as_exp(c)
-
-
-def _float_cap(cap):
-    # A cap is a Fraction or INF, the only float allowed: the callers' type
-    # test is the cheap form of cap == INF, and any other float is rejected.
-    if cap != INF:
-        raise SeriesError(f"a cap is rational or INF, got {cap!r}")
-    return INF
+    """The one reader of a cap from outside: INF, an int or a Fraction."""
+    return INF if c == INF else _as_exp(c, "a cap other than INF")
 
 
 def cap_add(cap, delta: Fraction):
-    return _float_cap(cap) if type(cap) is float else cap + delta
+    return _as_cap(cap) if type(cap) is float else cap + delta
 
 
 def cap_mul(cap, factor: Fraction):
     if factor <= 0:
         raise SeriesError("cap scaling factor must be positive")
-    return _float_cap(cap) if type(cap) is float else cap * factor
+    return _as_cap(cap) if type(cap) is float else cap * factor
+
+
+def product_cap(x, y):
+    return min(cap_add(x.cap, y.known_valuation()), cap_add(y.cap, x.known_valuation()))
+
+
+def inverse_cap(x, req):
+    cap = min(req, cap_add(x.cap, -2 * x.known_valuation()))
+    if type(cap) is float and len(x.ks) > 1:
+        raise PrecisionError("inverse has infinite support; pass a finite cap")
+    return cap
+
+
+def _padic_val(i: Fraction, p: int) -> int:
+    """The exact power of p in the rational i != 0."""
+    b, num, den = 0, i.numerator, i.denominator
+    while num % p == 0:
+        num, b = num // p, b + 1
+    while den % p == 0:
+        den, b = den // p, b - 1
+    return b
+
+
+def power_cap(x, i: Fraction, req):
+    """x monic, or any x for an integer i, or no visible term for a natural i."""
+    if not i or len(x.ks) <= 1 and type(x.cap) is float:
+        return INF
+    if not x.ks:
+        return min(req, cap_mul(x.cap, i))
+    p, m = x.ctx.characteristic, x.known_valuation()
+    s = Fraction(p) ** _padic_val(i, p) if p else Fraction(1)
+    hi = cap_add(cap_mul(cap_add(x.cap, -m), s), m * i)
+    cap = min(req, hi)
+    if (i / s).denominator == 1 and i > 0:
+        e1 = Fraction(x.ks[1], x.den) if len(x.ks) > 1 else x.cap
+        return hi if i * e1 < cap else cap
+    if type(cap) is float:
+        raise PrecisionError("power expansion has infinite support; pass a finite cap")
+    return cap
+
+
+def substitute_cap(x, y, req):
+    return min(req, cap_mul(y.cap, x.known_valuation()))
+
+
+def solve_cap(b, target, j=0):
+    p = b.ctx.characteristic
+    if target is None:  # the table's default target
+        target = min(Fraction(0), b.known_valuation()) / 2 if p else INF
+    cap = min(_as_cap(target), cap_mul(b.cap, Fraction(p or 1) ** -j))
+    if p and type(cap) is float and any(b.ks):  # the greedy loop would not end
+        raise PrecisionError("the solution has infinite support; pass a finite cap")
+    return cap
 
 
 def _int_bound(cap, d):
@@ -262,8 +323,7 @@ class Series:
 
     def __mul__(self, other):
         self._check_peer(other)
-        cap = min(cap_add(self.cap, other.known_valuation()),
-                  cap_add(other.cap, self.known_valuation()))
+        cap = product_cap(self, other)
         ctx = self.ctx
         n = min(len(self.ks), len(other.ks))  # most pairs per exponent
         den = lcm(self.den, other.den)
@@ -320,8 +380,7 @@ class Series:
         and depends only on eps below k: every b_k below cap - v is certified.
         The recurrence visits those sums in increasing order, below the
         relative target min(requested, cap - 2v) + v, in the kernel encoding
-        described in the module docstring.  An exact non-monomial input needs
-        a finite requested_cap, since its inverse has infinite support.
+        described in the module docstring; the cap is the invert rule.
         """
         if not self.ks:
             if self.is_exact:
@@ -331,10 +390,8 @@ class Series:
         ctx = self.ctx
         v = self.known_valuation()
         c_inv = 1 / self.leading_coeff()
-        result_cap = min(requested_cap, cap_add(self.cap, -2 * v))
+        result_cap = inverse_cap(self, requested_cap)
         n = len(self.ks) - 1
-        if result_cap == INF and n:
-            raise PrecisionError("inverse has infinite support; pass a finite cap")
         # b_k scaled by c_inv: b_0 = c_inv and the steps are -a_j * c_inv,
         # all over one denominator den (1 except over Q).
         vals, den = ctx.encode([ctx.code(c_inv)] + self.scale(-c_inv).cs[1:], n)
@@ -435,10 +492,13 @@ def format_series(x: Series) -> str:
 
 
 def series_from_json(data, ctx=None) -> Series:
-    """Inverse of Series.to_json_dict."""
-    ctx = make_field(data["field"]) if ctx is None else ctx
-    cap = data.get("cap", "inf")
-    cap = INF if cap == "inf" else Fraction(cap[0], cap[1])
-    terms = [(Fraction(num, den), ctx.parse_coeff(cstr))
-             for num, den, cstr in data.get("terms", [])]
+    """Inverse of Series.to_json_dict; malformed data is a SeriesError."""
+    try:
+        ctx = make_field(data["field"]) if ctx is None else ctx
+        cap = data.get("cap", "inf")
+        cap = INF if cap == "inf" else Fraction(cap[0], cap[1])
+        terms = [(Fraction(num, den), ctx.parse_coeff(cstr))
+                 for num, den, cstr in data.get("terms", [])]
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SeriesError(f"malformed series JSON: {exc!r}") from exc
     return Series(ctx, terms, cap)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import (FieldError, NoSolutionError, PrecisionError, SeriesError)
 from .fields import AdditivePoly, FiniteField
 from .powers import frobenius_map
-from .series import Series
+from .series import Series, solve_cap
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -57,31 +57,24 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
     """Solve P(x) = b for x, certified below the derived bound.
 
     target_cap bounds the support of the returned solution (it may be
-    negative, and must be when b has negative exponents).  When omitted it
-    defaults to min(0, v(b)) / 2.  The constant level of b must be certified,
-    so b needs cap > 0 unless it is exact.
+    negative, and must be when b has negative exponents); the cap and the
+    default target are the solve rule of the `series` table.  The constant
+    level of b must be certified, so b needs cap > 0 unless it is exact.
     """
     if P.ctx != b.ctx:
         raise SeriesError("coefficient-field mismatch")
-    ctx = b.ctx
-    p = ctx.characteristic
+    ctx, p = b.ctx, b.ctx.characteristic
 
     if p == 0:
-        x = b.scale(1 / P.coeffs[0])
-        return x if target_cap is None else x.truncate(target_cap)
+        return b.scale(1 / P.coeffs[0]).truncate(solve_cap(b, target_cap))
 
     if not b.ks and b.is_exact:
         return Series.zero(ctx)
     if b.cap <= 0:
         raise PrecisionError("the constant level of the right side is not certified")
 
-    if target_cap is None:
-        v = b.known_valuation()
-        target_cap = min(Fraction(0), Fraction(v)) / 2
-    else:
-        target_cap = Fraction(target_cap)
-
     Q, j = P.separable_part()
+    bound = solve_cap(b, target_cap, j)
     bp = frobenius_map(b, -j)
 
     c0 = bp.coeff(0)
@@ -93,12 +86,11 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
 
     neg_terms = [(e, c) for e, c in bp.terms if e < 0]
     pos_terms = [(e, c) for e, c in bp.terms if e > 0]
-    if neg_terms and target_cap >= 0:
+    if neg_terms and bound >= 0:  # bp.cap > 0, so the target is >= 0
         raise SeriesError(
             "no positive cap is reachable when the right side has negative exponents; "
             "pass a target_cap below 0")
 
-    bound = min(target_cap, bp.cap)
     solution = {Fraction(0): x0} if x0 else {}
     for terms, i in ((pos_terms, 0), (neg_terms, Q.p_degree)):
         r = Series(ctx, terms, bp.cap)

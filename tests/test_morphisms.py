@@ -113,6 +113,9 @@ def test_scale_exponents_positive_only(Q):
         scale_exponents(Series.t(Q), F(0))
     with pytest.raises(SeriesError):
         scale_exponents(Series.t(Q), F(-2))
+    for bad in ("a", 0.5):  # read like an exponent, as by shift
+        with pytest.raises(SeriesError, match="must be rational"):
+            scale_exponents(Series.t(Q), bad)
 
 
 def test_scale_exponents_multiplicative(Q):
@@ -192,6 +195,8 @@ def test_substitute_achieved_cap(Q):
     assert r.series.cap == F(6)
     r2 = substitute(x, y, F(4))
     assert r2.achieved_cap == F(4)
+    with pytest.raises(SeriesError, match="must be rational"):
+        substitute(x, y, "1")
 
 
 def test_substitute_diagnostics_record_term_caps(F2):

@@ -175,6 +175,11 @@ def test_infinite_expansion_needs_cap(Q, F3):
     y = Series.one(F3) + Series.t(F3)
     with pytest.raises(PrecisionError):
         pow_rat(y, F(-2))
+    for bad in (0.5, "3/2"):  # a cap is rational or INF, as for invert
+        with pytest.raises(SeriesError, match="must be rational"):
+            pow_rat(x, F(1, 2), bad)
+    with pytest.raises(SeriesError, match="must be rational"):
+        nth_root(x, 2, 2.5)
 
 
 def test_monic_base_required(Q):

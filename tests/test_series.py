@@ -306,6 +306,11 @@ def test_json_round_trip(Q, F9):
             back = series_from_json(data)
             assert back == s
             assert back.ctx == s.ctx
+    good = Series.t(Q).to_json_dict()
+    for bad in ({**good, "terms": [[1, 0, "1"]]}, {**good, "cap": [1, 0]},
+                {"terms": [], "cap": "inf"}):
+        with pytest.raises(SeriesError, match="malformed series JSON"):
+            series_from_json(bad)
 
 
 def test_json_shape(F9):

@@ -1,10 +1,12 @@
 """Trace, additive-equation solving, sign and norm certificates."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from ktq import (AdditivePoly, FieldError, NEGATIVE, POSITIVE,
+from ktq import (INF, AdditivePoly, FieldError, NEGATIVE, POSITIVE,
                  NoSolutionError, PrecisionError, Series, SeriesError,
                  apply_additive, artin_schreier, check_additive_images,
                  frobenius_map, make_field, norm_leading, parse_additive_poly,
@@ -215,6 +217,33 @@ def test_solve_default_target(F2):
     x = solve_additive(P, Series.monomial(F2, 1, -1))
     assert x.cap == F(-1, 2)
     assert x.terms == ()  # the family starts exactly at -1/2
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body runs past `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_solve_infinite_target(F2, F4, Q):
+    # over F_p the solution of x^2 + x = t never ends, so an INF cap is refused
+    with _deadline(10):
+        with pytest.raises(PrecisionError, match="pass a finite cap"):
+            solve_additive(AdditivePoly(F2, [1, 1]), Series.t(F2), INF)
+        with pytest.raises(PrecisionError, match="pass a finite cap"):
+            artin_schreier(Series.t(F2), 1, INF)
+    x = solve_additive(AdditivePoly(F4, [1, 1]), Series.one(F4), INF)
+    assert x.is_exact and len(x.terms) == 1  # a constant right side ends
+    x = solve_additive(AdditivePoly(Q, [F(2)]), Series.t(Q), INF)
+    assert x == Series(Q, {F(1): F(1, 2)})  # exact over Q
 
 
 def test_solve_char0_scalar(Q):

@@ -67,3 +67,5 @@ def test_orbit_witness_text_for_steps_orbit_transform_never_emits(capsys, monkey
 def test_from_json_rejects_unknown_key():
     with pytest.raises(SeriesError, match="unknown transform step key 'warp'"):
         Transform.from_json(make_field("F2"), [{"invert": True}, {"warp": "1"}])
+    with pytest.raises(SeriesError, match="unknown transform step key"):
+        Transform.from_json(make_field("F2"), [{"invert": True, "translate": "1"}])
