@@ -20,12 +20,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import KtqError, ParseError
-from .fields import (FFElement, HypothesisAVerdict, _is_prime,
-                     hypothesis_a_check, make_field)
+from .fields import (FFElement, FiniteField, HypothesisAVerdict, _is_prime,
+                     hypothesis_a_check, make_field, split_spec)
 from .morphisms import (OrbitClass, SubstResult, Transform, classify_orbit,
                         orbit_transform, substitute)
 from .parsing import (EvalEnv, eval_expression, parse_additive_poly,
-                      parse_expression)
+                      parse_expression, parse_modulus)
 from .series import Series
 from .solvers import (artin_schreier, norm_leading, solve_additive, trace,
                       valuation_sign_via_trace)
@@ -112,7 +112,10 @@ def _make_ctx(args):
         if ":" in spec:
             raise ParseError("--modulus conflicts with a modulus in --field")
         spec = f"{spec}:{args.modulus}"
-    return make_field(spec)
+    if ":" not in spec:
+        return make_field(spec)
+    p, e, mod_text = split_spec(spec)  # user text: the modulus goes through the grammar
+    return FiniteField(p, e, parse_modulus(mod_text, p))
 
 
 def _series_arg(text: str, env: EvalEnv, what: str) -> Series:

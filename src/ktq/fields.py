@@ -7,11 +7,10 @@ code (below) of c_0 + c_1*g + ... + c_{e-1}*g^{e-1}, g the residue of x, and
 a product of two codes is one int operation reduced by one
 `decode([value], 1, 1)`; powers use the builtin pow when e = 1 and
 square-and-multiply on codes otherwise, and inverses follow Fermat:
-c^-1 = c^(q-2).  `parse_coeff` reads back exactly what `format_coeff` writes.
+c^-1 = c^(q-2).
 
-The rational field reuses fractions.Fraction, which is already exact and
-canonical, so no wrapper type is introduced; rational coefficients simply are
-Fraction values.
+Rational coefficients simply are fractions.Fraction values, already exact
+and canonical.
 
 A series stores each coefficient as its field's code (`code(c)`, and
 `element(k)` back): the residue over F_p, the vector packed into one int in
@@ -26,6 +25,11 @@ packed product polynomial and no slot of a sum of n products carries; over
 Q it is numerators over a common denominator.  `frobenius_codes` is
 c |-> c^(p^b) on codes, one map per field: the identity over F_p, and over
 F_{p^e} whenever e divides b.
+
+Text is one codec per field on codes: `parse_code` reads back exactly what
+`format_code` writes ("-3/4", "5", "g^2+2*g+1") and nothing else, and
+`FieldCtx.format_coeff`/`parse_coeff` wrap it.  `make_field` reads exactly
+what `spec_string` writes, so ktq's JSON never reaches the grammar.
 
 Exhaustive operations (element enumeration, root search, surjectivity
 checks) are restricted to q <= 2**20.  Larger prime fields still construct,
@@ -121,12 +125,6 @@ class FieldCtx:
 
     characteristic: int
 
-    def coerce(self, value):
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
     def code(self, c):
         """The code a series stores for coefficient c (c itself by default)."""
         return c
@@ -134,11 +132,11 @@ class FieldCtx:
     def element(self, k):
         return k
 
-    def encode(self, codes, n):
-        raise NotImplementedError
+    def format_coeff(self, c) -> str:
+        return self.format_code(self.code(self.coerce(c)))
 
-    def decode(self, values, den, n):
-        raise NotImplementedError
+    def parse_coeff(self, text: str):
+        return self.element(self.parse_code(text))
 
 
 class RationalField(FieldCtx):
@@ -180,15 +178,15 @@ class RationalField(FieldCtx):
     def decode(self, values, den, n):
         return [Fraction(v, den) for v in values]
 
-    def format_coeff(self, c: Fraction) -> str:
+    def format_code(self, k: Fraction) -> str:
         try:
-            return str(c)
+            return str(k)
         except ValueError as exc:  # CPython's bound on int-to-str conversion
             raise FieldError(
                 f"coefficient too large to print: over {sys.get_int_max_str_digits()}"
                 " decimal digits, the interpreter's integer-to-string limit") from exc
 
-    def parse_coeff(self, text: str) -> Fraction:
+    def parse_code(self, text: str) -> Fraction:
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -496,15 +494,14 @@ class FiniteField(FieldCtx):
             return codes
         return [self.frobenius(FFElement(self, k), b).code for k in codes]
 
-    def format_coeff(self, c: FFElement) -> str:
-        code = self.coerce(c).code
-        return str(code) if self.e == 1 else _format_poly(self._reduce(code, self._bits), "g")
+    def format_code(self, k: int) -> str:
+        return str(k) if self.e == 1 else _format_poly(self._reduce(k, self._bits), "g")
 
-    def parse_coeff(self, text: str) -> FFElement:
-        vec = _parse_poly(text, "g", self.e, self.p)  # the inverse of format_coeff
+    def parse_code(self, text: str) -> int:
+        vec = _parse_poly(text, "g", self.e, self.p)  # the inverse of format_code
         if vec is None:
             raise FieldError(f"not a coefficient of {self.spec_string()}: {text!r}")
-        return FFElement(self, self._pack(vec, self._bits))
+        return self._pack(vec, self._bits)
 
 
 def _format_poly(coeffs, sym: str) -> str:
@@ -540,23 +537,31 @@ def _parse_poly(text: str, sym: str, n: int, p: int):
 def format_coeff(c) -> str:
     """A coefficient as text, formatted by its own field: an FFElement knows
     its field, and any other coefficient is rational."""
-    if isinstance(c, FFElement):
-        return c.field.format_coeff(c)
-    return RationalField().format_coeff(c)
+    return (c.field if isinstance(c, FFElement) else RationalField()).format_coeff(c)
 
 
 def make_field(spec) -> FieldCtx:
-    """Build a field context from a spec string like "Q", "F2", "F9:x^2+1"."""
+    """The field whose spec_string is spec, like "Q", "F2" or "F9:x^2+1";
+    user text such as "F9:x^2 + 1" goes through parsing.parse_modulus."""
     if isinstance(spec, FieldCtx):
         return spec
     if not isinstance(spec, str):
         raise FieldError(f"bad field spec {spec!r}")
-    text = spec.strip()
-    if text in ("Q", "rationals"):
+    if spec.strip() in ("Q", "rationals"):
         return RationalField()
-    mod_text = None
-    if ":" in text:
-        text, mod_text = text.split(":", 1)
+    p, e, mod_text = split_spec(spec)
+    if mod_text is None:
+        return FiniteField(p, e)
+    modulus = _parse_poly(mod_text, "x", e + 1, p)  # the inverse of format_modulus
+    if modulus is None:
+        raise FieldError(f"not a modulus as spec_string writes it: {mod_text!r}")
+    return FiniteField(p, e, modulus)
+
+
+def split_spec(spec: str):
+    """(p, e, modulus text or None) of a spec "F<q>" or "F<q>:<modulus>",
+    with q = p^e below 2^63."""
+    text, colon, mod_text = spec.strip().partition(":")
     if not text.startswith("F"):
         raise FieldError(f"bad field spec {spec!r}")
     try:
@@ -566,11 +571,7 @@ def make_field(spec) -> FieldCtx:
     if q.bit_length() > 63:  # FiniteField's bound, checked before the root search
         raise FieldError(f"{q} is not a prime power below 2^63")
     p, e = _prime_power_split(q)
-    modulus = None
-    if mod_text is not None:
-        from .parsing import parse_modulus
-        modulus = parse_modulus(mod_text, p)
-    return FiniteField(p, e, modulus)
+    return p, e, mod_text if colon else None
 
 
 def _prime_power_split(q: int):

@@ -34,8 +34,8 @@ from math import gcd
 from .errors import ExpHomError, FieldError, OrbitError, SeriesError
 from .fields import FieldCtx, format_coeff
 from .powers import pow_rat
-from .series import (INF, Series, _as_cap, _as_exp, _padic_val, cap_mul, series_from_json,
-                     substitute_cap)
+from .series import (INF, MALFORMED_JSON, Series, _as_cap, _as_exp, _padic_val, cap_mul,
+                     series_from_json, substitute_cap)
 
 
 class ExpHom:
@@ -59,9 +59,8 @@ class ExpHom:
         self.is_trivial = _trivial
         pairs = {}
         for d, u in (committed or {}).items():
-            d = int(d)
-            if d < 1:
-                raise ExpHomError(f"denominator {d} must be positive")
+            if not isinstance(d, int) or d < 1:
+                raise ExpHomError(f"denominator {d!r} must be a positive int")
             u = ctx.coerce(u)
             if not u:
                 raise ExpHomError("committed values must be nonzero")
@@ -82,7 +81,7 @@ class ExpHom:
 
     def query(self, e) -> object:
         """lam(e) for a rational exponent e."""
-        e = Fraction(e)
+        e = _as_exp(e)
         if self.is_trivial or e == 0:
             return self.ctx.one
         b = e.denominator
@@ -326,7 +325,10 @@ class ScaleExp:
 
     @classmethod
     def from_json(cls, ctx, value):
-        return cls(Fraction(value))
+        r = Fraction(value)
+        if str(r) != value or r <= 0:  # only the text to_json writes, and r > 0
+            raise SeriesError(f"bad exponent scaling factor {value!r}")
+        return cls(r)
 
     def describe(self) -> str:
         return f"scale exponents by {self.r}"
@@ -373,12 +375,15 @@ class Transform:
     @classmethod
     def from_json(cls, ctx, data):
         steps = []
-        for entry in data:
-            # a step is one {key: value} pair; several keys read as one unknown key
-            key, value = next(iter(entry.items())) if len(entry) == 1 else (tuple(entry), None)
-            if key not in _STEPS:
-                raise SeriesError(f"unknown transform step key {key!r}")
-            steps.append(_STEPS[key].from_json(ctx, value))
+        try:
+            for entry in data:
+                # a step is one {key: value} pair; several keys read as one unknown key
+                key, value = next(iter(entry.items())) if len(entry) == 1 else (tuple(entry), None)
+                if key not in _STEPS:
+                    raise SeriesError(f"unknown transform step key {key!r}")
+                steps.append(_STEPS[key].from_json(ctx, value))
+        except MALFORMED_JSON as exc:
+            raise SeriesError(f"malformed transform JSON: {exc!r}") from exc
         return cls(steps)
 
     def __eq__(self, other):

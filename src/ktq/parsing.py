@@ -21,7 +21,7 @@ turns a +/- sum of products c*x^d into {d: c}.  Their constant coefficients,
 like coefficient literals, evaluate through eval_expression at an infinite
 cap, so they share its arithmetic and its errors; a coefficient that
 mentions t or a variable is refused before evaluation.  This grammar reads
-user text only: ktq's own JSON reads back through the fields' parse_coeff.
+user text only: ktq's own JSON reads back through parse_coeff and make_field.
 
 Nesting is bounded by MAX_DEPTH, both for parentheses and function calls and
 for the operator tree (a sum of n terms is n - 1 operators deep), so that no

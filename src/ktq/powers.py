@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FieldError, PrecisionError, SeriesError
-from .series import (INF, Series, _as_cap, _int_bound, _padic_val, _reachable, cap_add,
-                     cap_mul, power_cap)
+from .series import (INF, Series, _as_cap, _as_exp, _int_bound, _padic_val, _reachable,
+                     cap_add, cap_mul, power_cap)
 
 
 def rat_binomial(ctx, i, n: int):
@@ -31,7 +31,7 @@ def rat_binomial(ctx, i, n: int):
     characteristic p, i needs a p-free denominator, making C(i, n) p-integral."""
     if n < 0:
         raise SeriesError("binomial index must be >= 0")
-    i = Fraction(i)
+    i = _as_exp(i)
     p = ctx.characteristic
     if p and i.denominator % p == 0:
         raise FieldError(f"exponent {i} has a p-divisible denominator (p={p})")
@@ -109,7 +109,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     inverse for a negative integer q.
     """
     ctx = x.ctx
-    i = Fraction(i)
+    i = _as_exp(i)
     requested_cap = _as_cap(requested_cap)
     if i == 0:
         return Series.one(ctx)

@@ -44,9 +44,10 @@ per output term, with the cap as the least int bound at or above cap*den, so
 nothing is allocated per lattice point.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
-(a tuple of (Fraction, coefficient) pairs, built on first use and cached, which
-`format_series` and `to_json_dict` read), `coeff` (a bisect), `valuation` and
-`leading_coeff`.
+(a tuple of (Fraction, coefficient) pairs, a view built on first use and
+cached), `coeff` (a bisect), `valuation` and `leading_coeff`.  Text is not
+decoded: `format_series` and `to_json_dict` write each exponent k/den reduced
+by an int gcd and each code through the field's `format_code`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .errors import PrecisionError, SeriesError
 from .fields import FieldCtx, make_field
 
 INF = float("inf")
+MALFORMED_JSON = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 def _as_exp(e, what="exponent") -> Fraction:
@@ -441,54 +443,47 @@ class Series:
     def __repr__(self):
         return f"Series({self})"
 
+    def _lowest_exps(self):
+        """Each exponent k/den as (numerator, denominator) in lowest terms."""
+        return [(k // g, self.den // g) for k in self.ks for g in (gcd(k, self.den),)]
+
     def to_json_dict(self):
-        cap = "inf" if self.is_exact else [self.cap.numerator, self.cap.denominator]
-        return {
-            "field": self.ctx.spec_string(),
-            "terms": [[e.numerator, e.denominator, self.ctx.format_coeff(c)]
-                      for e, c in self.terms],
-            "cap": cap,
-        }
+        fmt = self.ctx.format_code
+        return {"field": self.ctx.spec_string(),
+                "terms": [[n, d, fmt(c)] for (n, d), c in zip(self._lowest_exps(), self.cs)],
+                "cap": "inf" if self.is_exact else [self.cap.numerator, self.cap.denominator]}
 
 
-def format_exp_part(e) -> str:
-    """The "t^..." piece for exponent e, with parentheses where the
-    expression grammar needs them (negative or fractional exponents)."""
-    e = _as_exp(e)
-    if e == 0:
+def format_exp_part(n: int, d: int) -> str:
+    """The "t^..." piece for the exponent n/d in lowest terms, parenthesized
+    where the expression grammar needs it (negative or fractional n/d)."""
+    if n == 0:
         return "1"
-    if e == 1:
-        return "t"
-    if e.denominator == 1 and e >= 0:
-        return f"t^{e.numerator}"
-    return f"t^({e})"
+    if d != 1:
+        return f"t^({n}/{d})"
+    return "t" if n == 1 else f"t^{n}" if n > 0 else f"t^({n})"
 
 
 def format_series(x: Series) -> str:
-    ctx = x.ctx
+    fmt, signed = x.ctx.format_code, x.ctx.characteristic == 0
     parts = []
-    for e, c in x.terms:
+    for (n, d), c in zip(x._lowest_exps(), x.cs):
         sign = "+"
-        if ctx.characteristic == 0 and c < 0:
+        if signed and c < 0:
             sign, c = "-", -c
-        if e != 0 and c == ctx.one:
-            body = format_exp_part(e)
+        if n and c == 1:  # the code of 1 is 1 in every field
+            body = format_exp_part(n, d)
         else:
-            body = ctx.format_coeff(c)
+            body = fmt(c)
             if "+" in body or "-" in body[1:]:
                 body = f"({body})"
-            if e != 0:
-                body = f"{body}*{format_exp_part(e)}"
-        parts.append((sign, body))
+            if n:
+                body = f"{body}*{format_exp_part(n, d)}"
+        parts.append(f"{sign} {body}")
     if not x.is_exact:
-        parts.append(("+", f"O({format_exp_part(x.cap)})"))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        parts.append(f"+ O({format_exp_part(x.cap.numerator, x.cap.denominator)})")
+    out = " ".join(parts)
+    return ("-" if out[0] == "-" else "") + out[2:] if parts else "0"
 
 
 def series_from_json(data, ctx=None) -> Series:
@@ -499,6 +494,6 @@ def series_from_json(data, ctx=None) -> Series:
         cap = INF if cap == "inf" else Fraction(cap[0], cap[1])
         terms = [(Fraction(num, den), ctx.parse_coeff(cstr))
                  for num, den, cstr in data.get("terms", [])]
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except MALFORMED_JSON as exc:
         raise SeriesError(f"malformed series JSON: {exc!r}") from exc
     return Series(ctx, terms, cap)

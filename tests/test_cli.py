@@ -188,6 +188,9 @@ def test_modulus_flag(capsys):
     assert run(["trace", "g*t + 2*g", "--field", "F49",
                 "--modulus", "x^2+1"]) == 0
     assert capsys.readouterr().out == "2*g\n"
+    for argv in (["--field", "F9:x^2 + 1"], ["--field", "F9", "--modulus", " x^2+1"]):
+        assert run(["trace", "g*t + 2*g"] + argv) == 0  # user text, read by the grammar
+        assert capsys.readouterr().out == "2*g\n"
     assert run(["trace", "t", "--field", "F7", "--modulus", "x^2+1"]) == 1
     capsys.readouterr()
     assert run(["trace", "t", "--field", "F9:x^2+1", "--modulus", "x^2+1"]) == 2

@@ -13,7 +13,7 @@ from ktq import (AdditivePoly, ExpHom, FieldError, FiniteField, Invert,
                  RationalField, Rescale, ScaleExp, Series, Substitute,
                  Transform, Translate, hypothesis_a_check, make_field,
                  series_from_json)
-from ktq.fields import _is_prime
+from ktq.fields import _is_irreducible, _is_prime, _monic_polys
 
 
 # ------------------------------------------------------------- construction
@@ -72,6 +72,15 @@ def test_default_moduli_are_first_in_lex_order():
     assert make_field("F9").modulus == (1, 0, 1)      # x^2+1
     assert make_field("F8").modulus == (1, 1, 0, 1)   # x^3+x+1
     assert make_field("F25").modulus == (2, 0, 1)     # x^2+2
+
+
+@pytest.mark.parametrize("spec", ["F9:x^2 + 1", "F9:1+x^2", "F9:g", "F9: x^2+1", "F9:",
+                                  "F9:x^2+0*x+1", "F9:x^2+4", "F9:(x^2+1)", "F9:x^2+1/0"])
+def test_make_field_refuses_a_modulus_spec_string_does_not_write(spec):
+    """A JSON "field" is text that ktq wrote; user text such as "x^2 + 1"
+    goes through the grammar in the CLI instead."""
+    with pytest.raises(FieldError, match="not a modulus as spec_string writes it"):
+        make_field(spec)
 
 
 def test_supplied_modulus_checked():
@@ -349,6 +358,17 @@ SMALL_FIELDS = [f"F{q}" for q in range(2, 65)
 
 
 @pytest.mark.parametrize("spec", SMALL_FIELDS + ["F4096"])
+def test_make_field_inverts_spec_string(spec):
+    """make_field reads back exactly what spec_string writes, for every
+    irreducible modulus of an F_q with q <= 64 and the default one of F4096."""
+    F = make_field(spec)
+    moduli = [m for m in _monic_polys(F.e, F.p) if _is_irreducible(m, F.p)] \
+        if 1 < F.e and F.q <= 64 else []
+    for field in [F] + [FiniteField(F.p, F.e, m) for m in moduli]:
+        assert make_field(field.spec_string()) == field
+
+
+@pytest.mark.parametrize("spec", SMALL_FIELDS + ["F4096"])
 def test_parse_coeff_inverts_format_coeff_on_every_element(spec):
     ctx = make_field(spec)
     for c in ctx.elements():
@@ -397,9 +417,9 @@ def _units(ctx):
     return ctx.g, ctx.g ** 11 + ctx.g + 1
 
 
-@pytest.mark.parametrize("spec", ["Q", "F2", "F9", "F4096", "F1000003"])
+@pytest.mark.parametrize("spec", ["Q", "F2", "F9", "F4096", "F1000003", "F25:x^2+x+2"])
 def test_json_reads_back_without_the_expression_evaluator(spec, monkeypatch):
-    ctx = make_field(spec)  # a modulus in the spec is user text, read by the grammar
+    ctx = make_field(spec)
     a, b = _units(ctx)
     x = Series(ctx, {Fraction(1, 2): ctx.one, Fraction(3, 2): b}, Fraction(5, 2))
     y = Series(ctx, {Fraction(-1): a, Fraction(0): b, Fraction(2, 3): a * b})
@@ -413,6 +433,7 @@ def test_json_reads_back_without_the_expression_evaluator(spec, monkeypatch):
 
     monkeypatch.setattr(ktq.parsing, "eval_expression", refuse)
     assert series_from_json(docs[0], ctx) == y
+    assert series_from_json(docs[0]) == y  # the field spec is ktq's text too
     assert ExpHom.from_json(ctx, docs[1]) == lam
     assert Transform.from_json(ctx, docs[2]) == T
 

@@ -30,6 +30,9 @@ def test_exphom_outside_lattice_is_an_error(F9):
     lam = ExpHom(F9, {2: F9.g})
     with pytest.raises(ExpHomError):
         lam.query(F(1, 3))
+    for e in (0.5, "1/2"):  # an exponent is rational
+        with pytest.raises(SeriesError, match="must be rational"):
+            lam.query(e)
 
 
 def test_exphom_trivial_answers_everywhere(F9):
@@ -45,6 +48,11 @@ def test_exphom_validation(F9):
         ExpHom(F9, {0: F9.g})
     with pytest.raises(ExpHomError):
         ExpHom(F9, {2: F9.zero})
+    for d in (1.5, "a", "2", F(2)):  # a denominator is an int, never rounded
+        with pytest.raises(ExpHomError, match="must be a positive int"):
+            ExpHom(F9, {d: F9.g})
+    with pytest.raises(ExpHomError, match="must be a positive int"):
+        Transform.from_json(F9, [{"rescale": {"committed": [["a", "g"]]}}])
 
 
 def test_exphom_coherence_across_denominators(F9):

@@ -11,6 +11,7 @@ an equal hash) to the same element rebuilt by the validating constructor.
 """
 
 import json
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from ktq import INF, Series, make_field, series_from_json
 from ktq.errors import PrecisionError
 from ktq.powers import frobenius_map
-from ktq.series import UnknownAtLeast
+from ktq.series import UnknownAtLeast, format_series
 
 SPECS = ("Q", "F2", "F3", "F7", "F4", "F9", "F4096", "F1000003")
 FIELDS = {spec: make_field(spec) for spec in SPECS}
@@ -296,3 +297,95 @@ def test_json_round_trip(spec, data):
     assert series_from_json(json.loads(json.dumps(blob)), ctx) == x
     assert blob["terms"] == [[e.numerator, e.denominator, ctx.format_coeff(c)]
                              for e, c in x.terms]
+
+
+# ----------------------------------------------------------- printers
+
+
+def old_coeff(ctx, c):
+    """A decoded coefficient as text: the Fraction over Q, else its vector in
+    g, highest power first, with no unit factors or zero parts."""
+    if ctx.characteristic == 0:
+        return str(c)
+    parts = [str(a) if i == 0 else ("" if a == 1 else f"{a}*") + ("g" if i == 1 else f"g^{i}")
+             for i, a in reversed(list(enumerate(c.vec))) if a]
+    return "+".join(parts) or "0"
+
+
+def old_exp_part(e):
+    if e == 0:
+        return "1"
+    if e == 1:
+        return "t"
+    if e.denominator == 1 and e >= 0:
+        return f"t^{e.numerator}"
+    return f"t^({e})"
+
+
+def old_format_series(x):
+    """The printer on decoded (Fraction, coefficient) pairs."""
+    ctx, parts = x.ctx, []
+    for e, c in x.terms:
+        sign = "+"
+        if ctx.characteristic == 0 and c < 0:
+            sign, c = "-", -c
+        if e != 0 and c == ctx.one:
+            body = old_exp_part(e)
+        else:
+            body = old_coeff(ctx, c)
+            if "+" in body or "-" in body[1:]:
+                body = f"({body})"
+            if e != 0:
+                body = f"{body}*{old_exp_part(e)}"
+        parts.append((sign, body))
+    if not x.is_exact:
+        parts.append(("+", f"O({old_exp_part(x.cap)})"))
+    if not parts:
+        return "0"
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def old_json(x):
+    return {"field": x.ctx.spec_string(),
+            "terms": [[e.numerator, e.denominator, old_coeff(x.ctx, c)] for e, c in x.terms],
+            "cap": "inf" if x.is_exact else [x.cap.numerator, x.cap.denominator]}
+
+
+def printer_cases(ctx):
+    """Exact and capped series with negative, fractional and den > 1
+    exponents and caps, unit and (over Q) negative coefficients."""
+    def c(n):  # a quarter of n over Q, so -4 is -1 and 3 is 3/4
+        return Fraction(n, 4) if ctx.characteristic == 0 else element(ctx, n)
+    one, m1 = ctx.one, ctx.coerce(-1)
+    cases = [Series(ctx), Series(ctx, (), Fraction(-5, 3)), Series(ctx, (), 0),
+             Series(ctx, (), 1), Series(ctx, (), 3), Series(ctx, {0: one}), Series(ctx, {1: m1}),
+             Series(ctx, {Fraction(-3, 2): c(-3), -1: one, 0: c(2), Fraction(1, 3): m1,
+                          2: c(5)}, Fraction(13, 6)),
+             Series(ctx, {Fraction(-7, 4): m1, 0: c(-4), Fraction(5, 2): c(7), 3: one})]
+    rng = random.Random(ctx.spec_string())
+    for _ in range(30):
+        den = rng.choice(DENS)
+        terms = {Fraction(rng.randint(-3 * den, 5 * den), den): c(rng.choice([-9, -4, -1, 1, 3, 4, 7]))
+                 for _ in range(rng.randint(0, 7))}
+        cap = Fraction(rng.randint(-3 * den, 6 * den), rng.choice(DENS))
+        cases.append(Series(ctx, terms) if rng.random() < 0.4 else
+                     Series(ctx, {e: v for e, v in terms.items() if e < cap}, cap))
+    return cases
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_printers_write_codes_as_the_decoded_reference(spec, monkeypatch):
+    """format_series and to_json_dict write straight from (den, ks, cs): the
+    same text as the printer on decoded pairs, without decoding a term."""
+    ctx = FIELDS[spec]
+    cases = [(x, old_format_series(x), old_json(x)) for x in printer_cases(ctx)]
+
+    def refuse(*args):
+        raise AssertionError("a printer decoded the packed form")
+
+    monkeypatch.setattr(Series, "terms", property(refuse))
+    monkeypatch.setattr(ctx, "element", refuse)
+    for x, text, blob in cases:
+        assert format_series(x) == str(x) == text
+        assert json.dumps(x.to_json_dict()) == json.dumps(blob)

@@ -180,6 +180,11 @@ def test_infinite_expansion_needs_cap(Q, F3):
             pow_rat(x, F(1, 2), bad)
     with pytest.raises(SeriesError, match="must be rational"):
         nth_root(x, 2, 2.5)
+    for bad in (0.5, "1/2", "a"):  # and so is an exponent
+        with pytest.raises(SeriesError, match="must be rational"):
+            pow_rat(x, bad, 2)
+        with pytest.raises(SeriesError, match="must be rational"):
+            rat_binomial(Q, bad, 2)
 
 
 def test_monic_base_required(Q):

@@ -69,3 +69,13 @@ def test_from_json_rejects_unknown_key():
         Transform.from_json(make_field("F2"), [{"invert": True}, {"warp": "1"}])
     with pytest.raises(SeriesError, match="unknown transform step key"):
         Transform.from_json(make_field("F2"), [{"invert": True, "translate": "1"}])
+    for steps in ([{"scale_exp": "a"}], [{"rescale": {}}], [{"rescale": {"committed": [[1]]}}],
+                  [3], [{"translate": 5}], [{"rescale": []}], [{"substitute": 1}], None):
+        with pytest.raises(SeriesError, match="malformed"):
+            Transform.from_json(make_field("F2"), steps)
+    # only the text ScaleExp.to_json writes, for a positive factor
+    for value in ("0", 0.5, "-1/2", "2/4", " 1/2", "1.5", 2, "1/0"):
+        with pytest.raises(SeriesError):
+            Transform.from_json(make_field("F2"), [{"scale_exp": value}])
+    assert Transform.from_json(make_field("F2"), [{"scale_exp": "3/2"}]) == Transform(
+        [ScaleExp(F(3, 2))])
