@@ -38,6 +38,7 @@ but the exhaustive oracles refuse to run on them.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,7 @@ from .errors import FieldError
 
 EXHAUSTIVE_BOUND = 1 << 20
 MAX_EXTENSION_DEGREE = 12
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 # ----------------------------------------------------------------- primality
@@ -187,10 +189,15 @@ class RationalField(FieldCtx):
                 " decimal digits, the interpreter's integer-to-string limit") from exc
 
     def parse_code(self, text: str) -> Fraction:
+        """The inverse of format_code: an optional "-", digits and an
+        optional "/d" with d > 1, in lowest terms."""
+        num, _, den = text.partition("/")
         try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError(f"bad rational literal {text!r}") from exc
+            if _RATIONAL.fullmatch(text) and str(k := Fraction(int(num), int(den or 1))) == text:
+                return k
+        except (ValueError, ZeroDivisionError):  # the digit limit, "/0"
+            pass
+        raise FieldError(f"bad rational literal {text!r}")
 
     def nth_roots(self, c, n: int):
         """Rational n-th roots of c.  Raises if c has none in Q."""
@@ -394,7 +401,8 @@ class FiniteField(FieldCtx):
         return f"FiniteField({self.spec_string()!r})"
 
     def spec_string(self):
-        if self.e == 1:
+        """"F<q>:<modulus>", or "F<p>" for a prime field with the modulus x."""
+        if self.modulus == (0, 1):
             return f"F{self.p}"
         return f"F{self.q}:{self.format_modulus()}"
 

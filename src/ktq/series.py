@@ -38,10 +38,15 @@ denominator of the support (gcd(den, *ks) = 1, den = 1 without terms), so
 equal elements have equal fields.  `Series._build` is the one builder; it
 drops zero codes and reduces the lattice.  On that form `+` merges int-keyed
 dicts over lcm(den), summing codes only where exponents meet; `shift` adds an
-int to each exponent; `truncate` is a bisect; `scale`, products and inverses
-sum the field's kernel encoding of the codes as plain ints and decode once
-per output term, with the cap as the least int bound at or above cap*den, so
-nothing is allocated per lattice point.
+int to each exponent; `truncate` is a bisect; `scale` and products sum the
+field's kernel encoding of the codes as plain ints and decode once per output
+term, with the cap as the least int bound at or above cap*den, so nothing is
+allocated per lattice point.  Inverses run a recurrence over the sums of
+their steps (see `Series.invert`) on a heap walk of the reachable sums,
+decoding once per output term, except over F_p when the smallest step is
+at most 4g (g the steps' gcd, chosen by `_dense_step`): there one list
+slot per multiple of g below the bound holds a residue, with one `% p` per
+slot and no codec call.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -56,6 +61,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import PrecisionError, SeriesError
@@ -147,6 +153,20 @@ def solve_cap(b, target, j=0):
 def _int_bound(cap, d):
     """The least int k with k/d >= cap (INF stays INF)."""
     return INF if type(cap) is float else -(-cap.numerator * d // cap.denominator)
+
+
+def _dense_step(steps, bound):
+    """The walk decision for the F_p recurrence of `Series.invert`: g, the
+    gcd of the ascending positive int steps, when the recurrence runs over
+    the dense window of the ceil(bound/g) multiples of g below bound, or 0
+    for the heap walk of `_reachable`.  The window is dense when the
+    smallest step w is at most 4g, since the walk then visits about bound/w
+    of its slots anyway.  An empty or infinite bound and a monomial (no
+    steps) keep the heap walk."""
+    if not steps or type(bound) is float or bound <= 0:
+        return 0
+    g = gcd(*steps)
+    return g if steps[0] <= 4 * g else 0
 
 
 def _reachable(steps, bound, b):
@@ -380,9 +400,14 @@ class Series:
         known below cap - v.  Then 1/(1 + eps) = sum b_k t^k with b_0 = 1 and
         b_k = -sum_j a_j b_(k - e_j), so b_k is zero off the sums of the e_j
         and depends only on eps below k: every b_k below cap - v is certified.
-        The recurrence visits those sums in increasing order, below the
-        relative target min(requested, cap - 2v) + v, in the kernel encoding
-        described in the module docstring; the cap is the invert rule.
+        The recurrence runs below the relative target min(requested, cap -
+        2v) + v.  Over F_p on the dense window that `_dense_step` chooses,
+        slot i of one list holds b_(i g) as a residue, and each stored
+        residue is pushed onto the slots its steps reach, so a slot costs
+        one `% p` and no codec call.  Otherwise the heap walk of
+        `_reachable` visits the sums in increasing order, in the kernel
+        encoding described in the module docstring.  The cap is the invert
+        rule.
         """
         if not self.ks:
             if self.is_exact:
@@ -398,14 +423,30 @@ class Series:
         # all over one denominator den (1 except over Q).
         vals, den = ctx.encode([ctx.code(c_inv)] + self.scale(-c_inv).cs[1:], n)
         kv = self.ks[0]
-        steps = [(k - kv, a) for k, a in zip(self.ks[1:], vals[1:])]
+        es = [k - kv for k in self.ks[1:]]
+        bound = _int_bound(cap_add(result_cap, v), self.den)
+        p = ctx.characteristic
+        g = _dense_step(es, bound) if p and ctx.e == 1 else 0
+        if g:  # F_p: the codes are the residues, den = 1
+            steps = [(e // g, a) for e, a in zip(es, vals[1:])]
+            size = -(-bound // g)
+            b = [0] * (size + steps[-1][0])
+            b[0] = vals[0]
+            for i in range(size):
+                c = b[i] = b[i] % p
+                if c:
+                    for e, a in steps:
+                        b[i + e] += a * c
+            del b[size:]
+            ks = list(compress(range(-kv, bound - kv, g), b))
+            return Series._build(ctx, self.den, ks, list(filter(None, b)), result_cap)
+        steps = list(zip(es, vals[1:]))
         # b_k is kept as a numerator over den^(1 + k // w): a step adds at
         # least w to k and one factor of den, so no division is needed.
-        w = steps[0][0] if steps else 1
-        bound = _int_bound(cap_add(result_cap, v), self.den)
+        w = es[0] if es else 1
         b, out = {}, {}
-        decode, encode, exact = ctx.decode, ctx.encode, not ctx.characteristic
-        for k in _reachable([e for e, _ in steps], bound, b):
+        decode, encode, exact = ctx.decode, ctx.encode, not p
+        for k in _reachable(es, bound, b):
             level = k // w
             m = vals[0] if k == 0 else sum(
                 a * b[k - e] * den ** (level - (k - e) // w - 1)

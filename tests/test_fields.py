@@ -11,7 +11,7 @@ import pytest
 import ktq.parsing
 from ktq import (AdditivePoly, ExpHom, FieldError, FiniteField, Invert,
                  RationalField, Rescale, ScaleExp, Series, Substitute,
-                 Transform, Translate, hypothesis_a_check, make_field,
+                 SeriesError, Transform, Translate, hypothesis_a_check, make_field,
                  series_from_json)
 from ktq.fields import _is_irreducible, _is_prime, _monic_polys
 
@@ -479,3 +479,38 @@ def test_huge_field_spec_rejected_before_root_search():
 def test_word_size_bound():
     with pytest.raises(FieldError):
         FiniteField(2305843009213693951, 2)  # q = p^2 >= 2^63
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_prime_field_with_any_modulus_round_trips(p):
+    """Every degree-1 modulus x + c: spec_string writes it unless c = 0, so
+    the field and a series over it read back equal."""
+    for c in range(p):
+        F = FiniteField(p, 1, (c, 1))
+        assert F.spec_string() == (f"F{p}" if c == 0 else f"F{p}:x+{c}")
+        assert make_field(F.spec_string()) == F
+        s = Series(F, {Fraction(-1, 2): F.one, Fraction(3): F.from_int(2)}, Fraction(7, 2))
+        back = series_from_json(json.loads(json.dumps(s.to_json_dict())))
+        assert back == s and back.ctx == F
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(5), Fraction(-3, 4), Fraction(7, 120),
+                                   Fraction(-(10 ** 4299), 3)])
+def test_rational_parse_code_inverts_format_code(Q, value):
+    assert Q.parse_code(Q.format_code(value)) == value
+
+
+@pytest.mark.parametrize("text", [" 3 ", "1.5", "1e3", "6/4", "3/1", "-0", "+3", "007", "0/5",
+                                  "1_0", "1/0", "3/-4", "-3/4 ", "", "-", "/2", "١",
+                                  "1e999999999", "1" * 5000, "1/" + "3" * 5000])
+def test_rational_parse_code_refuses_text_format_code_does_not_write(Q, text):
+    with pytest.raises(FieldError, match="bad rational literal"):
+        Q.parse_code(text)
+    with pytest.raises(FieldError, match="bad rational literal"):
+        series_from_json({"field": "Q", "terms": [[1, 1, text]], "cap": "inf"})
+
+
+@pytest.mark.parametrize("code", [3, None, 1.5, ["1"]])
+def test_series_from_json_refuses_a_coefficient_that_is_not_text(code):
+    with pytest.raises(SeriesError, match="malformed series JSON"):
+        series_from_json({"field": "Q", "terms": [[1, 1, code]], "cap": "inf"})
