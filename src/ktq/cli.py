@@ -16,10 +16,9 @@ import argparse
 import json
 import re
 import sys
-from collections import namedtuple
 from fractions import Fraction
 
-from .errors import KtqError, ParseError
+from .errors import KtqError, ParseError, Record
 from .fields import (FFElement, FiniteField, HypothesisAVerdict, _is_prime,
                      hypothesis_a_check, make_field, split_spec)
 from .morphisms import (OrbitClass, SubstResult, Transform, classify_orbit,
@@ -162,6 +161,9 @@ def run(argv) -> int:
     except KtqError as exc:
         print(f"ktq: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1
+    except MemoryError:
+        print("ktq: out of memory: try a smaller --cap", file=sys.stderr)
+        return 1
 
 
 def _compute(args, ctx, env):
@@ -199,8 +201,8 @@ def _compute(args, ctx, env):
     return valuation_sign_via_trace(x)  # sign-via-trace
 
 
-# The divergence demo's result: rows (K, t^0 coefficient, HypothesisARisk) over ctx = F_p.
-_Divergence = namedtuple("_Divergence", "ctx rows")
+class _Divergence(Record):  # the divergence demo: rows (K, t^0 coefficient, risk) over F_p
+    __slots__ = ("ctx", "rows")
 
 
 def _demo_divergence(p, K_max) -> _Divergence:

@@ -1,8 +1,41 @@
-"""Exception taxonomy for the ktq library.
+"""Exception taxonomy and the value-record base of the ktq library.
 
 Every error raised on purpose derives from KtqError so callers can fence off
-library failures from genuine bugs.
+library failures from genuine bugs; `Record` is the base of all value records.
 """
+
+
+class Record:
+    """An immutable value: a subclass names its fields in `__slots__` and takes
+    them in order.  ==, hash and repr go by the fields; == holds within a class."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # (class, field values): what copy, pickle, == and hash go by
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self.__reduce__()[1])
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 class KtqError(Exception):

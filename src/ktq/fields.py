@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import FieldError
+from .errors import FieldError, Record
 
 EXHAUSTIVE_BOUND = 1 << 20
 MAX_EXTENSION_DEGREE = 12
@@ -682,13 +681,10 @@ class AdditivePoly:
         return f"AdditivePoly({self.format()!r} over {self.ctx.spec_string()})"
 
 
-@dataclass(frozen=True)
-class HypothesisAVerdict:
+class HypothesisAVerdict(Record):
     """Outcome of a surjectivity check for one additive polynomial."""
 
-    satisfies: bool
-    witness: object = None
-    poly: AdditivePoly = None
+    __slots__ = ("satisfies", "witness", "poly")  # witness: None or a non-image element
 
     def __str__(self):
         if self.satisfies:

@@ -27,11 +27,10 @@ a new class and an entry in `_STEPS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ExpHomError, FieldError, OrbitError, SeriesError
+from .errors import ExpHomError, FieldError, OrbitError, Record, SeriesError
 from .fields import FieldCtx, format_coeff
 from .powers import pow_rat
 from .series import (INF, MALFORMED_JSON, Series, _as_cap, _as_exp, _padic_val, cap_mul,
@@ -148,19 +147,14 @@ def standard_endomorphism(lam: ExpHom, r, y: Series) -> Series:
 # --------------------------------------------------------------- substitution
 
 
-@dataclass(frozen=True)
-class SubstDiagnostics:
+class SubstDiagnostics(Record):
     """Per-term certification data for one substitution."""
 
-    term_caps: tuple  # pairs (exponent of y, cap of that term's contribution)
-    hypothesis_a_risk: bool
+    __slots__ = ("term_caps", "hypothesis_a_risk")  # term_caps: (y exponent, term cap) pairs
 
 
-@dataclass(frozen=True)
-class SubstResult:
-    series: Series
-    achieved_cap: object
-    diagnostics: SubstDiagnostics
+class SubstResult(Record):
+    __slots__ = ("series", "achieved_cap", "diagnostics")
 
 
 def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
@@ -201,17 +195,15 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
 # ------------------------------------------------------------ orbit classes
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(Record):
     """Either S_infinity or S_c (the translate of the positive-valuation
     class by the constant c; c = 0 is the positive-valuation class itself)."""
 
-    kind: str  # "inf" or "c"
-    c: object = None
+    __slots__ = ("kind", "c")  # kind: "inf" (c is None) or "c"
 
     @classmethod
     def infinity(cls):
-        return cls("inf")
+        return cls("inf", None)
 
     @classmethod
     def constant(cls, c):
@@ -253,9 +245,8 @@ def classify_orbit(y: Series) -> OrbitClass:
 # ---------------------------------------------------------------- transforms
 
 
-@dataclass(frozen=True)
-class Translate:
-    c: object
+class Translate(Record):
+    __slots__ = ("c",)
     key = "translate"
 
     def apply(self, z: Series, requested_cap=INF) -> Series:
@@ -272,8 +263,8 @@ class Translate:
         return f"translate by {format_coeff(self.c)}"
 
 
-@dataclass(frozen=True)
-class Invert:
+class Invert(Record):
+    __slots__ = ()
     key = "invert"
 
     def apply(self, z: Series, requested_cap=INF) -> Series:
@@ -290,9 +281,8 @@ class Invert:
         return "invert"
 
 
-@dataclass(frozen=True)
-class Rescale:
-    lam: ExpHom
+class Rescale(Record):
+    __slots__ = ("lam",)  # an ExpHom
     key = "rescale"
 
     def apply(self, z: Series, requested_cap=INF) -> Series:
@@ -312,9 +302,8 @@ class Rescale:
                                          for d, u in self.lam.committed.items())
 
 
-@dataclass(frozen=True)
-class ScaleExp:
-    r: Fraction
+class ScaleExp(Record):
+    __slots__ = ("r",)  # a positive Fraction
     key = "scale_exp"
 
     def apply(self, z: Series, requested_cap=INF) -> Series:
@@ -334,9 +323,8 @@ class ScaleExp:
         return f"scale exponents by {self.r}"
 
 
-@dataclass(frozen=True)
-class Substitute:
-    x: Series
+class Substitute(Record):
+    __slots__ = ("x",)  # the Series substituted for t
     key = "substitute"
 
     def apply(self, z: Series, requested_cap=INF) -> Series:

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldError, ParseError
+from .errors import FieldError, ParseError, Record
 from .fields import AdditivePoly, FieldCtx, FiniteField
 from .morphisms import OrbitClass, classify_orbit, substitute
 from .powers import _padic_val, nth_root, pow_rat
@@ -48,48 +47,36 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),=]))")
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class TSym:
-    pass
+class TSym(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GSym:
-    pass
+class GSym(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    expr: object
+class Neg(Record):
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
+class Bin(Record):
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: Fraction
+class Pow(Record):
+    __slots__ = ("base", "exp")  # exp: a Fraction
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
+class Call(Record):
+    __slots__ = ("name", "args")  # args: a tuple of nodes
 
 
 def _tokenize(text):

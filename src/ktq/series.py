@@ -58,13 +58,12 @@ by an int gcd and each code through the field's `format_code`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
 from math import gcd, lcm
 
-from .errors import PrecisionError, SeriesError
+from .errors import PrecisionError, Record, SeriesError
 from .fields import FieldCtx, make_field
 
 INF = float("inf")
@@ -191,11 +190,10 @@ def _reachable(steps, bound, b):
                     heappush(heap, succ)
 
 
-@dataclass(frozen=True)
-class UnknownAtLeast:
+class UnknownAtLeast(Record):
     """Valuation outcome when no term is known below the cap."""
 
-    bound: object
+    __slots__ = ("bound",)
 
 
 class Series:

@@ -25,10 +25,9 @@ residual term, where i is the index of the dominant coefficient of Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (FieldError, NoSolutionError, PrecisionError, SeriesError)
+from .errors import FieldError, NoSolutionError, PrecisionError, Record, SeriesError
 from .fields import AdditivePoly, FiniteField
 from .powers import frobenius_map
 from .series import Series, solve_cap
@@ -148,21 +147,16 @@ def norm_leading(x: Series):
     return x.leading_coeff()
 
 
-@dataclass(frozen=True)
-class ImageEntry:
+class ImageEntry(Record):
     """One row of an image-membership report."""
 
-    poly: AdditivePoly
-    ok: bool
-    detail: str
+    __slots__ = ("poly", "ok", "detail")
 
 
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(Record):
     """Solvability of P(x) = target across a list of additive P."""
 
-    trace_value: object
-    entries: tuple
+    __slots__ = ("trace_value", "entries")  # entries: a tuple of ImageEntry
 
     @property
     def all_ok(self):

@@ -279,6 +279,21 @@ def test_poly_coefficient_division_by_zero_is_a_domain_error(capsys, field):
     assert capsys.readouterr().err == "ktq: cannot invert the zero series\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_allocation_that_cannot_be_made_is_one_error_line(capsys, monkeypatch, fmt):
+    """A huge cap can ask for more memory than there is; the invert raises
+    MemoryError here without allocating anything."""
+    def out_of_memory(self, requested_cap=None):
+        raise MemoryError
+
+    monkeypatch.setattr(Series, "invert", out_of_memory)
+    argv = ["eval", "--field", "F2", "--cap", "1000000000000", "--format", fmt, "inv(1-t)"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ktq: out of memory: try a smaller --cap\n"
+
+
 # ---------------------------------------------------------------- printing
 
 TEXT_AND_JSON_CASES = [
