@@ -124,8 +124,9 @@ def rescale(lam: ExpHom, y: Series) -> Series:
     """sum c_i t^i  |->  sum lam(i) c_i t^i.  The cap is unchanged."""
     if lam.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
-    return Series._build(y.ctx, y.den, y.ks,
-                         [y.ctx.code(lam.query(e) * c) for e, c in y.terms], y.cap)
+    vals, den = y.ctx.encode(y.cs + [y.ctx.code(lam.query(Fraction(k, y.den))) for k in y.ks], 1)
+    return Series._build(y.ctx, y.den, y.ks, y.ctx.decode(
+        [a * b for a, b in zip(vals, vals[len(y.ks):])], den * den, 1), y.cap)
 
 
 def scale_exponents(y: Series, r) -> Series:
@@ -161,8 +162,9 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     """Evaluate y at x: sum over y's support of c_i * x^i.
 
     Needs x monic with positive valuation m; then exponents map to m-fold
-    multiples.  The achieved cap is the substitute rule of the `series`
-    table, joined with the cap of each term's rational power x^i.
+    multiples.  Each x^i is one `pow_rat`, and one `Series._sum` adds the
+    c_i x^i (an empty y gives exact 0).  The achieved cap is the substitute
+    rule of the `series` table, joined with the cap of each x^i.
     """
     if x.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
@@ -174,13 +176,13 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     if x.known_valuation() <= 0:
         raise SeriesError("substitution base must have positive valuation")
 
-    acc = Series.zero(ctx)
-    term_caps = []
+    pieces, term_caps = [], []
     for i, c in y.terms:
         xi = pow_rat(x, i, requested_cap)
         term_caps.append((i, xi.cap))
-        acc = acc + xi.scale(c)
-    result = acc.truncate(substitute_cap(x, y, requested_cap))
+        pieces.append(xi.scale(c))
+    result = Series._sum(ctx, pieces or [Series.zero(ctx)]).truncate(
+        substitute_cap(x, y, requested_cap))
 
     p = ctx.characteristic
     risk = False

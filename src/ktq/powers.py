@@ -1,5 +1,6 @@
 """Rational powers of monic series: x^i = t^(m i) (1 + eps)^i for monic
-x = t^m (1 + eps), with (1 + eps)^i expanded below the precision needed.
+x = t^m (1 + eps), with (1 + eps)^i expanded below the precision needed;
+eps is built in one step from x's packed terms after the first.
 
 Over Q the expansion is J.C.P. Miller's power recurrence (Knuth, TAOCP
 vol. 2, 4.7): for eps = sum a_j t^(e_j) and (1 + eps)^q = sum b_k t^k in
@@ -128,7 +129,8 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     q = i / scale
     m = x.known_valuation()
     bound = cap_mul(cap_add(power_cap(x, i, requested_cap), -m * i), 1 / scale)
-    eps = (x.shift(-m) - Series.one(ctx)).truncate(bound)
+    eps = Series._build(ctx, x.den, [k - x.ks[0] for k in x.ks[1:]], x.cs[1:],
+                        cap_add(x.cap, -m)).truncate(bound)
     if bound <= 0:
         y = Series(ctx, (), bound)
     elif not p:

@@ -36,11 +36,13 @@ Storage is packed and canonical: a lattice denominator `den`, ascending ints
 `code`; see the `fields` docstring) and the cap.  `den` is the least
 denominator of the support (gcd(den, *ks) = 1, den = 1 without terms), so
 equal elements have equal fields.  `Series._build` is the one builder; it
-drops zero codes and reduces the lattice.  On that form `+` merges int-keyed
-dicts over lcm(den), summing codes only where exponents meet; `shift` adds an
-int to each exponent; `truncate` is a bisect; `scale` and products sum the
-field's kernel encoding of the codes as plain ints and decode once per output
-term, with the cap as the least int bound at or above cap*den, so nothing is
+drops zero codes and reduces the lattice.  On that form `Series._sum` is the
+one merge, with `+` its two-piece case: one int-keyed dict over lcm(den),
+summing codes only where exponents meet, or over F_p one list of residues for
+a window of at most 4 slots per term of the pieces; `shift` adds an int to
+each exponent; `truncate` is a bisect; `scale` and products sum the field's
+kernel encoding of the codes as plain ints and decode once per output term,
+with the cap as the least int bound at or above cap*den, so nothing is
 allocated per lattice point.  Inverses run a recurrence over the sums of
 their steps (see `Series.invert`) on a heap walk of the reachable sums,
 decoding once per output term, except over F_p when the smallest step is
@@ -322,18 +324,44 @@ class Series:
         if other.ctx != self.ctx:
             raise SeriesError("coefficient-field mismatch")
 
-    def __add__(self, other):
-        self._check_peer(other)
-        ctx, cap, den = self.ctx, min(self.cap, other.cap), lcm(self.den, other.den)
-        acc = dict(zip(self._exps(den), self.cs))
-        more = dict(zip(other._exps(den), other.cs))
-        both = list(acc.keys() & more.keys())  # the exponents whose codes are summed
-        vals, cden = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 2)
-        acc.update(more)
-        acc.update(zip(both, ctx.decode([x + y for x, y in zip(vals, vals[len(both):])], cden, 2)))
+    @staticmethod
+    def _sum(ctx, pieces):
+        """Internal, the one merge: the sum of one or more series over ctx by
+        the add rule, on the lcm of their lattices.  Over F_p, more than two
+        pieces whose window from the lowest exponent to the bound has at most
+        4 slots per term sum into one list of residues; otherwise each piece
+        merges into one int-keyed dict, summing codes where exponents meet."""
+        cap, den = pieces[0].cap, pieces[0].den
+        for s in pieces[1:]:
+            cap, den = min(cap, s.cap), lcm(den, s.den)
         bound = _int_bound(cap, den)
+        if len(pieces) > 2 and (p := ctx.characteristic) and ctx.e == 1:
+            exps = [s._exps(den) for s in pieces]
+            lo = min((ks[0] for ks in exps if ks), default=0)
+            hi = min(bound, max((ks[-1] + 1 for ks in exps if ks), default=0))
+            if hi - lo <= 4 * sum(map(len, exps)):
+                b = [0] * (hi - lo)
+                for ks, s in zip(exps, pieces):
+                    for k, c in zip(ks, s.cs[:bisect_left(ks, hi)]):
+                        b[k - lo] += c
+                b = [v % p for v in b]
+                return Series._build(ctx, den, list(compress(range(lo, hi), b)),
+                                     list(filter(None, b)), cap)
+        acc = dict(zip(pieces[0]._exps(den), pieces[0].cs))
+        for s in pieces[1:]:
+            more = dict(zip(s._exps(den), s.cs))
+            both = list(acc.keys() & more.keys())  # the exponents whose codes are summed
+            if both:
+                vals, cden = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 2)
+                more.update(zip(both, ctx.decode(
+                    [x + y for x, y in zip(vals, vals[len(both):])], cden, 2)))
+            acc.update(more)
         ks = sorted(k for k in acc if k < bound)
         return Series._build(ctx, den, ks, [acc[k] for k in ks], cap)
+
+    def __add__(self, other):
+        self._check_peer(other)
+        return Series._sum(self.ctx, [self, other])
 
     def __neg__(self):
         return self.scale(-1)

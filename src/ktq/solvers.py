@@ -45,11 +45,7 @@ def apply_additive(P: AdditivePoly, b: Series) -> Series:
     """P evaluated on a series: sum a_i * b^(p^i), termwise p-powers."""
     if P.ctx != b.ctx:
         raise SeriesError("coefficient-field mismatch")
-    acc = Series.zero(b.ctx)
-    for i, a in enumerate(P.coeffs):
-        if a:
-            acc = acc + frobenius_map(b, i).scale(a)
-    return acc
+    return Series._sum(b.ctx, [frobenius_map(b, i).scale(a) for i, a in enumerate(P.coeffs) if a])
 
 
 def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:

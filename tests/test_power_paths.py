@@ -11,9 +11,11 @@ counter keeps the divergence family's work bounded.
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
+import ktq.series as series_module
 from ktq import INF, Series, make_field, pow_rat, substitute
 
 F = Fraction
@@ -88,12 +90,16 @@ def reference_pow(x, i, cap):
 def _coeff(rng, ctx):
     if ctx.characteristic == 0:
         return F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    if ctx.e == 1:  # the same draw as choice(elements()[1:]), with no enumeration
+        return ctx.from_int(rng.randrange(1, ctx.p))
     return rng.choice(ctx.elements()[1:])
 
 
 def _base(rng, ctx, exact):
-    """A monic t^m (1 + eps), m possibly negative, eps on a 1/d lattice."""
-    d = rng.choice([1, 2, 3, ctx.characteristic or 5])
+    """A monic t^m (1 + eps), m possibly negative, eps on a 1/d lattice
+    (d = p only for a small p: a 1/p lattice holds ~p slots per unit)."""
+    p = ctx.characteristic
+    d = rng.choice([1, 2, 3, p if 0 < p < 100 else 5])
     m = F(rng.randint(-3, 3), d)
     terms = {m: ctx.one}
     for k in rng.sample(range(1, 7), rng.randint(0, 3)):
@@ -196,12 +202,27 @@ def _risk(y, p):
     return len(negs) >= 2 and any(b2 < b1 for b1, b2 in zip(negs, negs[1:]))
 
 
-@pytest.mark.parametrize("spec", ("Q", "F2", "F3", "F9"))
+def _check_substitute(x, y, cap):
+    p = x.ctx.characteristic
+    r = substitute(x, y, cap)
+    powers = [pow_rat(x, i, cap) for i, _ in y.terms]
+    total = Series.zero(x.ctx)
+    for (_, c), xi in zip(y.terms, powers):
+        total = total + xi.scale(c)
+    assert r.series == total.truncate(min(cap, y.cap * x.terms[0][0]))
+    assert r.achieved_cap == r.series.cap
+    assert r.diagnostics.term_caps == tuple(
+        (i, xi.cap) for (i, _), xi in zip(y.terms, powers))
+    assert r.diagnostics.hypothesis_a_risk == _risk(y, p)
+    return r
+
+
+@pytest.mark.parametrize("spec", ("Q", "F2", "F3", "F4", "F5", "F9", "F1000003"))
 def test_substitute_is_the_sum_of_its_term_powers(spec):
     ctx = make_field(spec)
     p = ctx.characteristic
     rng = random.Random(f"grouping:{spec}")
-    base = p or 2
+    base = p if p and p < 10 else 2
     for case in range(12):
         if case % 4 == 0:
             x = Series(ctx, {F(1, 2): ctx.one})  # exact monomial
@@ -217,16 +238,33 @@ def test_substitute_is_the_sum_of_its_term_powers(spec):
                    INF if case % 3 else max(exps) + 1)
         # an infinite cap needs an exact monomial x or an inexact one
         cap = INF if case % 4 < 2 else F(rng.randint(1, 10), rng.choice([1, 2]))
-        r = substitute(x, y, cap)
-        powers = [pow_rat(x, i, cap) for i, _ in y.terms]
-        total = Series.zero(ctx)
-        for (_, c), xi in zip(y.terms, powers):
-            total = total + xi.scale(c)
-        assert r.series == total.truncate(min(cap, y.cap * x.terms[0][0]))
-        assert r.achieved_cap == r.series.cap
-        assert r.diagnostics.term_caps == tuple(
-            (i, xi.cap) for (i, _), xi in zip(y.terms, powers))
-        assert r.diagnostics.hypothesis_a_risk == _risk(y, p)
+        _check_substitute(x, y, cap)
+
+
+@pytest.mark.parametrize("spec", ("F3", "F5"))
+def test_divergence_family_is_the_sum_of_its_term_powers(spec):
+    """y = sum of t^(-1/p^j), j <= 6, at x = t - t^2 and cap 1: the
+    powers fill the window from -1/p to 1 on the 1/p^j lattice, so a sum
+    of more than two of them takes the dense list of residues."""
+    ctx = make_field(spec)
+    p = ctx.characteristic
+    x = Series(ctx, {F(1): ctx.one, F(2): -ctx.one})
+    dense, real_sum, compress = [], Series._sum, series_module.compress
+
+    def spy(*args):  # `compress` is called on the list path only
+        dense.append(1)
+        return compress(*args)
+
+    def sum_spy(ctx, pieces):  # `invert` calls `compress` too, so spy inside `_sum`
+        with patch.object(series_module, "compress", spy):
+            return real_sum(ctx, pieces)
+    for k in (1, 2, 6):
+        y = Series(ctx, {F(-1, p ** j): ctx.one for j in range(1, k + 1)})
+        dense.clear()
+        with patch.object(Series, "_sum", staticmethod(sum_spy)):
+            r = _check_substitute(x, y, F(1))
+        assert r.series.coeff(0) == ctx.from_int(k % p)
+        assert bool(dense) == (k > 2)  # more than two pieces
 
 
 # ------------------------------------------------------------- work guard
