@@ -38,8 +38,8 @@ from fractions import Fraction
 from .errors import FieldError, ParseError, Record
 from .fields import AdditivePoly, FieldCtx, FiniteField
 from .morphisms import OrbitClass, classify_orbit, substitute
-from .powers import _padic_val, nth_root, pow_rat
-from .series import INF, Series
+from .powers import nth_root, pow_rat
+from .series import INF, Series, _padic_val
 from .solvers import artin_schreier, norm_leading, solve_additive, trace
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),=]))")

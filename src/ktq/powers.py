@@ -1,6 +1,6 @@
 """Rational powers of monic series: x^i = t^(m i) (1 + eps)^i for monic
 x = t^m (1 + eps), with (1 + eps)^i expanded below the precision needed;
-eps is built in one step from x's packed terms after the first.
+eps and the result are each built in one step from packed terms.
 
 Over Q the expansion is J.C.P. Miller's power recurrence (Knuth, TAOCP
 vol. 2, 4.7): for eps = sum a_j t^(e_j) and (1 + eps)^q = sum b_k t^k in
@@ -16,15 +16,18 @@ denominators.  The same map gives the q-th power: q is a p-adic integer
 with base-p digits d_j and (1 + eps)^(p^j) = 1 + F^j(eps), so (1 + eps)^q
 is the product of (1 + F^j(eps))^(d_j), stopping once p^j v(eps) reaches
 the target.  A negative integer q takes the digits of |q| and one inverse.
+The digit loop runs on ints, and the first factor starts the product.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldError, PrecisionError, SeriesError
-from .series import (INF, Series, _as_cap, _as_exp, _int_bound, _padic_val, _reachable,
-                     cap_add, cap_mul, power_cap)
+from .series import (INF, Series, _as_cap, _as_exp, _cap, _int_bound, _p_split, _pair, _plus,
+                     _reachable, cap_mul, power_cap)
 
 
 def rat_binomial(ctx, i, n: int):
@@ -42,60 +45,66 @@ def rat_binomial(ctx, i, n: int):
     return ctx.from_int(value.numerator * pow(value.denominator, -1, p)) if p else value
 
 
+def _frobenius_pack(y: Series, b: int, cap, sn=0, sd=1) -> Series:
+    """t^(sn/sd) F^b(y) in one `_build` (b = 0 over Q), with the cap given:
+    k/den goes to (k p^b + shift)/den, or for b < 0 on the lattice den p^-b."""
+    ctx, den, f = y.ctx, y.den, y.ctx.characteristic ** abs(b)
+    if b < 0:
+        den, f = den * f, 1
+    lat = lcm(den, sd)
+    f, off = f * (lat // den), sn * (lat // sd)
+    return Series._build(ctx, lat, [k * f + off for k in y.ks],
+                         ctx.frobenius_codes(y.cs, b) if b else y.cs, cap)
+
+
 def frobenius_map(x: Series, b: int) -> Series:
     """The termwise map z |-> z^(p^b) on series: exponents and the cap scale
-    by p^b (the ints for b > 0, the lattice denominator for b < 0), and
-    coefficients move by the Frobenius (or its inverse for b < 0).  b = 0 is
-    the identity in every characteristic."""
+    by p^b, and coefficients move by the Frobenius (its inverse for b < 0)."""
     if b == 0:
         return x
-    ctx = x.ctx
-    p = ctx.characteristic
+    p = x.ctx.characteristic
     if p == 0:
         raise FieldError("termwise Frobenius needs characteristic p > 0")
-    f = p ** abs(b)
-    ks, den = ([k * f for k in x.ks], x.den) if b > 0 else (x.ks, x.den * f)
-    return Series._build(ctx, den, ks, ctx.frobenius_codes(x.cs, b),
-                         cap_mul(x.cap, Fraction(p) ** b))
+    return _frobenius_pack(x, b, cap_mul(x.cap, Fraction(p) ** b))
 
 
-def _miller(eps: Series, q: Fraction, bound) -> Series:
-    """(1 + eps)^q below bound in characteristic 0, by Miller's recurrence."""
-    vals, den = eps.ctx.encode(eps.cs, 1)  # a_j = vals[j] / den
-    rs = q.numerator + q.denominator  # q + 1 = rs / s
-    s = q.denominator
+def _miller(eps: Series, num: int, den: int, bound) -> Series:
+    """(1 + eps)^q, q = num/den, below bound over Q by Miller's recurrence."""
+    vals, cden = eps.ctx.encode(eps.cs, 1)  # a_j = vals[j] / cden
+    rs = num + den  # q + 1 = rs / den
     steps = list(zip(eps.ks, vals))
     b = {}
     for k in _reachable(eps.ks, _int_bound(bound, eps.den), b):
-        c = Fraction(sum((rs * e - s * k) * a * b[k - e] for e, a in steps if k - e in b),
-                     s * den * k) if k else Fraction(1)
+        c = Fraction(sum((rs * e - den * k) * a * b[k - e] for e, a in steps if k - e in b),
+                     den * cden * k) if k else Fraction(1)
         if c:
             b[k] = c  # the codes over Q are the coefficients
     return Series._build(eps.ctx, eps.den, list(b), list(b.values()), bound)
 
 
-def _digits(eps: Series, q: Fraction, bound) -> Series:
-    """(1 + eps)^q below bound in characteristic p, for p-free q: the
-    product of (1 + F^j(eps))^(d_j) over the base-p digits d_j of q, each
-    power taken by squaring, so a digit costs O(log p) products."""
-    p = eps.ctx.characteristic
-    one = Series.one(eps.ctx)
-    y = one.truncate(bound)
-    w = eps.known_valuation()
-    j = 0
-    while q and p ** j * w < bound:
-        d = q.numerator * pow(q.denominator, -1, p) % p
+def _digits(eps: Series, num: int, den: int, bound) -> Series:
+    """(1 + eps)^q below bound in characteristic p, for p-free q = num/den and
+    eps known below bound: the product of (1 + F^j(eps))^(d_j) over the
+    base-p digits d_j of q, each power taken by squaring, so a digit costs
+    O(log p) products, and each factor one `_build`."""
+    ctx, p = eps.ctx, eps.ctx.characteristic
+    hi = _int_bound(bound, eps.den)
+    w = eps.ks[0] if eps.ks else _int_bound(eps.cap, eps.den)
+    inv, y, j, f = pow(den, -1, p), None, 0, 1  # f = p^j
+    while num and f * w < hi:
+        d = num * inv % p
         if d:
-            f, e = one + frobenius_map(eps.truncate(bound / p ** j), j), d
+            n = bisect_left(eps.ks, hi, key=f.__mul__)  # F^j(eps) below bound
+            g, e = Series._build(ctx, eps.den, [0] + [k * f for k in eps.ks[:n]],
+                                 [1] + ctx.frobenius_codes(eps.cs[:n], j), bound), d
             while e:
                 if e & 1:
-                    y = y * f
+                    y = g if y is None else y * g
                 e >>= 1
                 if e:
-                    f = f * f
-        q = (q - d) / p
-        j += 1
-    return y
+                    g = g * g
+        num, j, f = (num - d * den) // p, j + 1, f * p
+    return Series.one(ctx).truncate(bound) if y is None else y
 
 
 def pow_rat(x: Series, i, requested_cap=INF) -> Series:
@@ -103,11 +112,11 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
 
     A fractional i needs a monic x.  An integer i also takes a non-monic x =
     c * u, as c^i * u^i, and a positive integer i an x with no visible term
-    (exact 0 stays 0).  The cap is the power rule of the `series` table, so
-    exact inputs give exact integer powers such as (1+t)^3, and an expansion
-    that never ends needs a finite requested_cap.  The expansion is Miller's
-    recurrence over Q and the digit product in characteristic p, via one
-    inverse for a negative integer q.
+    (exact 0 to any i > 0 is exact 0).  The cap is the power rule of the
+    `series` table, so exact inputs give exact integer powers such as
+    (1+t)^3, and an expansion that never ends needs a finite requested_cap.
+    The expansion is Miller's recurrence over Q and the digit product in
+    characteristic p, via one inverse for a negative integer q.
     """
     ctx = x.ctx
     i = _as_exp(i)
@@ -115,7 +124,9 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     if i == 0:
         return Series.one(ctx)
     if not x.ks:
-        if i.denominator == 1 and i > 0:
+        if x.is_exact and i < 0:
+            raise SeriesError("cannot invert the zero series")
+        if x.is_exact or i.denominator == 1 and i > 0:
             return Series(ctx, (), power_cap(x, i, requested_cap))
         raise PrecisionError("no visible leading term to raise to a power")
     if not x.is_monic():
@@ -124,22 +135,23 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         c = x.leading_coeff()
         return pow_rat(x.scale(1 / c), i, requested_cap).scale(c ** i.numerator)
     p = ctx.characteristic
-    b = _padic_val(i, p) if p else 0
-    scale = Fraction(p or 1) ** b
-    q = i / scale
-    m = x.known_valuation()
-    bound = cap_mul(cap_add(power_cap(x, i, requested_cap), -m * i), 1 / scale)
-    eps = Series._build(ctx, x.den, [k - x.ks[0] for k in x.ks[1:]], x.cs[1:],
-                        cap_add(x.cap, -m)).truncate(bound)
-    if bound <= 0:
-        y = Series(ctx, (), bound)
+    b, s, (num, den) = _p_split(i, p)
+    cap = power_cap(x, i, requested_cap)
+    mi = (x.ks[0] * i.numerator, x.den * i.denominator)  # m i
+    rel = _plus(_pair(cap), (-mi[0], mi[1]))  # (cap - m i) / p^b bounds (1 + eps)^q
+    bound = _cap(rel and (rel[0] * s[1], rel[1] * s[0]))
+    hi = _int_bound(bound, x.den)
+    n = bisect_left(x.ks, hi + x.ks[0])
+    eps = Series._build(ctx, x.den, [k - x.ks[0] for k in x.ks[1:n]], x.cs[1:n], bound)
+    if hi <= 0:
+        y = eps  # no terms, cap bound
     elif not p:
-        y = _miller(eps, q, bound)
-    elif q < 0 and q.denominator == 1:
-        y = _digits(eps, -q, bound).invert(bound)
+        y = _miller(eps, num, den, bound)
+    elif num < 0 and den == 1:
+        y = _digits(eps, -num, 1, bound).invert(bound)
     else:
-        y = _digits(eps, q, bound)
-    return frobenius_map(y, b).shift(m * i)
+        y = _digits(eps, num, den, bound)
+    return _frobenius_pack(y, b, cap, *mi)
 
 
 def nth_root(x: Series, n: int, requested_cap=INF) -> Series:

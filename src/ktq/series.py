@@ -10,6 +10,8 @@ Every cap a public operation returns comes from one rule of this table, one
 function each in the "cap rules" section below; `_as_cap` is the one reader
 of a cap from outside (INF, an int or a Fraction).  v*(z) is the valuation
 of the known part (the cap if no term is known), m = v*(x), req the request.
+The mul, invert and power rules compute on int pairs (None for INF), compare
+by cross-multiplying and build one Fraction per result cap.
 
     rule        cap of the result                    function        callers
     add         min(cap_x, cap_y)                    min             +, -
@@ -98,12 +100,37 @@ def cap_mul(cap, factor: Fraction):
     return _as_cap(cap) if type(cap) is float else cap * factor
 
 
+def _pair(c):  # a finite cap as an int pair (num, den > 0); None for INF
+    return None if type(c) is float else (c.numerator, c.denominator)
+
+
+def _val_pair(z, r=1):  # r v*(z) as an int pair
+    v = (z.ks[0], z.den) if z.ks else _pair(z.cap)
+    return v and (r * v[0], v[1])
+
+
+def _plus(a, b):
+    return None if a is None or b is None else (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def _lt(a, b):  # a < b by a cross-multiplied compare
+    return a is not None and (b is None or a[0] * b[1] < b[0] * a[1])
+
+
+def _cap(a):  # the one Fraction a rule builds
+    return INF if a is None else Fraction(*a)
+
+
 def product_cap(x, y):
-    return min(cap_add(x.cap, y.known_valuation()), cap_add(y.cap, x.known_valuation()))
+    if type(x.cap) is float and type(y.cap) is float:
+        return INF
+    a, b = _plus(_pair(x.cap), _val_pair(y)), _plus(_pair(y.cap), _val_pair(x))
+    return _cap(b if _lt(b, a) else a)
 
 
 def inverse_cap(x, req):
-    cap = min(req, cap_add(x.cap, -2 * x.known_valuation()))
+    hi, req = _plus(_pair(x.cap), _val_pair(x, -2)), _pair(req)
+    cap = _cap(hi if _lt(hi, req) else req)
     if type(cap) is float and len(x.ks) > 1:
         raise PrecisionError("inverse has infinite support; pass a finite cap")
     return cap
@@ -119,22 +146,32 @@ def _padic_val(i: Fraction, p: int) -> int:
     return b
 
 
+def _p_split(i: Fraction, p: int):
+    """i = p^b q with q p-free (b = 0 over Q): b, and p^b and q as int pairs."""
+    b = _padic_val(i, p) if p else 0
+    f = (p or 1) ** abs(b)
+    return (b, (1, f), (i.numerator, i.denominator // f)) if b < 0 else (
+        b, (f, 1), (i.numerator // f, i.denominator))
+
+
 def power_cap(x, i: Fraction, req):
     """x monic, or any x for an integer i, or no visible term for a natural i."""
     if not i or len(x.ks) <= 1 and type(x.cap) is float:
         return INF
     if not x.ks:
         return min(req, cap_mul(x.cap, i))
-    p, m = x.ctx.characteristic, x.known_valuation()
-    s = Fraction(p) ** _padic_val(i, p) if p else Fraction(1)
-    hi = cap_add(cap_mul(cap_add(x.cap, -m), s), m * i)
-    cap = min(req, hi)
-    if (i / s).denominator == 1 and i > 0:
-        e1 = Fraction(x.ks[1], x.den) if len(x.ks) > 1 else x.cap
-        return hi if i * e1 < cap else cap
-    if type(cap) is float:
+    _, s, q = _p_split(i, x.ctx.characteristic)
+    rel = _plus(_pair(x.cap), _val_pair(x, -1))  # cap_x - m
+    hi = _plus(rel and (rel[0] * s[0], rel[1] * s[1]),
+               (x.ks[0] * i.numerator, x.den * i.denominator))  # + m i
+    cap = hi if _lt(hi, _pair(req)) else _pair(req)
+    if q[0] > 0 and q[1] == 1:
+        e1 = (x.ks[1], x.den) if len(x.ks) > 1 else _pair(x.cap)
+        if _lt(e1 and (i.numerator * e1[0], i.denominator * e1[1]), cap):
+            cap = hi
+    elif cap is None:
         raise PrecisionError("power expansion has infinite support; pass a finite cap")
-    return cap
+    return _cap(cap)
 
 
 def substitute_cap(x, y, req):
@@ -251,15 +288,15 @@ class Series:
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx)
+        return cls._build(ctx, 1, [], [], INF)
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, [(0, ctx.one)])
+        return cls._build(ctx, 1, [0], [ctx.code(ctx.one)], INF)
 
     @classmethod
     def t(cls, ctx):
-        return cls(ctx, [(1, ctx.one)])
+        return cls._build(ctx, 1, [1], [ctx.code(ctx.one)], INF)
 
     @classmethod
     def constant(cls, ctx, c):
@@ -441,7 +478,6 @@ class Series:
             raise PrecisionError("cannot invert: no visible leading term")
         requested_cap = _as_cap(requested_cap)
         ctx = self.ctx
-        v = self.known_valuation()
         c_inv = 1 / self.leading_coeff()
         result_cap = inverse_cap(self, requested_cap)
         n = len(self.ks) - 1
@@ -450,7 +486,7 @@ class Series:
         vals, den = ctx.encode([ctx.code(c_inv)] + self.scale(-c_inv).cs[1:], n)
         kv = self.ks[0]
         es = [k - kv for k in self.ks[1:]]
-        bound = _int_bound(cap_add(result_cap, v), self.den)
+        bound = _int_bound(result_cap, self.den) + kv
         p = ctx.characteristic
         g = _dense_step(es, bound) if p and ctx.e == 1 else 0
         if g:  # F_p: the codes are the residues, den = 1

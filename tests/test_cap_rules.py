@@ -16,7 +16,7 @@ from ktq import (INF, AdditivePoly, KtqError, PrecisionError, Series, frobenius_
 from ktq.series import (cap_add, cap_mul, inverse_cap, power_cap, product_cap, solve_cap,
                         substitute_cap)
 
-from conftest import random_monic_positive, random_series, rng_for
+from conftest import random_coeff, random_monic_positive, random_series, rng_for
 
 _spec = importlib.util.spec_from_file_location(
     "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
@@ -70,33 +70,23 @@ def test_add_shift_and_scale_rules(spec):
             assert _ocap(got) == O.frob_map(_o(x), b).cap
 
 
-@pytest.mark.parametrize("spec", SPECS)
-def test_mul_rule(spec):
-    ctx, rng, runs = _cases("mul", spec)
-    for _ in runs:
-        x, y = random_series(rng, ctx), random_series(rng, ctx)
-        got = (x * y).cap
-        assert got == product_cap(x, y)
-        assert _ocap(got) == O.mul_cap(_o(x), _o(y))
+def _check_mul(x, y):
+    got = (x * y).cap
+    assert got == product_cap(x, y)
+    assert _ocap(got) == O.mul_cap(_o(x), _o(y))
 
 
-@pytest.mark.parametrize("spec", SPECS)
-def test_invert_rule(spec):
-    ctx, rng, runs = _cases("invert", spec)
-    for _ in runs:
-        x, req = random_series(rng, ctx, max_terms=4), rng.choice(REQS)
-        if not x.ks:
-            continue
-        if req == INF and x.is_exact and len(x.ks) > 1:  # refused: infinite support
-            for f in (inverse_cap, Series.invert):
-                with pytest.raises(PrecisionError, match="infinite support"):
-                    f(x, req)
-            continue
-        rule = inverse_cap(x, req)
-        got = x.invert(req).cap
-        assert got == rule
-        _, lo, hi = O.inverse(_o(x), _ocap(req))
-        assert _ocap(got) == lo and _in(got, lo, hi), (x, req, got, lo, hi)
+def _check_invert(x, req):
+    if req == INF and x.is_exact and len(x.ks) > 1:  # refused: infinite support
+        for f in (inverse_cap, Series.invert):
+            with pytest.raises(PrecisionError, match="infinite support"):
+                f(x, req)
+        return
+    rule = inverse_cap(x, req)
+    got = x.invert(req).cap
+    assert got == rule
+    _, lo, hi = O.inverse(_o(x), _ocap(req))
+    assert _ocap(got) == lo and _in(got, lo, hi), (x, req, got, lo, hi)
 
 
 def _p_free_den(i, p):
@@ -104,6 +94,42 @@ def _p_free_den(i, p):
     while p and den % p == 0:
         den //= p
     return den
+
+
+def _check_power(x, i, req):
+    """x monic."""
+    _, lo, hi = O.power(_o(x), i, _ocap(req))
+    # the table: min(req, hi), or hi alone when q is natural and i e_1 is
+    # below that (the expansion ends), INF for an exact monomial
+    e1 = F(x.ks[1], x.den) if len(x.ks) > 1 else x.cap
+    ends = i > 0 and _p_free_den(i, x.ctx.characteristic) == 1 and not O.cap_le(lo, i * e1)
+    monomial = len(x.ks) == 1 and x.is_exact
+    if lo is None and not ends and not monomial:  # refused: infinite support
+        for f in (power_cap, pow_rat):
+            with pytest.raises(PrecisionError, match="infinite support"):
+                f(x, i, req)
+        return
+    want = None if monomial else hi if ends else lo
+    rule = power_cap(x, i, req)
+    got = pow_rat(x, i, req).cap
+    assert got == rule
+    assert _ocap(got) == want and _in(got, lo, hi), (x, i, req, got, lo, hi)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_mul_rule(spec):
+    ctx, rng, runs = _cases("mul", spec)
+    for _ in runs:
+        _check_mul(random_series(rng, ctx), random_series(rng, ctx))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_invert_rule(spec):
+    ctx, rng, runs = _cases("invert", spec)
+    for _ in runs:
+        x, req = random_series(rng, ctx, max_terms=4), rng.choice(REQS)
+        if x.ks:
+            _check_invert(x, req)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -117,23 +143,43 @@ def test_power_rule(spec):
                 continue
             assert pow_rat(x, 2, req).cap == power_cap(x, F(2), req) == min(req, 2 * x.cap)
             continue
-        x = x.scale(1 / x.leading_coeff())
-        _, lo, hi = O.power(_o(x), i, _ocap(req))
-        # the table: min(req, hi), or hi alone when q is natural and i e_1 is
-        # below that (the expansion ends), INF for an exact monomial
-        e1 = F(x.ks[1], x.den) if len(x.ks) > 1 else x.cap
-        ends = i > 0 and _p_free_den(i, ctx.characteristic) == 1 and not O.cap_le(lo, i * e1)
-        monomial = len(x.ks) == 1 and x.is_exact
-        if lo is None and not ends and not monomial:  # refused: infinite support
-            for f in (power_cap, pow_rat):
-                with pytest.raises(PrecisionError, match="infinite support"):
-                    f(x, i, req)
-            continue
-        want = None if monomial else hi if ends else lo
-        rule = power_cap(x, i, req)
-        got = pow_rat(x, i, req).cap
-        assert got == rule
-        assert _ocap(got) == want and _in(got, lo, hi), (x, i, req, got, lo, hi)
+        _check_power(x.scale(1 / x.leading_coeff()), i, req)
+
+
+FRACTIONAL_CAPS = (F(-5, 2), F(-1), F(1, 3), F(7, 2), F(9, 4))
+
+
+def _on_lattice(rng, ctx, d, lo):
+    """Up to four terms on the 1/d lattice from lo, below a cap drawn from
+    FRACTIONAL_CAPS, which the lattice need not hold."""
+    cap = rng.choice(FRACTIONAL_CAPS)
+    ks = [k for k in range(lo * d, 4 * d) if F(k, d) < cap]
+    picked = rng.sample(ks, min(len(ks), rng.randint(0, 4)))
+    return Series(ctx, {F(k, d): random_coeff(rng, ctx, nonzero=True) for k in picked}, cap)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("spec", SPECS)
+def test_rules_at_fractional_and_negative_caps(spec, d):
+    """The mul, invert and power rules compare caps as int pairs and round
+    to the lattice, so they are checked at caps -5/2, -1, 1/3, 7/2 and 9/4
+    on the lattices 1/2 and 1/3, and on t + O(t^(7/2)), a base whose eps
+    has no visible term."""
+    ctx, rng, runs = _cases(f"fractional-caps:{d}", spec)
+    reqs = FRACTIONAL_CAPS + (INF,)
+    for _ in runs:
+        x = _on_lattice(rng, ctx, d, lo=-3)
+        _check_mul(x, _on_lattice(rng, ctx, d, lo=-3))
+        if x.ks:
+            _check_invert(x, rng.choice(reqs))
+        x = _on_lattice(rng, ctx, d, lo=-1)
+        if x.ks:
+            _check_power(x.scale(1 / x.leading_coeff()), rng.choice(EXPS), rng.choice(reqs))
+    for m in (F(1), F(1, d)):
+        x = Series(ctx, {m: ctx.one}, F(7, 2))
+        for i in (F(1, 3), F(1, 2), F(-1), F(2), F(1, 9), F(-2, 3)):
+            for req in reqs:
+                _check_power(x, i, req)
 
 
 @pytest.mark.parametrize("spec", SPECS)

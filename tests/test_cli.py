@@ -279,6 +279,29 @@ def test_poly_coefficient_division_by_zero_is_a_domain_error(capsys, field):
     assert capsys.readouterr().err == "ktq: cannot invert the zero series\n"
 
 
+@pytest.mark.parametrize("field, expr", [("F3", "0^(1/3)"), ("Q", "0^(1/2)"), ("F4", "(t-t)^(2/3)"),
+                                         ("F3", "root(0, 3)"), ("Q", "0^3")])
+def test_positive_powers_of_exact_zero_are_exact_zero(capsys, field, expr):
+    assert run(["eval", "--field", field, expr]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+@pytest.mark.parametrize("field, expr", [("F3", "0^(-1)"), ("Q", "(t-t)^(-2)"),
+                                         ("F9", "0^(-1/3)"), ("Q", "1/0"), ("Q", "inv(0)")])
+def test_negative_powers_of_exact_zero_are_the_zero_inverse_error(capsys, field, expr):
+    assert run(["eval", "--field", field, expr]) == 1
+    assert capsys.readouterr().err == "ktq: cannot invert the zero series\n"
+
+
+@pytest.mark.parametrize("exp", ["(1/3)", "(-1)"])
+def test_powers_of_a_capped_invisible_base_keep_their_errors(capsys, exp):
+    hidden = "(inv(1-t) - inv(1-t))"  # O(t^8): no visible term, not exact
+    assert run(["eval", "--field", "F3", f"{hidden}^{exp}"]) == 1
+    assert capsys.readouterr().err == "ktq: no visible leading term to raise to a power\n"
+    assert run(["eval", "--field", "F3", f"{hidden}^2"]) == 0
+    assert capsys.readouterr().out == "O(t^8)\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_an_allocation_that_cannot_be_made_is_one_error_line(capsys, monkeypatch, fmt):
     """A huge cap can ask for more memory than there is; the invert raises

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ktq import (INF, FieldError, PrecisionError, Series, SeriesError,
-                 frobenius_map, nth_root, pow_rat, rat_binomial)
+                 frobenius_map, make_field, nth_root, pow_rat, rat_binomial)
 from conftest import random_monic_positive, rng_for
 
 F = Fraction
@@ -97,10 +97,32 @@ def test_integer_powers_of_non_monic_bases(Q, F9):
 def test_integer_powers_of_invisible_bases(Q):
     assert pow_rat(Series.zero(Q), 3) == Series.zero(Q)
     assert pow_rat(Series(Q, (), cap=F(3)), 2) == Series(Q, (), cap=F(6))
-    with pytest.raises(PrecisionError):
+    with pytest.raises(SeriesError, match="cannot invert the zero series"):
         pow_rat(Series.zero(Q), -1, F(8))
     with pytest.raises(PrecisionError):
         pow_rat(Series(Q, (), cap=F(3)), -2, F(8))
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F4", "F9"])
+def test_powers_of_exact_zero(spec):
+    """0 is exact and its only root is 0: any i > 0 gives exact 0 whatever the
+    request, and any i < 0 is the zero inverse error of `Series.invert`."""
+    ctx = make_field(spec)
+    zero = Series.zero(ctx)
+    for i in (F(1), F(3), F(1, 2), F(1, 3), F(2, 3), F(9, 4), F(1, 9)):
+        for req in (INF, F(-1), F(0), F(5, 2)):
+            got = pow_rat(zero, i, req)
+            assert got == zero and got.is_exact
+    assert nth_root(zero, 3, F(4)) == zero
+    for i in (F(-1), F(-2), F(-1, 2), F(-1, 3), F(-4, 9)):
+        with pytest.raises(SeriesError, match="cannot invert the zero series"):
+            pow_rat(zero, i, F(4))
+    # a capped base with no visible term keeps its behaviour
+    hidden = Series(ctx, (), F(3))
+    assert pow_rat(hidden, 2, F(8)) == Series(ctx, (), F(6))
+    for i in (F(1, 3), F(-1)):
+        with pytest.raises(PrecisionError, match="no visible leading term"):
+            pow_rat(hidden, i, F(8))
 
 
 # ------------------------------------------------------ pow_rat, fractional
