@@ -317,10 +317,10 @@ class FFElement:
         result, base = 1, self.code
         while n:
             if n & 1:
-                result = f._pack(f._reduce(result * base, f._bits), f._bits)
+                result = f.decode([result * base], 1, 1)[0]
             n >>= 1
             if n:
-                base = f._pack(f._reduce(base * base, f._bits), f._bits)
+                base = f.decode([base * base], 1, 1)[0]
         return FFElement(f, result)
 
     def __eq__(self, other):

@@ -134,8 +134,7 @@ def scale_exponents(y: Series, r) -> Series:
     r = _as_exp(r, "exponent scaling factor")
     if r <= 0:
         raise SeriesError("exponent scaling factor must be positive")
-    return Series._build(y.ctx, y.den * r.denominator, [k * r.numerator for k in y.ks], y.cs,
-                         cap_mul(y.cap, r))
+    return y._remap(r.numerator, r.denominator, 0, 1, y.cs, cap_mul(y.cap, r))
 
 
 def standard_endomorphism(lam: ExpHom, r, y: Series) -> Series:

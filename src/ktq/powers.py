@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
 
 from .errors import FieldError, PrecisionError, SeriesError
 from .series import (INF, Series, _as_cap, _as_exp, _cap, _int_bound, _p_split, _pair, _plus,
@@ -45,18 +44,6 @@ def rat_binomial(ctx, i, n: int):
     return ctx.from_int(value.numerator * pow(value.denominator, -1, p)) if p else value
 
 
-def _frobenius_pack(y: Series, b: int, cap, sn=0, sd=1) -> Series:
-    """t^(sn/sd) F^b(y) in one `_build` (b = 0 over Q), with the cap given:
-    k/den goes to (k p^b + shift)/den, or for b < 0 on the lattice den p^-b."""
-    ctx, den, f = y.ctx, y.den, y.ctx.characteristic ** abs(b)
-    if b < 0:
-        den, f = den * f, 1
-    lat = lcm(den, sd)
-    f, off = f * (lat // den), sn * (lat // sd)
-    return Series._build(ctx, lat, [k * f + off for k in y.ks],
-                         ctx.frobenius_codes(y.cs, b) if b else y.cs, cap)
-
-
 def frobenius_map(x: Series, b: int) -> Series:
     """The termwise map z |-> z^(p^b) on series: exponents and the cap scale
     by p^b, and coefficients move by the Frobenius (its inverse for b < 0)."""
@@ -65,7 +52,9 @@ def frobenius_map(x: Series, b: int) -> Series:
     p = x.ctx.characteristic
     if p == 0:
         raise FieldError("termwise Frobenius needs characteristic p > 0")
-    return _frobenius_pack(x, b, cap_mul(x.cap, Fraction(p) ** b))
+    r = Fraction(p) ** b
+    return x._remap(r.numerator, r.denominator, 0, 1, x.ctx.frobenius_codes(x.cs, b),
+                    cap_mul(x.cap, r))
 
 
 def _miller(eps: Series, num: int, den: int, bound) -> Series:
@@ -151,7 +140,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         y = _digits(eps, -num, 1, bound).invert(bound)
     else:
         y = _digits(eps, num, den, bound)
-    return _frobenius_pack(y, b, cap, *mi)
+    return y._remap(*s, *mi, ctx.frobenius_codes(y.cs, b) if b else y.cs, cap)
 
 
 def nth_root(x: Series, n: int, requested_cap=INF) -> Series:

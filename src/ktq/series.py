@@ -41,16 +41,17 @@ equal elements have equal fields.  `Series._build` is the one builder; it
 drops zero codes and reduces the lattice.  On that form `Series._sum` is the
 one merge, with `+` its two-piece case: one int-keyed dict over lcm(den),
 summing codes only where exponents meet, or over F_p one list of residues for
-a window of at most 4 slots per term of the pieces; `shift` adds an int to
-each exponent; `truncate` is a bisect; `scale` and products sum the field's
-kernel encoding of the codes as plain ints and decode once per output term,
-with the cap as the least int bound at or above cap*den, so nothing is
-allocated per lattice point.  Inverses run a recurrence over the sums of
-their steps (see `Series.invert`) on a heap walk of the reachable sums,
-decoding once per output term, except over F_p when the smallest step is
-at most 4g (g the steps' gcd, chosen by `_dense_step`): there one list
-slot per multiple of g below the bound holds a residue, with one `% p` per
-slot and no codec call.
+a window of at most 4 slots per term of the pieces; `Series._remap` is the one
+exponent map, k/den to (f k + off)/den' in one `_build`, for `shift`,
+`scale_exponents`, `frobenius_map` and `pow_rat`'s final Frobenius-and-shift;
+`truncate` is a bisect; `scale` and products sum the field's kernel encoding
+of the codes as plain ints and decode once per output term, with the cap as
+the least int bound at or above cap*den, so nothing is allocated per lattice
+point.  Inverses run a recurrence over the sums of their steps (see
+`Series.invert`) on a heap walk of the reachable sums, decoding once per
+output term, except over F_p when the smallest step is at most 4g (g the
+steps' gcd, chosen by `_dense_step`): there one list slot per multiple of g
+below the bound holds a residue, with one `% p` per slot and no codec call.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -440,13 +441,19 @@ class Series:
         return Series._build(ctx, self.den, self.ks,
                              ctx.decode([v * vc for v in vals], den * den, 1), self.cap)
 
+    def _remap(self, fn, fd, sn, sd, cs, cap):
+        """Internal, the one exponent map: t^(sn/sd) times the terms with
+        each exponent scaled by fn/fd > 0, the codes cs and the cap given,
+        in one `_build` on the lattice lcm(den fd, sd)."""
+        den = lcm(self.den * fd, sd)
+        f, off = fn * (den // (self.den * fd)), sn * (den // sd)
+        return Series._build(self.ctx, den, [k * f + off for k in self.ks], cs, cap)
+
     def shift(self, delta):
         """Multiply by t^delta (an exact monomial)."""
         delta = _as_exp(delta)
-        den = lcm(self.den, delta.denominator)
-        dk = delta.numerator * (den // delta.denominator)
-        return Series._build(self.ctx, den, [k + dk for k in self._exps(den)], self.cs,
-                             cap_add(self.cap, delta))
+        return self._remap(1, 1, delta.numerator, delta.denominator, self.cs,
+                           cap_add(self.cap, delta))
 
     def truncate(self, bound):
         """Forget everything at or above bound.  Caps only ever go down."""
@@ -594,7 +601,10 @@ def series_from_json(data, ctx=None) -> Series:
     try:
         ctx = make_field(data["field"]) if ctx is None else ctx
         cap = data.get("cap", "inf")
-        cap = INF if cap == "inf" else Fraction(cap[0], cap[1])
+        if cap != "inf" and not (type(cap) is list and len(cap) == 2
+                                 and {type(v) for v in cap} == {int}):
+            raise ValueError(f"cap {cap!r}")  # only "inf" or the [n, d] to_json_dict writes
+        cap = INF if cap == "inf" else Fraction(*cap)
         terms = [(Fraction(num, den), ctx.parse_coeff(cstr))
                  for num, den, cstr in data.get("terms", [])]
     except MALFORMED_JSON as exc:

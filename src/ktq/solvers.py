@@ -6,26 +6,20 @@ onto the coefficient field that commutes with p-th powers.
 solve_additive inverts P(x) = b for an additive P over F_q.  The inseparable
 part peels off first: writing P = F^j o Q with Q separable, any solution of
 Q(x) = b^(1/p^j) (a termwise p^j-th root) already satisfies P(x) = b.  The
-separable equation splits by exponent sign, and one greedy loop serves both
-sides: the correction (lead(r)/q_i)^(1/p^i) t^(v(r)/p^i) kills the lowest
-residual term, where i is the index of the dominant coefficient of Q.
-
-* positive side, i = 0: the correction is (lead(r)/q_0) t^(v(r)) and every
-  byproduct lands strictly higher, so valuations climb through a discrete
-  lattice.
-* negative side, i = n (the top coefficient): byproducts land at
-  v(r)/p^k for k < n, still negative but closer to zero.  Supports accumulate at 0
-  from below, so only targets strictly below zero terminate and a solution
-  certified at any positive cap is unreachable whenever b has negative
-  exponents.
-* the constant level is a finite problem in k, solved by exhaustion
-  (`AdditivePoly.preimage`); an unreachable constant is a genuine
-  obstruction reported as NoSolution.
+constant level is a finite problem in k, solved by exhaustion
+(`AdditivePoly.preimage`); an unreachable constant is a genuine obstruction
+reported as NoSolution.  One greedy loop runs over the rest, the packed
+residual r, and `Series._sum` adds up its steps: the correction
+(lead(r)/q_i)^(1/p^i) t^(v(r)/p^i) kills the lowest residual term, with
+i = 0 above 0 and i = n (the top coefficient of Q) below 0, and its
+byproducts stay on the same side of 0.  Above 0 they land strictly higher,
+so valuations climb through a discrete lattice; below 0 they land at
+v(r)/p^k for k < n, closer to zero.  Supports accumulate at 0 from below, so
+only targets strictly below zero terminate and a solution certified at any
+positive cap is unreachable whenever b has negative exponents.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import FieldError, NoSolutionError, PrecisionError, Record, SeriesError
 from .fields import AdditivePoly, FiniteField
@@ -79,23 +73,19 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
             f"constant obstruction: {ctx.format_coeff(c0)} is outside the image of "
             f"{Q.format()} on {ctx.spec_string()}", witness=c0)
 
-    neg_terms = [(e, c) for e, c in bp.terms if e < 0]
-    pos_terms = [(e, c) for e, c in bp.terms if e > 0]
-    if neg_terms and bound >= 0:  # bp.cap > 0, so the target is >= 0
+    if bp.ks and bp.ks[0] < 0 and bound >= 0:  # bp.cap > 0, so the target is >= 0
         raise SeriesError(
             "no positive cap is reachable when the right side has negative exponents; "
             "pass a target_cap below 0")
 
-    solution = {Fraction(0): x0} if x0 else {}
-    for terms, i in ((pos_terms, 0), (neg_terms, Q.p_degree)):
-        r = Series(ctx, terms, bp.cap)
-        while r.ks and (e := r.known_valuation()) < bound:
-            root = ctx.frobenius(r.leading_coeff() / Q.coeffs[i], -i)
-            de = e / p ** i
-            solution[de] = solution.get(de, ctx.zero) + root
-            r = r - apply_additive(Q, Series.monomial(ctx, root, de))
-
-    return Series(ctx, {e: c for e, c in solution.items() if c}).truncate(bound)
+    steps, n = [Series.constant(ctx, x0)], Q.p_degree
+    r = bp - Series.constant(ctx, c0)
+    while r.ks and (e := r.known_valuation()) < bound:
+        i = n if e < 0 else 0
+        steps.append(Series.monomial(ctx, ctx.frobenius(r.leading_coeff() / Q.coeffs[i], -i),
+                                     e / p ** i))
+        r = r - apply_additive(Q, steps[-1])
+    return Series._sum(ctx, steps).truncate(bound)
 
 
 def artin_schreier(x: Series, n: int = 1, target_cap=None) -> Series:

@@ -152,3 +152,13 @@ def test_random_command_lines_exit_0_1_or_2(seed):
         assert code == 0 or err, argv  # a failure always says why
         codes.append(code)
     assert {0, 1, 2} <= set(codes)  # the fuzz reaches results and both error kinds
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli_fuzz.py 8000: one repr((argv, (code, stdout,
+    # stderr))) line per command line, seeded "cli-diff:<k>", to diff two trees.
+    import sys
+
+    for k in range(int(sys.argv[1])):
+        argv = _argv(random.Random(f"cli-diff:{k}"))
+        print(repr((argv, _run(argv))))

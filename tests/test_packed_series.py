@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from ktq import INF, Series, make_field, series_from_json
 from ktq.errors import PrecisionError
+from ktq.morphisms import scale_exponents
 from ktq.powers import frobenius_map
 from ktq.series import UnknownAtLeast, format_series
 
@@ -199,6 +200,12 @@ def test_shift_scale_truncate_match_reference(spec, data):
     bound = data.draw(exponents())
     want = (xs, cap) if bound >= cap else ({e: v for e, v in xs.items() if e < bound}, bound)
     check(R, x.truncate(bound), want)
+    # r's numerator from DENS can clear a lattice denominator, its denominator adds one
+    r = Fraction(data.draw(st.sampled_from(DENS)) * data.draw(st.integers(1, 3)),
+                 data.draw(st.sampled_from(DENS)))
+    for r in (r, 1 / r):
+        check(R, scale_exponents(x, r),
+              ({e * r: c for e, c in xs.items()}, INF if cap == INF else cap * r))
 
 
 @pytest.mark.parametrize("spec", FINITE)

@@ -308,7 +308,9 @@ def test_json_round_trip(Q, F9):
             assert back.ctx == s.ctx
     good = Series.t(Q).to_json_dict()
     for bad in ({**good, "terms": [[1, 0, "1"]]}, {**good, "cap": [1, 0]},
-                {"terms": [], "cap": "inf"}):
+                {"terms": [], "cap": "inf"}, {"field": "Q", "cap": [1]},
+                {"field": "Q", "cap": []}, {"field": "Q", "cap": "8"},
+                {"field": "Q", "cap": [1, 2, 3]}):
         with pytest.raises(SeriesError, match="malformed series JSON"):
             series_from_json(bad)
 

@@ -11,6 +11,7 @@ from ktq import (INF, AdditivePoly, FieldError, NEGATIVE, POSITIVE,
                  apply_additive, artin_schreier, check_additive_images,
                  frobenius_map, make_field, norm_leading, parse_additive_poly,
                  solve_additive, trace, valuation_sign_via_trace)
+from ktq.series import solve_cap
 from conftest import random_coeff, random_series, rng_for
 
 F = Fraction
@@ -244,6 +245,75 @@ def test_solve_infinite_target(F2, F4, Q):
     assert x.is_exact and len(x.terms) == 1  # a constant right side ends
     x = solve_additive(AdditivePoly(Q, [F(2)]), Series.t(Q), INF)
     assert x == Series(Q, {F(1): F(1, 2)})  # exact over Q
+
+
+def _two_loop_solve(P, b, target_cap=None):
+    """solve_additive with one greedy loop per exponent sign on a
+    Fraction-keyed solution dict, the form the library's single loop over
+    the packed residual replaced; kept here as a reference."""
+    if P.ctx != b.ctx:
+        raise SeriesError("coefficient-field mismatch")
+    ctx, p = b.ctx, b.ctx.characteristic
+    if not b.ks and b.is_exact:
+        return Series.zero(ctx)
+    if b.cap <= 0:
+        raise PrecisionError("the constant level of the right side is not certified")
+    Q, j = P.separable_part()
+    bound = solve_cap(b, target_cap, j)
+    bp = frobenius_map(b, -j)
+    c0 = bp.coeff(0)
+    x0 = Q.preimage(c0) if c0 else ctx.zero
+    if x0 is None:
+        raise NoSolutionError(
+            f"constant obstruction: {ctx.format_coeff(c0)} is outside the image of "
+            f"{Q.format()} on {ctx.spec_string()}", witness=c0)
+    neg_terms = [(e, c) for e, c in bp.terms if e < 0]
+    pos_terms = [(e, c) for e, c in bp.terms if e > 0]
+    if neg_terms and bound >= 0:
+        raise SeriesError(
+            "no positive cap is reachable when the right side has negative exponents; "
+            "pass a target_cap below 0")
+    solution = {F(0): x0} if x0 else {}
+    for terms, i in ((pos_terms, 0), (neg_terms, Q.p_degree)):
+        r = Series(ctx, terms, bp.cap)
+        while r.ks and (e := r.known_valuation()) < bound:
+            root = ctx.frobenius(r.leading_coeff() / Q.coeffs[i], -i)
+            de = e / p ** i
+            solution[de] = solution.get(de, ctx.zero) + root
+            r = r - apply_additive(Q, Series.monomial(ctx, root, de))
+    return Series(ctx, {e: c for e, c in solution.items() if c}).truncate(bound)
+
+
+def _outcome(solve, P, b, target):
+    try:
+        x = solve(P, b, target)
+    except (NoSolutionError, PrecisionError, SeriesError) as exc:
+        return type(exc), str(exc)
+    return x, x.cap
+
+
+def test_solve_matches_two_loop_reference(F2, F3, F4, F9):
+    rng = rng_for("solve-two-loop")
+    seen = dict.fromkeys(("mixed signs", "inseparable", "exact", "capped", "default target",
+                          "solved", "refused"), 0)
+    for k in range(360):
+        ctx = (F2, F3, F4, make_field("F5"), F9)[k % 5]
+        coeffs = [random_coeff(rng, ctx) for _ in range(rng.randint(1, 4))]
+        if not any(coeffs):
+            coeffs[-1] = ctx.one
+        P = AdditivePoly(ctx, coeffs)
+        b = random_series(rng, ctx, lo=-3, hi=4)
+        target = rng.choice([None, F(-1, 16), F(-1, 3), F(-2), F(0), F(1, 2), F(3)])
+        want = _outcome(_two_loop_solve, P, b, target)
+        assert _outcome(solve_additive, P, b, target) == want, (ctx, P.coeffs, b, target)
+        exps = [e for e, _ in b.terms]
+        seen["mixed signs"] += bool(exps and exps[0] < 0 < exps[-1] and target is not None
+                                    and target < 0 and isinstance(want[0], Series))
+        seen["inseparable"] += not P.coeffs[0] and isinstance(want[0], Series)
+        seen["exact" if b.is_exact else "capped"] += 1
+        seen["default target"] += target is None
+        seen["solved" if isinstance(want[0], Series) else "refused"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_solve_char0_scalar(Q):
