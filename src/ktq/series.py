@@ -41,17 +41,21 @@ equal elements have equal fields.  `Series._build` is the one builder; it
 drops zero codes and reduces the lattice.  On that form `Series._sum` is the
 one merge, with `+` its two-piece case: one int-keyed dict over lcm(den),
 summing codes only where exponents meet, or over F_p one list of residues for
-a window of at most 4 slots per term of the pieces; `Series._remap` is the one
+a `_dense` window (at most 4 slots per term); `Series._remap` is the one
 exponent map, k/den to (f k + off)/den' in one `_build`, for `shift`,
 `scale_exponents`, `frobenius_map` and `pow_rat`'s final Frobenius-and-shift;
 `truncate` is a bisect; `scale` and products sum the field's kernel encoding
 of the codes as plain ints and decode once per output term, with the cap as
-the least int bound at or above cap*den, so nothing is allocated per lattice
-point.  Inverses run a recurrence over the sums of their steps (see
-`Series.invert`) on a heap walk of the reachable sums, decoding once per
-output term, except over F_p when the smallest step is at most 4g (g the
-steps' gcd, chosen by `_dense_step`): there one list slot per multiple of g
-below the bound holds a residue, with one `% p` per slot and no codec call.
+the least int bound at or above cap*den.  A product cuts its operands at that
+bound; if the shorter keeps _KRONECKER_MIN terms and both windows are dense,
+each is packed one slot per lattice point into an int and the two are
+multiplied once (Kronecker substitution), else a loop over the pairs
+allocates nothing per lattice point.  Inverses run a recurrence over the sums
+of their steps (see `Series.invert`) on a heap walk of the reachable sums,
+decoding once per output term, except over F_p when the smallest step is at
+most 4g (g the steps' gcd, chosen by `_dense_step`): there one list slot per
+multiple of g below the bound holds a residue, with one `% p` per slot and no
+codec call.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -206,6 +210,22 @@ def _dense_step(steps, bound):
         return 0
     g = gcd(*steps)
     return g if steps[0] <= 4 * g else 0
+
+
+def _dense(width, terms):
+    """The window rule of `_sum` and `*`: at most 4 lattice points per term."""
+    return width <= 4 * terms
+
+
+_KRONECKER_MIN = 16  # shorter operand's terms from which `*` packs its operands
+
+
+def _kronecker(ks, vals, nb):
+    """Sum vals[i] 2^(8 nb (ks[i] - ks[0])), ks ascending, by Horner's rule."""
+    z, last = 0, ks[-1]
+    for k, v in zip(reversed(ks), reversed(vals)):
+        z, last = (z << 8 * nb * (last - k)) + v, k
+    return z
 
 
 def _reachable(steps, bound, b):
@@ -377,7 +397,7 @@ class Series:
             exps = [s._exps(den) for s in pieces]
             lo = min((ks[0] for ks in exps if ks), default=0)
             hi = min(bound, max((ks[-1] + 1 for ks in exps if ks), default=0))
-            if hi - lo <= 4 * sum(map(len, exps)):
+            if _dense(hi - lo, sum(map(len, exps))):
                 b = [0] * (hi - lo)
                 for ks, s in zip(exps, pieces):
                     for k, c in zip(ks, s.cs[:bisect_left(ks, hi)]):
@@ -408,26 +428,46 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, capped by the mul rule: the operands, cut at the bound,
+        are summed per output exponent in the kernel encoding, by one big-int
+        multiply on dense windows (see the module docstring) or pair by pair."""
         self._check_peer(other)
         cap = product_cap(self, other)
         ctx = self.ctx
         n = min(len(self.ks), len(other.ks))  # most pairs per exponent
         den = lcm(self.den, other.den)
-        xv, xden = ctx.encode(self.cs, n)
-        yv, yden = ctx.encode(other.cs, n)
         bound = _int_bound(cap, den)
-        ys_vals = list(zip(other._exps(den), yv))
-        acc = {}
-        get = acc.get
-        for kx, vx in zip(self._exps(den), xv):
-            for ky, vy in ys_vals:
-                k = kx + ky
-                if k >= bound:
-                    break
-                acc[k] = get(k, 0) + vx * vy
-        ks = sorted(acc)
-        return Series._build(ctx, den, ks, ctx.decode([acc[k] for k in ks], xden * yden, n),
-                             cap)
+        xs, ys = self._exps(den), other._exps(den)
+        i = bisect_left(xs, bound, key=ys[0].__add__) if ys else 0  # int sums: no float overflow
+        j = bisect_left(ys, bound, key=xs[0].__add__) if xs else 0
+        xs, ys = xs[:i], ys[:j]
+        xv, xden = ctx.encode(self.cs[:i], n)
+        yv, yden = ctx.encode(other.cs[:j], n)
+        if (min(i, j) >= _KRONECKER_MIN and _dense(xs[-1] - xs[0] + 1, i)
+                and _dense(ys[-1] - ys[0] + 1, j)):
+            nb = (min(i, j) * max(map(abs, xv)) * max(map(abs, yv))).bit_length() // 8 + 1
+            lo, size = xs[0] + ys[0], min(xs[-1] + ys[-1] + 1, bound) - xs[0] - ys[0]
+            # Adding h to every slot makes each one a nonnegative nb-byte int.
+            h = 1 << 8 * nb - 1
+            bias = int.from_bytes(h.to_bytes(nb, "little") * size, "little")
+            z = _kronecker(xs, xv, nb) * _kronecker(ys, yv, nb) + bias
+            buf = (z & (1 << 8 * nb * size) - 1).to_bytes(nb * size, "little")
+            vals = [int.from_bytes(buf[s:s + nb], "little") - h for s in range(0, nb * size, nb)]
+            ks = list(compress(range(lo, lo + size), vals))
+            vals = list(filter(None, vals))
+        else:
+            ys_vals = list(zip(ys, yv))
+            acc = {}
+            get = acc.get
+            for kx, vx in zip(xs, xv):
+                for ky, vy in ys_vals:
+                    k = kx + ky
+                    if k >= bound:
+                        break
+                    acc[k] = get(k, 0) + vx * vy
+            ks = sorted(acc)
+            vals = [acc[k] for k in ks]
+        return Series._build(ctx, den, ks, ctx.decode(vals, xden * yden, n), cap)
 
     def scale(self, c):
         """Multiply by a single coefficient.  Scaling by zero is exactly 0."""

@@ -12,6 +12,7 @@ match exactly.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import comb, lcm
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ktq.series as kernel
 from ktq import INF, Series, make_field
 from ktq.errors import FieldError, PrecisionError, SeriesError
 
@@ -262,6 +264,129 @@ def test_sparse_lattice_invert(spec, exact):
     assert inv.cap == want_cap
     assert inv.terms == tuple(sorted((e, c) for e, c in want.items() if c))
     assert len(inv.terms) > 5
+
+
+# ------------------------------------------------------- dense products
+# From 16 terms on the shorter operand (cut to the bound), with both windows
+# dense (at most 4 lattice points per term), `*` packs each operand into one
+# int and multiplies once (Kronecker substitution); otherwise it loops over
+# the pairs.  Both must give the schoolbook product.
+
+FIELDS.update((spec, make_field(spec)) for spec in ("F4096", "F1000003"))
+DENSE_SPECS = tuple(FIELDS)
+
+
+def dense_operand(rng, ctx, n, den=1, step=1, cap=None):
+    """n terms step points of (1/den)Z apart from a random start, exact or
+    capped cap points past the last term (inside the window for cap < 1);
+    over Q, signed numerators of up to 1 or 30 digits over mixed
+    denominators."""
+    start = rng.randint(-3, 3)
+    ks = range(start, start + n * step, step)
+    if ctx.characteristic == 0:
+        cs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, rng.choice((9, 10 ** 30))),
+                       rng.randint(1, 6)) for _ in ks]
+    elif ctx.e == 1:
+        cs = [ctx.from_int(rng.randrange(1, ctx.q)) for _ in ks]
+    else:
+        cs = [rng.choice(ctx.elements()[1:]) for _ in ks]
+    if cap is None:
+        return Series(ctx, {Fraction(k, den): c for k, c in zip(ks, cs)})
+    top = start + int(n * step * cap) if cap < 1 else ks[-1] + cap
+    return Series(ctx, {Fraction(k, den): c for k, c in zip(ks, cs) if k < top},
+                  Fraction(top, den))
+
+
+# (terms, step of x), (terms, step, lattice denominator of y), does `*` pack
+# them when both are exact
+DENSE_CASES = (((16, 1), (16, 1, 1), True), ((15, 1), (40, 1, 1), False),
+               ((17, 4), (16, 1, 1), True), ((17, 5), (16, 1, 1), False),
+               ((1, 1), (300, 1, 1), False), ((20, 1), (300, 1, 3), True),
+               ((300, 1), (24, 2, 1), True))
+
+
+def count_packs(monkeypatch):
+    """A list that gains one entry per operand `*` packs into one int."""
+    packed, kronecker = [], kernel._kronecker
+    monkeypatch.setattr(kernel, "_kronecker", lambda *a: packed.append(a) or kronecker(*a))
+    return packed
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+@pytest.mark.parametrize("case", DENSE_CASES)
+def test_dense_product_matches_schoolbook(spec, case, monkeypatch):
+    """Both sides of the term threshold and of the window rule, with exact
+    operands, caps past the last term (the product's bound cuts its window)
+    and one cap inside x's window (y is cut as well)."""
+    ctx, R = FIELDS[spec], Ref(FIELDS[spec])
+    rng = random.Random(f"{spec}{case}")
+    (n1, s1), (n2, s2, d2), packs = case
+    packed = count_packs(monkeypatch)
+    for cx, cy in ((None, None), (1, 2), (0.4, None)):
+        x = dense_operand(rng, ctx, n1, 1, s1, cx)
+        y = dense_operand(rng, ctx, n2, d2, s2, cy)
+        del packed[:]
+        want = ref_mul(R, x, y)
+        assert got(R, x * y) == want
+        if cx is None:
+            assert len(packed) == 2 * packs
+        assert got(R, y * x) == want
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+def test_dense_product_edges(spec, monkeypatch):
+    """A 1-term operand against 300 terms, an operand with no visible term
+    (an empty product), and x times its inverse, whose every slot but the
+    lowest cancels: u has 20 terms at random points of [0, 30)."""
+    ctx, R = FIELDS[spec], Ref(FIELDS[spec])
+    rng = random.Random(spec)
+    packed = count_packs(monkeypatch)
+    x = dense_operand(rng, ctx, 300, 2, 1, 1)
+    for y in (dense_operand(rng, ctx, 1, 3), dense_operand(rng, ctx, 1, 1, 1, 5),
+              Series(ctx, (), Fraction(-7, 2))):
+        want = ref_mul(R, x, y)
+        assert got(R, x * y) == want
+        assert got(R, y * x) == want
+    assert (x * Series(ctx, (), Fraction(1, 3))).terms == ()
+    assert packed == []
+    cs = [c for _, c in dense_operand(rng, ctx, 20).terms]
+    u = Series(ctx, dict(zip([0] + rng.sample(range(1, 30), 19), cs)))
+    v = u.invert(Fraction(40))
+    one = u * v
+    assert len(packed) == 2
+    assert got(R, one) == ref_mul(R, u, v)
+    assert one.terms == ((Fraction(0), ctx.one),)
+
+
+@pytest.mark.parametrize("spec", ("Q", "F2", "F4096"))
+def test_sparse_windows_take_the_pair_loop(spec, monkeypatch):
+    """20-term operands with one gap of 10^12 lattice points, and one on the
+    lattice 1/10^6 against integer exponents: a window rule that allocated
+    the window before reading its width would ask for terabytes."""
+    ctx, R = FIELDS[spec], Ref(FIELDS[spec])
+    rng = random.Random(spec)
+    packed = count_packs(monkeypatch)
+    gapped = [dense_operand(rng, ctx, 10, 1) + dense_operand(rng, ctx, 10, 1).shift(10 ** 12)
+              for _ in range(2)]
+    fine = dense_operand(rng, ctx, 20, 10 ** 6)
+    for x, y in (gapped, (fine, dense_operand(rng, ctx, 20, 1)), (gapped[0], fine)):
+        assert len(x.terms) == len(y.terms) == 20
+        start = time.perf_counter()
+        prod = x * y
+        assert time.perf_counter() - start < 1
+        assert got(R, prod) == ref_mul(R, x, y)
+    assert packed == []
+
+
+def test_exact_products_past_the_float_range():
+    """Exponent ints above 2^1024 (a lattice 1/2^1100, a shift by 2^1100):
+    cutting at an INF bound never turns such an int into a float."""
+    ctx, R = FIELDS["Q"], Ref(FIELDS["Q"])
+    rng = random.Random(1100)
+    far = dense_operand(rng, ctx, 20, 1).shift(2 ** 1100)
+    for x, y in ((Series(ctx, {Fraction(1, 2 ** 1100): 1, 0: 1}), dense_operand(rng, ctx, 2, 1)),
+                 (far, dense_operand(rng, ctx, 16, 1)), (far, far)):
+        assert got(R, x * y) == ref_mul(R, x, y)
 
 
 # ---------------------------------------------------------- field arithmetic
