@@ -13,18 +13,21 @@ Rational coefficients simply are fractions.Fraction values, already exact
 and canonical.
 
 A series stores each coefficient as its field's code (`code(c)`, and
-`element(k)` back): the residue over F_p, the vector packed into one int in
-`_slot_bits(1)`-bit slots over F_{p^e} (its own n = 1 kernel encoding), and
-the Fraction itself over Q.  Codes are canonical, and the code of 1 is 1.
-The kernel side is a pair on lists of codes: `encode(codes, n)` gives ints
-and a common denominator such that integer sums of at most n pairwise
-products of them stay exact, and `decode(values, den, n)` maps such sums
-back to codes.  Over F_p the encoding is the code; over F_{p^e} the code is
-repacked in W-bit slots, W chosen so that a product of packed ints is the
-packed product polynomial and no slot of a sum of n products carries; over
-Q it is numerators over a common denominator.  `frobenius_codes` is
-c |-> c^(p^b) on codes, one map per field: the identity over F_p, and over
-F_{p^e} whenever e divides b.
+`element(k)` back): the residue over F_p, the vector's digits in e
+little-endian `_fold(1)`-byte slots over F_{p^e} (its own n = 1 kernel
+encoding), and the Fraction itself over Q.  Codes are canonical, and the
+code of 1 is 1.  The kernel side is a pair on lists of codes:
+`encode(codes, n)` gives ints and a common denominator such that integer
+sums of at most n pairwise products of them stay exact, and
+`decode(values, den, n)` maps such sums back to codes.  Over F_p the
+encoding is the code; over Q it is numerators over a common denominator;
+over F_{p^e} `encode` widens the slots to `_fold(n)` bytes, where no slot of
+a sum of n products carries, by extended-slice assignment on one bytearray,
+and `decode` folds each value's slots of degree e and up into the low e by
+multiply-adds with x^e, ..., x^(2e-2) mod the modulus, takes all the low
+slots mod p in one pass and reads each code with one `int.from_bytes`.
+`frobenius_codes` is c |-> c^(p^b) on codes, one map per field: the
+identity over F_p, and over F_{p^e} whenever e divides b.
 
 Text is one codec per field on codes: `parse_code` reads back exactly what
 `format_code` writes ("-3/4", "5", "g^2+2*g+1") and nothing else, and
@@ -40,8 +43,9 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import lcm
 
 from .errors import FieldError, Record
@@ -116,6 +120,17 @@ def _monic_polys(degree, p):
 def _is_irreducible(mod, p):
     return all(_pmod(mod, cand, p) for d in range(1, (len(mod) - 1) // 2 + 1)
                for cand in _monic_polys(d, p))
+
+
+_ITEM = {array(t).itemsize: t for t in "QLIHB"}  # array typecodes by item size
+
+
+def _slots(data, w):
+    """An array of w-byte items (w <= 8) of ints or little-endian bytes; tobytes: little-endian."""
+    items = array(_ITEM[w], data)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
 
 
 # ------------------------------------------------------------ field contexts
@@ -246,8 +261,7 @@ class FFElement:
     @property
     def vec(self):
         """The coefficient vector (c_0, ..., c_{e-1}) over F_p."""
-        poly = self.field._reduce(self.code, self.field._bits)
-        return tuple(poly) + (0,) * (self.field.e - len(poly))
+        return tuple(self.field._digits(self.code))
 
     def _peer(self, other):
         if isinstance(other, (FFElement, int)):
@@ -369,7 +383,11 @@ class FiniteField(FieldCtx):
             if not _is_irreducible(modulus, p):
                 raise FieldError("modulus is reducible")
         self.modulus = modulus
-        self._bits = self._slot_bits(1)  # code slot width
+        # A product slot sums e products below p; the fold adds e - 1 slots times p - 1.
+        self._bound = e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))
+        self._folds, self._tables = {}, {}  # n -> _fold(n); its table by width
+        self._c = self._fold(1)[0] if e > 1 else 8  # code slot bytes; 8 hold a residue
+        self._mod = (bytes(range(min(p, 256))) * (255 // p + 1))[:256]  # byte d -> d % p
         self.zero = FFElement(self, 0)
         self.one = FFElement(self, 1)
         self._element_cache = None
@@ -415,7 +433,7 @@ class FiniteField(FieldCtx):
     def g(self) -> FFElement:
         if self.e < 2:
             raise FieldError("prime fields have no generator symbol g")
-        return FFElement(self, 1 << self._bits)
+        return FFElement(self, 1 << 8 * self._c)
 
     def coerce(self, value):
         if isinstance(value, FFElement):
@@ -431,8 +449,8 @@ class FiniteField(FieldCtx):
         if self.q > EXHAUSTIVE_BOUND:
             raise FieldError("field too large for exhaustive enumeration")
         if self._element_cache is None:
-            self._element_cache = tuple(FFElement(self, self._pack(v, self._bits))
-                                        for v in _base_p_vectors(self.p, self.e))
+            digits = [d for v in _base_p_vectors(self.p, self.e) for d in v]
+            self._element_cache = tuple(FFElement(self, k) for k in self._codes(digits))
         return self._element_cache
 
     def frobenius(self, c: FFElement, b: int = 1) -> FFElement:
@@ -450,28 +468,24 @@ class FiniteField(FieldCtx):
             return [self.zero]
         return [r for r in self.elements() if r ** n == c]
 
-    def _slot_bits(self, n):
-        # A product slot sums at most e products below p, and a kernel
-        # sum adds at most n such products.
-        return (max(n, 1) * self.e * (self.p - 1) ** 2).bit_length()
+    def _fold(self, n):
+        """w, the least power-of-two slot bytes holding n * _bound (sums of n
+        products), and the fold table: x^e, ..., x^(2e-2) mod the modulus."""
+        if n not in self._folds:
+            w = 1 << ((max(n, 1) * self._bound).bit_length() - 1 >> 3).bit_length()
+            self._folds[n] = w, self._tables.get(w) or self._tables.setdefault(w, [
+                sum(d << 8 * w * i for i, d in enumerate(_pmod((0,) * j + (1,), self.modulus, self.p)))
+                for j in range(self.e, 2 * self.e - 1)])
+        return self._folds[n]
 
-    @staticmethod
-    def _pack(vec, w):
-        value = 0
-        for ci in reversed(vec):  # the highest slot first
-            value = value << w | ci
-        return value
+    def _codes(self, digits):
+        """The codes of consecutive e-digit vectors, digits below p."""
+        buf, size = _slots(digits, self._c).tobytes(), self.e * self._c
+        return [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
 
-    def _reduce(self, value, w):
-        """The reduced polynomial of a packed value with w-bit slots: unpack
-        the slots, reduce mod p, then mod the modulus once."""
-        p = self.p
-        mask = (1 << w) - 1
-        poly = []
-        while value:
-            poly.append((value & mask) % p)
-            value >>= w
-        return _pmod(poly, self.modulus, p) if len(poly) > self.e else poly
+    def _digits(self, k):
+        """The e digits of the code k, lowest degree first."""
+        return _slots(k.to_bytes(self.e * self._c, "little"), self._c)
 
     def code(self, c):
         return c.code
@@ -480,20 +494,38 @@ class FiniteField(FieldCtx):
         return FFElement(self, k)
 
     def encode(self, codes, n):
-        """The codes (e = 1) or their vectors repacked in _slot_bits(n)-bit
-        slots, lowest degree in the lowest slot: (ints, 1)."""
-        if self.e == 1:
+        """The codes (e = 1) or their vectors widened to the slot bytes of
+        `_fold(n)`, lowest degree in the lowest slot: (ints, 1)."""
+        e, c, w = self.e, self._c, self._fold(n)[0]
+        if e == 1 or w == c:
             return codes, 1
-        w, bits = self._slot_bits(n), self._bits
-        return [self._pack(self._reduce(k, bits), w) for k in codes], 1
+        buf = b"".join(map(int.to_bytes, codes, repeat(e * c), repeat("little")))
+        wide = bytearray(len(codes) * e * w)
+        for i in range(c):  # each slot's bytes, the rest zero
+            wide[i::w] = buf[i::c]
+        return [int.from_bytes(wide[i:i + e * w], "little") for i in range(0, len(wide), e * w)], 1
 
     def decode(self, values, den, n):
         """The codes standing for sums of at most n products of encoded
-        values."""
-        if self.e == 1:
-            return [v % self.p for v in values]
-        w, bits = self._slot_bits(n), self._bits
-        return [self._pack(self._reduce(v, w), bits) for v in values]
+        values: slots of degree e and up fold into the low e, each taken mod p."""
+        e, p = self.e, self.p
+        if e == 1:
+            return [v % p for v in values]
+        w, fold = self._fold(n)
+        s, low, top, folded = 8 * w, (1 << 8 * w * e) - 1, (1 << 8 * w) - 1, []
+        for v in values:
+            hi, v = v >> s * e, v & low
+            for r in fold:
+                if not hi:
+                    break
+                v += (hi & top) * r
+                hi >>= s
+            folded.append(v.to_bytes(e * w, "little"))
+        if w == 1:  # and so c = 1: one table lookup a byte
+            return [int.from_bytes(b.translate(self._mod), "little") for b in folded]
+        buf = b"".join(folded)
+        return self._codes([d % p for d in (_slots(buf, w) if w <= 8 else (
+            int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)))])
 
     def frobenius_codes(self, codes, b):
         """The codes of c^(p^b) for the codes of c (b < 0: the inverse)."""
@@ -502,13 +534,13 @@ class FiniteField(FieldCtx):
         return [self.frobenius(FFElement(self, k), b).code for k in codes]
 
     def format_code(self, k: int) -> str:
-        return str(k) if self.e == 1 else _format_poly(self._reduce(k, self._bits), "g")
+        return str(k) if self.e == 1 else _format_poly(self._digits(k), "g")
 
     def parse_code(self, text: str) -> int:
         vec = _parse_poly(text, "g", self.e, self.p)  # the inverse of format_code
         if vec is None:
             raise FieldError(f"not a coefficient of {self.spec_string()}: {text!r}")
-        return self._pack(vec, self._bits)
+        return self._codes(vec)[0]
 
 
 def _format_poly(coeffs, sym: str) -> str:

@@ -124,8 +124,8 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         c = x.leading_coeff()
         return pow_rat(x.scale(1 / c), i, requested_cap).scale(c ** i.numerator)
     p = ctx.characteristic
-    b, s, (num, den) = _p_split(i, p)
-    cap = power_cap(x, i, requested_cap)
+    split = b, s, (num, den) = _p_split(i, p)
+    cap = power_cap(x, i, requested_cap, split)
     mi = (x.ks[0] * i.numerator, x.den * i.denominator)  # m i
     rel = _plus(_pair(cap), (-mi[0], mi[1]))  # (cap - m i) / p^b bounds (1 + eps)^q
     bound = _cap(rel and (rel[0] * s[1], rel[1] * s[0]))

@@ -45,23 +45,24 @@ a `_dense` window (at most 4 slots per term); `Series._remap` is the one
 exponent map, k/den to (f k + off)/den' in one `_build`, for `shift`,
 `scale_exponents`, `frobenius_map` and `pow_rat`'s final Frobenius-and-shift;
 `truncate` is a bisect; `scale` and products sum the field's kernel encoding
-of the codes as plain ints and decode once per output term, with the cap as
-the least int bound at or above cap*den.  A product cuts its operands at that
-bound; if the shorter keeps _KRONECKER_MIN terms and both windows are dense,
-each is packed one slot per lattice point into an int and the two are
-multiplied once (Kronecker substitution), else a loop over the pairs
-allocates nothing per lattice point.  Inverses run a recurrence over the sums
-of their steps (see `Series.invert`) on a heap walk of the reachable sums,
-decoding once per output term, except over F_p when the smallest step is at
-most 4g (g the steps' gcd, chosen by `_dense_step`): there one list slot per
-multiple of g below the bound holds a residue, with one `% p` per slot and no
-codec call.
+of the codes as plain ints and decode them in one call (over F_{p^e}, one fold
+per output term; see `fields`), with the cap as the least int bound at or
+above cap*den.  A product cuts its operands at that bound; if the shorter
+keeps _KRONECKER_MIN terms and both windows are dense, each is packed one slot
+per lattice point into an int and the two are multiplied once (Kronecker
+substitution), else a loop over the pairs allocates nothing per lattice point.
+Inverses run a recurrence over the sums of their steps (see `Series.invert`)
+on a heap walk of the reachable sums, decoding once per output term, except
+over F_p when the smallest step is at most 4g (g the steps' gcd, chosen by
+`_dense_step`): there one list slot per multiple of g below the bound holds a
+residue, with one `% p` per slot and no codec call.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
 cached), `coeff` (a bisect), `valuation` and `leading_coeff`.  Text is not
 decoded: `format_series` and `to_json_dict` write each exponent k/den reduced
-by an int gcd and each code through the field's `format_code`.
+by an int gcd and each code through the field's `format_code` (over F_{p^e}
+each distinct one once).
 """
 
 from __future__ import annotations
@@ -159,13 +160,14 @@ def _p_split(i: Fraction, p: int):
         b, (f, 1), (i.numerator // f, i.denominator))
 
 
-def power_cap(x, i: Fraction, req):
-    """x monic, or any x for an integer i, or no visible term for a natural i."""
+def power_cap(x, i: Fraction, req, split=None):
+    """x monic, or any x for an integer i, or no visible term for a natural i
+    (split: _p_split(i, p), if the caller has it)."""
     if not i or len(x.ks) <= 1 and type(x.cap) is float:
         return INF
     if not x.ks:
         return min(req, cap_mul(x.cap, i))
-    _, s, q = _p_split(i, x.ctx.characteristic)
+    _, s, q = split or _p_split(i, x.ctx.characteristic)
     rel = _plus(_pair(x.cap), _val_pair(x, -1))  # cap_x - m
     hi = _plus(rel and (rel[0] * s[0], rel[1] * s[1]),
                (x.ks[0] * i.numerator, x.den * i.denominator))  # + m i
@@ -598,7 +600,7 @@ class Series:
         return [(k // g, self.den // g) for k in self.ks for g in (gcd(k, self.den),)]
 
     def to_json_dict(self):
-        fmt = self.ctx.format_code
+        fmt = _formatter(self)
         return {"field": self.ctx.spec_string(),
                 "terms": [[n, d, fmt(c)] for (n, d), c in zip(self._lowest_exps(), self.cs)],
                 "cap": "inf" if self.is_exact else [self.cap.numerator, self.cap.denominator]}
@@ -614,8 +616,14 @@ def format_exp_part(n: int, d: int) -> str:
     return "t" if n == 1 else f"t^{n}" if n > 0 else f"t^({n})"
 
 
+def _formatter(x: Series):
+    """format_code, over F_{p^e} (e > 1) once for each distinct code of x."""
+    fmt, ctx = x.ctx.format_code, x.ctx
+    return {c: fmt(c) for c in set(x.cs)}.__getitem__ if ctx.characteristic and ctx.e > 1 else fmt
+
+
 def format_series(x: Series) -> str:
-    fmt, signed = x.ctx.format_code, x.ctx.characteristic == 0
+    fmt, signed = _formatter(x), x.ctx.characteristic == 0
     parts = []
     for (n, d), c in zip(x._lowest_exps(), x.cs):
         sign = "+"

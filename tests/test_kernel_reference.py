@@ -11,6 +11,7 @@ search and powers by repeated multiplication.  Terms, caps and elements must
 match exactly.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ktq.series as kernel
-from ktq import INF, Series, make_field
+from ktq import INF, Series, make_field, series_from_json
 from ktq.errors import FieldError, PrecisionError, SeriesError
 
 SPECS = ("Q", "F2", "F3", "F7", "F4", "F9")
@@ -545,3 +546,175 @@ def test_extension_field_arithmetic_sampled(spec):
             assert (c ** -n).vec == ref_pow(R, c.inverse().vec, n)
     with pytest.raises(FieldError):
         ctx.zero.inverse()
+
+
+# ------------------------------------------------- byte slots of F_{p^e}
+# A code holds its e digits in slots of _fold(1)[0] bytes, and the kernel
+# widens them to _fold(n)[0] bytes for sums of n products, a power of two
+# each.  Every width takes its own branch of the codec: one byte (F9,
+# F4096, reduced by a byte table), two (F3125, F1331), four (F10201 =
+# F_{101^2}) and eight for codes, sixteen for kernel sums (F_{1048573^2},
+# read slot by slot).  Elements are built from their digits by the test's
+# own packing, and the reference is the brute force above.
+
+SLOT_CLASSES = {"F9": (1, 2), "F4096": (1, 2), "F3125": (2, 4), "F1331": (2, 4),
+                "F10201": (4, 4), "F1099505336329": (8, 16)}  # widths at n = 1 and n = 60
+
+
+@pytest.fixture(scope="module")
+def slot_fields():
+    """Each field once: F_{1048573^2} takes seconds to find its modulus."""
+    return {spec: make_field(spec) for spec in SLOT_CLASSES}
+
+
+def ref_power(R, a, n):
+    """a^n by square-and-multiply on the reference arithmetic."""
+    out = R.one()
+    while n:
+        if n & 1:
+            out = R.mul(out, a)
+        a, n = R.mul(a, a), n >> 1
+    return out
+
+
+def ref_text(vec):
+    """The text of a digit vector, highest degree first: (1, 2, 1) is
+    "g^2+2*g+1"."""
+    parts = [("" if c == 1 and i else str(c)) + ("*" if c != 1 and i else "")
+             + ("" if i == 0 else "g" if i == 1 else f"g^{i}")
+             for i, c in reversed(list(enumerate(vec))) if c]
+    return "+".join(parts) or "0"
+
+
+class SlotRef(Ref):
+    """The brute force of Ref, with inverses by Fermat where q is too large
+    to search."""
+
+    def inv(self, a):
+        return ref_power(self, a, self.ctx.q - 2)
+
+
+def slot_element(ctx, vec):
+    """The element with these digits: its code packs digit i at byte i * w,
+    w = _fold(1)[0] the code's slot width."""
+    return ctx.element(sum(c << 8 * ctx._fold(1)[0] * i for i, c in enumerate(vec)))
+
+
+def slot_vectors(rng, ctx, count):
+    """count random nonzero digit vectors, the first ones 1, -1 and g^(e-1)."""
+    p, e = ctx.p, ctx.e
+    fixed = [(1,) + (0,) * (e - 1), (p - 1,) + (0,) * (e - 1), (0,) * (e - 1) + (1,)]
+    more = [tuple(rng.randrange(p) for _ in range(e)) for _ in range(count)]
+    return (fixed + [v for v in more if any(v)])[:count]
+
+
+def slot_series(rng, ctx, n, step=1, cap=None):
+    """n terms step apart on the lattice 1/2, exact or capped cap past the
+    last term."""
+    ks = range(rng.randint(-3, 3), 10 ** 6, step)[:n]
+    terms = {Fraction(k, 2): slot_element(ctx, v) for k, v in zip(ks, slot_vectors(rng, ctx, n))}
+    return Series(ctx, terms, INF if cap is None else Fraction(ks[-1] + cap, 2))
+
+
+@pytest.mark.parametrize("spec", SLOT_CLASSES)
+def test_slot_widths_and_fold_table(spec, slot_fields):
+    """The widths of each class, and the fold table of each width against
+    x^j mod the modulus for j = e .. 2e - 2."""
+    ctx = slot_fields[spec]
+    p, e = ctx.p, ctx.e
+    assert (ctx._fold(1)[0], ctx._fold(60)[0]) == SLOT_CLASSES[spec]
+    for n in (1, 2, 60, 300):
+        w, table = ctx._fold(n)
+        assert len(table) == e - 1
+        for j, r in enumerate(table, e):
+            assert r < 1 << 8 * w * e
+            digits = tuple(r >> 8 * w * i & (1 << 8 * w) - 1 for i in range(e))
+            assert digits == ref_polymod((0,) * j + (1,), ctx.modulus, p)
+
+
+@pytest.mark.parametrize("spec", SLOT_CLASSES)
+def test_slot_products_both_paths(spec, slot_fields, monkeypatch):
+    """Dense operands of 16 and 60 terms (packed into one int, at both
+    kernel widths of the class) and sparse ones 7 lattice points apart (the
+    pair loop), exact and capped."""
+    ctx = slot_fields[spec]
+    R, rng = SlotRef(ctx), random.Random(spec)
+    packed = count_packs(monkeypatch)
+    for n1, n2, step, packs in ((16, 16, 1, 2), (60, 60, 1, 2), (40, 16, 7, 0), (60, 60, 7, 0)):
+        for cap in (None, 3):
+            x, y = slot_series(rng, ctx, n1, step, cap), slot_series(rng, ctx, n2, 1, cap)
+            del packed[:]
+            assert got(R, x * y) == ref_mul(R, x, y)
+            if cap is None:
+                assert len(packed) == packs
+            assert got(R, y * x) == ref_mul(R, y, x)
+
+
+@pytest.mark.parametrize("spec", SLOT_CLASSES)
+def test_slot_sum_scale_invert(spec, slot_fields):
+    """A sum of three series whose exponents meet, scale by a unit, and the
+    inverse of a non-monic series against the coefficientwise reference."""
+    ctx = slot_fields[spec]
+    R, rng = SlotRef(ctx), random.Random(spec)
+    pieces = [slot_series(rng, ctx, n, step, cap) for n, step, cap in ((30, 1, 4), (12, 2, None),
+                                                                       (9, 3, None))]
+    acc = {}
+    for s in pieces:
+        for e, c in ref_terms(R, s).items():
+            acc[e] = R.add(acc.get(e, R.zero()), c)
+    cap = min(s.cap for s in pieces)
+    assert got(R, Series._sum(ctx, pieces)) == (dump(R, {e: c for e, c in acc.items() if e < cap}),
+                                                cap)
+    for vec in slot_vectors(rng, ctx, 4):
+        a = slot_element(ctx, vec)
+        assert got(R, pieces[0].scale(a)) == (
+            dump(R, {e: R.mul(c, vec) for e, c in ref_terms(R, pieces[0]).items()}), pieces[0].cap)
+    x = slot_series(rng, ctx, 5, 1, 4).scale(slot_element(ctx, slot_vectors(rng, ctx, 4)[-1]))
+    for requested in (Fraction(3), Fraction(9, 2)):
+        assert got(R, x.invert(requested)) == ref_inverse(R, x, requested)
+
+
+@pytest.mark.parametrize("spec", SLOT_CLASSES)
+def test_slot_element_arithmetic(spec, slot_fields):
+    """+ - * / ** and the Frobenius of elements, each element's vec read
+    back, against the reference."""
+    ctx = slot_fields[spec]
+    R, rng = SlotRef(ctx), random.Random(spec)
+    p, q = ctx.p, ctx.q
+    vecs = slot_vectors(rng, ctx, 24)
+    for u, v in zip(vecs, vecs[1:] + vecs[:1]):
+        a, b = slot_element(ctx, u), slot_element(ctx, v)
+        assert a.vec == u
+        assert (a + b).vec == R.add(u, v)
+        assert (a - b).vec == ref_sub(R, u, v)
+        assert (-a).vec == R.neg(u)
+        assert (a * b).vec == R.mul(u, v)
+        assert (a / b).vec == R.mul(u, R.inv(v))
+        for n in (0, 1, 2, 3, rng.randrange(4, 80), q - 1):
+            assert (a ** n).vec == ref_power(R, u, n)
+        assert (a ** -3).vec == ref_power(R, R.inv(u), 3)
+        for k in (1, 2, -1):
+            assert ctx.frobenius(a, k).vec == ref_power(R, u, p ** (k % ctx.e))
+
+
+@pytest.mark.parametrize("spec", SLOT_CLASSES)
+def test_slot_text_round_trip(spec, slot_fields):
+    """format_code writes the reference text of the digits and parse_code
+    reads it back to the same code; a series' JSON and text read back."""
+    ctx = slot_fields[spec]
+    rng = random.Random(spec)
+    for vec in slot_vectors(rng, ctx, 40) + [(0,) * ctx.e]:
+        k = slot_element(ctx, vec).code
+        assert ctx.format_code(k) == ref_text(vec)
+        assert ctx.parse_code(ref_text(vec)) == k
+    x = slot_series(rng, ctx, 60, 1, 2)
+    x = x + x.shift(Fraction(1, 2))  # repeated codes: each is formatted once per call
+    assert series_from_json(json.loads(json.dumps(x.to_json_dict())), ctx) == x
+    assert [c for _, _, c in x.to_json_dict()["terms"]] == [ref_text(c.vec) for _, c in x.terms]
+    parts = []
+    for e, c in x.terms:
+        body, power = ref_text(c.vec), kernel.format_exp_part(e.numerator, e.denominator)
+        body = f"({body})" if "+" in body else body
+        parts.append(body if not e else power if body == "1" else f"{body}*{power}")
+    cap = kernel.format_exp_part(x.cap.numerator, x.cap.denominator)
+    assert str(x) == " + ".join(parts) + f" + O({cap})"
