@@ -388,6 +388,7 @@ class FiniteField(FieldCtx):
         self._folds, self._tables = {}, {}  # n -> _fold(n); its table by width
         self._c = self._fold(1)[0] if e > 1 else 8  # code slot bytes; 8 hold a residue
         self._mod = (bytes(range(min(p, 256))) * (255 // p + 1))[:256]  # byte d -> d % p
+        self._gs = _powers("g", e)  # the texts of format_code's powers
         self.zero = FFElement(self, 0)
         self.one = FFElement(self, 1)
         self._element_cache = None
@@ -424,7 +425,7 @@ class FiniteField(FieldCtx):
         return f"F{self.q}:{self.format_modulus()}"
 
     def format_modulus(self):
-        return _format_poly(self.modulus, "x")
+        return _format_poly(self.modulus, _powers("x", self.e + 1))
 
     def from_int(self, n: int) -> FFElement:
         return FFElement(self, n % self.p)
@@ -528,40 +529,47 @@ class FiniteField(FieldCtx):
             int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)))])
 
     def frobenius_codes(self, codes, b):
-        """The codes of c^(p^b) for the codes of c (b < 0: the inverse)."""
-        if b % self.e == 0:
-            return codes
-        return [self.frobenius(FFElement(self, k), b).code for k in codes]
+        """The codes of c^(p^b) for the codes of c (b < 0: the inverse): one
+        square-and-multiply over the whole list, one `decode` a step."""
+        n, out, dec = self.p ** (b % self.e), None, self.decode  # the Frobenius has order e
+        while True:
+            if n & 1:
+                out = codes if out is None else dec([x * y for x, y in zip(out, codes)], 1, 1)
+            n >>= 1
+            if not n:
+                return out
+            codes = dec([k * k for k in codes], 1, 1)
 
     def format_code(self, k: int) -> str:
-        return str(k) if self.e == 1 else _format_poly(self._digits(k), "g")
+        return str(k) if self.e == 1 else _format_poly(self._digits(k), self._gs)
 
     def parse_code(self, text: str) -> int:
-        vec = _parse_poly(text, "g", self.e, self.p)  # the inverse of format_code
+        vec = _parse_poly(text, "g", self._gs, self.p)  # the inverse of format_code
         if vec is None:
             raise FieldError(f"not a coefficient of {self.spec_string()}: {text!r}")
         return self._codes(vec)[0]
 
 
-def _format_poly(coeffs, sym: str) -> str:
-    """Ascending integer coefficients as text in sym, highest power first:
-    (1, 2, 1) in "g" gives "g^2+2*g+1"."""
+def _powers(sym: str, n: int):
+    """The texts of sym^i for i = n - 1, ..., 1, 0: ("g^2", "g", "1") for n = 3."""
+    return tuple(f"{sym}^{i}" if i > 1 else sym if i else "1" for i in range(n - 1, -1, -1))
+
+
+def _format_poly(coeffs, powers) -> str:
+    """Ascending integer coefficients as text, highest power first, from
+    powers = _powers(sym, len(coeffs)): (1, 2, 1) in "g" gives "g^2+2*g+1"."""
     parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            power = sym if i == 1 else f"{sym}^{i}"
-            parts.append(power if c == 1 else f"{c}*{power}")
+    for c, s in zip(reversed(coeffs), powers):
+        if c:
+            parts.append(s if c == 1 else f"{c}*{s}" if s != "1" else str(c))
     return "+".join(parts) if parts else "0"
 
 
-def _parse_poly(text: str, sym: str, n: int, p: int):
-    """The inverse of _format_poly on n coefficients below p: their tuple, or
-    None for any text it does not write (the re-format check refuses it)."""
+def _parse_poly(text: str, sym: str, powers, p: int):
+    """The inverse of _format_poly on len(powers) coefficients below p, with
+    powers = _powers(sym, n): their tuple, or None for any text it does not
+    write (the re-format check refuses it)."""
+    n = len(powers)
     vec, width = [0] * n, len(str(max(n, p)))  # digits bounded before int()
     for part in text.split("+"):
         head, s, tail = part.partition(sym)
@@ -570,7 +578,7 @@ def _parse_poly(text: str, sym: str, n: int, p: int):
                 or int(c) >= p or int(i) >= n:
             return None
         vec[int(i)] = int(c)
-    return tuple(vec) if _format_poly(vec, sym) == text else None
+    return tuple(vec) if _format_poly(vec, powers) == text else None
 
 
 def format_coeff(c) -> str:
@@ -591,7 +599,7 @@ def make_field(spec) -> FieldCtx:
     p, e, mod_text = split_spec(spec)
     if mod_text is None:
         return FiniteField(p, e)
-    modulus = _parse_poly(mod_text, "x", e + 1, p)  # the inverse of format_modulus
+    modulus = _parse_poly(mod_text, "x", _powers("x", e + 1), p)  # the inverse of format_modulus
     if modulus is None:
         raise FieldError(f"not a modulus as spec_string writes it: {mod_text!r}")
     return FiniteField(p, e, modulus)

@@ -55,7 +55,11 @@ Inverses run a recurrence over the sums of their steps (see `Series.invert`)
 on a heap walk of the reachable sums, decoding once per output term, except
 over F_p when the smallest step is at most 4g (g the steps' gcd, chosen by
 `_dense_step`): there one list slot per multiple of g below the bound holds a
-residue, with one `% p` per slot and no codec call.
+residue, with one `% p` per slot and no codec call, up to the first period.
+Over F_p, 1/P for a polynomial P in u = t^g with P(0) != 0 is purely periodic,
+with least period the order of P, the least T with u^T = 1 mod P (Lidl and
+Niederreiter, *Finite Fields*, ch. 8); the loop notices it in O(1) a slot and
+fills the rest of the window by repeating the first T slots.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -516,10 +520,17 @@ class Series:
         2v) + v.  Over F_p on the dense window that `_dense_step` chooses,
         slot i of one list holds b_(i g) as a residue, and each stored
         residue is pushed onto the slots its steps reach, so a slot costs
-        one `% p` and no codec call.  Otherwise the heap walk of
-        `_reachable` visits the sums in increasing order, in the kernel
-        encoding described in the module docstring.  The cap is the invert
-        rule.
+        one `% p` and no codec call.  With w the largest step in units of g,
+        the recurrence's state at slot i is b_(i - w + 1), ..., b_i; when
+        it is back at the start (0, ..., 0, b_0) for some i > 0, b is
+        periodic with period i (the order of 1 + eps as a polynomial in
+        t^g; Lidl and Niederreiter, *Finite Fields*, ch. 8), and the rest
+        of the window is the first i slots repeated.  The check costs O(1)
+        a slot: a nonzero b_i equal to b_0 with no nonzero slot among the
+        w - 1 before it, tracked by the latest nonzero slot.  Otherwise the
+        heap walk of `_reachable` visits the sums in increasing order, in the
+        kernel encoding described in the module docstring.  The cap is the
+        invert rule.
         """
         if not self.ks:
             if self.is_exact:
@@ -540,17 +551,24 @@ class Series:
         g = _dense_step(es, bound) if p and ctx.e == 1 else 0
         if g:  # F_p: the codes are the residues, den = 1
             steps = [(e // g, a) for e, a in zip(es, vals[1:])]
-            size = -(-bound // g)
-            b = [0] * (size + steps[-1][0])
-            b[0] = vals[0]
+            size, w, b0 = -(-bound // g), steps[-1][0], vals[0]
+            b = [0] * (size + w)
+            b[0] = b0
+            last = -w  # the latest nonzero slot before i; none before slot 0
             for i in range(size):
                 c = b[i] = b[i] % p
                 if c:
+                    if c == b0 and i - last >= w and i:  # the state at i is the start's
+                        out = b[:i] * (size // i + 1)
+                        break
+                    last = i
                     for e, a in steps:
                         b[i + e] += a * c
-            del b[size:]
-            ks = list(compress(range(-kv, bound - kv, g), b))
-            return Series._build(ctx, self.den, ks, list(filter(None, b)), result_cap)
+            else:
+                out = b
+            del out[size:]
+            ks = list(compress(range(-kv, bound - kv, g), out))
+            return Series._build(ctx, self.den, ks, list(filter(None, out)), result_cap)
         steps = list(zip(es, vals[1:]))
         # b_k is kept as a numerator over den^(1 + k // w): a step adds at
         # least w to k and one factor of den, so no division is needed.

@@ -15,7 +15,8 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import comb, lcm
+from math import ceil, comb, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -718,3 +719,141 @@ def test_slot_text_round_trip(spec, slot_fields):
         parts.append(body if not e else power if body == "1" else f"{body}*{power}")
     cap = kernel.format_exp_part(x.cap.numerator, x.cap.denominator)
     assert str(x) == " + ".join(parts) + f" + O({cap})"
+
+
+@pytest.mark.parametrize("spec", ("F4", "F9", "F4096", "F3125", "F10201"))
+def test_frobenius_codes_match_the_element_map(spec):
+    """The whole-list square-and-multiply of frobenius_codes against the
+    element Frobenius, one code at a time, for b = -3 .. 3."""
+    ctx = make_field(spec)
+    codes = [slot_element(ctx, v).code for v in slot_vectors(random.Random(spec), ctx, 40)]
+    for b in range(-3, 4):
+        assert ctx.frobenius_codes(codes, b) == [ctx.frobenius(ctx.element(k), b).code
+                                                 for k in codes]
+    assert ctx.frobenius_codes([], 1) == []
+
+
+# ------------------------------------------------------ periodic inverses
+# Over F_p, 1/P for P(0) != 0 is purely periodic, and its least period is
+# the order of P: the least T with u^T = 1 mod P (Lidl and Niederreiter,
+# Finite Fields, ch. 8).  `invert`'s dense loop stops at the first slot T
+# where its recurrence state is back at the start and repeats the first T
+# slots.  Each case checks the terms against `ref_inverse` (and sympy's
+# `rs_series_inversion` over GF(p) on integer exponents) at caps below, at,
+# inside and past several periods, and counts the slots the loop reduces:
+# T + 1 when the window holds a period, every slot of the window otherwise.
+
+
+def ref_period(P, p, limit):
+    """The order of the polynomial P over F_p (ascending coefficients,
+    P[0] != 0) if it is at most limit, else None: u is multiplied into
+    u^T mod P one step at a time until u^T = 1."""
+    d, top = len(P) - 1, pow(P[-1], -1, p)
+    mod, one = [c * top % p for c in P], [1] + [0] * (d - 1)
+    r = one
+    for T in range(1, limit + 1):
+        r, lead = [0] + r[:-1], r[-1]
+        r = [(c - lead * m) % p for c, m in zip(r, mod)]
+        if r == one:
+            return T
+    return None
+
+
+class SlotCount(int):
+    """The characteristic p, counting the `% p` slot reductions of the
+    dense F_p loop of `invert`."""
+
+    count = 0
+
+    def __rmod__(self, v):
+        SlotCount.count += 1
+        return v % int(self)
+
+
+def counted_invert(x, cap):
+    """x.invert(cap) and the number of slots its dense loop reduced."""
+    p = SlotCount(x.ctx.characteristic)
+    SlotCount.count = 0
+    with patch.object(type(x.ctx), "characteristic", property(lambda ctx: p)):
+        inv = x.invert(cap)
+    return inv, SlotCount.count
+
+
+def sympy_inverse(x, cap):
+    """1/x below the integer cap by sympy's power-series inversion over
+    GF(p), for an exact x on integer exponents: (exponent, residue) pairs."""
+    rings = pytest.importorskip("sympy.polys.rings")
+    domains = pytest.importorskip("sympy.polys.domains")
+    ring_series = pytest.importorskip("sympy.polys.ring_series")
+    p = x.ctx.p
+    _, u = rings.ring("u", domains.GF(p))
+    v = x.terms[0][0]
+    P = sum(int(c.vec[0]) * u ** int(e - v) for e, c in x.terms)
+    inv = ring_series.rs_series_inversion(P, u, int(cap + v))
+    return sorted((Fraction(m[0]) - v, int(c) % p) for m, c in inv.items()
+                  if int(c) % p and m[0] - v < cap)
+
+
+# (field, {exponent: coefficient}, the step g/den of the window, caps):
+# period 1 at b_0 = 1 and b_0 != 1; period 13 of 1 + t + 2t^3, also with a
+# negative non-monic leading term and on the lattice t^(2/3); a primitive
+# degree-6 polynomial (period 3^6 - 1 = 728); eps = t + t^1000, whose
+# largest step is 1000 slots; and F1000003, whose period is far past the
+# window.
+PERIODIC_CASES = [
+    ("F2", {0: 1, 1: 1}, 1, (1, 2, 7, 64)),
+    ("F3", {0: 1, 1: -1}, 1, (1, 2, 7, 64)),
+    ("F5", {0: 1, 1: -1}, 1, (1, 2, 7, 64)),
+    ("F5", {-1: 3, 0: 2}, 1, (-1, 1, 2, 30)),  # 3 t^-1 (1 - t), b_0 = 2
+    ("F3", {0: 1, 1: 1, 3: 2}, 1, (5, 10, 12, 13, 14, 20, 26, 27, 33, 39, 45, 100)),
+    ("F3", {-3: 2, -2: 2, 0: 1}, 1, (-2, 9, 10, 11, 20, 36, 100)),  # 2 t^-3 (1 + t + 2t^3)
+    ("F3", {0: 1, Fraction(2, 3): 1, 2: 2}, Fraction(2, 3),
+     (Fraction(26, 3), 9, Fraction(28, 3), 13, Fraction(53, 3), 40)),
+    ("F3", {0: 1, 1: 1, 6: 2}, 1, (100, 727, 728, 729, 1000, 1500)),
+    ("F3", {0: 1, 1: 1, 1000: 1}, 1, (999, 1000, 1001, 1800)),
+    ("F1000003", {0: 1, 1: 1, 3: 2}, 1, (1, 13, 200)),
+]
+
+
+@pytest.mark.parametrize("spec, terms, step, caps", PERIODIC_CASES)
+def test_periodic_inverse(spec, terms, step, caps):
+    ctx = make_field(spec)
+    R, p = SlotRef(ctx), ctx.p
+    x = Series(ctx, {Fraction(e): ctx.from_int(c) for e, c in terms.items()})
+    v = min(terms)
+    P = [0] * (int((max(terms) - v) / step) + 1)  # x / t^v as a polynomial in t^step
+    for e, c in terms.items():
+        P[int((e - v) / step)] = c % p
+    sizes = {cap: max(0, ceil((cap + v) / step)) for cap in caps}  # the window's slots
+    T = ref_period(P, p, max(sizes.values()))
+    for cap in map(Fraction, caps):
+        inv, reductions = counted_invert(x, cap)
+        assert got(R, inv) == ref_inverse(R, x, cap)
+        assert reductions == (T + 1 if T is not None and T < sizes[cap] else sizes[cap])
+        if step == 1 and cap.denominator == 1:
+            assert [(e, c.vec[0]) for e, c in inv.terms] == sympy_inverse(x, cap)
+
+
+def test_primitive_period_past_the_reference():
+    """1 + t + t^3 + 2t^10 is primitive over F3, with period 3^10 - 1 =
+    59048: below, at and past it (twice over) the inverse multiplies back
+    to 1 + O(t^cap), and the loop reduces min(cap, T + 1) slots."""
+    ctx = make_field("F3")
+    x = Series(ctx, {0: ctx.one, 1: ctx.one, 3: ctx.one, 10: ctx.from_int(2)})
+    T = ref_period([1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 2], 3, 3 ** 10)
+    assert T == 3 ** 10 - 1
+    for cap in (T - 1, T, T + 1, 2 * T + 7):
+        inv, reductions = counted_invert(x, cap)
+        assert x * inv == Series.one(ctx).truncate(cap)
+        assert reductions == min(cap, T + 1)
+        assert len(inv.ks) > cap // 2
+
+
+def test_period_one_stops_at_the_second_slot():
+    """1/(1 - t) over F3 to t^(10^6): slot 1 already repeats slot 0, so the
+    loop reduces two slots and fills the other 999998 by repetition."""
+    ctx = make_field("F3")
+    x = Series(ctx, {0: ctx.one, 1: -ctx.one})
+    inv, reductions = counted_invert(x, 10 ** 6)
+    assert reductions == 2
+    assert inv.ks == list(range(10 ** 6)) and set(inv.cs) == {1} and inv.cap == 10 ** 6
