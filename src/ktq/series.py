@@ -37,7 +37,12 @@ Storage is packed and canonical: a lattice denominator `den`, ascending ints
 `ks` for the exponents k/den, one nonzero code per term in `cs` (the field's
 `code`; see the `fields` docstring) and the cap.  `den` is the least
 denominator of the support (gcd(den, *ks) = 1, den = 1 without terms), so
-equal elements have equal fields.  `Series._build` is the one builder; it
+equal elements have equal fields.  `Series._from_pairs` is the one entry
+from rational pairs, for `Series(...)` and `series_from_json`: it takes each
+exponent as an int pair in lowest terms with its code, checks the terms in
+input order by int compares and one dict keyed by the pairs, and puts them
+on one lattice in one int sort, so no Fraction is hashed or sorted per term.
+On the packed form `Series._build` is the one builder; it
 drops zero codes and reduces the lattice.  On that form `Series._sum` is the
 one merge, with `+` its two-piece case: one int-keyed dict over lcm(den),
 summing codes only where exponents meet, or over F_p one list of residues for
@@ -271,21 +276,9 @@ class Series:
         cap = _as_cap(cap)
         if isinstance(terms, dict):
             terms = terms.items()
-        seen = {}
-        for e, c in terms:
-            e = _as_exp(e)
-            c = ctx.coerce(c)
-            if not c:
-                raise SeriesError(f"zero coefficient stored at exponent {e}")
-            if e >= cap:
-                raise SeriesError(f"term at exponent {e} is not below the cap {cap}")
-            if e in seen:
-                raise SeriesError(f"duplicate exponent {e}")
-            seen[e] = c
-        pairs = sorted(seen.items())
-        den = lcm(*(e.denominator for e, _ in pairs))
-        self._pack(ctx, den, [e.numerator * (den // e.denominator) for e, _ in pairs],
-                   [ctx.code(c) for _, c in pairs], cap)
+        code, coerce = ctx.code, ctx.coerce
+        self._from_pairs(ctx, ((e.numerator, e.denominator, code(coerce(c)))
+                               for e, c in terms for e in (_as_exp(e),)), cap)
 
     # ------------------------------------------------------------ builders
 
@@ -302,6 +295,26 @@ class Series:
             ks = [k // g for k in ks]
         self.ctx, self.den, self.ks, self.cs, self.cap, self._terms = ctx, den, ks, cs, cap, None
         return self
+
+    def _from_pairs(self, ctx, terms, cap):
+        """Fill self from (num, den, code) triples in any order, each exponent
+        num/den in lowest terms with den > 0.  Each term is checked in input
+        order for a zero code, an exponent at or above cap (cross-multiplied)
+        and a repeated exponent; then the exponents go onto one lattice
+        lcm(den) and one int sort."""
+        top, seen = _pair(cap), {}
+        for n, d, c in terms:
+            if not c:
+                raise SeriesError(f"zero coefficient stored at exponent {Fraction(n, d)}")
+            if top and n * top[1] >= top[0] * d:
+                raise SeriesError(f"term at exponent {Fraction(n, d)} is not below the cap {cap}")
+            if (n, d) in seen:
+                raise SeriesError(f"duplicate exponent {Fraction(n, d)}")
+            seen[n, d] = c
+        den = lcm(*(d for _, d in seen))
+        by_k = {n * (den // d): c for (n, d), c in seen.items()}
+        ks = sorted(by_k)
+        return self._pack(ctx, den, ks, [by_k[k] for k in ks], cap)
 
     @classmethod
     def _build(cls, ctx, den, ks, cs, cap):
@@ -671,8 +684,9 @@ def series_from_json(data, ctx=None) -> Series:
                                  and {type(v) for v in cap} == {int}):
             raise ValueError(f"cap {cap!r}")  # only "inf" or the [n, d] to_json_dict writes
         cap = INF if cap == "inf" else Fraction(*cap)
-        terms = [(Fraction(num, den), ctx.parse_coeff(cstr))
-                 for num, den, cstr in data.get("terms", [])]
+        parse = ctx.parse_code
+        terms = [(e.numerator, e.denominator, parse(text))
+                 for num, den, text in data.get("terms", []) for e in (Fraction(num, den),)]
     except MALFORMED_JSON as exc:
         raise SeriesError(f"malformed series JSON: {exc!r}") from exc
-    return Series(ctx, terms, cap)
+    return Series.__new__(Series)._from_pairs(ctx, terms, cap)
