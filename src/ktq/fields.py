@@ -544,10 +544,13 @@ class FiniteField(FieldCtx):
         return str(k) if self.e == 1 else _format_poly(self._digits(k), self._gs)
 
     def parse_code(self, text: str) -> int:
-        vec = _parse_poly(text, "g", self._gs, self.p)  # the inverse of format_code
-        if vec is None:
-            raise FieldError(f"not a coefficient of {self.spec_string()}: {text!r}")
-        return self._codes(vec)[0]
+        """The inverse of format_code: over F_p, str(k) for 0 <= k < p."""
+        if self.e == 1 and text.isascii() and text.isdigit() and len(text) <= len(str(self.p)):
+            if str(k := int(text)) == text and k < self.p:  # digits bounded before int()
+                return k
+        elif self.e > 1 and (vec := _parse_poly(text, "g", self._gs, self.p)) is not None:
+            return self._codes(vec)[0]
+        raise FieldError(f"not a coefficient of {self.spec_string()}: {text!r}")
 
 
 def _powers(sym: str, n: int):

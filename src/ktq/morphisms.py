@@ -27,14 +27,17 @@ a new class and an entry in `_STEPS`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import ExpHomError, FieldError, OrbitError, Record, SeriesError
 from .fields import FieldCtx, format_coeff
-from .powers import pow_rat
-from .series import (INF, MALFORMED_JSON, Series, _as_cap, _as_exp, _padic_val, cap_mul,
-                     series_from_json, substitute_cap)
+from .powers import _expansions, pow_rat
+from .series import (INF, MALFORMED_JSON, Series, _as_cap, _as_exp, _dense, _int_bound,
+                     _padic_val, cap_mul, series_from_json, substitute_cap)
 
 
 class ExpHom:
@@ -161,9 +164,10 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     """Evaluate y at x: sum over y's support of c_i * x^i.
 
     Needs x monic with positive valuation m; then exponents map to m-fold
-    multiples.  Each x^i is one `pow_rat`, and one `Series._sum` adds the
-    c_i x^i (an empty y gives exact 0).  The achieved cap is the substitute
-    rule of the `series` table, joined with the cap of each x^i.
+    multiples.  Over F_p the x^i share `_expansions` and, on a dense window,
+    `_window` adds the c_i x^i; otherwise one `Series._sum` adds them (each
+    x^i is one `pow_rat` over Q and F_{p^e}; an empty y gives exact 0).  The
+    achieved cap is the substitute rule of `series`, joined with each x^i's.
     """
     if x.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
@@ -175,22 +179,48 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     if x.known_valuation() <= 0:
         raise SeriesError("substitution base must have positive valuation")
 
-    pieces, term_caps = [], []
-    for i, c in y.terms:
-        xi = pow_rat(x, i, requested_cap)
-        term_caps.append((i, xi.cap))
-        pieces.append(xi.scale(c))
-    result = Series._sum(ctx, pieces or [Series.zero(ctx)]).truncate(
-        substitute_cap(x, y, requested_cap))
-
-    p = ctx.characteristic
-    risk = False
-    if p:
-        negs = [_padic_val(e, p) for e, _ in y.terms if e != 0]
-        negs = [b for b in negs if b < 0]
-        risk = len(negs) >= 2 and any(b2 < b1 for b1, b2 in zip(negs, negs[1:]))
-    diag = SubstDiagnostics(tuple(term_caps), risk)
+    p, cap, result, plan = ctx.characteristic, substitute_cap(x, y, requested_cap), None, None
+    if p and ctx.e == 1 and y.ks:
+        plan = _expansions(x, [i for i, _ in y.terms], requested_cap)
+        caps = [e[0] for e in plan]
+        result = _window(x, y, plan, min(cap, *caps))
+    if result is None:  # over F_p each x^i is cut from its group's expansion (F^b fixes F_p)
+        pieces = ([(u := z.truncate(bd))._remap(*s, *mi, u.cs, c) for c, bd, _, s, mi, z in plan]
+                  if plan else [pow_rat(x, i, requested_cap) for i, _ in y.terms])
+        caps = [xi.cap for xi in pieces]
+        result = Series._sum(ctx, [xi.scale(c) for xi, (_, c) in zip(pieces, y.terms)]
+                             or [Series.zero(ctx)]).truncate(cap)
+    negs = [b for b in (_padic_val(e, p) for e, _ in y.terms if e) if b < 0] if p else []
+    risk = len(negs) >= 2 and any(b2 < b1 for b1, b2 in zip(negs, negs[1:]))
+    diag = SubstDiagnostics(tuple(zip([i for i, _ in y.terms], caps)), risk)
     return SubstResult(result, result.cap, diag)
+
+
+def _window(x, y, plan, cap):
+    """Over F_p, the sum of the c_i x^i below cap on one list of residues, or
+    None unless `_dense` (4 slots per term of the x^i): slot j is (lo + j)/D,
+    D = den(x) lcm(den(i)), lo the least m i; for i = p^b q, the codes of its
+    (1 + eps)^q below i's bound go to slots m i D + k p^b D / den at once."""
+    D = x.den * lcm(*(i.denominator for i, _ in y.terms))
+    members = [(mn * (D // md), sn * D // (z.den * sd), z, n, c)  # offset, stride, y_q, n, c_i
+               for (_, bound, _, (sn, sd), (mn, md), z), c in zip(plan, y.cs)
+               if (n := bisect_left(z.ks, _int_bound(bound, z.den)))]
+    lo = min((off for off, *_ in members), default=0)
+    hi = min(_int_bound(cap, D),
+             max((off + z.ks[n - 1] * f + 1 for off, f, z, n, _ in members), default=0))
+    if not _dense(hi - lo, sum(m[3] for m in members)):
+        return None
+    w, p, spread = [0] * (hi - lo), x.ctx.characteristic, {}
+    for off, f, z, n, c in members:
+        if len(z.ks) <= z.ks[-1] and id(z) not in spread:  # y_q has gaps: code k to slot k
+            spread[id(z)] = r = [0] * min(z.ks[-1] + 1, hi - lo)  # no count exceeds the window
+            for k, v in zip(z.ks, z.cs[:bisect_left(z.ks, hi - lo)]):
+                r[k] = v
+        count = min(z.ks[n - 1] + 1, (hi - off + f - 1) // f)  # to the n-th term, in the window
+        sl, r = slice(off - lo, off - lo + count * f, f), spread.get(id(z), z.cs)
+        w[sl] = map(add, w[sl], r if c == 1 else map(mul, r, repeat(c)))  # empty if count <= 0
+    w = [v % p for v in w]
+    return Series._build(x.ctx, D, list(compress(range(lo, hi), w)), list(filter(None, w)), cap)
 
 
 # ------------------------------------------------------------ orbit classes

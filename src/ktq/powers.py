@@ -17,6 +17,8 @@ with base-p digits d_j and (1 + eps)^(p^j) = 1 + F^j(eps), so (1 + eps)^q
 is the product of (1 + F^j(eps))^(d_j), stopping once p^j v(eps) reaches
 the target.  A negative integer q takes the digits of |q| and one inverse.
 The digit loop runs on ints, and the first factor starts the product.
+As x^(p^b q) = F^b(x^q), exponents with the same q share one expansion, below
+the largest of their bounds (`_expansions`, for all of y's in `substitute`).
 """
 
 from __future__ import annotations
@@ -107,9 +109,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     The expansion is Miller's recurrence over Q and the digit product in
     characteristic p, via one inverse for a negative integer q.
     """
-    ctx = x.ctx
-    i = _as_exp(i)
-    requested_cap = _as_cap(requested_cap)
+    ctx, i, requested_cap = x.ctx, _as_exp(i), _as_cap(requested_cap)
     if i == 0:
         return Series.one(ctx)
     if not x.ks:
@@ -123,24 +123,37 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
             raise SeriesError("rational powers need a monic base")
         c = x.leading_coeff()
         return pow_rat(x.scale(1 / c), i, requested_cap).scale(c ** i.numerator)
-    p = ctx.characteristic
-    split = b, s, (num, den) = _p_split(i, p)
-    cap = power_cap(x, i, requested_cap, split)
-    mi = (x.ks[0] * i.numerator, x.den * i.denominator)  # m i
-    rel = _plus(_pair(cap), (-mi[0], mi[1]))  # (cap - m i) / p^b bounds (1 + eps)^q
-    bound = _cap(rel and (rel[0] * s[1], rel[1] * s[0]))
-    hi = _int_bound(bound, x.den)
-    n = bisect_left(x.ks, hi + x.ks[0])
-    eps = Series._build(ctx, x.den, [k - x.ks[0] for k in x.ks[1:n]], x.cs[1:n], bound)
-    if hi <= 0:
-        y = eps  # no terms, cap bound
-    elif not p:
-        y = _miller(eps, num, den, bound)
-    elif num < 0 and den == 1:
-        y = _digits(eps, -num, 1, bound).invert(bound)
-    else:
-        y = _digits(eps, num, den, bound)
+    (cap, _, b, s, mi, y), = _expansions(x, [i], requested_cap)
     return y._remap(*s, *mi, ctx.frobenius_codes(y.cs, b) if b else y.cs, cap)
+
+
+def _expansions(x: Series, exps, requested_cap):
+    """(cap, bound, b, s, mi, y) for x^i, x = t^m (1 + eps) monic, and each
+    i = p^b q in exps: cap the power rule, s = p^b and mi = m i int pairs, y =
+    (1 + eps)^q below bound = (cap - m i)/p^b or past it, expanded once per q
+    below its largest bound (eps at or above a bound only reaches above it)."""
+    ctx, p, plan, tops, ys = x.ctx, x.ctx.characteristic, [], {}, {}
+    for i in exps:
+        split = b, s, q = _p_split(i, p) if i else (0, (1, 1), (0, 1))
+        cap = power_cap(x, i, requested_cap, split)
+        mi = (x.ks[0] * i.numerator, x.den * i.denominator)
+        rel = _plus(_pair(cap), (-mi[0], mi[1]))
+        bound = _cap(rel and (rel[0] * s[1], rel[1] * s[0]))
+        plan.append((cap, bound, b, s, mi, q))
+        tops[q] = max(tops.get(q, bound), bound)
+    for (num, den), bound in tops.items():
+        hi = _int_bound(bound, x.den)
+        n = bisect_left(x.ks, hi + x.ks[0])
+        eps = Series._build(ctx, x.den, [k - x.ks[0] for k in x.ks[1:n]], x.cs[1:n], bound)
+        if hi <= 0:
+            ys[num, den] = eps  # no terms, cap bound
+        elif not p:
+            ys[num, den] = _miller(eps, num, den, bound)
+        elif num < 0 and den == 1:
+            ys[num, den] = _digits(eps, -num, 1, bound).invert(bound)
+        else:
+            ys[num, den] = _digits(eps, num, den, bound)
+    return [(cap, bound, b, s, mi, ys[q]) for cap, bound, b, s, mi, q in plan]
 
 
 def nth_root(x: Series, n: int, requested_cap=INF) -> Series:

@@ -38,33 +38,27 @@ Storage is packed and canonical: a lattice denominator `den`, ascending ints
 `code`; see the `fields` docstring) and the cap.  `den` is the least
 denominator of the support (gcd(den, *ks) = 1, den = 1 without terms), so
 equal elements have equal fields.  `Series._from_pairs` is the one entry
-from rational pairs, for `Series(...)` and `series_from_json`: it takes each
-exponent as an int pair in lowest terms with its code, checks the terms in
-input order by int compares and one dict keyed by the pairs, and puts them
-on one lattice in one int sort, so no Fraction is hashed or sorted per term.
-On the packed form `Series._build` is the one builder; it
-drops zero codes and reduces the lattice.  On that form `Series._sum` is the
-one merge, with `+` its two-piece case: one int-keyed dict over lcm(den),
-summing codes only where exponents meet, or over F_p one list of residues for
-a `_dense` window (at most 4 slots per term); `Series._remap` is the one
-exponent map, k/den to (f k + off)/den' in one `_build`, for `shift`,
-`scale_exponents`, `frobenius_map` and `pow_rat`'s final Frobenius-and-shift;
-`truncate` is a bisect; `scale` and products sum the field's kernel encoding
-of the codes as plain ints and decode them in one call (over F_{p^e}, one fold
-per output term; see `fields`), with the cap as the least int bound at or
-above cap*den.  A product cuts its operands at that bound; if the shorter
-keeps _KRONECKER_MIN terms and both windows are dense, each is packed one slot
-per lattice point into an int and the two are multiplied once (Kronecker
-substitution), else a loop over the pairs allocates nothing per lattice point.
-Inverses run a recurrence over the sums of their steps (see `Series.invert`)
-on a heap walk of the reachable sums, decoding once per output term, except
-over F_p when the smallest step is at most 4g (g the steps' gcd, chosen by
-`_dense_step`): there one list slot per multiple of g below the bound holds a
-residue, with one `% p` per slot and no codec call, up to the first period.
-Over F_p, 1/P for a polynomial P in u = t^g with P(0) != 0 is purely periodic,
-with least period the order of P, the least T with u^T = 1 mod P (Lidl and
-Niederreiter, *Finite Fields*, ch. 8); the loop notices it in O(1) a slot and
-fills the rest of the window by repeating the first T slots.
+from rational pairs (`Series(...)`, `series_from_json`), on int pairs and one
+int sort; `Series._build` is the one builder on the packed form, dropping
+zero codes and reducing the lattice.  `Series._sum` is the one merge, with
+`+` its two-piece case: one int-keyed dict over lcm(den), summing codes only
+where exponents meet, or over F_p one list of residues for a `_dense` window
+(at most 4 slots per term); `substitute` over F_p adds its x^i on such a
+window, each a shared (1 + eps)^q at a stride (see `morphisms._window`).
+`Series._remap` is the one exponent map, k/den to (f k + off)/den' in one
+`_build`, for `shift`, `scale_exponents`, `frobenius_map` and `pow_rat`'s
+final Frobenius-and-shift; `truncate` is a bisect; `scale` and products sum
+the field's kernel encoding of the codes as plain ints and decode them in
+one call (over F_{p^e}, one fold per output term; see `fields`), with the
+cap as the least int bound at or above cap*den.  A product cuts its operands
+at that bound; if the shorter keeps _KRONECKER_MIN terms and both windows
+are dense, each is packed one slot per lattice point into an int and the two
+are multiplied once (Kronecker substitution), else a loop over the pairs
+allocates nothing per lattice point.  Inverses run a recurrence over the
+sums of their steps on a heap walk of the reachable sums, decoding once per
+output term, or over F_p, on the dense window `_dense_step` chooses, one
+residue per list slot up to the first period of 1/(1 + eps), which then
+repeats (see `Series.invert`).
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -224,7 +218,7 @@ def _dense_step(steps, bound):
 
 
 def _dense(width, terms):
-    """The window rule of `_sum` and `*`: at most 4 lattice points per term."""
+    """The window rule of `_sum`, `*` and substitute's: at most 4 lattice points per term."""
     return width <= 4 * terms
 
 

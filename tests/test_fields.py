@@ -13,7 +13,7 @@ from ktq import (AdditivePoly, ExpHom, FieldError, FiniteField, Invert,
                  RationalField, Rescale, ScaleExp, Series, Substitute,
                  SeriesError, Transform, Translate, hypothesis_a_check, make_field,
                  series_from_json)
-from ktq.fields import _is_irreducible, _is_prime, _monic_polys
+from ktq.fields import _is_irreducible, _is_prime, _monic_polys, _parse_poly
 
 
 # ------------------------------------------------------------- construction
@@ -508,6 +508,28 @@ def test_rational_parse_code_refuses_text_format_code_does_not_write(Q, text):
         Q.parse_code(text)
     with pytest.raises(FieldError, match="bad rational literal"):
         series_from_json({"field": "Q", "terms": [[1, 1, text]], "cap": "inf"})
+
+
+@pytest.mark.parametrize("spec", ["F2", "F7", "F1000003"])
+def test_prime_field_parse_code_matches_the_polynomial_reader(spec):
+    """Over F_p, parse_code reads the decimal text of a residue directly; on
+    a corpus of texts it accepts exactly what `_parse_poly` (the reader of
+    F_{p^e} codes) accepts, with the same code, and refuses the rest with
+    the same FieldError."""
+    ctx = make_field(spec)
+    p, rng = ctx.p, random.Random(spec)
+    corpus = [str(k) for k in (0, 1, p - 1, p, p + 1, 10 * p, 10 ** 7)]
+    corpus += [str(rng.randrange(p)) for _ in range(60)] + [str(rng.randrange(p, 9 * p)) for _ in range(20)]
+    corpus += ["00", "01", "+1", " 1", "1 ", "-1", "\u0663", "\u00b2", "g", "1+0", "0+1", "1*1", "1*g^0",
+               "", "1.0", "0x1", "1_0", "1e0", "1" * 5000, "0" + str(p - 1), str(p - 1) + "0"]
+    for text in corpus:
+        vec = _parse_poly(text, "g", ctx._gs, p)
+        if vec is None:
+            with pytest.raises(FieldError) as exc:
+                ctx.parse_code(text)
+            assert str(exc.value) == f"not a coefficient of {spec}: {text!r}"
+        else:
+            assert ctx.parse_code(text) == ctx._codes(vec)[0] == int(text)
 
 
 @pytest.mark.parametrize("code", [3, None, 1.5, ["1"]])

@@ -6,17 +6,27 @@ plain dicts, term for term and cap for cap.  Over Q, Miller's recurrence is
 checked against `sympy.series` for fractional exponents.  `substitute` is
 checked against the sum of its per-term powers, so a substitution that
 shares powers between terms must keep every term and cap, and a product
-counter keeps the divergence family's work bounded.
+counter keeps the divergence family's work bounded.  Over F_p, spies check
+that the residue window runs exactly where its documented rule says, and a
+seeded differential compares it with the per-term sum on 500 cases a field.
 """
 
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 
-import ktq.series as series_module
+import ktq
+import ktq.morphisms as morphisms
 from ktq import INF, Series, make_field, pow_rat, substitute
+from ktq.powers import _expansions
+from ktq.series import substitute_cap
 
 F = Fraction
 P_FIELDS = ("F2", "F3", "F5", "F7", "F4", "F9")
@@ -241,30 +251,218 @@ def test_substitute_is_the_sum_of_its_term_powers(spec):
         _check_substitute(x, y, cap)
 
 
+def _window_rule(x, y, cap):
+    """The rule `substitute` documents for its residue window over F_p, on
+    the x^i of y's exponents i: slots on the lattice 1/D, D = den(x) times
+    the lcm of the denominators of the i, from the least exponent of any x^i
+    to the result's cap or one slot past the last exponent, whichever comes
+    first, at most 4 slots per term of the x^i."""
+    xis = [pow_rat(x, i, cap) for i, _ in y.terms]
+    D = x.den * math.lcm(*(i.denominator for i, _ in y.terms))
+    shown = [xi for xi in xis if xi.ks]
+    lo = min((xi.ks[0] * (D // xi.den) for xi in shown), default=0)
+    hi = max((xi.ks[-1] * (D // xi.den) + 1 for xi in shown), default=0)
+    top = min([substitute_cap(x, y, cap)] + [xi.cap for xi in xis])
+    if top != INF:
+        hi = min(hi, math.ceil(top * D))
+    return hi - lo <= 4 * sum(len(xi.ks) for xi in xis)
+
+
+def _paths(x, y, cap):
+    """substitute(x, y, cap), the results of its `_window` calls (True for a
+    sum, False for a sparse window), the number of `Series._sum` calls and
+    the number of `pow_rat` calls."""
+    windows, sums, window, real_sum = [], [], morphisms._window, Series._sum
+    powers, real_pow = [], morphisms.pow_rat
+
+    def pow_spy(*args):
+        powers.append(1)
+        return real_pow(*args)
+
+    def window_spy(*args):
+        r = window(*args)
+        windows.append(r is not None)
+        return r
+
+    def sum_spy(ctx, pieces):
+        sums.append(len(pieces))
+        return real_sum(ctx, pieces)
+    with patch.object(morphisms, "_window", window_spy), \
+            patch.object(morphisms, "pow_rat", pow_spy), \
+            patch.object(Series, "_sum", staticmethod(sum_spy)):
+        r = substitute(x, y, cap)
+    return r, windows, len(sums), len(powers)
+
+
 @pytest.mark.parametrize("spec", ("F3", "F5"))
 def test_divergence_family_is_the_sum_of_its_term_powers(spec):
-    """y = sum of t^(-1/p^j), j <= 6, at x = t - t^2 and cap 1: the
-    powers fill the window from -1/p to 1 on the 1/p^j lattice, so a sum
-    of more than two of them takes the dense list of residues."""
+    """y = sum of t^(-1/p^j), j <= k, at x = t - t^2 and cap 1: every y-term
+    has the p-free part -1, and the x^i fill the window from -1/p to 1 on
+    the 1/p^k lattice, dense by the window rule, so `_window` adds them and
+    `Series._sum` is not called."""
     ctx = make_field(spec)
     p = ctx.characteristic
     x = Series(ctx, {F(1): ctx.one, F(2): -ctx.one})
-    dense, real_sum, compress = [], Series._sum, series_module.compress
-
-    def spy(*args):  # `compress` is called on the list path only
-        dense.append(1)
-        return compress(*args)
-
-    def sum_spy(ctx, pieces):  # `invert` calls `compress` too, so spy inside `_sum`
-        with patch.object(series_module, "compress", spy):
-            return real_sum(ctx, pieces)
     for k in (1, 2, 6):
         y = Series(ctx, {F(-1, p ** j): ctx.one for j in range(1, k + 1)})
-        dense.clear()
-        with patch.object(Series, "_sum", staticmethod(sum_spy)):
-            r = _check_substitute(x, y, F(1))
+        assert _window_rule(x, y, F(1))
+        got, windows, sums, powers = _paths(x, y, F(1))
+        assert (windows, sums, powers) == ([True], 0, 0)
+        r = _check_substitute(x, y, F(1))
+        assert got.series == r.series
         assert r.series.coeff(0) == ctx.from_int(k % p)
-        assert bool(dense) == (k > 2)  # more than two pieces
+
+
+def test_window_path_follows_the_window_rule():
+    """A sparse window falls back to `Series._sum`, one with few y-terms
+    still takes the window, and Q and F_{p^e} never reach `_window`.  In
+    the sparse case y's exponents share one p-free part; the x^i of the
+    three small ones have 2 terms each, so counting the whole shared
+    expansion for each of them would make the window read as dense.  Over
+    F_p no path calls `pow_rat`, so the fallback expands nothing twice;
+    over Q and F_{p^e} each y-term is one `pow_rat`."""
+    F3 = make_field("F3")
+    x = Series(F3, {F(1): F3.one, F(2): -F3.one})  # t - t^2
+    cases = [(x, Series(F3, {F(-1, 27): F3.one, F(-1): F3.one, F(-3): F3.one, F(-9): F3.one}),
+              F(1), [False], 1),
+             (x, Series(F3, {F(-1, 3): F3.from_int(2), F(0): F3.one}), F(2), [True], 0)]
+    for spec in ("Q", "F9"):
+        ctx = make_field(spec)
+        x2 = Series(ctx, {F(1): ctx.one, F(2): -ctx.one})
+        y2 = Series(ctx, {F(-1, 3): ctx.one, F(-1, 9): ctx.one, F(0): ctx.one})
+        cases.append((x2, y2, F(1), [], 1))
+    for x, y, cap, windows, sums in cases:
+        if windows:  # F_p
+            assert _window_rule(x, y, cap) == windows[0]
+        got, seen, n, powers = _paths(x, y, cap)
+        assert (seen, n, powers) == (windows, sums, 0 if windows else len(y.ks))
+        assert got.series == _check_substitute(x, y, cap).series
+
+
+# ------------------------------------------------- the residue window over F_p
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+
+
+def _reference_substitute(x, y, cap):
+    """substitute as one `pow_rat` per y-term, `scale`, one `Series._sum`
+    and a truncation at the substitute rule."""
+    xis = [pow_rat(x, i, cap) for i, _ in y.terms]
+    total = Series._sum(x.ctx, [xi.scale(c) for xi, (_, c) in zip(xis, y.terms)]
+                        or [Series.zero(x.ctx)]).truncate(substitute_cap(x, y, cap))
+    return ((total.den, total.ks, total.cs, total.cap), total.cap,
+            tuple((i, xi.cap) for (i, _), xi in zip(y.terms, xis)), _risk(y, x.ctx.characteristic))
+
+
+def _substitute_fields(x, y, cap):
+    r = substitute(x, y, cap)
+    s = r.series
+    return ((s.den, s.ks, s.cs, s.cap), r.achieved_cap, r.diagnostics.term_caps,
+            r.diagnostics.hypothesis_a_risk)
+
+
+def _window_case(rng, ctx):
+    """x monic with 1-4 terms, exact or capped, its valuation positive; y
+    with a shared p-free part q at several p-adic valuations b of both
+    signs, maybe a constant term and one more exponent, coefficients not
+    all 1, exact or capped; a requested cap that is INF, negative, zero or
+    positive.  A gap of up to 29 lattice steps in x makes sparse windows."""
+    p = ctx.characteristic
+    d = rng.choice([1, 2, p])
+    m = F(rng.randint(1, 3), d)
+    xs = {m: ctx.one}
+    for k in rng.sample(range(1, rng.choice([6, 30])), rng.randint(0, 3)):
+        xs[m + F(k, d)] = _coeff(rng, ctx)
+    x = Series(ctx, xs, INF if rng.random() < 0.5 else max(xs) + F(rng.randint(1, 4), d))
+    q = rng.choice([q for q in (F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 4), F(-4, 3))
+                    if q.numerator % p and q.denominator % p])
+    bs = range(-2, 2) if p < 5 else range(-1, 2)
+    exps = {q * F(p) ** b for b in rng.sample(bs, rng.randint(1, len(bs)))}
+    if rng.random() < 0.5:
+        exps.add(F(0))
+    if rng.random() < 0.5:
+        exps.add(F(rng.randint(-4, 4), rng.choice([1, p])))
+    y = Series(ctx, {e: _coeff(rng, ctx) for e in exps},
+               INF if rng.random() < 0.5 else max(exps) + F(rng.randint(1, 3), rng.choice([1, p])))
+    cap = rng.choice([INF, F(0), F(-rng.randint(1, 4), rng.choice([1, 2, p])),
+                      F(rng.randint(1, 8), rng.choice([1, 2, p]))])
+    return x, y, cap
+
+
+@pytest.mark.parametrize("spec", ("F2", "F3", "F5", "F7"))
+def test_residue_window_matches_the_per_term_sum(spec):
+    """On 500 seeded cases, `substitute` over F_p gives the per-term
+    reference's (den, ks, cs, cap), achieved cap, term caps and risk flag,
+    or its exception type and message, and the terms of each shared
+    expansion below an exponent's bound make that exponent's own `pow_rat`.
+    The cases cover dense and sparse windows, errors, and x^i whose bound is
+    at most 0 (cap_i <= m i: no term of x^i is certified)."""
+    ctx = make_field(spec)
+    rng = random.Random(f"residue-window:{spec}")
+    seen = {"dense": 0, "sparse": 0, "error": 0, "empty x^i": 0}
+    window, real_sum, summed = morphisms._window, Series._sum, []
+
+    def window_spy(*args):
+        r = window(*args)
+        seen["sparse" if r is None else "dense"] += 1
+        return r
+
+    def sum_spy(ctx, pieces):
+        summed.append([(s.den, s.ks, s.cs, s.cap) for s in pieces])
+        return real_sum(ctx, pieces)
+    for _ in range(500):
+        x, y, cap = _window_case(rng, ctx)
+        want = _outcome(lambda: _reference_substitute(x, y, cap))
+        summed.clear()
+        with patch.object(morphisms, "_window", window_spy), \
+                patch.object(Series, "_sum", staticmethod(sum_spy)):
+            got = _outcome(lambda: _substitute_fields(x, y, cap))
+        assert got == want, (x, y, cap)
+        if isinstance(want[0], type):
+            seen["error"] += 1
+            continue
+        if summed:  # a sparse window: each piece is exactly c_i x^i
+            pieces = [pow_rat(x, i, cap).scale(c) for i, c in y.terms]
+            assert summed == [[(s.den, s.ks, s.cs, s.cap) for s in pieces]]
+        m = x.terms[0][0]
+        seen["empty x^i"] += any(c <= m * i for i, c in want[2])
+        plan = _expansions(x, [i for i, _ in y.terms], cap)
+        for (i, _), (cap_i, bound, _, s, mi, z) in zip(y.terms, plan):
+            z = z.truncate(bound)  # this exponent's share of the shared expansion
+            xi, mine = pow_rat(x, i, cap), z._remap(*s, *mi, z.cs, cap_i)
+            assert (mine.den, mine.ks, mine.cs, mine.cap) == (xi.den, xi.ks, xi.cs, xi.cap)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_narrow_window_allocates_no_more_than_its_width():
+    """Over F3, x = t + t^1001 and y = t^-1 + t^-3 + O(1) at requested cap
+    10^8: the shared expansion of (1 + t^1000)^-1 has about 10^5 terms up
+    to t^(10^8), but the result is capped at 0, so the window is the 3
+    slots from -3 to 0 and reads as dense.  Spreading the gapped expansion
+    to one slot per exponent up to its last would take 10^8 slots; the
+    substitution runs in a fresh process whose address space is limited to
+    512 MiB, so such a list could not be allocated there."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "import ktq.morphisms as morphisms\n"
+        "from ktq import Series, make_field, substitute\n"
+        "F3, window, seen = make_field('F3'), morphisms._window, []\n"
+        "morphisms._window = lambda *a: seen.append(window(*a)) or seen[-1]\n"
+        "x = Series(F3, {1: F3.one, 1001: F3.one})\n"
+        "y = Series(F3, {-1: F3.one, -3: F3.one}, 0)\n"
+        "r = substitute(x, y, 10 ** 8)\n"
+        "print(r.series.ks, r.series.cs, r.achieved_cap, seen[0] is not None)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ktq.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[-3, -1] [1, 1] 0 True\n"
 
 
 # ------------------------------------------------------------- work guard
