@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -219,8 +219,8 @@ def _window(x, y, plan, cap):
         count = min(z.ks[n - 1] + 1, (hi - off + f - 1) // f)  # to the n-th term, in the window
         sl, r = slice(off - lo, off - lo + count * f, f), spread.get(id(z), z.cs)
         w[sl] = map(add, w[sl], r if c == 1 else map(mul, r, repeat(c)))  # empty if count <= 0
-    w = [v % p for v in w]
-    return Series._build(x.ctx, D, list(compress(range(lo, hi), w)), list(filter(None, w)), cap)
+    w = [v % p for v in w]  # rebound, so the unreduced window is freed first
+    return Series._residues(x.ctx, D, lo, 1, w, cap)
 
 
 # ------------------------------------------------------------ orbit classes

@@ -42,9 +42,9 @@ from rational pairs (`Series(...)`, `series_from_json`), on int pairs and one
 int sort; `Series._build` is the one builder on the packed form, dropping
 zero codes and reducing the lattice.  `Series._sum` is the one merge, with
 `+` its two-piece case: one int-keyed dict over lcm(den), summing codes only
-where exponents meet, or over F_p one list of residues for a `_dense` window
-(at most 4 slots per term); `substitute` over F_p adds its x^i on such a
-window, each a shared (1 + eps)^q at a stride (see `morphisms._window`).
+where exponents meet.  `_dense` (at most 4 slots per term) is the one window
+rule; `Series._residues` reads back the F_p windows, the dense inverse below
+and `substitute`'s x^i, added at their strides (see `morphisms._window`).
 `Series._remap` is the one exponent map, k/den to (f k + off)/den' in one
 `_build`, for `shift`, `scale_exponents`, `frobenius_map` and `pow_rat`'s
 final Frobenius-and-shift; `truncate` is a bisect; `scale` and products sum
@@ -203,23 +203,23 @@ def _int_bound(cap, d):
     return INF if type(cap) is float else -(-cap.numerator * d // cap.denominator)
 
 
+def _dense(width, terms):
+    """The one window rule (invert, `*`, `morphisms._window`): at most 4 slots per term."""
+    return width <= 4 * terms
+
+
 def _dense_step(steps, bound):
     """The walk decision for the F_p recurrence of `Series.invert`: g, the
     gcd of the ascending positive int steps, when the recurrence runs over
     the dense window of the ceil(bound/g) multiples of g below bound, or 0
-    for the heap walk of `_reachable`.  The window is dense when the
-    smallest step w is at most 4g, since the walk then visits about bound/w
-    of its slots anyway.  An empty or infinite bound and a monomial (no
-    steps) keep the heap walk."""
+    for the heap walk of `_reachable`.  The window is dense when the smallest
+    step w is `_dense` over g (w at most 4g), since the walk then visits about
+    bound/w of its slots anyway.  An empty or infinite bound and a monomial
+    (no steps) keep the heap walk."""
     if not steps or type(bound) is float or bound <= 0:
         return 0
     g = gcd(*steps)
-    return g if steps[0] <= 4 * g else 0
-
-
-def _dense(width, terms):
-    """The window rule of `_sum`, `*` and substitute's: at most 4 lattice points per term."""
-    return width <= 4 * terms
+    return g if _dense(steps[0], g) else 0
 
 
 _KRONECKER_MIN = 16  # shorter operand's terms from which `*` packs its operands
@@ -278,11 +278,7 @@ class Series:
 
     def _pack(self, ctx, den, ks, cs, cap):
         """Fill self from ascending int lists ks (exponents k/den, all below
-        cap) and cs (codes): zero codes are dropped and the lattice reduced
-        to the canonical form."""
-        if not all(cs):
-            keep = [i for i, c in enumerate(cs) if c]
-            ks, cs = [ks[i] for i in keep], [cs[i] for i in keep]
+        cap) and cs (nonzero codes), reducing the lattice to canonical form."""
         g = gcd(den, *ks)
         if g != 1:
             den //= g
@@ -312,8 +308,17 @@ class Series:
 
     @classmethod
     def _build(cls, ctx, den, ks, cs, cap):
-        """Internal, the one builder on the packed form (see _pack)."""
+        """Internal, the one builder on the packed form: `_pack` without the zero codes."""
+        if not all(cs):
+            keep = [i for i, c in enumerate(cs) if c]
+            ks, cs = [ks[i] for i in keep], [cs[i] for i in keep]
         return cls.__new__(cls)._pack(ctx, den, ks, cs, cap)
+
+    @classmethod
+    def _residues(cls, ctx, den, lo, g, w, cap):
+        """Internal, the one read-back of an F_p window: residue j of w at (lo + j g)/den."""
+        return cls.__new__(cls)._pack(ctx, den, list(compress(range(lo, lo + g * len(w), g), w)),
+                                      list(filter(None, w)), cap)
 
     def _exps(self, den):
         """The exponents as ints over den, a multiple of self.den."""
@@ -398,26 +403,12 @@ class Series:
     @staticmethod
     def _sum(ctx, pieces):
         """Internal, the one merge: the sum of one or more series over ctx by
-        the add rule, on the lcm of their lattices.  Over F_p, more than two
-        pieces whose window from the lowest exponent to the bound has at most
-        4 slots per term sum into one list of residues; otherwise each piece
-        merges into one int-keyed dict, summing codes where exponents meet."""
+        the add rule, on the lcm of their lattices.  Each piece merges into
+        one int-keyed dict, summing codes where exponents meet."""
         cap, den = pieces[0].cap, pieces[0].den
         for s in pieces[1:]:
             cap, den = min(cap, s.cap), lcm(den, s.den)
         bound = _int_bound(cap, den)
-        if len(pieces) > 2 and (p := ctx.characteristic) and ctx.e == 1:
-            exps = [s._exps(den) for s in pieces]
-            lo = min((ks[0] for ks in exps if ks), default=0)
-            hi = min(bound, max((ks[-1] + 1 for ks in exps if ks), default=0))
-            if _dense(hi - lo, sum(map(len, exps))):
-                b = [0] * (hi - lo)
-                for ks, s in zip(exps, pieces):
-                    for k, c in zip(ks, s.cs[:bisect_left(ks, hi)]):
-                        b[k - lo] += c
-                b = [v % p for v in b]
-                return Series._build(ctx, den, list(compress(range(lo, hi), b)),
-                                     list(filter(None, b)), cap)
         acc = dict(zip(pieces[0]._exps(den), pieces[0].cs))
         for s in pieces[1:]:
             more = dict(zip(s._exps(den), s.cs))
@@ -574,8 +565,7 @@ class Series:
             else:
                 out = b
             del out[size:]
-            ks = list(compress(range(-kv, bound - kv, g), out))
-            return Series._build(ctx, self.den, ks, list(filter(None, out)), result_cap)
+            return Series._residues(ctx, self.den, -kv, g, out, result_cap)
         steps = list(zip(es, vals[1:]))
         # b_k is kept as a numerator over den^(1 + k // w): a step adds at
         # least w to k and one factor of den, so no division is needed.

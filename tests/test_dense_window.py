@@ -119,11 +119,13 @@ def test_invert_keeps_the_heap_walk_off_prime_fields(spec):
 @pytest.mark.parametrize("steps, bound, g", [([], 10, 0), ([1], 0, 0), ([1], -5, 0),
                                              ([1], INF, 0), ([5, 6], 100, 0),
                                              ([10, 15], 100, 5), ([1, 2], 100, 1),
-                                             ([8, 12], 100, 4)])
+                                             ([8, 12], 100, 4), ([4, 5], 100, 1),
+                                             ([10, 12], 100, 0)])
 def test_chooser(steps, bound, g):
     """Monomials, empty windows, infinite bounds and a smallest step more
-    than 4g (5 = 5g with g = 1) keep the heap walk (0); otherwise the window
-    holds the multiples of g."""
+    than 4g (5 = 5g with g = 1, 10 = 5g with g = 2) keep the heap walk (0);
+    a smallest step of at most 4g (4 = 4g with g = 1, the boundary) gives
+    the window of the multiples of g."""
     assert S._dense_step(steps, bound) == g
 
 

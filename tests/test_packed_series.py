@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ktq import INF, Series, make_field, series_from_json
-from ktq.errors import PrecisionError
+from ktq.errors import PrecisionError, SeriesError
 from ktq.morphisms import scale_exponents
 from ktq.powers import frobenius_map
 from ktq.series import UnknownAtLeast, format_series
@@ -288,6 +288,21 @@ def test_terms_keep_the_pair_layout(spec):
     for e, c in pairs.items():
         want[e + 1] = want[e + 1] + c if e + 1 in want else c
     assert (x + x.shift(1)).terms == tuple(sorted((e, c) for e, c in want.items() if c))
+
+
+def test_zero_codes_are_dropped_by_the_builders_and_refused_by_the_constructor():
+    """`_build` drops zero codes before it reduces the lattice; the read-back
+    of an F_p window keeps only its nonzero residues; `Series(...)` refuses a
+    zero coefficient rather than drop it."""
+    F3 = FIELDS["F3"]
+    s = Series._build(F3, 2, [0, 1, 2], [1, 0, 2], INF)
+    assert (s.den, s.ks, s.cs) == (1, [0, 1], [1, 2])
+    assert_canonical(s)
+    s = Series._residues(F3, 2, 0, 1, [1, 0, 2, 0, 1], INF)
+    assert (s.den, s.ks, s.cs) == (1, [0, 1, 2], [1, 2, 1])
+    assert_canonical(s)
+    with pytest.raises(SeriesError, match="zero coefficient"):
+        Series(F3, {0: 1, Fraction(1, 2): 0})
 
 
 # --------------------------------------------------------------- JSON

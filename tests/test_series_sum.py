@@ -4,9 +4,8 @@ fold of the two-series merge it replaced.
 `reference_add` is that merge as it stood before `_sum`: int-keyed dicts
 over lcm(den), codes summed through the field's kernel encoding where
 exponents meet, and one build.  Every case sums the same pieces both ways
-and compares the packed forms, caps included.  Over F_p a sum of more than
-two pieces may take the dense list of residues instead; `compress` runs only
-on that path, so a spy on it tells the two paths apart.
+and compares the packed forms, caps included.  Dense and sparse windows take
+the same merge over every field, so the cases check values, not paths.
 """
 
 import os
@@ -16,7 +15,6 @@ import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 
@@ -53,23 +51,8 @@ def packed(s):
     return s.den, s.ks, s.cs, s.cap
 
 
-def list_path():
-    """A spy on `compress` in `series`: the calls made by the list path."""
-    calls = []
-    real = S.compress
-
-    def spy(*args):
-        calls.append(1)
-        return real(*args)
-    return calls, patch.object(S, "compress", spy)
-
-
 def check(ctx, pieces):
-    calls, spy = list_path()
-    with spy:
-        got = Series._sum(ctx, pieces)
-    assert packed(got) == packed(reference_sum(ctx, pieces))
-    return bool(calls)
+    assert packed(Series._sum(ctx, pieces)) == packed(reference_sum(ctx, pieces))
 
 
 def _coeff(rng, ctx):
@@ -137,7 +120,7 @@ def test_pieces_that_cancel_sum_to_zero_below_the_least_cap(spec):
 
 
 @pytest.mark.parametrize("spec", ("F2", "F3", "F5", "F1000003"))
-def test_dense_windows_take_the_list_path(spec):
+def test_dense_divergence_pieces_sum_as_the_fold(spec):
     """The divergence family's pieces: the expansion of (1 - t)^(-1/p^j)
     is every multiple of 1/p^j below the cap, so the window from the
     lowest exponent to the bound is filled many times over."""
@@ -146,11 +129,24 @@ def test_dense_windows_take_the_list_path(spec):
     pieces = [Series(ctx, {F(k, p ** j) - F(1, p ** j): ctx.one
                            for k in range(p ** j + p ** j // 2)}, F(3, 2) - F(1, p ** j))
               for j in range(1, 4)]
-    assert check(ctx, pieces)
-    assert check(ctx, pieces + [piece.scale(-1) for piece in pieces])
-    assert check(ctx, [pieces[0], Series.zero(ctx)] + pieces[1:])
-    # a bound below every exponent leaves the window empty
-    assert check(ctx, pieces + [Series(ctx, (), F(-5))])
+    check(ctx, pieces)
+    check(ctx, pieces + [piece.scale(-1) for piece in pieces])
+    check(ctx, [pieces[0], Series.zero(ctx)] + pieces[1:])
+    # a bound below every exponent leaves nothing
+    check(ctx, pieces + [Series(ctx, (), F(-5))])
+
+
+def test_twelve_dense_stride_7_pieces():
+    """Twelve F3 pieces of 2500 terms each, piece j at the exponents j + 7k
+    with its own cap: 30000 terms on one dense window, where two pieces meet
+    at five exponents of every seven and some of their codes cancel."""
+    ctx = FIELDS["F3"]
+    rng = random.Random("series-sum-stride-7")
+    pieces = [Series(ctx, {j + 7 * k: ctx.from_int(rng.randrange(1, 3)) for k in range(2500)},
+                     17600 - 3 * j)
+              for j in range(12)]
+    assert sum(len(s.ks) for s in pieces) == 30000
+    check(ctx, pieces)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -158,9 +154,8 @@ def test_sparse_windows_take_the_dict_path(spec):
     ctx = FIELDS[spec]
     one = ctx.one
     pieces = [Series(ctx, {F(0): one}), Series(ctx, {F(10 ** 4): one}), Series(ctx, {F(1): one})]
-    assert not check(ctx, pieces)
-    # two pieces never take the list path, however dense
-    assert not check(ctx, [Series(ctx, {F(k): one for k in range(9)})] * 2)
+    check(ctx, pieces)
+    check(ctx, [Series(ctx, {F(k): one for k in range(9)})] * 2)
 
 
 def test_a_wide_sparse_window_allocates_no_list():
