@@ -5,9 +5,9 @@ monic irreducible modulus of degree e.  An immutable `FFElement` holds the
 code (below) of c_0 + c_1*g + ... + c_{e-1}*g^{e-1}, g the residue of x, and
 `vec` is the view (c_0, ..., c_{e-1}).  A sum, a negation ((p - 1) * code) or
 a product of two codes is one int operation reduced by one
-`decode([value], 1, 1)`; powers use the builtin pow when e = 1 and
-square-and-multiply on codes otherwise, and inverses follow Fermat:
-c^-1 = c^(q-2).
+`decode([value], 1, 1)`; `_powers_of(codes, n)` is the one exponentiation
+(the builtin pow when e = 1, square-and-multiply on the whole list
+otherwise), and inverses follow Fermat: c^-1 = c^(q-2).
 
 Rational coefficients simply are fractions.Fraction values, already exact
 and canonical.
@@ -26,8 +26,8 @@ a sum of n products carries, by extended-slice assignment on one bytearray,
 and `decode` folds each value's slots of degree e and up into the low e by
 multiply-adds with x^e, ..., x^(2e-2) mod the modulus, takes all the low
 slots mod p in one pass and reads each code with one `int.from_bytes`.
-`frobenius_codes` is c |-> c^(p^b) on codes, one map per field: the
-identity over F_p, and over F_{p^e} whenever e divides b.
+`frobenius_codes` is c |-> c^(p^b) on codes, `_powers_of` at the exponent
+p^(b mod e): the identity over F_p, and over F_{p^e} whenever e divides b.
 
 Text is one codec per field on codes: `parse_code` reads back exactly what
 `format_code` writes ("-3/4", "5", "g^2+2*g+1") and nothing else, and
@@ -47,6 +47,7 @@ from array import array
 from fractions import Fraction
 from itertools import product, repeat
 from math import lcm
+from operator import mul
 
 from .errors import FieldError, Record
 
@@ -324,18 +325,7 @@ class FFElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        f = self.field
-        if f.e == 1:
-            return FFElement(f, pow(self.code, n, f.p))
-        # Square-and-multiply on codes, reduced after every product.
-        result, base = 1, self.code
-        while n:
-            if n & 1:
-                result = f.decode([result * base], 1, 1)[0]
-            n >>= 1
-            if n:
-                base = f.decode([base * base], 1, 1)[0]
-        return FFElement(f, result)
+        return FFElement(self.field, self.field._powers_of([self.code], n)[0])
 
     def __eq__(self, other):
         if not isinstance(other, FFElement):
@@ -467,7 +457,8 @@ class FiniteField(FieldCtx):
             raise FieldError("root order must be >= 1")
         if not c:
             return [self.zero]
-        return [r for r in self.elements() if r ** n == c]
+        els = self.elements()
+        return [r for r, k in zip(els, self._powers_of([r.code for r in els], n)) if k == c.code]
 
     def _fold(self, n):
         """w, the least power-of-two slot bytes holding n * _bound (sums of n
@@ -528,17 +519,23 @@ class FiniteField(FieldCtx):
         return self._codes([d % p for d in (_slots(buf, w) if w <= 8 else (
             int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)))])
 
-    def frobenius_codes(self, codes, b):
-        """The codes of c^(p^b) for the codes of c (b < 0: the inverse): one
-        square-and-multiply over the whole list, one `decode` a step."""
-        n, out, dec = self.p ** (b % self.e), None, self.decode  # the Frobenius has order e
-        while True:
+    def _powers_of(self, codes, n):
+        """The codes of c^n (n >= 0) for the codes of c: the builtin pow over
+        F_p, else one square-and-multiply over the whole list, one `decode` a step."""
+        if self.e == 1:
+            return codes if n == 1 else [pow(k, n, self.p) for k in codes]
+        out, dec = None, self.decode
+        while n:
             if n & 1:
-                out = codes if out is None else dec([x * y for x, y in zip(out, codes)], 1, 1)
+                out = codes if out is None else dec(list(map(mul, out, codes)), 1, 1)
             n >>= 1
-            if not n:
-                return out
-            codes = dec([k * k for k in codes], 1, 1)
+            if n:
+                codes = dec([k * k for k in codes], 1, 1)
+        return [1] * len(codes) if out is None else out
+
+    def frobenius_codes(self, codes, b):
+        """The codes of c^(p^b) for the codes of c (b < 0: the inverse)."""
+        return self._powers_of(codes, self.p ** (b % self.e))  # the Frobenius has order e
 
     def format_code(self, k: int) -> str:
         return str(k) if self.e == 1 else _format_poly(self._digits(k), self._gs)
@@ -665,14 +662,9 @@ class AdditivePoly:
         return len(self.coeffs) - 1
 
     def __call__(self, c):
-        c = self.ctx.coerce(c)
-        p = self.ctx.characteristic
-        acc, power = self.ctx.zero, c
-        for a in self.coeffs:
-            if a:
-                acc = acc + a * power
-            power = power ** p
-        return acc
+        ctx, c = self.ctx, self.ctx.coerce(c)
+        return sum((a * (ctx.frobenius(c, i) if i else c) for i, a in enumerate(self.coeffs) if a),
+                   ctx.zero)
 
     def preimage(self, c):
         """The first z in the field's enumeration order with P(z) = c, or

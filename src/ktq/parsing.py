@@ -11,10 +11,11 @@ fractional exponents need parentheses, as in t^(-1) and t^(1/2).  The symbol
 t is the uniformizer, g the generator of a finite extension field, and x is
 reserved for additive-polynomial literals such as "x^2+x".
 
-Functions (_ARITY; a call's name is checked, then its argument count, then
-its arguments evaluate left to right): inv(y), trace(y), norm(y), root(y, n)
-and h(y, n) with n an integer literal, solve(P, b) with P an additive
-polynomial, subst(x, y), and classify(y), which no operand may be.
+Functions (_CALLS, one (arity, evaluator) entry per name; a call's name is
+checked, then its argument count, then its arguments evaluate left to
+right): inv(y), trace(y), norm(y), root(y, n) and h(y, n) with n an integer
+literal, solve(P, b) with P an additive polynomial, subst(x, y), and
+classify(y), which no operand may be.
 
 Additive polynomials and moduli are read by one collector, _x_terms, which
 turns a +/- sum of products c*x^d into {d: c}.  Their constant coefficients,
@@ -327,7 +328,18 @@ class EvalEnv:
         self.bindings = dict(bindings or {})
 
 
-_ARITY = {"inv": 1, "trace": 1, "norm": 1, "root": 2, "h": 2, "solve": 2, "subst": 2, "classify": 1}
+# name -> (arity, evaluator of the argument nodes); evaluators read module globals at call time.
+_CALLS = {
+    "inv": (1, lambda a, env: _series(a[0], env).invert(env.cap)),
+    "trace": (1, lambda a, env: Series.constant(env.ctx, trace(_series(a[0], env)))),
+    "norm": (1, lambda a, env: Series.constant(env.ctx, norm_leading(_series(a[0], env)))),
+    "root": (2, lambda a, env: nth_root(_series(a[0], env), _int_arg(a[1], "root order"), env.cap)),
+    "h": (2, lambda a, env: artin_schreier(_series(a[0], env), _int_arg(a[1], "h degree"), env.cap)),
+    "solve": (2, lambda a, env: solve_additive(expr_to_additive_poly(env.ctx, a[0]),
+                                               _series(a[1], env), env.cap)),
+    "subst": (2, lambda a, env: substitute(_series(a[0], env), _series(a[1], env), env.cap).series),
+    "classify": (1, lambda a, env: classify_orbit(_series(a[0], env))),
+}
 
 
 def eval_expression(node, env: EvalEnv):
@@ -359,29 +371,12 @@ def eval_expression(node, env: EvalEnv):
     if isinstance(node, Pow):
         return pow_rat(_series(node.base, env), node.exp, env.cap)
     if isinstance(node, Call):
-        name, args = node.name, node.args
-        if name not in _ARITY:
-            raise ParseError(f"unknown function {name!r}")
-        if len(args) != _ARITY[name]:
-            raise ParseError(f"{name}() takes {_ARITY[name]} argument(s), got {len(args)}")
-        if name == "inv":
-            return _series(args[0], env).invert(env.cap)
-        if name == "trace":
-            return Series.constant(ctx, trace(_series(args[0], env)))
-        if name == "norm":
-            return Series.constant(ctx, norm_leading(_series(args[0], env)))
-        if name == "root":
-            return nth_root(_series(args[0], env), _int_arg(args[1], "root order"), env.cap)
-        if name == "h":
-            return artin_schreier(_series(args[0], env), _int_arg(args[1], "h degree"),
-                                  env.cap)
-        if name == "solve":
-            P = expr_to_additive_poly(ctx, args[0])
-            return solve_additive(P, _series(args[1], env), env.cap)
-        if name == "subst":
-            return substitute(_series(args[0], env), _series(args[1], env), env.cap).series
-        if name == "classify":
-            return classify_orbit(_series(args[0], env))
+        if node.name not in _CALLS:
+            raise ParseError(f"unknown function {node.name!r}")
+        arity, evaluate = _CALLS[node.name]
+        if len(node.args) != arity:
+            raise ParseError(f"{node.name}() takes {arity} argument(s), got {len(node.args)}")
+        return evaluate(node.args, env)
     raise ParseError(f"cannot evaluate {node!r}")
 
 

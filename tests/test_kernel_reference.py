@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import ktq.series as kernel
 from ktq import INF, Series, make_field, series_from_json
 from ktq.errors import FieldError, PrecisionError, SeriesError
+from ktq.fields import AdditivePoly
 
 SPECS = ("Q", "F2", "F3", "F7", "F4", "F9")
 FIELDS = {spec: make_field(spec) for spec in SPECS}
@@ -723,14 +724,83 @@ def test_slot_text_round_trip(spec, slot_fields):
 
 @pytest.mark.parametrize("spec", ("F4", "F9", "F4096", "F3125", "F10201"))
 def test_frobenius_codes_match_the_element_map(spec):
-    """The whole-list square-and-multiply of frobenius_codes against the
-    element Frobenius, one code at a time, for b = -3 .. 3."""
+    """frobenius_codes against c^(p^(b mod e)) on the reference arithmetic,
+    one code at a time, for b = -3 .. 3."""
     ctx = make_field(spec)
+    R, p, e = SlotRef(ctx), ctx.p, ctx.e
     codes = [slot_element(ctx, v).code for v in slot_vectors(random.Random(spec), ctx, 40)]
     for b in range(-3, 4):
-        assert ctx.frobenius_codes(codes, b) == [ctx.frobenius(ctx.element(k), b).code
-                                                 for k in codes]
+        assert [ctx.element(k).vec for k in ctx.frobenius_codes(codes, b)] == [
+            ref_power(R, ctx.element(k).vec, p ** (b % e)) for k in codes]
     assert ctx.frobenius_codes([], 1) == []
+
+
+def ref_of(R, ctx, k):
+    """The reference value of the element with code k."""
+    return R.of(ctx.element(k))
+
+
+@pytest.mark.parametrize("spec", (*SLOT_CLASSES, "F2", "F1000003"))
+def test_powers_of_matches_the_reference(spec, slot_fields):
+    """_powers_of, the one exponentiation, on 40 codes (0 and 1 among them)
+    against square-and-multiply on the reference arithmetic, for exponents
+    around p and q and one past 2^61; and the element powers built on it."""
+    ctx = slot_fields[spec] if spec in SLOT_CLASSES else make_field(spec)
+    R, p, q = SlotRef(ctx), ctx.p, ctx.q
+    codes = [0] + [slot_element(ctx, v).code for v in slot_vectors(random.Random(spec), ctx, 39)]
+    assert codes[:2] == [0, 1]
+    for n in (0, 1, 2, 3, p, q - 2, q - 1, q, 2 ** 61 + 1):
+        assert [ref_of(R, ctx, k) for k in ctx._powers_of(codes, n)] == [
+            ref_power(R, ref_of(R, ctx, k), n) for k in codes]
+        assert ctx._powers_of([], n) == []
+    if ctx.e == 1:
+        assert ctx._powers_of(codes, 1) is codes
+    for k in codes[1:]:
+        a = ctx.element(k)
+        assert R.of(a ** 0) == R.one()
+        assert R.of(a ** -1) == R.inv(R.of(a))
+        assert R.of(a ** -3) == ref_power(R, R.inv(R.of(a)), 3)
+    assert R.of(ctx.zero ** 0) == R.one()
+
+
+def test_nth_roots_match_brute_force():
+    """nth_roots(c, n) is, in enumeration order, every r with r^n = c on the
+    reference arithmetic: each c of F9 for n = 1 .. 10, and 20 seeded c of
+    F1331 and F4096 (1 among them) for n in {2, 3, p, q - 1}."""
+    cases = [(make_field("F9"), None, range(1, 11))]
+    cases += [(ctx, 20, {2, 3, ctx.p, ctx.q - 1}) for ctx in map(make_field, ("F1331", "F4096"))]
+    for ctx, count, orders in cases:
+        R, els = SlotRef(ctx), ctx.elements()
+        cs = els if count is None else [ctx.one] + random.Random(ctx.q).sample(els, count - 1)
+        for n in orders:
+            powers = [ref_power(R, R.of(r), n) for r in els]
+            for c in cs:
+                want = R.of(c)
+                assert ctx.nth_roots(c, n) == [r for r, v in zip(els, powers) if v == want]
+    with pytest.raises(FieldError, match="field too large for exhaustive enumeration"):
+        make_field("F1048583").nth_roots(1, 2)
+
+
+@pytest.mark.parametrize("spec", ("F4", "F9", "F4096"))
+def test_additive_poly_matches_the_reference(spec):
+    """P(c) = sum a_i c^(p^i) on the reference arithmetic, for P of every
+    p-degree up to e + 1 (past the Frobenius order e), with a_1 and a_4 zero."""
+    ctx = make_field(spec)
+    R, p, e, rng = SlotRef(ctx), ctx.p, ctx.e, random.Random(spec)
+    els = ctx.elements()
+    cs = els if ctx.q < 100 else rng.sample(els, 12)
+    for degree in range(e + 2):
+        coeffs = [ctx.zero if i % 3 == 1 else rng.choice(els) for i in range(degree)]
+        coeffs.append(rng.choice(els[1:]))
+        P = AdditivePoly(ctx, coeffs)
+        for c in cs:
+            want = R.zero()
+            for i, a in enumerate(coeffs):
+                want = R.add(want, R.mul(R.of(a), ref_power(R, R.of(c), p ** i)))
+            assert R.of(P(c)) == want
+    Q = make_field("Q")
+    for a, c in ((Fraction(3, 4), Fraction(-2, 5)), (Fraction(-7), Fraction(1, 3))):
+        assert AdditivePoly(Q, [a])(c) == a * c
 
 
 # ------------------------------------------------------ periodic inverses
