@@ -414,9 +414,9 @@ class Series:
             more = dict(zip(s._exps(den), s.cs))
             both = list(acc.keys() & more.keys())  # the exponents whose codes are summed
             if both:
-                vals, cden = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 2)
+                vals, cden = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 1)
                 more.update(zip(both, ctx.decode(
-                    [x + y for x, y in zip(vals, vals[len(both):])], cden, 2)))
+                    [x + y for x, y in zip(vals, vals[len(both):])], cden, 1)))
             acc.update(more)
         ks = sorted(k for k in acc if k < bound)
         return Series._build(ctx, den, ks, [acc[k] for k in ks], cap)

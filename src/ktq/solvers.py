@@ -8,15 +8,15 @@ part peels off first: writing P = F^j o Q with Q separable, any solution of
 Q(x) = b^(1/p^j) (a termwise p^j-th root) already satisfies P(x) = b.  The
 constant level is a finite problem in k, solved by exhaustion
 (`AdditivePoly.preimage`); an unreachable constant is a genuine obstruction
-reported as NoSolution.  One greedy loop runs over the rest, the packed
-residual r, and `Series._sum` adds up its steps: the correction
-(lead(r)/q_i)^(1/p^i) t^(v(r)/p^i) kills the lowest residual term, with
-i = 0 above 0 and i = n (the top coefficient of Q) below 0, and its
-byproducts stay on the same side of 0.  Above 0 they land strictly higher,
-so valuations climb through a discrete lattice; below 0 they land at
-v(r)/p^k for k < n, closer to zero.  Supports accumulate at 0 from below, so
-only targets strictly below zero terminate and a solution certified at any
-positive cap is unreachable whenever b has negative exponents.
+reported as NoSolution.  The rest, the packed residual r, is solved in
+rounds that `Series._sum` adds up.  Supports accumulate at 0 from below, so
+b with negative exponents needs a negative bound, and below the bound r lies
+on one side of 0.  One round cancels all of it there by F^(-i)(r/q_i), with
+i = 0 above 0 and i = n (Q's top coefficient) below.  Q's other terms send
+t^e to t^(e p^k) above 0 and to t^(e/p^k) below (k > 0), so v(r) moves
+p-fold toward the bound each round.  The result is the per-term greedy's:
+Q is injective below the bound, as the lowest term c t^s of a difference
+leaves q_0 c t^s (above 0) or q_n c^(p^n) t^(s p^n) (below) in its image.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ def apply_additive(P: AdditivePoly, b: Series) -> Series:
 
 
 def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
-    """Solve P(x) = b for x, certified below the derived bound.
+    """Solve P(x) = b for x, certified below the derived bound, in at most
+    ceil(|log_p(bound / v(r))|) + 1 rounds (see the module docstring).
 
-    target_cap bounds the support of the returned solution (it may be
-    negative, and must be when b has negative exponents); the cap and the
-    default target are the solve rule of the `series` table.  The constant
-    level of b must be certified, so b needs cap > 0 unless it is exact.
+    target_cap bounds the support of the solution (it may be negative, and
+    must be when b has negative exponents); the cap and the default target
+    are the solve rule of the `series` table; b needs cap > 0 unless exact.
     """
     if P.ctx != b.ctx:
         raise SeriesError("coefficient-field mismatch")
@@ -82,8 +82,7 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
     r = bp - Series.constant(ctx, c0)
     while r.ks and (e := r.known_valuation()) < bound:
         i = n if e < 0 else 0
-        steps.append(Series.monomial(ctx, ctx.frobenius(r.leading_coeff() / Q.coeffs[i], -i),
-                                     e / p ** i))
+        steps.append(frobenius_map(r.truncate(bound).scale(1 / Q.coeffs[i]), -i))
         r = r - apply_additive(Q, steps[-1])
     return Series._sum(ctx, steps).truncate(bound)
 

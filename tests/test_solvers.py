@@ -11,6 +11,7 @@ from ktq import (INF, AdditivePoly, FieldError, NEGATIVE, POSITIVE,
                  apply_additive, artin_schreier, check_additive_images,
                  frobenius_map, make_field, norm_leading, parse_additive_poly,
                  solve_additive, trace, valuation_sign_via_trace)
+from ktq import solvers
 from ktq.series import solve_cap
 from conftest import random_coeff, random_series, rng_for
 
@@ -292,7 +293,49 @@ def _outcome(solve, P, b, target):
     return x, x.cap
 
 
-def test_solve_matches_two_loop_reference(F2, F3, F4, F9):
+def _spy_rounds(monkeypatch):
+    """Record the correction of each solver round: `solve_additive` passes
+    every round's correction to `solvers.apply_additive` once."""
+    seen = []
+
+    def spy(Q, x):
+        seen.append(x)
+        return apply_additive(Q, x)
+
+    monkeypatch.setattr(solvers, "apply_additive", spy)
+    return seen
+
+
+def _many_term_case(rng, ctx):
+    """P of p-degree 0-3 whose low coefficients may be zero, and b with
+    10-40 terms on the lattice 1/p^k (k = 1..3), all negative, all
+    positive or of mixed signs, with a target on the side of its terms."""
+    p = ctx.characteristic
+    n, k = rng.randint(0, 3), rng.randint(1, 3)
+    low = rng.randint(0, n)
+    coeffs = [ctx.zero] * low + [random_coeff(rng, ctx, nonzero=True)]
+    coeffs += [random_coeff(rng, ctx) for _ in range(low + 1, n)]
+    coeffs += [random_coeff(rng, ctx, nonzero=True)] if n > low else []
+    sign = rng.choice(("negative", "positive", "mixed"))
+    width = max(40, 3 * p ** k)
+    exps = rng.sample(range(1, width + 1), rng.randint(10, 40))
+    terms = {F(m if sign == "positive" or (sign == "mixed" and rng.random() < 0.5) else -m,
+               p ** k): random_coeff(rng, ctx, nonzero=True) for m in exps}
+    if rng.random() < 0.3:
+        terms[F(0)] = random_coeff(rng, ctx)
+    terms = {e: c for e, c in terms.items() if c}
+    if rng.random() < 0.5:
+        b = Series(ctx, terms)
+    else:
+        b = Series(ctx, terms, max(terms, default=F(0)) + F(rng.randint(1, 4), p ** rng.randint(0, k)))
+    if sign == "positive":
+        target = rng.choice([None, F(1), F(2), F(7, 2), F(3, p)])
+    else:
+        target = rng.choice([None, F(-1, 16), F(-1, p ** (k + 2)), F(-1, p ** k), F(-2)])
+    return AdditivePoly(ctx, coeffs), b, target
+
+
+def test_solve_matches_two_loop_reference(F2, F3, F4, F9, monkeypatch):
     rng = rng_for("solve-two-loop")
     seen = dict.fromkeys(("mixed signs", "inseparable", "exact", "capped", "default target",
                           "solved", "refused"), 0)
@@ -305,7 +348,9 @@ def test_solve_matches_two_loop_reference(F2, F3, F4, F9):
         b = random_series(rng, ctx, lo=-3, hi=4)
         target = rng.choice([None, F(-1, 16), F(-1, 3), F(-2), F(0), F(1, 2), F(3)])
         want = _outcome(_two_loop_solve, P, b, target)
-        assert _outcome(solve_additive, P, b, target) == want, (ctx, P.coeffs, b, target)
+        with _deadline(10):
+            got = _outcome(solve_additive, P, b, target)
+        assert got == want, (ctx, P.coeffs, b, target)
         exps = [e for e, _ in b.terms]
         seen["mixed signs"] += bool(exps and exps[0] < 0 < exps[-1] and target is not None
                                     and target < 0 and isinstance(want[0], Series))
@@ -314,6 +359,51 @@ def test_solve_matches_two_loop_reference(F2, F3, F4, F9):
         seen["default target"] += target is None
         seen["solved" if isinstance(want[0], Series) else "refused"] += 1
     assert min(seen.values()) >= 10, seen
+
+    # Many-term right sides: one round corrects every residual term below the
+    # bound, where the reference corrects one term per step.
+    rounds = _spy_rounds(monkeypatch)
+    fields = (F2, F3, F4, make_field("F5"), make_field("F8"), F9, make_field("F25"),
+              make_field("F27"))
+    seen = dict.fromkeys(("negative", "positive", "inseparable", "solved", "refused",
+                          "round of two or more"), 0)
+    for k in range(240):
+        P, b, target = _many_term_case(rng, fields[k % len(fields)])
+        rounds.clear()
+        want = _outcome(_two_loop_solve, P, b, target)
+        with _deadline(10):
+            got = _outcome(solve_additive, P, b, target)
+        assert got == want, (P.ctx, P.coeffs, b, target)
+        solved = isinstance(want[0], Series)
+        exps = [e for e, _ in b.terms if e]
+        seen["negative"] += solved and any(e < 0 for e in exps)
+        seen["positive"] += solved and any(e > 0 for e in exps)
+        seen["inseparable"] += solved and not P.coeffs[0]
+        seen["solved" if solved else "refused"] += 1
+        seen["round of two or more"] += any(len(x.ks) >= 2 for x in rounds)
+        assert all(x.ks[0] > 0 or x.ks[-1] < 0 for x in rounds)  # one side of 0
+    assert min(seen.values()) >= 10 and seen["round of two or more"] >= 50, seen
+
+
+def test_solve_takes_a_logarithmic_number_of_rounds(F3, monkeypatch):
+    # x^3 + x = the sum of t^(i/3) over i < 3n with 3 not dividing i.  Each
+    # round corrects the whole residual below the bound, and the lowest
+    # residual exponent (at least 1/3) gains a factor of 3 per round.
+    P = AdditivePoly(F3, [1, 1])
+    rounds = _spy_rounds(monkeypatch)
+    for n in (200, 800, 3200):
+        b = Series(F3, {F(i, 3): 1 for i in range(1, 3 * n) if i % 3})
+        rounds.clear()
+        with _deadline(10):
+            x = solve_additive(P, b, n)
+        assert x.cap == n and apply_additive(P, x).agrees_below(b, n)
+        most = next(k for k in range(64) if 3 ** k >= 3 * n) + 1  # ceil(log_3(3n)) + 1
+        assert 1 <= len(rounds) <= most, (n, len(rounds))
+        # the correction is the residual below the bound, so an untruncated
+        # one shows here although the final truncate hides it from x
+        for step in rounds:
+            exps = [e for e, _ in step.terms]
+            assert exps and 0 < exps[0] and exps[-1] < n, (n, exps[:3], exps[-3:])
 
 
 def test_solve_char0_scalar(Q):
