@@ -64,8 +64,9 @@ Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
 cached), `coeff` (a bisect), `valuation` and `leading_coeff`.  Text is not
 decoded: `format_series` and `to_json_dict` write each exponent k/den reduced
-by an int gcd and each code through the field's `format_code` (over F_{p^e}
-each distinct one once).
+by an int gcd and each code through the field's `format_code` (see `fields`);
+`series_from_json` reads each int pair [num, den] back by an int gcd and a
+sign fix, and any other value through Fraction(num, den), which reports it.
 """
 
 from __future__ import annotations
@@ -426,7 +427,12 @@ class Series:
         return Series._sum(self.ctx, [self, other])
 
     def __neg__(self):
-        return self.scale(-1)
+        """-c over Q and p - c over odd F_p on the codes, else `scale(-1)` (x itself in char 2)."""
+        ctx, p = self.ctx, self.ctx.characteristic
+        if p == 2 or p and ctx.e > 1:
+            return self.scale(-1)
+        cs = [p - c for c in self.cs] if p else [-c for c in self.cs]
+        return Series.__new__(Series)._pack(ctx, self.den, self.ks, cs, self.cap)
 
     def __sub__(self, other):
         return self + (-other)
@@ -615,7 +621,7 @@ class Series:
         return [(k // g, self.den // g) for k in self.ks for g in (gcd(k, self.den),)]
 
     def to_json_dict(self):
-        fmt = _formatter(self)
+        fmt = self.ctx.format_code
         return {"field": self.ctx.spec_string(),
                 "terms": [[n, d, fmt(c)] for (n, d), c in zip(self._lowest_exps(), self.cs)],
                 "cap": "inf" if self.is_exact else [self.cap.numerator, self.cap.denominator]}
@@ -631,14 +637,8 @@ def format_exp_part(n: int, d: int) -> str:
     return "t" if n == 1 else f"t^{n}" if n > 0 else f"t^({n})"
 
 
-def _formatter(x: Series):
-    """format_code, over F_{p^e} (e > 1) once for each distinct code of x."""
-    fmt, ctx = x.ctx.format_code, x.ctx
-    return {c: fmt(c) for c in set(x.cs)}.__getitem__ if ctx.characteristic and ctx.e > 1 else fmt
-
-
 def format_series(x: Series) -> str:
-    fmt, signed = _formatter(x), x.ctx.characteristic == 0
+    fmt, signed = x.ctx.format_code, x.ctx.characteristic == 0
     parts = []
     for (n, d), c in zip(x._lowest_exps(), x.cs):
         sign = "+"
@@ -668,9 +668,12 @@ def series_from_json(data, ctx=None) -> Series:
                                  and {type(v) for v in cap} == {int}):
             raise ValueError(f"cap {cap!r}")  # only "inf" or the [n, d] to_json_dict writes
         cap = INF if cap == "inf" else Fraction(*cap)
-        parse = ctx.parse_code
-        terms = [(e.numerator, e.denominator, parse(text))
-                 for num, den, text in data.get("terms", []) for e in (Fraction(num, den),)]
+        parse, terms = ctx.parse_code, []
+        for num, den, text in data.get("terms", []):
+            if type(num) is not int or type(den) is not int or not den:  # Fraction reports it
+                num, den = (e := Fraction(num, den)).numerator, e.denominator
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            terms.append((num // g, den // g, parse(text)))
     except MALFORMED_JSON as exc:
         raise SeriesError(f"malformed series JSON: {exc!r}") from exc
     return Series.__new__(Series)._from_pairs(ctx, terms, cap)

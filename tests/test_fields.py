@@ -13,7 +13,8 @@ from ktq import (AdditivePoly, ExpHom, FieldError, FiniteField, Invert,
                  RationalField, Rescale, ScaleExp, Series, Substitute,
                  SeriesError, Transform, Translate, hypothesis_a_check, make_field,
                  series_from_json)
-from ktq.fields import _is_irreducible, _is_prime, _monic_polys, _parse_poly
+from ktq.fields import (EXHAUSTIVE_BOUND, _format_poly, _is_irreducible, _is_prime, _monic_polys,
+                        _parse_poly)
 
 
 # ------------------------------------------------------------- construction
@@ -502,12 +503,41 @@ def test_rational_parse_code_inverts_format_code(Q, value):
 
 @pytest.mark.parametrize("text", [" 3 ", "1.5", "1e3", "6/4", "3/1", "-0", "+3", "007", "0/5",
                                   "1_0", "1/0", "3/-4", "-3/4 ", "", "-", "/2", "١",
-                                  "1e999999999", "1" * 5000, "1/" + "3" * 5000])
+                                  "1e999999999", "1" * 5000, "1/" + "3" * 5000,
+                                  "+1", " 1", "0/1", "1/1", "-0/3", "3/01", "3/007", "-4/6"])
 def test_rational_parse_code_refuses_text_format_code_does_not_write(Q, text):
-    with pytest.raises(FieldError, match="bad rational literal"):
-        Q.parse_code(text)
-    with pytest.raises(FieldError, match="bad rational literal"):
-        series_from_json({"field": "Q", "terms": [[1, 1, text]], "cap": "inf"})
+    for read in (Q.parse_code,
+                 lambda s: series_from_json({"field": "Q", "terms": [[1, 1, s]], "cap": "inf"})):
+        with pytest.raises(FieldError) as info:
+            read(text)
+        assert str(info.value) == f"bad rational literal {text!r}"
+
+
+@pytest.mark.parametrize("spec, n", [("F9", None), ("F4096", 500), ("F243", None)])
+def test_format_code_keeps_one_text_per_code(spec, n):
+    """format_code writes each code's text once per field and returns the
+    kept text after that: the same as the digits formatted afresh, with
+    never more than q texts kept."""
+    ctx = make_field(spec)
+    codes = [c.code for c in ctx.elements()]
+    codes = random.Random(spec).sample(codes, n) if n else codes
+    for k in codes + codes[::-1]:
+        text = ctx.format_code(k)
+        assert text == _format_poly(ctx._digits(k), ctx._gs)
+        assert ctx.format_code(k) is text
+        assert len(ctx._texts) <= ctx.q
+    assert len(ctx._texts) == len(codes)
+
+
+def test_format_code_keeps_no_texts_past_the_exhaustive_bound():
+    ctx = make_field("F1953125")  # 5^9
+    assert ctx.q > EXHAUSTIVE_BOUND
+    rng = random.Random(5 ** 9)
+    for vec in ([rng.randrange(5) for _ in range(9)] for _ in range(50)):
+        k = ctx._codes(vec)[0]
+        assert ctx.format_code(k) == _format_poly(vec, ctx._gs)
+        assert ctx.parse_code(ctx.format_code(k)) == k
+    assert ctx._texts == {}
 
 
 @pytest.mark.parametrize("spec", ["F2", "F7", "F1000003"])

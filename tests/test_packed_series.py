@@ -183,6 +183,29 @@ def test_add_sub_neg_match_reference(spec, data):
     check(R, x - x, ({}, x.cap))
 
 
+@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F5", "F9", "F4096", "F1000003"])
+def test_neg_is_scale_by_minus_one(spec):
+    """-x negates the codes over Q and odd F_p and is x itself in
+    characteristic 2: always equal to x.scale(-1), with an equal hash."""
+    ctx = make_field(spec)
+    rng = random.Random(f"neg:{spec}")
+
+    def coeff():
+        if ctx.characteristic == 0:
+            return Fraction(rng.choice([-7, -1, 1, 2, 5]), rng.randint(1, 6))
+        return ctx.from_int(rng.randrange(1, ctx.p)) if ctx.e == 1 else rng.choice(
+            ctx.elements()[1:])
+
+    terms = {Fraction(k, 6): coeff() for k in range(-12, 60, 5)}
+    cases = [Series.zero(ctx), Series(ctx, [], Fraction(-1, 2)), Series(ctx, terms),
+             Series(ctx, terms, Fraction(60, 6)), Series(ctx, terms, 11).truncate(1)]
+    for x in cases:
+        assert -x == x.scale(-1) and hash(-x) == hash(x.scale(-1))
+        assert -(-x) == x and (x - x).ks == []
+        if ctx.characteristic == 2:
+            assert -x is x
+
+
 @pytest.mark.parametrize("spec", SPECS)
 @EXAMPLES
 @given(data=st.data())

@@ -182,6 +182,9 @@ def test_json_exponent_pairs_are_reduced():
     assert read([[2, 4, "1"]]) == Series(Q, {F(1, 2): 1})
     assert read([[1, -2, "1"]]) == Series(Q, {F(-1, 2): 1})
     assert read([[True, 1, "1"]]) == Series.t(Q)
+    assert read([[0, -5, "1"]]) == Series.one(Q)
+    with pytest.raises(SeriesError, match="^duplicate exponent 1/2$"):
+        read([[1, 2, "1"], [-2, -4, "1"]])
     assert read([[3, 6, "2"], [-4, -2, "1"]], "F9", [5, 2]) == Series(
         make_field("F9"), {F(1, 2): 2, 2: 1}, F(5, 2))
 
