@@ -31,12 +31,8 @@ p^(b mod e): the identity over F_p, and over F_{p^e} whenever e divides b.
 
 Text is one codec per field on codes: `parse_code` reads back exactly what
 `format_code` writes ("-3/4", "5", "g^2+2*g+1") and nothing else, and
-`FieldCtx.format_coeff`/`parse_coeff` wrap it.  Over F_{p^e} (e > 1) with
-q <= EXHAUSTIVE_BOUND, `format_code` keeps each text it writes in a per-field
-code -> text table (at most q texts; larger fields keep none); over Q,
-`parse_code` checks the canonical form by one regex and an int gcd.
-`make_field` reads exactly what `spec_string` writes, so ktq's JSON never
-reaches the grammar.
+`FieldCtx.format_coeff`/`parse_coeff` wrap it.  `make_field` reads exactly
+what `spec_string` writes, so ktq's JSON never reaches the grammar.
 
 Exhaustive operations (element enumeration, root search, surjectivity
 checks) are restricted to q <= 2**20.  Larger prime fields still construct,
@@ -57,7 +53,7 @@ from .errors import FieldError, Record
 
 EXHAUSTIVE_BOUND = 1 << 20
 MAX_EXTENSION_DEGREE = 12
-_RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(/[1-9][0-9]*)?")  # no "-0", no leading zeros
+_RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(/([2-9]|[1-9][0-9]+))?")  # no "-0", "007", "/1"
 
 
 # ----------------------------------------------------------------- primality
@@ -212,8 +208,7 @@ class RationalField(FieldCtx):
         optional "/d" with d > 1, in lowest terms."""
         num, _, den = text.partition("/")
         try:
-            if _RATIONAL.fullmatch(text) and gcd(n := int(num), d := int(den or 1)) == 1 \
-                    and den != "1":
+            if _RATIONAL.fullmatch(text) and gcd(n := int(num), d := int(den or 1)) == 1:
                 return Fraction(n, d)
         except ValueError:  # the digit limit
             pass
@@ -384,7 +379,6 @@ class FiniteField(FieldCtx):
         self._c = self._fold(1)[0] if e > 1 else 8  # code slot bytes; 8 hold a residue
         self._mod = (bytes(range(min(p, 256))) * (255 // p + 1))[:256]  # byte d -> d % p
         self._gs = _powers("g", e)  # the texts of format_code's powers
-        self._texts = {}  # code -> format_code's text, kept when q <= EXHAUSTIVE_BOUND
         self.zero = FFElement(self, 0)
         self.one = FFElement(self, 1)
         self._element_cache = None
@@ -544,13 +538,7 @@ class FiniteField(FieldCtx):
         return self._powers_of(codes, self.p ** (b % self.e))  # the Frobenius has order e
 
     def format_code(self, k: int) -> str:
-        if self.e == 1:
-            return str(k)
-        if (text := self._texts.get(k)) is None:
-            text = _format_poly(self._digits(k), self._gs)
-            if self.q <= EXHAUSTIVE_BOUND:
-                self._texts[k] = text
-        return text
+        return str(k) if self.e == 1 else _format_poly(self._digits(k), self._gs)
 
     def parse_code(self, text: str) -> int:
         """The inverse of format_code: over F_p, str(k) for 0 <= k < p."""

@@ -64,9 +64,10 @@ Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
 cached), `coeff` (a bisect), `valuation` and `leading_coeff`.  Text is not
 decoded: `format_series` and `to_json_dict` write each exponent k/den reduced
-by an int gcd and each code through the field's `format_code` (see `fields`);
-`series_from_json` reads each int pair [num, den] back by an int gcd and a
-sign fix, and any other value through Fraction(num, den), which reports it.
+by an int gcd and each code through the field's `format_code` (over F_{p^e}
+each distinct one once a series, its texts kept on it like `terms`);
+`series_from_json` reduces int pairs [num, den] by a gcd and sends any other
+value through Fraction(num, den), which reports it.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ class UnknownAtLeast(Record):
 class Series:
     """An element of k((t^Q)), known exactly below its cap."""
 
-    __slots__ = ("ctx", "den", "ks", "cs", "cap", "_terms")
+    __slots__ = ("ctx", "den", "ks", "cs", "cap", "_terms", "_texts")
 
     def __init__(self, ctx: FieldCtx, terms=(), cap=INF):
         cap = _as_cap(cap)
@@ -284,7 +285,8 @@ class Series:
         if g != 1:
             den //= g
             ks = [k // g for k in ks]
-        self.ctx, self.den, self.ks, self.cs, self.cap, self._terms = ctx, den, ks, cs, cap, None
+        self.ctx, self.den, self.ks, self.cs, self.cap = ctx, den, ks, cs, cap
+        self._terms = self._texts = None  # the views `terms` and `_formatter` keep
         return self
 
     def _from_pairs(self, ctx, terms, cap):
@@ -427,12 +429,7 @@ class Series:
         return Series._sum(self.ctx, [self, other])
 
     def __neg__(self):
-        """-c over Q and p - c over odd F_p on the codes, else `scale(-1)` (x itself in char 2)."""
-        ctx, p = self.ctx, self.ctx.characteristic
-        if p == 2 or p and ctx.e > 1:
-            return self.scale(-1)
-        cs = [p - c for c in self.cs] if p else [-c for c in self.cs]
-        return Series.__new__(Series)._pack(ctx, self.den, self.ks, cs, self.cap)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -621,7 +618,7 @@ class Series:
         return [(k // g, self.den // g) for k in self.ks for g in (gcd(k, self.den),)]
 
     def to_json_dict(self):
-        fmt = self.ctx.format_code
+        fmt = _formatter(self)
         return {"field": self.ctx.spec_string(),
                 "terms": [[n, d, fmt(c)] for (n, d), c in zip(self._lowest_exps(), self.cs)],
                 "cap": "inf" if self.is_exact else [self.cap.numerator, self.cap.denominator]}
@@ -637,8 +634,19 @@ def format_exp_part(n: int, d: int) -> str:
     return "t" if n == 1 else f"t^{n}" if n > 0 else f"t^({n})"
 
 
+def _formatter(x: Series):
+    """format_code, over F_{p^e} (e > 1) once for each distinct code of x:
+    the texts stay on x for its next `to_json_dict` or `str`."""
+    ctx = x.ctx
+    if not ctx.characteristic or ctx.e == 1:
+        return ctx.format_code
+    if x._texts is None:
+        x._texts = {c: ctx.format_code(c) for c in set(x.cs)}
+    return x._texts.__getitem__
+
+
 def format_series(x: Series) -> str:
-    fmt, signed = x.ctx.format_code, x.ctx.characteristic == 0
+    fmt, signed = _formatter(x), x.ctx.characteristic == 0
     parts = []
     for (n, d), c in zip(x._lowest_exps(), x.cs):
         sign = "+"

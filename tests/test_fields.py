@@ -13,8 +13,7 @@ from ktq import (AdditivePoly, ExpHom, FieldError, FiniteField, Invert,
                  RationalField, Rescale, ScaleExp, Series, Substitute,
                  SeriesError, Transform, Translate, hypothesis_a_check, make_field,
                  series_from_json)
-from ktq.fields import (EXHAUSTIVE_BOUND, _format_poly, _is_irreducible, _is_prime, _monic_polys,
-                        _parse_poly)
+from ktq.fields import _format_poly, _is_irreducible, _is_prime, _monic_polys, _parse_poly
 
 
 # ------------------------------------------------------------- construction
@@ -513,31 +512,34 @@ def test_rational_parse_code_refuses_text_format_code_does_not_write(Q, text):
         assert str(info.value) == f"bad rational literal {text!r}"
 
 
-@pytest.mark.parametrize("spec, n", [("F9", None), ("F4096", 500), ("F243", None)])
-def test_format_code_keeps_one_text_per_code(spec, n):
-    """format_code writes each code's text once per field and returns the
-    kept text after that: the same as the digits formatted afresh, with
-    never more than q texts kept."""
+@pytest.mark.parametrize("spec, n", [("F9", None), ("F4096", 500), ("F243", None),
+                                     ("F1953125", 300)])
+def test_series_keeps_the_texts_of_its_codes(spec, n):
+    """to_json_dict and str format each distinct code of an F_{p^e} series
+    once and keep the texts on the series (with q past EXHAUSTIVE_BOUND too,
+    as 5^9): each is the text of the code's digits, and a second write gives
+    the same output from them."""
     ctx = make_field(spec)
-    codes = [c.code for c in ctx.elements()]
-    codes = random.Random(spec).sample(codes, n) if n else codes
-    for k in codes + codes[::-1]:
-        text = ctx.format_code(k)
-        assert text == _format_poly(ctx._digits(k), ctx._gs)
-        assert ctx.format_code(k) is text
-        assert len(ctx._texts) <= ctx.q
-    assert len(ctx._texts) == len(codes)
+    rng = random.Random(spec)
+    codes = [ctx._codes([rng.randrange(ctx.p) for _ in range(ctx.e)])[0] for _ in range(n)] \
+        if n else [c.code for c in ctx.elements()]
+    codes = [k for k in codes if k]
+    x = Series(ctx, {Fraction(i, 2): ctx.element(k) for i, k in enumerate(codes + codes[::-1])})
+    assert x._texts is None
+    first = json.dumps(x.to_json_dict()), str(x)
+    assert x._texts == {k: _format_poly(ctx._digits(k), ctx._gs) for k in set(codes)}
+    assert all(ctx.format_code(k) == text for k, text in x._texts.items())
+    kept = x._texts
+    assert (json.dumps(x.to_json_dict()), str(x)) == first and x._texts is kept
+    assert series_from_json(json.loads(first[0])) == x
 
 
-def test_format_code_keeps_no_texts_past_the_exhaustive_bound():
-    ctx = make_field("F1953125")  # 5^9
-    assert ctx.q > EXHAUSTIVE_BOUND
-    rng = random.Random(5 ** 9)
-    for vec in ([rng.randrange(5) for _ in range(9)] for _ in range(50)):
-        k = ctx._codes(vec)[0]
-        assert ctx.format_code(k) == _format_poly(vec, ctx._gs)
-        assert ctx.parse_code(ctx.format_code(k)) == k
-    assert ctx._texts == {}
+@pytest.mark.parametrize("spec", ["Q", "F7", "F1000003"])
+def test_series_keeps_no_texts_over_q_and_f_p(spec):
+    ctx = make_field(spec)
+    x = Series(ctx, {Fraction(i, 3): ctx.from_int(i % 5 + 1) for i in range(-6, 40)})
+    assert series_from_json(json.loads(json.dumps(x.to_json_dict()))) == x and str(x)
+    assert x._texts is None
 
 
 @pytest.mark.parametrize("spec", ["F2", "F7", "F1000003"])

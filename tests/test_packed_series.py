@@ -185,8 +185,8 @@ def test_add_sub_neg_match_reference(spec, data):
 
 @pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F5", "F9", "F4096", "F1000003"])
 def test_neg_is_scale_by_minus_one(spec):
-    """-x negates the codes over Q and odd F_p and is x itself in
-    characteristic 2: always equal to x.scale(-1), with an equal hash."""
+    """-x is x.scale(-1), with an equal hash, and x itself in characteristic
+    2; scale multiplies each coefficient and keeps the exponents and cap."""
     ctx = make_field(spec)
     rng = random.Random(f"neg:{spec}")
 
@@ -204,6 +204,10 @@ def test_neg_is_scale_by_minus_one(spec):
         assert -(-x) == x and (x - x).ks == []
         if ctx.characteristic == 2:
             assert -x is x
+        for c in filter(None, map(ctx.coerce, (-1, 2, coeff()))):  # 2 is 0 in F2 and F4096
+            y = x.scale(c)
+            assert y.terms == tuple((e, c * a) for e, a in x.terms) and y.cap == x.cap
+            assert y == Series(ctx, {e: c * a for e, a in x.terms}, x.cap)
 
 
 @pytest.mark.parametrize("spec", SPECS)
