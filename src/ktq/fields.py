@@ -22,10 +22,14 @@ sums of at most n pairwise products of them stay exact, and
 `decode(values, den, n)` maps such sums back to codes.  Over F_p the
 encoding is the code; over Q it is numerators over a common denominator;
 over F_{p^e} `encode` widens the slots to `_fold(n)` bytes, where no slot of
-a sum of n products carries, by extended-slice assignment on one bytearray,
-and `decode` folds each value's slots of degree e and up into the low e by
-multiply-adds with x^e, ..., x^(2e-2) mod the modulus, takes all the low
-slots mod p in one pass and reads each code with one `int.from_bytes`.
+a sum of n products carries, by strided slices (`_widen`), and `decode`
+folds each value's slots of degree e and up into the low e by multiply-adds
+with x^e, ..., x^(2e-2) mod the modulus and takes them mod p in one pass.
+A dense product moves whole buffers: `dense_pack` writes the encodings one
+slot a code (two's complement over Q; over F_{p^e} the widened digits in
+blocks of 2e - 1 slots), and `dense_unpack` reads a product's slots by one
+array view (`_ints`; int.from_bytes slices past 8 bytes), over F_{p^e}
+folding all blocks at once, one multiply a fold row on the whole buffer.
 `frobenius_codes` is c |-> c^(p^b) on codes, `_powers_of` at the exponent
 p^(b mod e): the identity over F_p, and over F_{p^e} whenever e divides b.
 
@@ -45,7 +49,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 
@@ -126,12 +130,27 @@ def _is_irreducible(mod, p):
 _ITEM = {array(t).itemsize: t for t in "QLIHB"}  # array typecodes by item size
 
 
-def _slots(data, w):
-    """An array of w-byte items (w <= 8) of ints or little-endian bytes; tobytes: little-endian."""
-    items = array(_ITEM[w], data)
+def _slots(data, w, signed=False):
+    """An array of w-byte items (w <= 8) of ints or little-endian bytes, two's
+    complement if signed; tobytes: little-endian."""
+    items = array(_ITEM[w].lower() if signed else _ITEM[w], data)
     if sys.byteorder == "big":
         items.byteswap()
     return items
+
+
+def _ints(buf, w, signed=False):
+    """buf's little-endian w-byte ints: an array view, else one int.from_bytes a slot."""
+    if w in _ITEM:
+        return _slots(buf, w, signed).tolist()
+    return [int.from_bytes(buf[i:i + w], "little", signed=signed) for i in range(0, len(buf), w)]
+
+
+def _int_bytes(ints, w, signed=False):
+    """The ints in w-byte little-endian slots: the inverse of `_ints`."""
+    if w in _ITEM:
+        return _slots(ints, w, signed).tobytes()
+    return b"".join(v.to_bytes(w, "little", signed=signed) for v in ints)
 
 
 # ------------------------------------------------------------ field contexts
@@ -154,6 +173,19 @@ class FieldCtx:
 
     def parse_coeff(self, text: str):
         return self.element(self.parse_code(text))
+
+    def dense_pack(self, xcodes, ycodes, n):
+        """Two operands' encodings, one nb-byte slot a code (two's complement
+        over Q), room for sums of n products: (xbuf, ybuf, nb, den of a product)."""
+        (xv, xden), (yv, yden) = self.encode(xcodes, n), self.encode(ycodes, n)
+        signed = not self.characteristic
+        nb = -(-((n * max(map(abs, xv)) * max(map(abs, yv))).bit_length() + signed) // 8)
+        nb = min((w for w in _ITEM if w >= nb), default=nb)  # an item size up to 8
+        return _int_bytes(xv, nb, signed), _int_bytes(yv, nb, signed), nb, xden * yden
+
+    def dense_unpack(self, buf, nb, den, n):
+        """The codes of a dense product's nb-byte slots."""
+        return self.decode(_ints(buf, nb, not self.characteristic), den, n)
 
 
 class RationalField(FieldCtx):
@@ -472,8 +504,15 @@ class FiniteField(FieldCtx):
 
     def _codes(self, digits):
         """The codes of consecutive e-digit vectors, digits below p."""
-        buf, size = _slots(digits, self._c).tobytes(), self.e * self._c
-        return [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
+        return _ints(_int_bytes(digits, self._c), self.e * self._c)
+
+    def _widen(self, codes, w, nb):
+        """The codes' digits in w-byte slots, one nb-byte block a code."""
+        e, c = self.e, self._c
+        raw, out = _int_bytes(codes, e * c), bytearray(len(codes) * nb)
+        for i in range(e * c):  # byte i % c of digit i // c
+            out[i // c * w + i % c::nb] = raw[i::e * c]
+        return out
 
     def _digits(self, k):
         """The e digits of the code k, lowest degree first."""
@@ -488,14 +527,10 @@ class FiniteField(FieldCtx):
     def encode(self, codes, n):
         """The codes (e = 1) or their vectors widened to the slot bytes of
         `_fold(n)`, lowest degree in the lowest slot: (ints, 1)."""
-        e, c, w = self.e, self._c, self._fold(n)[0]
-        if e == 1 or w == c:
+        e, w = self.e, self._fold(n)[0]
+        if e == 1 or w == self._c:
             return codes, 1
-        buf = b"".join(map(int.to_bytes, codes, repeat(e * c), repeat("little")))
-        wide = bytearray(len(codes) * e * w)
-        for i in range(c):  # each slot's bytes, the rest zero
-            wide[i::w] = buf[i::c]
-        return [int.from_bytes(wide[i:i + e * w], "little") for i in range(0, len(wide), e * w)], 1
+        return _ints(self._widen(codes, w, e * w), e * w), 1
 
     def decode(self, values, den, n):
         """The codes standing for sums of at most n products of encoded
@@ -515,9 +550,33 @@ class FiniteField(FieldCtx):
             folded.append(v.to_bytes(e * w, "little"))
         if w == 1:  # and so c = 1: one table lookup a byte
             return [int.from_bytes(b.translate(self._mod), "little") for b in folded]
-        buf = b"".join(folded)
-        return self._codes([d % p for d in (_slots(buf, w) if w <= 8 else (
-            int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)))])
+        return self._codes([d % p for d in _ints(b"".join(folded), w)])
+
+    def dense_pack(self, xcodes, ycodes, n):
+        """Over F_{p^e}, a block of 2e - 1 `_fold(n)` digit slots a code."""
+        if self.e == 1:
+            return super().dense_pack(xcodes, ycodes, n)
+        w = self._fold(n)[0]
+        nb = (2 * self.e - 1) * w
+        return self._widen(xcodes, w, nb), self._widen(ycodes, w, nb), nb, 1
+
+    def dense_unpack(self, buf, nb, den, n):
+        """Over F_{p^e}, `decode`'s fold on the whole buffer (its masks repeated
+        a block), then the low e slots of every block, gathered, mod p."""
+        if self.e == 1:
+            return super().dense_unpack(buf, nb, den, n)
+        e, (w, fold) = self.e, self._fold(n)
+        s, size, m = 8 * w, len(buf) // nb, e * w
+        z = int.from_bytes(buf, "little")
+        hi, z = z >> s * e, z & int.from_bytes((b"\xff" * m).ljust(nb, b"\0") * size, "little")
+        top = int.from_bytes((b"\xff" * w).ljust(nb, b"\0") * size, "little")
+        for r in fold:
+            z += (hi & top) * r
+            hi >>= s
+        buf, low = z.to_bytes(len(buf), "little"), bytearray(size * m)
+        for b in range(m):
+            low[b::m] = buf[b::nb]
+        return self._codes([d % self.p for d in _ints(low, w)])
 
     def _powers_of(self, codes, n):
         """The codes of c^n (n >= 0) for the codes of c: the builtin pow over
@@ -747,8 +806,14 @@ def hypothesis_a_check(ctx: FieldCtx, P: AdditivePoly = None) -> HypothesisAVerd
         raise FieldError("polynomial belongs to a different field")
     if ctx.q > EXHAUSTIVE_BOUND:
         raise FieldError("field too large for the exhaustive surjectivity check")
-    image = {P(c) for c in ctx.elements()}
+    els = ctx.elements()
+    codes = [c.code for c in els]
+    terms = [(a.code, ctx.frobenius_codes(codes, i)) for i, a in enumerate(P.coeffs) if a]
+    n = len(terms)  # P(c) sums n products a_i c^(p^i), on all q codes at once
+    scale = ctx.encode([a for a, _ in terms], n)[0]
+    cols = zip(*(ctx.encode(f, n)[0] for _, f in terms))
+    image = set(ctx.decode([sum(map(mul, scale, col)) for col in cols], 1, n))
     if len(image) == ctx.q:
         return HypothesisAVerdict(True, None, P)
-    witness = next(c for c in ctx.elements() if c not in image)
+    witness = next(c for c in els if c.code not in image)
     return HypothesisAVerdict(False, witness, P)

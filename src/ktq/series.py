@@ -43,22 +43,24 @@ int sort; `Series._build` is the one builder on the packed form, dropping
 zero codes and reducing the lattice.  `Series._sum` is the one merge, with
 `+` its two-piece case: one int-keyed dict over lcm(den), summing codes only
 where exponents meet.  `_dense` (at most 4 slots per term) is the one window
-rule; `Series._residues` reads back the F_p windows, the dense inverse below
-and `substitute`'s x^i, added at their strides (see `morphisms._window`).
-`Series._remap` is the one exponent map, k/den to (f k + off)/den' in one
-`_build`, for `shift`, `scale_exponents`, `frobenius_map` and `pow_rat`'s
-final Frobenius-and-shift; `truncate` is a bisect; `scale` and products sum
-the field's kernel encoding of the codes as plain ints and decode them in
-one call (over F_{p^e}, one fold per output term; see `fields`), with the
+rule; `Series._residues` reads back the windows of codes: dense products,
+the F_p dense inverse below and `substitute`'s x^i, added at their strides
+(see `morphisms._window`).  `Series._remap` is the one exponent map, k/den
+to (f k + off)/den' in one `_build`, for `shift`, `scale_exponents`,
+`frobenius_map` and `pow_rat`'s final Frobenius-and-shift; `truncate` is a
+bisect; `scale` and sparse products sum the field's kernel encoding of the
+codes as plain ints and decode them in one call (see `fields`), with the
 cap as the least int bound at or above cap*den.  A product cuts its operands
 at that bound; if the shorter keeps _KRONECKER_MIN terms and both windows
-are dense, each is packed one slot per lattice point into an int and the two
-are multiplied once (Kronecker substitution), else a loop over the pairs
-allocates nothing per lattice point.  Inverses run a recurrence over the
-sums of their steps on a heap walk of the reachable sums, decoding once per
-output term, or over F_p, on the dense window `_dense_step` chooses, one
-residue per list slot up to the first period of 1/(1 + eps), which then
-repeats (see `Series.invert`).
+are dense, the field writes each into one buffer of equal slots
+(`dense_pack`), `_kronecker` reads it as one int with a slot per lattice
+point, the two are multiplied once (Kronecker substitution) and the field
+reads the product's buffer back as a whole (`dense_unpack`); else a loop
+over the pairs allocates nothing per lattice point.  Inverses run a
+recurrence over the sums of their steps on a heap walk of the reachable
+sums, decoding once per output term, or over F_p, on the dense window
+`_dense_step` chooses, one residue per list slot up to the first period of
+1/(1 + eps), which then repeats (see `Series.invert`).
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -227,12 +229,17 @@ def _dense_step(steps, bound):
 _KRONECKER_MIN = 16  # shorter operand's terms from which `*` packs its operands
 
 
-def _kronecker(ks, vals, nb):
-    """Sum vals[i] 2^(8 nb (ks[i] - ks[0])), ks ascending, by Horner's rule."""
-    z, last = 0, ks[-1]
-    for k, v in zip(reversed(ks), reversed(vals)):
-        z, last = (z << 8 * nb * (last - k)) + v, k
-    return z
+def _kronecker(ks, buf, nb, bias):
+    """One int of buf's nb-byte slots, slot i at ks[i] - ks[0] (one slice a term
+    where ks has gaps); two's-complement slots (bias: the top bit of each) borrow."""
+    k0 = ks[0]
+    if ks[-1] - k0 >= len(ks):
+        buf, wide = memoryview(buf), bytearray((ks[-1] - k0 + 1) * nb)
+        for k, o in zip(ks, range(0, len(buf), nb)):
+            wide[(k - k0) * nb:(k - k0 + 1) * nb] = buf[o:o + nb]
+        buf = wide
+    u = int.from_bytes(buf, "little")
+    return u - ((u & bias) << 1)
 
 
 def _reachable(steps, bound, b):
@@ -319,7 +326,7 @@ class Series:
 
     @classmethod
     def _residues(cls, ctx, den, lo, g, w, cap):
-        """Internal, the one read-back of an F_p window: residue j of w at (lo + j g)/den."""
+        """Internal, the one read-back of a window of codes: code j of w at (lo + j g)/den."""
         return cls.__new__(cls)._pack(ctx, den, list(compress(range(lo, lo + g * len(w), g), w)),
                                       list(filter(None, w)), cap)
 
@@ -448,33 +455,29 @@ class Series:
         i = bisect_left(xs, bound, key=ys[0].__add__) if ys else 0  # int sums: no float overflow
         j = bisect_left(ys, bound, key=xs[0].__add__) if xs else 0
         xs, ys = xs[:i], ys[:j]
-        xv, xden = ctx.encode(self.cs[:i], n)
-        yv, yden = ctx.encode(other.cs[:j], n)
         if (min(i, j) >= _KRONECKER_MIN and _dense(xs[-1] - xs[0] + 1, i)
                 and _dense(ys[-1] - ys[0] + 1, j)):
-            nb = (min(i, j) * max(map(abs, xv)) * max(map(abs, yv))).bit_length() // 8 + 1
             lo, size = xs[0] + ys[0], min(xs[-1] + ys[-1] + 1, bound) - xs[0] - ys[0]
-            # Adding h to every slot makes each one a nonnegative nb-byte int.
-            h = 1 << 8 * nb - 1
-            bias = int.from_bytes(h.to_bytes(nb, "little") * size, "little")
-            z = _kronecker(xs, xv, nb) * _kronecker(ys, yv, nb) + bias
-            buf = (z & (1 << 8 * nb * size) - 1).to_bytes(nb * size, "little")
-            vals = [int.from_bytes(buf[s:s + nb], "little") - h for s in range(0, nb * size, nb)]
-            ks = list(compress(range(lo, lo + size), vals))
-            vals = list(filter(None, vals))
-        else:
-            ys_vals = list(zip(ys, yv))
-            acc = {}
-            get = acc.get
-            for kx, vx in zip(xs, xv):
-                for ky, vy in ys_vals:
-                    k = kx + ky
-                    if k >= bound:
-                        break
-                    acc[k] = get(k, 0) + vx * vy
-            ks = sorted(acc)
-            vals = [acc[k] for k in ks]
-        return Series._build(ctx, den, ks, ctx.decode(vals, xden * yden, n), cap)
+            xb, yb, nb, vden = ctx.dense_pack(self.cs[:i], other.cs[:j], n)
+            # Over Q, + bias makes every slot nonnegative and ^ bias its two's complement.
+            bias = 0 if ctx.characteristic else int.from_bytes(
+                (1 << 8 * nb - 1).to_bytes(nb, "little") * size, "little")
+            z = _kronecker(xs, xb, nb, bias) * _kronecker(ys, yb, nb, bias)
+            buf = ((z + bias & (1 << 8 * nb * size) - 1) ^ bias).to_bytes(nb * size, "little")
+            return Series._residues(ctx, den, lo, 1, ctx.dense_unpack(buf, nb, vden, n), cap)
+        xv, xden = ctx.encode(self.cs[:i], n)
+        yv, yden = ctx.encode(other.cs[:j], n)
+        ys_vals = list(zip(ys, yv))
+        acc = {}
+        get = acc.get
+        for kx, vx in zip(xs, xv):
+            for ky, vy in ys_vals:
+                k = kx + ky
+                if k >= bound:
+                    break
+                acc[k] = get(k, 0) + vx * vy
+        ks = sorted(acc)
+        return Series._build(ctx, den, ks, ctx.decode([acc[k] for k in ks], xden * yden, n), cap)
 
     def scale(self, c):
         """Multiply by a single coefficient.  Scaling by zero is exactly 0."""

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import ktq.series as kernel
 from ktq import INF, Series, make_field, series_from_json
 from ktq.errors import FieldError, PrecisionError, SeriesError
-from ktq.fields import AdditivePoly
+from ktq.fields import AdditivePoly, hypothesis_a_check
 
 SPECS = ("Q", "F2", "F3", "F7", "F4", "F9")
 FIELDS = {spec: make_field(spec) for spec in SPECS}
@@ -801,6 +801,129 @@ def test_additive_poly_matches_the_reference(spec):
     Q = make_field("Q")
     for a, c in ((Fraction(3, 4), Fraction(-2, 5)), (Fraction(-7), Fraction(1, 3))):
         assert AdditivePoly(Q, [a])(c) == a * c
+
+
+def prime_powers(top):
+    """The prime powers q from 2 to top."""
+    out = []
+    for q in range(2, top + 1):
+        p, r = next(d for d in range(2, q + 1) if q % d == 0), q
+        while r % p == 0:
+            r //= p
+        if r == 1:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("spec", [f"F{q}" for q in prime_powers(81)] + ["F4096"])
+def test_hypothesis_a_check_matches_per_element_evaluation(spec):
+    """The verdict on all q codes at once against P evaluated one element
+    at a time: surjective or not, and the first non-image element in
+    enumeration order, for the default x^q - x, a separable P, an
+    inseparable one (a_0 = 0) and x itself."""
+    ctx = make_field(spec)
+    rng, els = random.Random(spec), ctx.elements()
+    polys = [None, AdditivePoly(ctx, [1])]
+    for a0 in (rng.choice(els[1:]), ctx.zero):
+        polys.append(AdditivePoly(ctx, [a0] + [rng.choice(els) for _ in range(min(ctx.e, 3))] + [1]))
+    for P in polys:
+        verdict = hypothesis_a_check(ctx, P)
+        image = {verdict.poly(c) for c in els}
+        assert verdict.satisfies == (len(image) == ctx.q)
+        assert verdict.witness == next((c for c in els if c not in image), None)
+
+
+# ------------------------------------------- dense products at slot widths
+# A dense product gives each lattice point one slot sized from the bound on
+# its sums, n the shorter operand's terms: n max|x| max|y| over F_p and Q
+# (plus a sign bit over Q), rounded up to an item size up to 8 bytes, and
+# 2e - 1 digit slots of _fold(n) bytes over F_{p^e}.  Worst-case operands
+# (every coefficient p - 1, every digit p - 1 over F_{p^e}) reach that bound:
+# the slot of t^(n-1) sums n products.  Each n below sits on one side of a
+# byte boundary of the bound.  ref_mul checks exact, capped and gapped
+# operands up to 70 terms; past that it takes seconds a product, and the law
+# checks exact and capped ones: n terms c t^k (k < n) squared have
+# c^2 min(k + 1, 2n - 1 - k) at t^k.
+
+WIDTH_SPECS = ("F2", "F3", "F7", "F1000003", "F2147483647", "F2305843009213693951",
+               *SLOT_CLASSES)
+
+
+def slot_bound(ctx):
+    """The slot bound a term of a worst-case product adds: (p - 1)^2 over
+    F_p, and over F_{p^e} the per-product bound of its digit slots."""
+    return ctx._bound if ctx.e > 1 else (ctx.p - 1) ** 2
+
+
+def slot_width(ctx, n):
+    """The bytes the slot bound of n terms needs over F_p; _fold's width over F_{p^e}."""
+    return ctx._fold(n)[0] if ctx.e > 1 else -(-(n * slot_bound(ctx)).bit_length() // 8)
+
+
+def slot_boundaries(ctx, top=3000):
+    """The n from 16 (the fewest terms packed) to top on either side of a
+    byte boundary of the slot bound: every byte over F_p, every width of
+    _fold(n) over F_{p^e}."""
+    widths = (1, 2, 4, 8, 16, 32) if ctx.e > 1 else range(1, 40)
+    cuts = (((1 << 8 * w) - 1) // slot_bound(ctx) for w in widths)
+    return [n for b in cuts if 16 <= b < top for n in (b, b + 1)]
+
+
+def worst_series(ctx, n, kind):
+    """n terms whose every digit is p - 1: at t^0 .. t^(n-1), exact or
+    capped at t^n, or gapped (t^(k + k // 3), one lattice point in four
+    empty), exact."""
+    c = slot_element(ctx, (ctx.p - 1,) * ctx.e)
+    ks = [k + k // 3 for k in range(n)] if kind == "gapped" else range(n)
+    return Series(ctx, dict.fromkeys(ks, c), n if kind == "capped" else INF)
+
+
+def square_law(R, x):
+    """The law for x = c (1 + t + ... + t^(n-1)) squared, exact or capped at t^n."""
+    n, c = len(x.terms), R.of(x.terms[0][1])
+    cc, cap = R.mul(c, c), 2 * n - 1 if x.cap == INF else n
+    scaled = {Fraction(k): tuple(d * min(k + 1, 2 * n - 1 - k) % R.p for d in cc)
+              if R.e > 1 else cc * min(k + 1, 2 * n - 1 - k) % R.p for k in range(cap)}
+    return dump(R, scaled), x.cap
+
+
+@pytest.mark.parametrize("spec", WIDTH_SPECS)
+def test_dense_products_at_slot_boundaries(spec, slot_fields, monkeypatch):
+    """Worst-case squares at 16 and 17 terms and on both sides of every byte
+    boundary of the slot bound up to 3000 terms, each one packed, against
+    ref_mul up to 70 terms and the law past that."""
+    ctx = slot_fields[spec] if spec in SLOT_CLASSES else make_field(spec)
+    R, bounds = SlotRef(ctx), slot_boundaries(ctx)
+    for below, above in zip(bounds[::2], bounds[1::2]):
+        assert slot_width(ctx, below) < slot_width(ctx, above)
+    packed = count_packs(monkeypatch)
+    for n in (16, 17, *bounds):
+        for kind in ("exact", "capped", "gapped")[:3 if n <= 70 else 2]:
+            x = worst_series(ctx, n, kind)
+            del packed[:]
+            prod = x * x
+            assert len(packed) == 2
+            assert got(R, prod) == (ref_mul(R, x, x) if n <= 70 else square_law(R, x))
+
+
+@pytest.mark.parametrize("k", (1, 2, 4, 8, 9))
+def test_signed_dense_products_at_slot_widths(k, monkeypatch):
+    """Over Q, 31 and 32 terms of alternating sign and size M = 2^(4k - 3)
+    put n M^2 just below and at 2^(8k - 1), so the slots (with their sign
+    bit) go from k bytes to the next width: 1 | 2, 2 | 4, 4 | 8, 8 | 9 and
+    9 | 10 bytes.  The slots of x^2 and -x^2 alternate in sign and reach
+    +-n M^2; exact, capped, gapped and mixed-sign products against ref_mul."""
+    ctx, R = FIELDS["Q"], Ref(FIELDS["Q"])
+    M = 2 ** (4 * k - 3)
+    packed = count_packs(monkeypatch)
+    for n in (31, 32):
+        assert (n * M * M).bit_length() + 1 == 8 * k + (n == 32)
+        x = Series(ctx, {i: (-1) ** i * M for i in range(n)})
+        y = Series(ctx, {i + i // 3: Fraction(-M if i % 3 else M, 3) for i in range(n)})
+        for a, b in ((x, x), (x, -x), (x.truncate(n - 5), x), (y, y), (x, y), (y, x.truncate(24))):
+            del packed[:]
+            assert got(R, a * b) == ref_mul(R, a, b)
+            assert len(packed) == 2
 
 
 # ------------------------------------------------------ periodic inverses
