@@ -238,9 +238,9 @@ class RationalField(FieldCtx):
     def parse_code(self, text: str) -> Fraction:
         """The inverse of format_code: an optional "-", digits and an
         optional "/d" with d > 1, in lowest terms."""
-        num, _, den = text.partition("/")
+        m = _RATIONAL.fullmatch(text)
         try:
-            if _RATIONAL.fullmatch(text) and gcd(n := int(num), d := int(den or 1)) == 1:
+            if m and gcd(n := int(m[1]), d := int(m[3] or 1)) == 1:
                 return Fraction(n, d)
         except ValueError:  # the digit limit
             pass
@@ -727,11 +727,24 @@ class AdditivePoly:
 
     def preimage(self, c):
         """The first z in the field's enumeration order with P(z) = c, or
-        None: an exhaustive search over the q elements.  Over Q, where P is
-        the bijection a_0 x, it is c / a_0."""
+        None: an exhaustive search over the codes of the q images.  Over Q,
+        where P is the bijection a_0 x, it is c / a_0."""
         if self.ctx.characteristic == 0:
             return c / self.coeffs[0]
-        return next((z for z in self.ctx.elements() if self(z) == c), None)
+        images = self._image_codes()
+        k = c.code if isinstance(c, FFElement) and c.field == self.ctx else None
+        return self.ctx.elements()[images.index(k)] if k in images else None
+
+    def _image_codes(self):
+        """The codes of P(c) for the q elements c in enumeration order, on all
+        q codes at once: P(c) sums n products a_i c^(p^i)."""
+        ctx = self.ctx
+        codes = [c.code for c in ctx.elements()]
+        terms = [(a.code, ctx.frobenius_codes(codes, i)) for i, a in enumerate(self.coeffs) if a]
+        n = len(terms)
+        scale = ctx.encode([a for a, _ in terms], n)[0]
+        cols = zip(*(ctx.encode(f, n)[0] for _, f in terms))
+        return ctx.decode([sum(map(mul, scale, col)) for col in cols], 1, n)
 
     def separable_part(self):
         """Write P = F^j o Q with Q separable; return (Q, j).
@@ -806,14 +819,8 @@ def hypothesis_a_check(ctx: FieldCtx, P: AdditivePoly = None) -> HypothesisAVerd
         raise FieldError("polynomial belongs to a different field")
     if ctx.q > EXHAUSTIVE_BOUND:
         raise FieldError("field too large for the exhaustive surjectivity check")
-    els = ctx.elements()
-    codes = [c.code for c in els]
-    terms = [(a.code, ctx.frobenius_codes(codes, i)) for i, a in enumerate(P.coeffs) if a]
-    n = len(terms)  # P(c) sums n products a_i c^(p^i), on all q codes at once
-    scale = ctx.encode([a for a, _ in terms], n)[0]
-    cols = zip(*(ctx.encode(f, n)[0] for _, f in terms))
-    image = set(ctx.decode([sum(map(mul, scale, col)) for col in cols], 1, n))
+    image = set(P._image_codes())
     if len(image) == ctx.q:
         return HypothesisAVerdict(True, None, P)
-    witness = next(c for c in els if c.code not in image)
+    witness = next(c for c in ctx.elements() if c.code not in image)
     return HypothesisAVerdict(False, witness, P)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, cycle, repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -164,8 +164,10 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     """Evaluate y at x: sum over y's support of c_i * x^i.
 
     Needs x monic with positive valuation m; then exponents map to m-fold
-    multiples.  Over F_p the x^i share `_expansions` and, on a dense window,
-    `_window` adds the c_i x^i; otherwise one `Series._sum` adds them (each
+    multiples.  Over F_p the x^i share `_expansions`, which leaves a
+    periodic inverse as its first period, and on a dense window `_window`
+    adds the c_i x^i, a period cycled at its stride; otherwise one
+    `Series._sum` adds them, each period repeated into a Series once (each
     x^i is one `pow_rat` over Q and F_{p^e}; an empty y gives exact 0).  The
     achieved cap is the substitute rule of `series`, joined with each x^i's.
     """
@@ -181,11 +183,13 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
 
     p, cap, result, plan = ctx.characteristic, substitute_cap(x, y, requested_cap), None, None
     if p and ctx.e == 1 and y.ks:
-        plan = _expansions(x, [i for i, _ in y.terms], requested_cap)
+        plan = _expansions(x, [i for i, _ in y.terms], requested_cap, True)
         caps = [e[0] for e in plan]
         result = _window(x, y, plan, min(cap, *caps))
     if result is None:  # over F_p each x^i is cut from its group's expansion (F^b fixes F_p)
-        pieces = ([(u := z.truncate(bd))._remap(*s, *mi, u.cs, c) for c, bd, _, s, mi, z in plan]
+        full = {id(z): Series._residues(ctx, *z) for *_, z in plan or () if type(z) is tuple}
+        pieces = ([(u := full.get(id(z), z).truncate(bd))._remap(*s, *mi, u.cs, c)
+                   for c, bd, _, s, mi, z in plan]
                   if plan else [pow_rat(x, i, requested_cap) for i, _ in y.terms])
         caps = [xi.cap for xi in pieces]
         result = Series._sum(ctx, [xi.scale(c) for xi, (_, c) in zip(pieces, y.terms)]
@@ -200,26 +204,42 @@ def _window(x, y, plan, cap):
     """Over F_p, the sum of the c_i x^i below cap on one list of residues, or
     None unless `_dense` (4 slots per term of the x^i): slot j is (lo + j)/D,
     D = den(x) lcm(den(i)), lo the least m i; for i = p^b q, the codes of its
-    (1 + eps)^q below i's bound go to slots m i D + k p^b D / den at once."""
+    (1 + eps)^q below i's bound go to slots m i D + k p^b D / den at once.
+    One left as its period (den, 0, g, period, cap, size) by `_expansions`
+    is added from the period, cycled, at stride g p^b D / den, and counts the
+    nonzero residues of its slots below i's bound, as its Series would.  The
+    sum is reduced mod p by the field's byte table when no slot can reach
+    256 (members (p - 1)^2 < 256)."""
     D = x.den * lcm(*(i.denominator for i, _ in y.terms))
-    members = [(mn * (D // md), sn * D // (z.den * sd), z, n, c)  # offset, stride, y_q, n, c_i
-               for (_, bound, _, (sn, sd), (mn, md), z), c in zip(plan, y.cs)
-               if (n := bisect_left(z.ks, _int_bound(bound, z.den)))]
+    members = []  # (offset, stride, last slot, terms, y_q, its period, c_i)
+    for (_, bound, _, (sn, sd), (mn, md), z), c in zip(plan, y.cs):
+        if type(z) is tuple:  # T residues, nonzero at slots nz, repeated over size slots of step g
+            den, _, g, per, _, size = z
+            nz, T = list(compress(range(len(per)), per)), len(per)
+        else:  # a Series is one period, a slot per lattice point
+            den, g, per, nz, size = z.den, 1, z.cs, z.ks, (z.ks or [0])[-1] + 1
+            T = size
+        nb = min(size, -(-_int_bound(bound, den) // g))  # the slots below i's bound
+        if (n := nb // T * len(nz) + bisect_left(nz, nb % T)) > 0:
+            last = (n - 1) // len(nz) * T + nz[(n - 1) % len(nz)]
+            members.append((mn * (D // md), g * sn * D // (den * sd), last, n, z, per, c))
     lo = min((off for off, *_ in members), default=0)
     hi = min(_int_bound(cap, D),
-             max((off + z.ks[n - 1] * f + 1 for off, f, z, n, _ in members), default=0))
+             max((off + last * f + 1 for off, f, last, *_ in members), default=0))
     if not _dense(hi - lo, sum(m[3] for m in members)):
         return None
     w, p, spread = [0] * (hi - lo), x.ctx.characteristic, {}
-    for off, f, z, n, c in members:
-        if len(z.ks) <= z.ks[-1] and id(z) not in spread:  # y_q has gaps: code k to slot k
+    for off, f, last, _, z, per, c in members:
+        if type(z) is Series and len(z.ks) <= z.ks[-1] and id(z) not in spread:  # code k to slot k
             spread[id(z)] = r = [0] * min(z.ks[-1] + 1, hi - lo)  # no count exceeds the window
             for k, v in zip(z.ks, z.cs[:bisect_left(z.ks, hi - lo)]):
                 r[k] = v
-        count = min(z.ks[n - 1] + 1, (hi - off + f - 1) // f)  # to the n-th term, in the window
-        sl, r = slice(off - lo, off - lo + count * f, f), spread.get(id(z), z.cs)
+        count = min(last + 1, (hi - off + f - 1) // f)  # to the last term, in the window
+        sl, r = slice(off - lo, off - lo + count * f, f), spread.get(
+            id(z), per if count <= len(per) else cycle(per))  # the slice ends the cycle
         w[sl] = map(add, w[sl], r if c == 1 else map(mul, r, repeat(c)))  # empty if count <= 0
-    w = [v % p for v in w]  # rebound, so the unreduced window is freed first
+    # rebound, so the unreduced window is freed first
+    w = bytes(w).translate(x.ctx._mod) if len(members) * (p - 1) ** 2 < 256 else [v % p for v in w]
     return Series._residues(x.ctx, D, lo, 1, w, cap)
 
 

@@ -127,11 +127,13 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     return y._remap(*s, *mi, ctx.frobenius_codes(y.cs, b) if b else y.cs, cap)
 
 
-def _expansions(x: Series, exps, requested_cap):
+def _expansions(x: Series, exps, requested_cap, periodic=False):
     """(cap, bound, b, s, mi, y) for x^i, x = t^m (1 + eps) monic, and each
     i = p^b q in exps: cap the power rule, s = p^b and mi = m i int pairs, y =
     (1 + eps)^q below bound = (cap - m i)/p^b or past it, expanded once per q
-    below its largest bound (eps at or above a bound only reaches above it)."""
+    below its largest bound (eps at or above a bound only reaches above it).
+    With periodic, an inverse on `Series.invert`'s dense F_p window is left
+    as its first period: y is then the arguments of `Series._residues`."""
     ctx, p, plan, tops, ys = x.ctx, x.ctx.characteristic, [], {}, {}
     for i in exps:
         split = b, s, q = _p_split(i, p) if i else (0, (1, 1), (0, 1))
@@ -150,7 +152,8 @@ def _expansions(x: Series, exps, requested_cap):
         elif not p:
             ys[num, den] = _miller(eps, num, den, bound)
         elif num < 0 and den == 1:
-            ys[num, den] = _digits(eps, -num, 1, bound).invert(bound)
+            u = _digits(eps, -num, 1, bound)
+            ys[num, den] = u._inverse(bound) if periodic else u.invert(bound)
         else:
             ys[num, den] = _digits(eps, num, den, bound)
     return [(cap, bound, b, s, mi, ys[q]) for cap, bound, b, s, mi, q in plan]

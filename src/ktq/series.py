@@ -40,12 +40,14 @@ denominator of the support (gcd(den, *ks) = 1, den = 1 without terms), so
 equal elements have equal fields.  `Series._from_pairs` is the one entry
 from rational pairs (`Series(...)`, `series_from_json`), on int pairs and one
 int sort; `Series._build` is the one builder on the packed form, dropping
-zero codes and reducing the lattice.  `Series._sum` is the one merge, with
+zero codes and reducing the lattice (the exponents past the first 1024 are
+read only while the gcd is not 1).  `Series._sum` is the one merge, with
 `+` its two-piece case: one int-keyed dict over lcm(den), summing codes only
 where exponents meet.  `_dense` (at most 4 slots per term) is the one window
 rule; `Series._residues` reads back the windows of codes: dense products,
-the F_p dense inverse below and `substitute`'s x^i, added at their strides
-(see `morphisms._window`).  `Series._remap` is the one exponent map, k/den
+the F_p dense inverse below (its first period repeated) and `substitute`'s
+x^i, added at their strides, a periodic one from its period alone (see
+`morphisms._window`).  `Series._remap` is the one exponent map, k/den
 to (f k + off)/den' in one `_build`, for `shift`, `scale_exponents`,
 `frobenius_map` and `pow_rat`'s final Frobenius-and-shift; `truncate` is a
 bisect; `scale` and sparse products sum the field's kernel encoding of the
@@ -60,7 +62,8 @@ over the pairs allocates nothing per lattice point.  Inverses run a
 recurrence over the sums of their steps on a heap walk of the reachable
 sums, decoding once per output term, or over F_p, on the dense window
 `_dense_step` chooses, one residue per list slot up to the first period of
-1/(1 + eps), which then repeats (see `Series.invert`).
+1/(1 + eps), which `Series._inverse` hands back unrepeated (see
+`Series.invert`).
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -288,7 +291,9 @@ class Series:
     def _pack(self, ctx, den, ks, cs, cap):
         """Fill self from ascending int lists ks (exponents k/den, all below
         cap) and cs (nonzero codes), reducing the lattice to canonical form."""
-        g = gcd(den, *ks)
+        g = den if den == 1 else gcd(den, *ks[:1024])  # the first terms settle most lattices
+        if g != 1 and len(ks) > 1024:  # so the rest is read only when they do not
+            g = gcd(g, *ks[1024:])
         if g != 1:
             den //= g
             ks = [k // g for k in ks]
@@ -325,8 +330,12 @@ class Series:
         return cls.__new__(cls)._pack(ctx, den, ks, cs, cap)
 
     @classmethod
-    def _residues(cls, ctx, den, lo, g, w, cap):
-        """Internal, the one read-back of a window of codes: code j of w at (lo + j g)/den."""
+    def _residues(cls, ctx, den, lo, g, w, cap, size=0):
+        """Internal, the one read-back of a window of codes: code j of w at (lo + j g)/den;
+        a w shorter than size slots is a period, repeated to size."""
+        if size > len(w):
+            w = w * (size // len(w) + 1)
+            del w[size:]
         return cls.__new__(cls)._pack(ctx, den, list(compress(range(lo, lo + g * len(w), g), w)),
                                       list(filter(None, w)), cap)
 
@@ -528,14 +537,21 @@ class Series:
         the recurrence's state at slot i is b_(i - w + 1), ..., b_i; when
         it is back at the start (0, ..., 0, b_0) for some i > 0, b is
         periodic with period i (the order of 1 + eps as a polynomial in
-        t^g; Lidl and Niederreiter, *Finite Fields*, ch. 8), and the rest
-        of the window is the first i slots repeated.  The check costs O(1)
-        a slot: a nonzero b_i equal to b_0 with no nonzero slot among the
-        w - 1 before it, tracked by the latest nonzero slot.  Otherwise the
-        heap walk of `_reachable` visits the sums in increasing order, in the
-        kernel encoding described in the module docstring.  The cap is the
-        invert rule.
+        t^g; Lidl and Niederreiter, *Finite Fields*, ch. 8), and the loop
+        stops there: `_residues` repeats the first i slots over the window,
+        while `morphisms._window` adds them from the period itself.  The
+        check costs O(1) a slot: a nonzero b_i equal to b_0 with no nonzero
+        slot among the w - 1 before it, tracked by the latest nonzero slot.
+        Otherwise the heap walk of `_reachable` visits the sums in increasing
+        order, in the kernel encoding described in the module docstring.  The
+        cap is the invert rule.
         """
+        z = self._inverse(requested_cap)
+        return z if isinstance(z, Series) else Series._residues(self.ctx, *z)
+
+    def _inverse(self, requested_cap):
+        """Internal, `invert` with its dense F_p window left unrepeated: the
+        arguments (den, lo, g, period, cap, size) of `_residues`."""
         if not self.ks:
             if self.is_exact:
                 raise SeriesError("cannot invert the zero series")
@@ -563,15 +579,14 @@ class Series:
                 c = b[i] = b[i] % p
                 if c:
                     if c == b0 and i - last >= w and i:  # the state at i is the start's
-                        out = b[:i] * (size // i + 1)
                         break
                     last = i
                     for e, a in steps:
                         b[i + e] += a * c
             else:
-                out = b
-            del out[size:]
-            return Series._residues(ctx, self.den, -kv, g, out, result_cap)
+                i = size
+            del b[i:]  # the first period, or all size slots
+            return self.den, -kv, g, b, result_cap, size
         steps = list(zip(es, vals[1:]))
         # b_k is kept as a numerator over den^(1 + k // w): a step adds at
         # least w to k and one factor of den, so no division is needed.

@@ -448,6 +448,8 @@ def test_large_prime_field_arithmetic_but_no_enumeration():
         big.elements()
     with pytest.raises(FieldError, match="exhaustive surjectivity"):
         hypothesis_a_check(big)
+    with pytest.raises(FieldError, match="too large for exhaustive enumeration"):
+        AdditivePoly(big, [1, 1]).preimage(a)
     with pytest.raises(FieldError, match="default modulus search exceeds desk-scale"):
         FiniteField(1048583, 2)
     with pytest.raises(FieldError, match="modulus verification exceeds desk-scale"):
@@ -495,7 +497,8 @@ def test_prime_field_with_any_modulus_round_trips(p):
 
 
 @pytest.mark.parametrize("value", [Fraction(0), Fraction(5), Fraction(-3, 4), Fraction(7, 120),
-                                   Fraction(-(10 ** 4299), 3)])
+                                   Fraction(-(10 ** 4299), 3), Fraction(10 ** 4300 - 1),
+                                   Fraction(1, 10 ** 4300 - 1)])
 def test_rational_parse_code_inverts_format_code(Q, value):
     assert Q.parse_code(Q.format_code(value)) == value
 
@@ -503,7 +506,9 @@ def test_rational_parse_code_inverts_format_code(Q, value):
 @pytest.mark.parametrize("text", [" 3 ", "1.5", "1e3", "6/4", "3/1", "-0", "+3", "007", "0/5",
                                   "1_0", "1/0", "3/-4", "-3/4 ", "", "-", "/2", "١",
                                   "1e999999999", "1" * 5000, "1/" + "3" * 5000,
-                                  "+1", " 1", "0/1", "1/1", "-0/3", "3/01", "3/007", "-4/6"])
+                                  "+1", " 1", "0/1", "1/1", "-0/3", "3/01", "3/007", "-4/6",
+                                  "/1", "-00", "0007/2", "9" * 4301, "-" + "9" * 4301,
+                                  "1/" + "9" * 4301])
 def test_rational_parse_code_refuses_text_format_code_does_not_write(Q, text):
     for read in (Q.parse_code,
                  lambda s: series_from_json({"field": "Q", "terms": [[1, 1, s]], "cap": "inf"})):

@@ -833,6 +833,25 @@ def test_hypothesis_a_check_matches_per_element_evaluation(spec):
         assert verdict.witness == next((c for c in els if c not in image), None)
 
 
+@pytest.mark.parametrize("spec", [f"F{q}" for q in prime_powers(27)] + ["F10201"])
+def test_preimage_matches_the_per_element_search(spec):
+    """`preimage` reads P's codes on all q elements at once and returns the
+    first element in enumeration order whose image is c, or None: the
+    element a search through P(z), one z at a time, stops at.  Every c is
+    asked over fields up to F27 and a sample, in and outside the image, over
+    F10201 (where P = x^101 + x has p elements in each fibre)."""
+    ctx = make_field(spec)
+    rng, els = random.Random(spec), ctx.elements()
+    polys = [AdditivePoly(ctx, [1, 1])]
+    if ctx.q < 100:
+        polys += [AdditivePoly(ctx, [a0] + [rng.choice(els) for _ in range(min(ctx.e, 2))] + [1])
+                  for a0 in (rng.choice(els[1:]), ctx.zero)] + [AdditivePoly(ctx, [els[-1]])]
+    for P in polys:
+        images = [P(z) for z in els]
+        for c in els if ctx.q < 100 else rng.sample(els, 4) + [images[1], images[-1]]:
+            assert P.preimage(c) == next((z for z, v in zip(els, images) if v == c), None)
+
+
 # ------------------------------------------- dense products at slot widths
 # A dense product gives each lattice point one slot sized from the bound on
 # its sums, n the shorter operand's terms: n max|x| max|y| over F_p and Q

@@ -332,6 +332,25 @@ def test_zero_codes_are_dropped_by_the_builders_and_refused_by_the_constructor()
         Series(F3, {0: 1, Fraction(1, 2): 0})
 
 
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2048, 2049, 5000])
+@pytest.mark.parametrize("at", ["first", "last", "never"])
+def test_pack_reduces_the_lattice_when_the_gcd_reaches_one_late_or_never(n, at):
+    """`_pack` reads the exponents past the first 1024 only when the gcd of
+    those is not 1: n exponents on den = 12, odd multiples of 6 except the
+    first or the last (gcd 1 early or at the very end) or none (gcd 6: the
+    lattice reduces to den 2), around that boundary.  The packed form is the
+    one the validating constructor builds from the Fraction exponents."""
+    F7 = FIELDS["F7"]
+    ks = [6 * (2 * k + 1) for k in range(-(n // 2), n - n // 2)]  # odd multiples of 6
+    if at != "never":
+        ks[0 if at == "first" else -1] += 1
+    cs = [k % 6 + 1 for k in range(n)]
+    s = Series._build(F7, 12, ks, cs, INF)
+    assert s.den == (2 if at == "never" else 12)
+    assert s == Series(F7, {Fraction(k, 12): c for k, c in zip(ks, cs)})
+    assert_canonical(s)
+
+
 # --------------------------------------------------------------- JSON
 
 

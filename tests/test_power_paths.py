@@ -24,7 +24,7 @@ import pytest
 
 import ktq
 import ktq.morphisms as morphisms
-from ktq import INF, Series, make_field, pow_rat, substitute
+from ktq import INF, FiniteField, Series, make_field, pow_rat, substitute
 from ktq.powers import _expansions
 from ktq.series import substitute_cap
 
@@ -463,6 +463,97 @@ def test_a_narrow_window_allocates_no_more_than_its_width():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[-3, -1] [1, 1] 0 True\n"
+
+
+# ------------------------------------------- periodic expansions on the window
+
+
+def _periodic_bases(ctx):
+    """t - t^2, whose (1 - t)^q has period p or less in its slots, and t +
+    t^2 + c t^4, whose 1/(1 + t + c t^3) has a longer period (13 over F3
+    with c = 2)."""
+    c = ctx.from_int(2 if ctx.characteristic == 3 else 1)
+    return (Series(ctx, {F(1): ctx.one, F(2): -ctx.one}),
+            Series(ctx, {F(1): ctx.one, F(2): ctx.one, F(4): c}))
+
+
+@pytest.mark.parametrize("spec", ("F2", "F3", "F5", "F7"))
+def test_periodic_window_matches_the_per_term_sum(spec):
+    """y-terms t^(q p^b) with q in -1, -2, -3 (p-free ones) and b <= 2 share
+    one inverse per q, which `_expansions` hands to `_window` as its first
+    period.  On 80 seeded cases a field, `substitute` gives the per-term
+    reference's (den, ks, cs, cap), achieved cap, term caps and risk flag,
+    and the window runs exactly where the window rule on the expanded x^i
+    says; the caps put the end of the window before and after the first
+    period, and both the window and the `Series._sum` fallback run."""
+    ctx = make_field(spec)
+    p = ctx.characteristic
+    rng = random.Random(f"periodic-window:{spec}")
+    seen = {"period found": 0, "period not found": 0, "dense": 0, "sparse": 0}
+    inverse, window, dense = Series._inverse, morphisms._window, []
+
+    def inverse_spy(self, cap):
+        z = inverse(self, cap)
+        if type(z) is tuple:
+            seen["period found" if len(z[3]) < z[5] else "period not found"] += 1
+        return z
+
+    def window_spy(*args):
+        dense.append(window(*args))
+        seen["sparse" if dense[-1] is None else "dense"] += 1
+        return dense[-1]
+    for _ in range(80):
+        x = rng.choice(_periodic_bases(ctx))
+        qs = [q for q in (-1, -2, -3) if q % p]
+        exps = {F(q) * F(p) ** b for q in rng.sample(qs, rng.randint(1, len(qs)))
+                for b in rng.sample(range(-3, 3), rng.randint(1, 3))}
+        y = Series(ctx, {e: _coeff(rng, ctx) for e in exps})
+        cap = F(rng.randint(-1, 14), rng.choice([1, p]))
+        want = _outcome(lambda: _reference_substitute(x, y, cap))
+        dense.clear()
+        with patch.object(Series, "_inverse", inverse_spy), \
+                patch.object(morphisms, "_window", window_spy):
+            got = _outcome(lambda: _substitute_fields(x, y, cap))
+        assert got == want, (x, y, cap)
+        if dense:
+            assert (dense[0] is not None) == _window_rule(x, y, cap), (x, y, cap)
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("p, k", [(2, 11), (3, 8), (5, 6), (7, 4)])
+def test_divergence_family_builds_no_series_of_its_expansion(p, k):
+    """The one expansion (1 - t)^(-1) of the divergence family reaches the
+    window as its period [1]: `Series._residues` runs once, for the result."""
+    ctx = make_field(f"F{p}")
+    x = Series(ctx, {F(1): ctx.one, F(2): -ctx.one})
+    y = Series(ctx, {F(-1, p ** j): ctx.one for j in range(1, k + 1)})
+    residues, built = Series._residues.__func__, []
+
+    def spy(cls, *args):
+        built.append(residues(cls, *args))
+        return built[-1]
+    with patch.object(Series, "_residues", classmethod(spy)):
+        r = substitute(x, y, F(1))
+    assert len(built) == 1 and built[0] is r.series
+    assert _substitute_fields(x, y, F(1)) == _reference_substitute(x, y, F(1))
+
+
+@pytest.mark.parametrize("p, members, byte_table", [(2, 2, True), (13, 1, True), (13, 2, False),
+                                                    (17, 1, False)])
+def test_window_reduces_through_the_byte_table_below_256(p, members, byte_table):
+    """x = t + t^2 makes x^(-1) = t^(-1) (1 - t + t^2 - ...), residues 1 and
+    p - 1, and x^(-1/p) its Frobenius image; with y's coefficients p - 1 the
+    slot of t^0 reaches members (p - 1)^2, the bound `_window` checks against
+    256 (144 over F13 with one member, 288 with two, 256 over F17), so a
+    byte table used past it would refuse the slot.  The result matches the
+    per-term sum either way, and a zeroed table on a fresh field shows which
+    reduction ran: through it, the window reads back empty."""
+    ctx = FiniteField(p)
+    x = Series(ctx, {F(1): ctx.one, F(2): ctx.one})
+    y = Series(ctx, {e: -ctx.one for e in (F(-1), F(-1, p))[:members]})
+    assert _substitute_fields(x, y, F(3)) == _reference_substitute(x, y, F(3))
+    ctx._mod = bytes(256)
+    assert (not substitute(x, y, F(3)).series.ks) == byte_table
 
 
 # ------------------------------------------------------------- work guard
