@@ -4,10 +4,10 @@ A finite field is represented in a polynomial basis over F_p with an explicit
 monic irreducible modulus of degree e.  An immutable `FFElement` holds the
 code (below) of c_0 + c_1*g + ... + c_{e-1}*g^{e-1}, g the residue of x, and
 `vec` is the view (c_0, ..., c_{e-1}).  A sum, a negation ((p - 1) * code) or
-a product of two codes is one int operation reduced by one
-`decode([value], 1, 1)`; `_powers_of(codes, n)` is the one exponentiation
-(the builtin pow when e = 1, square-and-multiply on the whole list
-otherwise), and inverses follow Fermat: c^-1 = c^(q-2).
+a product of two codes is one int operation reduced by `_reduce(value, 1)`
+(below; the n = 1 encoding is the code); `_powers_of(codes, n)` is the one
+exponentiation (the builtin pow when e = 1, square-and-multiply on the whole
+list otherwise), and inverses follow Fermat: c^-1 = c^(q-2).
 
 Rational coefficients simply are fractions.Fraction values, already exact
 and canonical.
@@ -24,12 +24,17 @@ encoding is the code; over Q it is numerators over a common denominator;
 over F_{p^e} `encode` widens the slots to `_fold(n)` bytes, where no slot of
 a sum of n products carries, by strided slices (`_widen`), and `decode`
 folds each value's slots of degree e and up into the low e by multiply-adds
-with x^e, ..., x^(2e-2) mod the modulus and takes them mod p in one pass.
-A dense product moves whole buffers: `dense_pack` writes the encodings one
-slot a code (two's complement over Q; over F_{p^e} the widened digits in
-blocks of 2e - 1 slots), and `dense_unpack` reads a product's slots by one
-array view (`_ints`; int.from_bytes slices past 8 bytes), over F_{p^e}
-folding all blocks at once, one multiply a fold row on the whole buffer.
+with x^e, ..., x^(2e-2) mod the modulus (`_folded`) and takes them mod p in
+one pass.  `_reduce(v, n)`, the one-value reduction of the element ops and
+of each slot of `Series.invert`'s dense window, is the kernel encoding of
+`decode([v], 1, n)[0]` kept at `_fold(n)` width: `v % p` over F_p, else the
+same fold, then each slot mod p by one AND with the slots' low bits for
+p = 2, the byte table for 1-byte slots, or slot by slot.  A dense product
+moves whole buffers: `dense_pack` writes the encodings one slot a code
+(two's complement over Q; over F_{p^e} the widened digits in blocks of
+2e - 1 slots), and `dense_unpack` reads a product's slots by one array view
+(`_ints`; int.from_bytes slices past 8 bytes), over F_{p^e} folding all
+blocks at once, one multiply a fold row on the whole buffer.
 `frobenius_codes` is c |-> c^(p^b) on codes, `_powers_of` at the exponent
 p^(b mod e): the identity over F_p, and over F_{p^e} whenever e divides b.
 
@@ -306,13 +311,13 @@ class FFElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return FFElement(f, f.decode([self.code + o.code], 1, 1)[0])
+        return FFElement(f, f._reduce(self.code + o.code, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        return FFElement(f, f.decode([(f.p - 1) * self.code], 1, 1)[0])
+        return FFElement(f, f._reduce((f.p - 1) * self.code, 1))
 
     def __sub__(self, other):
         o = self._peer(other)
@@ -331,7 +336,7 @@ class FFElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return FFElement(f, f.decode([self.code * o.code], 1, 1)[0])
+        return FFElement(f, f._reduce(self.code * o.code, 1))
 
     __rmul__ = __mul__
 
@@ -525,21 +530,18 @@ class FiniteField(FieldCtx):
         return FFElement(self, k)
 
     def encode(self, codes, n):
-        """The codes (e = 1) or their vectors widened to the slot bytes of
-        `_fold(n)`, lowest degree in the lowest slot: (ints, 1)."""
+        """The list of codes itself (e = 1, or code slots `_fold(n)` wide) or
+        their vectors widened to `_fold(n)` slots, lowest degree lowest: (ints, 1)."""
         e, w = self.e, self._fold(n)[0]
         if e == 1 or w == self._c:
             return codes, 1
         return _ints(self._widen(codes, w, e * w), e * w), 1
 
-    def decode(self, values, den, n):
-        """The codes standing for sums of at most n products of encoded
-        values: slots of degree e and up fold into the low e, each taken mod p."""
-        e, p = self.e, self.p
-        if e == 1:
-            return [v % p for v in values]
-        w, fold = self._fold(n)
-        s, low, top, folded = 8 * w, (1 << 8 * w * e) - 1, (1 << 8 * w) - 1, []
+    def _folded(self, values, w, fold):
+        """Each value (in w-byte slots) as the bytes of its low e slots, those
+        of degree e and up folded in: multiply-adds of `_fold`'s rows fold."""
+        e, s = self.e, 8 * w
+        low, top, out = (1 << s * e) - 1, (1 << s) - 1, []
         for v in values:
             hi, v = v >> s * e, v & low
             for r in fold:
@@ -547,7 +549,30 @@ class FiniteField(FieldCtx):
                     break
                 v += (hi & top) * r
                 hi >>= s
-            folded.append(v.to_bytes(e * w, "little"))
+            out.append(v.to_bytes(e * w, "little"))
+        return out
+
+    def _reduce(self, v, n):
+        """decode([v], 1, n)[0] in the kernel encoding (see the module docstring)."""
+        e, p = self.e, self.p
+        if e == 1:
+            return v % p
+        w, fold = self._fold(n)
+        b, = self._folded((v,), w, fold)
+        if p == 2:
+            return int.from_bytes(b, "little") & ((1 << 8 * w * e) - 1) // ((1 << 8 * w) - 1)
+        if w == 1:
+            return int.from_bytes(b.translate(self._mod), "little")
+        return sum(d % p << 8 * w * i for i, d in enumerate(_ints(b, w)))
+
+    def decode(self, values, den, n):
+        """The codes standing for sums of at most n products of encoded
+        values: `_folded`, then each slot taken mod p."""
+        e, p = self.e, self.p
+        if e == 1:
+            return [v % p for v in values]
+        w, fold = self._fold(n)
+        folded = self._folded(values, w, fold)
         if w == 1:  # and so c = 1: one table lookup a byte
             return [int.from_bytes(b.translate(self._mod), "little") for b in folded]
         return self._codes([d % p for d in _ints(b"".join(folded), w)])

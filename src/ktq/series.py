@@ -45,7 +45,7 @@ read only while the gcd is not 1).  `Series._sum` is the one merge, with
 `+` its two-piece case: one int-keyed dict over lcm(den), summing codes only
 where exponents meet.  `_dense` (at most 4 slots per term) is the one window
 rule; `Series._residues` reads back the windows of codes: dense products,
-the F_p dense inverse below (its first period repeated) and `substitute`'s
+the dense inverse below (its first period repeated) and `substitute`'s
 x^i, added at their strides, a periodic one from its period alone (see
 `morphisms._window`).  `Series._remap` is the one exponent map, k/den
 to (f k + off)/den' in one `_build`, for `shift`, `scale_exponents`,
@@ -59,11 +59,11 @@ are dense, the field writes each into one buffer of equal slots
 point, the two are multiplied once (Kronecker substitution) and the field
 reads the product's buffer back as a whole (`dense_unpack`); else a loop
 over the pairs allocates nothing per lattice point.  Inverses run a
-recurrence over the sums of their steps on a heap walk of the reachable
-sums, decoding once per output term, or over F_p, on the dense window
-`_dense_step` chooses, one residue per list slot up to the first period of
-1/(1 + eps), which `Series._inverse` hands back unrepeated (see
-`Series.invert`).
+recurrence over the sums of their steps: over a finite field on the dense
+window `_dense_step` chooses, one kernel encoding per list slot reduced
+once, up to the first period of 1/(1 + eps), which `Series._inverse` hands
+back unrepeated (see `Series.invert`); over Q and on sparse lattices on a
+heap walk of the reachable sums, decoding once per output term.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -216,13 +216,13 @@ def _dense(width, terms):
 
 
 def _dense_step(steps, bound):
-    """The walk decision for the F_p recurrence of `Series.invert`: g, the
-    gcd of the ascending positive int steps, when the recurrence runs over
-    the dense window of the ceil(bound/g) multiples of g below bound, or 0
-    for the heap walk of `_reachable`.  The window is dense when the smallest
-    step w is `_dense` over g (w at most 4g), since the walk then visits about
-    bound/w of its slots anyway.  An empty or infinite bound and a monomial
-    (no steps) keep the heap walk."""
+    """The walk decision for the finite-field recurrence of `Series.invert`:
+    g, the gcd of the ascending positive int steps, when the recurrence runs
+    over the dense window of the ceil(bound/g) multiples of g below bound, or
+    0 for the heap walk of `_reachable`.  The window is dense when the
+    smallest step w is `_dense` over g (w at most 4g), since the walk then
+    visits about bound/w of its slots anyway.  An empty or infinite bound and
+    a monomial (no steps) keep the heap walk."""
     if not steps or type(bound) is float or bound <= 0:
         return 0
     g = gcd(*steps)
@@ -530,28 +530,31 @@ class Series:
         b_k = -sum_j a_j b_(k - e_j), so b_k is zero off the sums of the e_j
         and depends only on eps below k: every b_k below cap - v is certified.
         The recurrence runs below the relative target min(requested, cap -
-        2v) + v.  Over F_p on the dense window that `_dense_step` chooses,
-        slot i of one list holds b_(i g) as a residue, and each stored
-        residue is pushed onto the slots its steps reach, so a slot costs
-        one `% p` and no codec call.  With w the largest step in units of g,
-        the recurrence's state at slot i is b_(i - w + 1), ..., b_i; when
-        it is back at the start (0, ..., 0, b_0) for some i > 0, b is
+        2v) + v.  Over a finite field on the dense window that `_dense_step`
+        chooses, slot i of one list holds b_(i g) in the kernel encoding for
+        sums of n products (n the steps of eps).  Each slot is reduced once
+        to the canonical encoding of its code (one `% p` over F_p, one
+        `_reduce` over F_{p^e}) and pushed onto the slots its steps reach;
+        the kept slots are decoded in one call.  With w the largest step in
+        units of g, the recurrence's state at slot i is b_(i - w + 1), ...,
+        b_i; when it is back at the start (0, ..., 0, b_0) for some i > 0, b is
         periodic with period i (the order of 1 + eps as a polynomial in
         t^g; Lidl and Niederreiter, *Finite Fields*, ch. 8), and the loop
         stops there: `_residues` repeats the first i slots over the window,
         while `morphisms._window` adds them from the period itself.  The
         check costs O(1) a slot: a nonzero b_i equal to b_0 with no nonzero
-        slot among the w - 1 before it, tracked by the latest nonzero slot.
-        Otherwise the heap walk of `_reachable` visits the sums in increasing
-        order, in the kernel encoding described in the module docstring.  The
-        cap is the invert rule.
+        slot among the w - 1 before it, tracked by the latest nonzero slot;
+        encodings are canonical, so it compares them as ints.  Over Q and on
+        a sparse lattice the heap walk of `_reachable` visits the sums in
+        increasing order, in the kernel encoding described in the module
+        docstring.  The cap is the invert rule.
         """
         z = self._inverse(requested_cap)
         return z if isinstance(z, Series) else Series._residues(self.ctx, *z)
 
     def _inverse(self, requested_cap):
-        """Internal, `invert` with its dense F_p window left unrepeated: the
-        arguments (den, lo, g, period, cap, size) of `_residues`."""
+        """Internal, `invert` with its dense finite-field window left unrepeated:
+        the arguments (den, lo, g, period of codes, cap, size) of `_residues`."""
         if not self.ks:
             if self.is_exact:
                 raise SeriesError("cannot invert the zero series")
@@ -563,20 +566,22 @@ class Series:
         n = len(self.ks) - 1
         # b_k scaled by c_inv: b_0 = c_inv and the steps are -a_j * c_inv,
         # all over one denominator den (1 except over Q).
-        vals, den = ctx.encode([ctx.code(c_inv)] + self.scale(-c_inv).cs[1:], n)
+        codes = [ctx.code(c_inv)] + self.scale(-c_inv).cs[1:]
+        vals, den = ctx.encode(codes, n)  # codes itself where each code is its encoding
         kv = self.ks[0]
         es = [k - kv for k in self.ks[1:]]
         bound = _int_bound(result_cap, self.den) + kv
         p = ctx.characteristic
-        g = _dense_step(es, bound) if p and ctx.e == 1 else 0
-        if g:  # F_p: the codes are the residues, den = 1
+        g = _dense_step(es, bound) if p else 0
+        if g:  # a finite field, den = 1
             steps = [(e // g, a) for e, a in zip(es, vals[1:])]
             size, w, b0 = -(-bound // g), steps[-1][0], vals[0]
             b = [0] * (size + w)
             b[0] = b0
             last = -w  # the latest nonzero slot before i; none before slot 0
+            prime, reduce = ctx.e == 1, ctx._reduce
             for i in range(size):
-                c = b[i] = b[i] % p
+                c = b[i] = b[i] % p if prime else reduce(b[i], n)
                 if c:
                     if c == b0 and i - last >= w and i:  # the state at i is the start's
                         break
@@ -586,7 +591,7 @@ class Series:
             else:
                 i = size
             del b[i:]  # the first period, or all size slots
-            return self.den, -kv, g, b, result_cap, size
+            return self.den, -kv, g, b if vals is codes else ctx.decode(b, 1, n), result_cap, size
         steps = list(zip(es, vals[1:]))
         # b_k is kept as a numerator over den^(1 + k // w): a step adds at
         # least w to k and one factor of den, so no division is needed.

@@ -1,12 +1,15 @@
-"""The dense recurrence window of `Series.invert` over F_p against the heap
-walk.
+"""The dense recurrence window of `Series.invert` over finite fields against
+the heap walk.
 
 `series._dense_step` is the one place that chooses the walk, and `invert`
-asks it only over F_p.  Each case is computed twice: once as chosen, and once
-with the chooser patched to pick the heap walk everywhere.  The two results
-must be equal, term for term and cap for cap, and an inverse must also
-multiply back to 1 below the product's cap.  Over F_{p^e} and Q both runs
-take the heap walk, so there the cases check the heap walk alone.
+asks it over every finite field.  Each case is computed twice: once as
+chosen, and once with the chooser patched to pick the heap walk everywhere.
+The two results must be equal, term for term and cap for cap, and an inverse
+must also multiply back to 1 below the product's cap.  The fields cover each
+reduction of a window slot: `% p` over F_p, and over F_{p^e} the AND of p = 2
+(F4, F4096), the byte table (F9) and the slot-by-slot `% p` of 2- and 4-byte
+slots (F3125, F10201).  Over Q both runs take the heap walk, so there the
+cases check the heap walk alone.
 """
 
 from contextlib import nullcontext
@@ -23,7 +26,8 @@ from ktq import INF, Series, make_field
 from ktq.errors import PrecisionError
 
 PRIME_SPECS = ("F2", "F3", "F5", "F7", "F1000003")
-SPECS = PRIME_SPECS + ("F4", "F9", "Q")
+EXTENSION_SPECS = ("F4", "F9", "F4096", "F3125", "F10201")
+SPECS = PRIME_SPECS + EXTENSION_SPECS + ("Q",)
 FIELDS = {spec: make_field(spec) for spec in SPECS}
 EXAMPLES = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -106,13 +110,14 @@ def deep_inverse(ctx):
     return chosen
 
 
-@pytest.mark.parametrize("spec", PRIME_SPECS)
+@pytest.mark.parametrize("spec", PRIME_SPECS + ("F4", "F9", "F4096"))
 def test_invert_takes_the_dense_window(spec):
     assert deep_inverse(FIELDS[spec]) == [1]
 
 
-@pytest.mark.parametrize("spec", ("F4", "F9", "Q"))
+@pytest.mark.parametrize("spec", ("Q",))
 def test_invert_keeps_the_heap_walk_off_prime_fields(spec):
+    """Off the finite fields: Q never asks the chooser."""
     assert deep_inverse(FIELDS[spec]) == []
 
 

@@ -13,6 +13,7 @@ match exactly.
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from math import ceil, comb, lcm
@@ -676,6 +677,43 @@ def test_slot_sum_scale_invert(spec, slot_fields):
         assert got(R, x.invert(requested)) == ref_inverse(R, x, requested)
 
 
+def reduced_slots(x, cap):
+    """x.invert(cap) and the n of each slot reduction its dense loop made
+    over F_{p^e}: the calls of the field's `_reduce` from `Series._inverse`
+    (the element ops before the loop call it too)."""
+    real, calls = type(x.ctx)._reduce, []
+
+    def spy(ctx, v, n):
+        if sys._getframe(1).f_code.co_name == "_inverse":
+            calls.append(n)
+        return real(ctx, v, n)
+    with patch.object(type(x.ctx), "_reduce", spy):
+        inv = x.invert(cap)
+    return inv, calls
+
+
+@pytest.mark.parametrize("spec", SLOT_CLASSES)
+def test_slot_dense_inverse(spec, slot_fields):
+    """Non-monic units with 3 and 60 eps steps on the dense window, past 100
+    slots, against the coefficientwise reference: the 60-step sums take the
+    class's wider `_fold(60)` width.  The loop reduces each slot up to the
+    first i > 0 where the reference's b_i is b_0 after `steps` - 1 zeros
+    (the recurrence back at its start: T + 1 slots), or the whole window."""
+    ctx = slot_fields[spec]
+    R, rng = SlotRef(ctx), random.Random(spec)
+    for steps, cap in ((3, Fraction(241, 2)), (60, 105)):
+        vecs = slot_vectors(rng, ctx, 2 * steps)[:steps + 1]  # F9 draws zero vectors too
+        x = Series(ctx, {k: slot_element(ctx, v) for k, v in enumerate(vecs[2:] + vecs[:2])})
+        inv, calls = reduced_slots(x, cap)
+        want = ref_inverse(R, x, cap)
+        assert got(R, inv) == want
+        b = [dict(want[0]).get(k, R.zero()) for k in range(ceil(cap))]
+        T = next((i for i in range(1, len(b)) if b[i] == b[0]
+                  and b[max(0, i - steps + 1):i] == [R.zero()] * min(i, steps - 1)), None)
+        assert calls == [steps] * (len(b) if T is None else T + 1)
+    assert ctx._fold(calls[0])[0] == SLOT_CLASSES[spec][1]
+
+
 @pytest.mark.parametrize("spec", SLOT_CLASSES)
 def test_slot_element_arithmetic(spec, slot_fields):
     """+ - * / ** and the Frobenius of elements, each element's vec read
@@ -1069,3 +1107,17 @@ def test_period_one_stops_at_the_second_slot():
     inv, reductions = counted_invert(x, 10 ** 6)
     assert reductions == 2
     assert inv.ks == list(range(10 ** 6)) and set(inv.cs) == {1} and inv.cap == 10 ** 6
+
+
+@pytest.mark.parametrize("spec, T", (("F4", 3), ("F9", 1)))
+def test_periodic_inverse_over_extension_fields(spec, T):
+    """Over F4, 1/(1 + g t) = sum g^k t^k has period 3, the order of g; over
+    F9, 1/(1 - t) has period 1.  Below, at and past the period the terms
+    match the reference, and the dense loop reduces min(cap, T + 1) slots."""
+    ctx = make_field(spec)
+    R = SlotRef(ctx)
+    x = Series(ctx, {0: ctx.one, 1: ctx.g if spec == "F4" else -ctx.one})
+    for cap in (T, T + 1, 2 * T + 1, 120):
+        inv, calls = reduced_slots(x, cap)
+        assert got(R, inv) == ref_inverse(R, x, Fraction(cap))
+        assert calls == [1] * min(cap, T + 1)
