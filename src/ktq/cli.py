@@ -4,9 +4,10 @@ Subcommands: eval, solve, subst, classify, orbit-witness, trace, norm, hypA,
 artin-schreier, sign-via-trace, demo.  Exit codes: 0 success, 1 domain error,
 2 usage or syntax error.
 
-Each subcommand computes its result (`_compute`), and every result reaches
-stdout through the one printer `_render`, which builds only the requested
-format, text or JSON.  That printer is the hook point for per-run reports
+Each subcommand is one entry of the table `_COMMANDS`: its help, its
+arguments and the compute of its result.  Every result reaches stdout
+through the one printer `_render`, which builds only the requested format,
+text or JSON.  That printer is the hook point for per-run reports
 such as cap provenance (`--explain`) and work counters (`--stats`).
 """
 
@@ -54,54 +55,11 @@ def _build_parser():
         prog="ktq",
         description="exact arithmetic in generalized power series fields k((t^Q))")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a series expression")
-    p.add_argument("expr")
-    p.add_argument("--let", action="append", default=[], metavar="NAME=EXPR",
-                   help="bind a variable for use in later expressions")
-    _add_common(p)
-
-    p = sub.add_parser("solve", help="solve P(x) = b for an additive polynomial P")
-    p.add_argument("--poly", required=True, help='additive polynomial, like "x^2+x"')
-    p.add_argument("--rhs", required=True, help="right-hand side series expression")
-    _add_common(p)
-
-    p = sub.add_parser("subst", help="substitute t -> x in y")
-    p.add_argument("--x", required=True, dest="xexpr",
-                   help="monic positive-valuation series to substitute for t")
-    p.add_argument("--y", required=True, dest="yexpr", help="series to map")
-    _add_common(p)
-
-    for name, text in (("classify", "orbit class of a series"),
-                       ("orbit-witness", "transform chain carrying t to the given series"),
-                       ("trace", "constant coefficient of a series"),
-                       ("norm", "leading coefficient of a series")):
+    for name, (text, arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("expr")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         _add_common(p)
-
-    p = sub.add_parser("hypA", help="check Hypothesis A for the field")
-    p.add_argument("--poly", default=None,
-                   help="additive polynomial to test (default x^q - x)")
-    _add_common(p)
-
-    p = sub.add_parser("artin-schreier",
-                       help="trace-zero solution of y^(p^n) + y = x - trace(x)")
-    p.add_argument("expr")
-    p.add_argument("--n", type=int, default=1, help="Frobenius power (default 1)")
-    _add_common(p)
-
-    p = sub.add_parser("sign-via-trace",
-                       help="sign of the valuation, decided through the trace map")
-    p.add_argument("expr")
-    _add_common(p)
-
-    p = sub.add_parser("demo", help="scripted demonstrations")
-    p.add_argument("name", choices=("char-p-divergence",))
-    p.add_argument("--p", type=int, default=2, help="characteristic (default 2)")
-    p.add_argument("--K", type=int, default=5, help="largest family index (default 5)")
-    _add_common(p)
-
     return parser
 
 
@@ -154,7 +112,7 @@ def run(argv) -> int:
 
     try:
         ctx = _make_ctx(args)
-        result = _compute(args, ctx, EvalEnv(ctx, args.cap))
+        result = _COMMANDS[args.command][2](args, ctx, EvalEnv(ctx, args.cap))
         for line in list(_render(result, ctx, args.fmt)):  # all or nothing
             print(line)
         return 0
@@ -166,39 +124,66 @@ def run(argv) -> int:
         return 1
 
 
-def _compute(args, ctx, env):
-    """The subcommand's result, before any formatting."""
-    cmd = args.command
-    if cmd == "eval":
-        for binding in args.let:
-            name, sep, text = binding.partition("=")
-            name = name.strip()
-            if not sep or not name.isidentifier():
-                raise ParseError(f"bad --let binding {binding!r}")
-            env.bindings[name] = _series_arg(text, env, name)
-        return eval_expression(parse_expression(args.expr), env)  # or an OrbitClass
-    if cmd == "solve":
-        P = parse_additive_poly(ctx, args.poly)
-        return solve_additive(P, _series_arg(args.rhs, env, "--rhs"), args.cap)
-    if cmd == "subst":
-        x = _series_arg(args.xexpr, env, "--x")
-        return substitute(x, _series_arg(args.yexpr, env, "--y"), args.cap)
-    if cmd == "hypA":
-        return hypothesis_a_check(ctx, parse_additive_poly(ctx, args.poly) if args.poly else None)
-    if cmd == "demo":
-        return _demo_divergence(args.p, args.K)
-    x = _series_arg(args.expr, env, "expression")
-    if cmd == "classify":
-        return classify_orbit(x)
-    if cmd == "orbit-witness":
-        return orbit_transform(x, work_cap=args.cap)
-    if cmd == "trace":
-        return trace(x)
-    if cmd == "norm":
-        return norm_leading(x)
-    if cmd == "artin-schreier":
-        return artin_schreier(x, args.n, args.cap)
-    return valuation_sign_via_trace(x)  # sign-via-trace
+def _eval(args, ctx, env):
+    for binding in args.let:
+        name, sep, text = binding.partition("=")
+        name = name.strip()
+        if not sep or not name.isidentifier():
+            raise ParseError(f"bad --let binding {binding!r}")
+        env.bindings[name] = _series_arg(text, env, name)
+    return eval_expression(parse_expression(args.expr), env)  # or an OrbitClass
+
+
+def _expr_series(a, env) -> Series:
+    """The series of the one expression that six subcommands read."""
+    return _series_arg(a.expr, env, "expression")
+
+
+_EXPR = ("expr", {})
+
+# name -> (help, arguments, compute(args, ctx, env) of the unformatted result); an argument
+# is a (name or flag, argparse options) pair, and _add_common adds the shared ones.  Computes
+# look up library names as ktq.cli globals when called, so names patched there are the ones run.
+_COMMANDS = {
+    "eval": ("evaluate a series expression",
+             (_EXPR, ("--let", dict(action="append", default=[], metavar="NAME=EXPR",
+                                    help="bind a variable for use in later expressions"))),
+             _eval),
+    "solve": ("solve P(x) = b for an additive polynomial P",
+              (("--poly", dict(required=True, help='additive polynomial, like "x^2+x"')),
+               ("--rhs", dict(required=True, help="right-hand side series expression"))),
+              lambda a, ctx, env: solve_additive(parse_additive_poly(ctx, a.poly),
+                                                 _series_arg(a.rhs, env, "--rhs"), a.cap)),
+    "subst": ("substitute t -> x in y",
+              (("--x", dict(required=True, dest="xexpr",
+                            help="monic positive-valuation series to substitute for t")),
+               ("--y", dict(required=True, dest="yexpr", help="series to map"))),
+              lambda a, ctx, env: substitute(_series_arg(a.xexpr, env, "--x"),
+                                             _series_arg(a.yexpr, env, "--y"), a.cap)),
+    "classify": ("orbit class of a series", (_EXPR,),
+                 lambda a, ctx, env: classify_orbit(_expr_series(a, env))),
+    "orbit-witness": ("transform chain carrying t to the given series", (_EXPR,),
+                      lambda a, ctx, env: orbit_transform(_expr_series(a, env), work_cap=a.cap)),
+    "trace": ("constant coefficient of a series", (_EXPR,),
+              lambda a, ctx, env: trace(_expr_series(a, env))),
+    "norm": ("leading coefficient of a series", (_EXPR,),
+             lambda a, ctx, env: norm_leading(_expr_series(a, env))),
+    "hypA": ("check Hypothesis A for the field",
+             (("--poly", dict(help="additive polynomial to test (default x^q - x)")),),
+             lambda a, ctx, env: hypothesis_a_check(
+                 ctx, parse_additive_poly(ctx, a.poly) if a.poly else None)),
+    "artin-schreier": ("trace-zero solution of y^(p^n) + y = x - trace(x)",
+                       (_EXPR, ("--n", dict(type=int, default=1,
+                                            help="Frobenius power (default 1)"))),
+                       lambda a, ctx, env: artin_schreier(_expr_series(a, env), a.n, a.cap)),
+    "sign-via-trace": ("sign of the valuation, decided through the trace map", (_EXPR,),
+                       lambda a, ctx, env: valuation_sign_via_trace(_expr_series(a, env))),
+    "demo": ("scripted demonstrations",
+             (("name", dict(choices=("char-p-divergence",))),
+              ("--p", dict(type=int, default=2, help="characteristic (default 2)")),
+              ("--K", dict(type=int, default=5, help="largest family index (default 5)"))),
+             lambda a, ctx, env: _demo_divergence(a.p, a.K)),
+}
 
 
 class _Divergence(Record):  # the divergence demo: rows (K, t^0 coefficient, risk) over F_p

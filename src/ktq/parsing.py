@@ -14,8 +14,9 @@ reserved for additive-polynomial literals such as "x^2+x".
 Functions (_CALLS, one (arity, evaluator) entry per name; a call's name is
 checked, then its argument count, then its arguments evaluate left to
 right): inv(y), trace(y), norm(y), root(y, n) and h(y, n) with n an integer
-literal, solve(P, b) with P an additive polynomial, subst(x, y), and
-classify(y), which no operand may be.
+literal, solve(P, b) with P an additive polynomial, subst(x, y),
+classify(y), which no operand may be, and O(t^c), the zero series known
+below c, so that a printed series reads back.
 
 Additive polynomials and moduli are read by one collector, _x_terms, which
 turns a +/- sum of products c*x^d into {d: c}.  Their constant coefficients,
@@ -339,6 +340,7 @@ _CALLS = {
                                                _series(a[1], env), env.cap)),
     "subst": (2, lambda a, env: substitute(_series(a[0], env), _series(a[1], env), env.cap).series),
     "classify": (1, lambda a, env: classify_orbit(_series(a[0], env))),
+    "O": (1, lambda a, env: _big_o(_series(a[0], env))),
 }
 
 
@@ -386,6 +388,13 @@ def _series(node, env):
     if isinstance(value, OrbitClass):
         raise ParseError("classify(...) cannot be used inside arithmetic")
     return value
+
+
+def _big_o(y) -> Series:
+    """O(t^c), the printer's cap: no terms, known below c, read from an exact t^c."""
+    if y.is_exact and len(y.ks) == 1 and y.cs[0] == 1:
+        return Series(y.ctx, (), Fraction(y.ks[0], y.den))
+    raise ParseError("O(...) takes a power of t, such as O(t^3)")
 
 
 def _int_arg(node, what) -> int:

@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, exit codes, JSON/text agreement."""
 
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ktq import Series, make_field, series_from_json
-from ktq.cli import run
+from ktq.cli import _build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -17,6 +18,69 @@ F = Fraction
 
 def golden(name):
     return (GOLDEN / name).read_text()
+
+
+# ---------------------------------------------------------- the arguments
+
+# Each subcommand's help and argparse actions, pinned as they stood when the
+# parser blocks became the one table `_COMMANDS`.  An action is (option strings,
+# dest, default, help, choices, required, nargs, metavar, type name); the help
+# strings are the ones handed to argparse, since rendered --help text varies
+# between Python versions.
+HELP_ACTION = (("-h", "--help"), "help", argparse.SUPPRESS, "show this help message and exit",
+               None, False, 0, None, None)
+COMMON = [
+    (("--field",), "field", "Q", "coefficient field: Q, F2, F9, F9:x^2+1, ... (default Q)",
+     None, False, None, None, None),
+    (("--modulus",), "modulus", None, "modulus polynomial for an extension field, like x^2+1",
+     None, False, None, None, None),
+    (("--cap",), "cap", F(8), "working precision cap, a rational (default 8)",
+     None, False, None, None, "_rational"),
+    (("--format",), "fmt", "text", "output format (default text)",
+     ("text", "json"), False, None, None, None),
+]
+EXPR = ((), "expr", None, None, None, True, None, None, None)
+SUBCOMMANDS = {
+    "eval": ("evaluate a series expression", [
+        EXPR,
+        (("--let",), "let", [], "bind a variable for use in later expressions",
+         None, False, None, "NAME=EXPR", None)]),
+    "solve": ("solve P(x) = b for an additive polynomial P", [
+        (("--poly",), "poly", None, 'additive polynomial, like "x^2+x"', None, True, None, None, None),
+        (("--rhs",), "rhs", None, "right-hand side series expression", None, True, None, None, None)]),
+    "subst": ("substitute t -> x in y", [
+        (("--x",), "xexpr", None, "monic positive-valuation series to substitute for t",
+         None, True, None, None, None),
+        (("--y",), "yexpr", None, "series to map", None, True, None, None, None)]),
+    "classify": ("orbit class of a series", [EXPR]),
+    "orbit-witness": ("transform chain carrying t to the given series", [EXPR]),
+    "trace": ("constant coefficient of a series", [EXPR]),
+    "norm": ("leading coefficient of a series", [EXPR]),
+    "hypA": ("check Hypothesis A for the field", [
+        (("--poly",), "poly", None, "additive polynomial to test (default x^q - x)",
+         None, False, None, None, None)]),
+    "artin-schreier": ("trace-zero solution of y^(p^n) + y = x - trace(x)", [
+        EXPR,
+        (("--n",), "n", 1, "Frobenius power (default 1)", None, False, None, None, "int")]),
+    "sign-via-trace": ("sign of the valuation, decided through the trace map", [EXPR]),
+    "demo": ("scripted demonstrations", [
+        ((), "name", None, None, ("char-p-divergence",), True, None, None, None),
+        (("--p",), "p", 2, "characteristic (default 2)", None, False, None, None, "int"),
+        (("--K",), "K", 5, "largest family index (default 5)", None, False, None, None, "int")]),
+}
+
+
+def test_every_subcommand_keeps_its_arguments():
+    parser = _build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    got = {name: (helps[name], [(tuple(a.option_strings), a.dest, a.default, a.help, a.choices,
+                                 a.required, a.nargs, a.metavar,
+                                 getattr(a.type, "__name__", a.type)) for a in p._actions])
+           for name, p in sub.choices.items()}
+    assert list(got) == list(SUBCOMMANDS)  # the order ktq --help lists them in
+    for name, (text, own) in SUBCOMMANDS.items():
+        assert got[name] == (text, [HELP_ACTION, *own, *COMMON]), name
 
 
 # ------------------------------------------------------------- golden files
@@ -130,6 +194,13 @@ def test_eval_negative_cap_flag(capsys):
     assert run(["eval", "h(t^(-1), 1)", "--field", "F2", "--cap", "-1/16"]) == 0
     out = capsys.readouterr().out
     assert out == "t^(-1/2) + t^(-1/4) + t^(-1/8) + O(t^(-1/16))\n"
+
+
+def test_eval_reads_back_its_printed_cap(capsys):
+    assert run(["eval", "--field", "Q", "t + O(t^3)"]) == 0
+    assert capsys.readouterr().out == "t + O(t^3)\n"
+    assert run(["eval", "--field", "Q", "O(2*t)"]) == 2
+    assert capsys.readouterr().err == "ktq: O(...) takes a power of t, such as O(t^3)\n"
 
 
 def test_eval_let_bindings(capsys):

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from ktq import (EvalEnv, FieldError, OrbitClass, ParseError, Series,
-                 eval_expression, format_expr, make_field, parse_additive_poly,
-                 parse_coefficient, parse_expression, parse_modulus, pow_rat)
+from ktq import (INF, EvalEnv, FieldError, OrbitClass, ParseError, Series,
+                 eval_expression, format_expr, format_series, make_field,
+                 parse_additive_poly, parse_coefficient, parse_expression,
+                 parse_modulus, pow_rat)
 from ktq.parsing import MAX_DEPTH, Bin, Call, Neg, Num, Pow, TSym, Var
+
+from conftest import rng_for
 
 F = Fraction
 
@@ -145,6 +148,57 @@ def test_format_parse_round_trip(text):
     node = parse_expression(text)
     printed = format_expr(node)
     assert parse_expression(printed) == node
+
+
+def _printable_series(rng, ctx):
+    """A random series of at most 40 terms, with negative and fractional
+    exponents, exact or capped (below, among or above its terms)."""
+    terms = {}
+    for _ in range(rng.randint(0, 40)):
+        den = rng.choice((1, 1, 2, 3, 4, 6))
+        e = Fraction(rng.randint(-5 * den, 10 * den), den)
+        if ctx.characteristic == 0:
+            terms[e] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 12))
+            continue
+        d = [rng.randrange(ctx.p) for _ in range(ctx.e)]  # c = d0 + d1*g + d2*g^2 + ...
+        c = sum((di * ctx.g ** i for i, di in enumerate(d[1:], 1)), ctx.from_int(d[0]))
+        if c:
+            terms[e] = c
+    if rng.random() < 0.3:
+        return Series(ctx, terms)
+    cap = Fraction(rng.randint(-6, 48), rng.choice((1, 2, 4)))
+    return Series(ctx, {e: c for e, c in terms.items() if e < cap}, cap)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F9", "F4096", "F3125", "F1000003"])
+def test_printed_series_read_back(spec):
+    """A printed series, O(t^c) cap included, evaluates to the same series."""
+    ctx = make_field(spec)
+    rng = rng_for(f"read-back:{spec}")
+    for _ in range(150):
+        x = _printable_series(rng, ctx)
+        text = format_series(x)
+        y = eval_expression(parse_expression(text), EvalEnv(ctx, INF))
+        assert (y.den, y.ks, y.cs, y.cap) == (x.den, x.ks, x.cs, x.cap), text
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("t + O(t^3)", "t + O(t^3)"),
+    ("O(1)", "O(1)"),
+    ("1 + O(t^(-1/2))", "O(t^(-1/2))"),
+    ("inv(t) + O(t^(1/3))", "t^(-1) + O(t^(1/3))"),
+])
+def test_big_o_is_the_zero_series_below_its_power(text, printed):
+    ctx = make_field("F3")
+    assert str(eval_expression(parse_expression(text), EvalEnv(ctx, F(8)))) == printed
+
+
+@pytest.mark.parametrize("text", ["O(2*t)", "O(0)", "O(t + t^2)", "O(g*t)", "O(t + O(t^2))",
+                                  "O(t, t)"])
+def test_big_o_takes_only_an_exact_power_of_t(text):
+    ctx = make_field("F9")
+    with pytest.raises(ParseError):
+        eval_expression(parse_expression(text), EvalEnv(ctx, F(8)))
 
 
 # ---------------------------------------------------------------- evaluation
