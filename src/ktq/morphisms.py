@@ -35,7 +35,7 @@ from operator import add, mul
 
 from .errors import ExpHomError, FieldError, OrbitError, Record, SeriesError
 from .fields import FieldCtx, format_coeff
-from .powers import _expansions, pow_rat
+from .powers import _cut, _expansions, pow_rat
 from .series import (INF, MALFORMED_JSON, Series, _as_cap, _as_exp, _dense, _int_bound,
                      _padic_val, cap_mul, series_from_json, substitute_cap)
 
@@ -166,10 +166,11 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     Needs x monic with positive valuation m; then exponents map to m-fold
     multiples.  Over F_p the x^i share `_expansions`, which leaves a
     periodic inverse as its first period, and on a dense window `_window`
-    adds the c_i x^i, a period cycled at its stride; otherwise one
-    `Series._sum` adds them, each period repeated into a Series once (each
-    x^i is one `pow_rat` over Q and F_{p^e}; an empty y gives exact 0).  The
-    achieved cap is the substitute rule of `series`, joined with each x^i's.
+    adds the c_i x^i, a period cycled at its stride; otherwise `_cut` makes
+    each x^i, a period repeated only below its own bound, and one
+    `Series._sum` adds them (each x^i is one `pow_rat` over Q and F_{p^e};
+    an empty y gives exact 0).  The achieved cap is the substitute rule of
+    `series`, joined with each x^i's.
     """
     if x.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
@@ -183,14 +184,12 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
 
     p, cap, result, plan = ctx.characteristic, substitute_cap(x, y, requested_cap), None, None
     if p and ctx.e == 1 and y.ks:
-        plan = _expansions(x, [i for i, _ in y.terms], requested_cap, True)
+        plan = _expansions(x, [i for i, _ in y.terms], requested_cap)
         caps = [e[0] for e in plan]
         result = _window(x, y, plan, min(cap, *caps))
-    if result is None:  # over F_p each x^i is cut from its group's expansion (F^b fixes F_p)
-        full = {id(z): Series._residues(ctx, *z) for *_, z in plan or () if type(z) is tuple}
-        pieces = ([(u := full.get(id(z), z).truncate(bd))._remap(*s, *mi, u.cs, c)
-                   for c, bd, _, s, mi, z in plan]
-                  if plan else [pow_rat(x, i, requested_cap) for i, _ in y.terms])
+    if result is None:  # over F_p each x^i is cut from its group's expansion
+        pieces = ([_cut(ctx, *e) for e in plan] if plan
+                  else [pow_rat(x, i, requested_cap) for i, _ in y.terms])
         caps = [xi.cap for xi in pieces]
         result = Series._sum(ctx, [xi.scale(c) for xi, (_, c) in zip(pieces, y.terms)]
                              or [Series.zero(ctx)]).truncate(cap)

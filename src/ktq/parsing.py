@@ -120,22 +120,36 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, value):
+    def accept(self, value) -> bool:
+        """Consume the next token if its text is value."""
+        if self.tokens[self.i][1] == value:
+            self.i += 1
+            return True
+        return False
+
+    def integer(self, what) -> int:
+        """Consume an integer literal, or fail expecting what."""
         kind, val, col = self.next()
-        if val != value:
-            raise ParseError(f"syntax error at column {col}: expected {value!r}", col)
+        if kind != "1":
+            self.error(col, f"expected {what}")
+        return int(val)
+
+    def error(self, col, what):
+        raise ParseError(f"syntax error at column {col}: {what}", col)
+
+    def expect(self, value):
+        if not self.accept(value):
+            self.error(self.peek()[2], f"expected {value!r}")
 
     def fail(self, what):
         _, val, col = self.peek()
-        shown = val if val else "end of input"
-        raise ParseError(f"syntax error at column {col}: "
-                         f"expected {what}, found {shown!r}", col)
+        self.error(col, f"expected {what}, found {val or 'end of input'!r}")
 
     def parse(self):
         node = self.expr()
         kind, val, col = self.peek()
         if kind != "end":
-            raise ParseError(f"syntax error at column {col}: unexpected {val!r}", col)
+            self.error(col, f"unexpected {val!r}")
         if _height(node) > MAX_DEPTH:
             raise ParseError(f"expression nests more than {MAX_DEPTH} operators deep")
         return node
@@ -143,10 +157,8 @@ class _Parser:
     def nested(self):
         """An expr inside parentheses or a call's argument list."""
         self.depth += 1
-        if self.depth > MAX_DEPTH:
-            col = self.tokens[self.i - 1][2]  # the opening parenthesis
-            raise ParseError(f"syntax error at column {col}: more than "
-                             f"{MAX_DEPTH} nested parentheses", col)
+        if self.depth > MAX_DEPTH:  # at the opening parenthesis or comma
+            self.error(self.tokens[self.i - 1][2], f"more than {MAX_DEPTH} nested parentheses")
         node = self.expr()
         self.depth -= 1
         return node
@@ -175,70 +187,45 @@ class _Parser:
 
     def power(self):
         node = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
+        if self.accept("^"):
             node = Pow(node, self.exponent())
             if self.peek()[1] == "^":
-                _, _, col = self.peek()
-                raise ParseError(
-                    f"syntax error at column {col}: chained ^ needs parentheses", col)
+                self.error(self.peek()[2], "chained ^ needs parentheses")
         return node
 
     def exponent(self) -> Fraction:
-        kind, val, col = self.peek()
-        if kind == "1":  # integer literal
-            self.next()
-            return Fraction(int(val))
-        if val == "(":
-            self.next()
-            sign = 1
-            if self.peek()[1] == "-":
-                self.next()
-                sign = -1
-            kind, val, col = self.next()
-            if kind != "1":
-                raise ParseError(f"syntax error at column {col}: expected a number", col)
-            num = int(val)
-            den = 1
-            if self.peek()[1] == "/":
-                self.next()
-                kind, val, col = self.next()
-                if kind != "1":
-                    raise ParseError(
-                        f"syntax error at column {col}: expected a denominator", col)
-                den = int(val)
-            self.expect(")")
-            if den == 0:
-                raise ParseError(f"syntax error at column {col}: zero denominator", col)
-            return Fraction(sign * num, den)
-        self.fail("an exponent")
+        if self.peek()[0] == "1":  # integer literal
+            return Fraction(self.integer("a number"))
+        if not self.accept("("):
+            self.fail("an exponent")
+        sign = -1 if self.accept("-") else 1
+        num = self.integer("a number")
+        den = self.integer("a denominator") if self.accept("/") else 1
+        self.expect(")")
+        if den == 0:  # at the denominator, before the ")"
+            self.error(self.tokens[self.i - 2][2], "zero denominator")
+        return Fraction(sign * num, den)
 
     def atom(self):
-        kind, val, col = self.peek()
+        kind, val, _ = self.peek()
         if kind == "1":
-            self.next()
-            return Num(int(val))
-        if kind == "2":  # identifier
-            self.next()
-            if val == "t":
-                return TSym()
-            if val == "g":
-                return GSym()
-            if self.peek()[1] == "(":
-                self.next()
-                args = [self.nested()]
-                while self.peek()[1] == ",":
-                    self.next()
-                    args.append(self.nested())
-                self.expect(")")
-                return Call(val, tuple(args))
-            return Var(val)
-        if val == "(":
-            self.next()
+            return Num(self.integer("a value"))
+        if self.accept("("):
             node = self.nested()
             self.expect(")")
             return node
-        self.fail("a value")
+        if kind != "2":
+            self.fail("a value")
+        self.next()  # an identifier
+        if val in ("t", "g"):
+            return TSym() if val == "t" else GSym()
+        if not self.accept("("):
+            return Var(val)
+        args = [self.nested()]
+        while self.accept(","):
+            args.append(self.nested())
+        self.expect(")")
+        return Call(val, tuple(args))
 
 
 def _children(node):

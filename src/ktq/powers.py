@@ -17,8 +17,9 @@ with base-p digits d_j and (1 + eps)^(p^j) = 1 + F^j(eps), so (1 + eps)^q
 is the product of (1 + F^j(eps))^(d_j), stopping once p^j v(eps) reaches
 the target.  A negative integer q takes the digits of |q| and one inverse.
 The digit loop runs on ints, and the first factor starts the product.
-As x^(p^b q) = F^b(x^q), exponents with the same q share one expansion, below
-the largest of their bounds (`_expansions`, for all of y's in `substitute`).
+As x^(p^b q) = F^b(x^q), exponents with the same q share one expansion below
+the largest of their bounds (`_expansions`), and `_cut` alone turns it into
+each x^i, for `pow_rat`, `frobenius_map` and `substitute`.
 """
 
 from __future__ import annotations
@@ -48,15 +49,15 @@ def rat_binomial(ctx, i, n: int):
 
 def frobenius_map(x: Series, b: int) -> Series:
     """The termwise map z |-> z^(p^b) on series: exponents and the cap scale
-    by p^b, and coefficients move by the Frobenius (its inverse for b < 0)."""
+    by p^b, and coefficients move by the Frobenius (its inverse for b < 0);
+    the `_cut` of x with no bound and no shift."""
     if b == 0:
         return x
     p = x.ctx.characteristic
     if p == 0:
         raise FieldError("termwise Frobenius needs characteristic p > 0")
     r = Fraction(p) ** b
-    return x._remap(r.numerator, r.denominator, 0, 1, x.ctx.frobenius_codes(x.cs, b),
-                    cap_mul(x.cap, r))
+    return _cut(x.ctx, cap_mul(x.cap, r), INF, b, (r.numerator, r.denominator), (0, 1), x)
 
 
 def _miller(eps: Series, num: int, den: int, bound) -> Series:
@@ -107,7 +108,7 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     `series` table, so exact inputs give exact integer powers such as
     (1+t)^3, and an expansion that never ends needs a finite requested_cap.
     The expansion is Miller's recurrence over Q and the digit product in
-    characteristic p, via one inverse for a negative integer q.
+    characteristic p, via one inverse for a negative integer q, cut by `_cut`.
     """
     ctx, i, requested_cap = x.ctx, _as_exp(i), _as_cap(requested_cap)
     if i == 0:
@@ -121,19 +122,20 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     if not x.is_monic():
         if i.denominator != 1:
             raise SeriesError("rational powers need a monic base")
-        c = x.leading_coeff()
-        return pow_rat(x.scale(1 / c), i, requested_cap).scale(c ** i.numerator)
-    (cap, _, b, s, mi, y), = _expansions(x, [i], requested_cap)
-    return y._remap(*s, *mi, ctx.frobenius_codes(y.cs, b) if b else y.cs, cap)
+        c = x.leading_coeff()  # a monomial's monic part is t^m, with no 1/c
+        u = Series._build(ctx, x.den, x.ks, [1], x.cap) if len(x.ks) == 1 else x.scale(1 / c)
+        return pow_rat(u, i, requested_cap).scale(c ** i.numerator)
+    return _cut(ctx, *_expansions(x, [i], requested_cap)[0])
 
 
-def _expansions(x: Series, exps, requested_cap, periodic=False):
+def _expansions(x: Series, exps, requested_cap):
     """(cap, bound, b, s, mi, y) for x^i, x = t^m (1 + eps) monic, and each
     i = p^b q in exps: cap the power rule, s = p^b and mi = m i int pairs, y =
     (1 + eps)^q below bound = (cap - m i)/p^b or past it, expanded once per q
     below its largest bound (eps at or above a bound only reaches above it).
-    With periodic, an inverse on `Series.invert`'s dense F_p window is left
-    as its first period: y is then the arguments of `Series._residues`."""
+    In characteristic p a negative integer q keeps what `Series._inverse`
+    returns, so y may be a first period, the arguments of `Series._residues`;
+    `_cut` turns an entry into x^i."""
     ctx, p, plan, tops, ys = x.ctx, x.ctx.characteristic, [], {}, {}
     for i in exps:
         split = b, s, q = _p_split(i, p) if i else (0, (1, 1), (0, 1))
@@ -152,11 +154,22 @@ def _expansions(x: Series, exps, requested_cap, periodic=False):
         elif not p:
             ys[num, den] = _miller(eps, num, den, bound)
         elif num < 0 and den == 1:
-            u = _digits(eps, -num, 1, bound)
-            ys[num, den] = u._inverse(bound) if periodic else u.invert(bound)
+            ys[num, den] = _digits(eps, -num, 1, bound)._inverse(bound)
         else:
             ys[num, den] = _digits(eps, num, den, bound)
     return [(cap, bound, b, s, mi, ys[q]) for cap, bound, b, s, mi, q in plan]
+
+
+def _cut(ctx, cap, bound, b, s, mi, y):
+    """x^i of an `_expansions` entry: y below bound, F^b on its codes, its
+    exponents times s plus mi, at cap."""
+    if type(y) is tuple:  # a period, repeated over its slots below bound only
+        den, lo, g, per, ycap, size = y
+        if bound < ycap:
+            size, ycap = max(0, -(-_int_bound(bound, den) // g)), bound  # lo = 0 for 1 + eps
+        y = Series._residues(ctx, den, lo, g, per[:size] if len(per) > size else per, ycap, size)
+    u = y.truncate(bound)
+    return u._remap(*s, *mi, ctx.frobenius_codes(u.cs, b) if b else u.cs, cap)
 
 
 def nth_root(x: Series, n: int, requested_cap=INF) -> Series:

@@ -48,8 +48,8 @@ rule; `Series._residues` reads back the windows of codes: dense products,
 the dense inverse below (its first period repeated) and `substitute`'s
 x^i, added at their strides, a periodic one from its period alone (see
 `morphisms._window`).  `Series._remap` is the one exponent map, k/den
-to (f k + off)/den' in one `_build`, for `shift`, `scale_exponents`,
-`frobenius_map` and `pow_rat`'s final Frobenius-and-shift; `truncate` is a
+to (f k + off)/den' in one `_build`, for `shift`, `scale_exponents` and
+`powers._cut` (x^i in `pow_rat`, `frobenius_map`, `substitute`); `truncate` is a
 bisect; `scale` and sparse products sum the field's kernel encoding of the
 codes as plain ints and decode them in one call (see `fields`), with the
 cap as the least int bound at or above cap*den.  A product cuts its operands

@@ -9,6 +9,8 @@ shares powers between terms must keep every term and cap, and a product
 counter keeps the divergence family's work bounded.  Over F_p, spies check
 that the residue window runs exactly where its documented rule says, and a
 seeded differential compares it with the per-term sum on 500 cases a field.
+Over Q and F_{p^e} too, `_cut` of every entry of a shared plan must be the
+exponent's own `pow_rat`.
 """
 
 import math
@@ -25,7 +27,7 @@ import pytest
 import ktq
 import ktq.morphisms as morphisms
 from ktq import INF, FiniteField, Series, make_field, pow_rat, substitute
-from ktq.powers import _expansions
+from ktq.powers import _cut, _expansions
 from ktq.series import substitute_cap
 
 F = Fraction
@@ -432,9 +434,9 @@ def test_residue_window_matches_the_per_term_sum(spec):
         m = x.terms[0][0]
         seen["empty x^i"] += any(c <= m * i for i, c in want[2])
         plan = _expansions(x, [i for i, _ in y.terms], cap)
-        for (i, _), (cap_i, bound, _, s, mi, z) in zip(y.terms, plan):
-            z = z.truncate(bound)  # this exponent's share of the shared expansion
-            xi, mine = pow_rat(x, i, cap), z._remap(*s, *mi, z.cs, cap_i)
+        for (i, _), entry in zip(y.terms, plan):
+            # this exponent's share of the shared expansion
+            xi, mine = pow_rat(x, i, cap), _cut(ctx, *entry)
             assert (mine.den, mine.ks, mine.cs, mine.cap) == (xi.den, xi.ks, xi.cs, xi.cap)
     assert min(seen.values()) >= 20, seen
 
@@ -518,6 +520,59 @@ def test_periodic_window_matches_the_per_term_sum(spec):
         if dense:
             assert (dense[0] is not None) == _window_rule(x, y, cap), (x, y, cap)
     assert min(seen.values()) >= 5, seen
+
+
+# ------------------------------------------------------- one cut for every x^i
+
+
+@pytest.mark.parametrize("spec", ("Q", "F4", "F8", "F9", "F25"))
+def test_shared_plan_cuts_make_each_exponents_own_power(spec):
+    """x^(p^b q) = F^b(x^q) on a shared plan: on 270 seeded plans a field,
+    p-free parts q at several b of both signs share one `_expansions` call,
+    and `_cut` of each entry makes that exponent's own `pow_rat` on (den, ks,
+    cs, cap), over F_{p^e} with the codes under F^b.  Bounds at or below 0
+    and periods longer than a member's bound both occur; a spy on
+    `Series._residues` sees each period repeated over exactly the slots
+    below its member's bound, and never past it."""
+    ctx = make_field(spec)
+    p = ctx.characteristic
+    rng = random.Random(f"one-cut:{spec}")
+    seen = {"period": 0, "period past the bound": 0, "period, bound <= 0": 0, "F^b": 0,
+            "bound <= 0": 0}
+    residues, built = Series._residues.__func__, []
+
+    def spy(cls, *args):
+        built.append(args[1:])  # (den, lo, g, w, cap, size)
+        return residues(cls, *args)
+    qs = [q for q in (F(1), F(2), F(-1), F(-2), F(-3), F(1, 2), F(-2, 3), F(3, 4))
+          if not p or q.denominator % p and q.numerator % p]
+    for _ in range(270):
+        x = rng.choice(_periodic_bases(ctx)) if p and rng.random() < 0.4 else \
+            _base(rng, ctx, exact=rng.random() < 0.5)
+        exps = list({q * F(p) ** b if p else q * rng.randint(1, 3)
+                     for q in rng.sample(qs, rng.randint(1, 2)) for b in rng.sample(range(-2, 3), 3)})
+        cap = F(rng.randint(-4, 12), rng.choice([1, 2, p or 3]))
+        for i, entry in zip(exps, _expansions(x, exps, cap)):
+            _, bound, b, *_, z = entry
+            built.clear()
+            with patch.object(Series, "_residues", classmethod(spy)):
+                mine = _cut(ctx, *entry)
+            xi = pow_rat(x, i, cap)
+            assert (mine.den, mine.ks, mine.cs, mine.cap) == (xi.den, xi.ks, xi.cs, xi.cap), \
+                (x, i, cap)
+            seen["F^b"] += bool(b and mine.ks)
+            seen["bound <= 0"] += bound <= 0
+            if type(z) is tuple:
+                den, lo, g, per, zcap, size = z
+                below = sum(F(lo + j * g, den) < bound for j in range(size))
+                (_, _, _, w, wcap, n), = built
+                assert max(n, len(w)) == below and wcap == min(bound, zcap), (x, i, cap)
+                seen["period"] += 1
+                seen["period past the bound"] += len(per) > below
+                seen["period, bound <= 0"] += bound <= 0
+            else:
+                assert not built
+    assert min(seen.values() if p else [seen["bound <= 0"]]) >= 20, seen
 
 
 @pytest.mark.parametrize("p, k", [(2, 11), (3, 8), (5, 6), (7, 4)])
