@@ -168,8 +168,9 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     periodic inverse as its first period, and on a dense window `_window`
     adds the c_i x^i, a period cycled at its stride; otherwise `_cut` makes
     each x^i, a period repeated only below its own bound, and one
-    `Series._sum` adds them (each x^i is one `pow_rat` over Q and F_{p^e};
-    an empty y gives exact 0).  The achieved cap is the substitute rule of
+    `Series._sum(ctx, pieces, y.cs)` takes the linear combination, no x^i
+    scaled on its own (each x^i is one `pow_rat` over Q and F_{p^e}; an
+    empty y gives exact 0).  The achieved cap is the substitute rule of
     `series`, joined with each x^i's.
     """
     if x.ctx != y.ctx:
@@ -191,8 +192,7 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
         pieces = ([_cut(ctx, *e) for e in plan] if plan
                   else [pow_rat(x, i, requested_cap) for i, _ in y.terms])
         caps = [xi.cap for xi in pieces]
-        result = Series._sum(ctx, [xi.scale(c) for xi, (_, c) in zip(pieces, y.terms)]
-                             or [Series.zero(ctx)]).truncate(cap)
+        result = (Series._sum(ctx, pieces, y.cs) if pieces else Series.zero(ctx)).truncate(cap)
     negs = [b for b in (_padic_val(e, p) for e, _ in y.terms if e) if b < 0] if p else []
     risk = len(negs) >= 2 and any(b2 < b1 for b1, b2 in zip(negs, negs[1:]))
     diag = SubstDiagnostics(tuple(zip([i for i, _ in y.terms], caps)), risk)

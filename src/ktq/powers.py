@@ -5,7 +5,9 @@ eps and the result are each built in one step from packed terms.
 Over Q the expansion is J.C.P. Miller's power recurrence (Knuth, TAOCP
 vol. 2, 4.7): for eps = sum a_j t^(e_j) and (1 + eps)^q = sum b_k t^k in
 lattice units, b_0 = 1 and k b_k = sum_j ((q + 1) e_j - k) a_j b_(k - e_j),
-run on the reachable-support walk of `Series.invert`.
+run on the reachable-support walk of `Series.invert`.  The sum runs on ints
+(the a_j's numerators, each b's numerator and denominator), over the lcm of
+the b's denominators, and each b_k is built as one Fraction.
 
 In characteristic p the exponent splits as i = p^b * q with b the exact
 p-adic valuation of i and q having p-free denominator.  The p^b-th power is
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 from .errors import FieldError, PrecisionError, SeriesError
 from .series import (INF, Series, _as_cap, _as_exp, _cap, _int_bound, _p_split, _pair, _plus,
@@ -61,16 +65,23 @@ def frobenius_map(x: Series, b: int) -> Series:
 
 
 def _miller(eps: Series, num: int, den: int, bound) -> Series:
-    """(1 + eps)^q, q = num/den, below bound over Q by Miller's recurrence."""
+    """(1 + eps)^q, q = num/den, below bound > 0 over Q by Miller's recurrence:
+    b_k's sum is n/d on ints, d the lcm of the denominators of the b it reads."""
     vals, cden = eps.ctx.encode(eps.cs, 1)  # a_j = vals[j] / cden
     rs = num + den  # q + 1 = rs / den
     steps = list(zip(eps.ks, vals))
-    b = {}
-    for k in _reachable(eps.ks, _int_bound(bound, eps.den), b):
-        c = Fraction(sum((rs * e - den * k) * a * b[k - e] for e, a in steps if k - e in b),
-                     den * cden * k) if k else Fraction(1)
-        if c:
-            b[k] = c  # the codes over Q are the coefficients
+    b = {0: Fraction(1)}
+    for k in islice(_reachable(eps.ks, _int_bound(bound, eps.den), b), 1, None):  # after 0
+        n, d = 0, 1
+        for e, a in steps:
+            if (c := b.get(k - e)) is not None:
+                w, cd = (rs * e - den * k) * a * c.numerator, c.denominator
+                if d % cd:  # d becomes lcm(d, cd)
+                    g = gcd(d, cd)
+                    n, d = n * (cd // g), d // g * cd
+                n += w * (d // cd)
+        if n:
+            b[k] = Fraction(n, d * den * cden * k)  # the codes over Q are the coefficients
     return Series._build(eps.ctx, eps.den, list(b), list(b.values()), bound)
 
 

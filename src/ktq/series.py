@@ -41,10 +41,13 @@ equal elements have equal fields.  `Series._from_pairs` is the one entry
 from rational pairs (`Series(...)`, `series_from_json`), on int pairs and one
 int sort; `Series._build` is the one builder on the packed form, dropping
 zero codes and reducing the lattice (the exponents past the first 1024 are
-read only while the gcd is not 1).  `Series._sum` is the one merge, with
-`+` its two-piece case: one int-keyed dict over lcm(den), summing codes only
-where exponents meet.  `_dense` (at most 4 slots per term) is the one window
-rule; `Series._residues` reads back the windows of codes: dense products,
+read only while the gcd is not 1).  `Series._sum` is the one merge and
+linear combination sum c_i x_i, with `+` its two-piece case and `substitute`
+its caller with coefficients: one int-keyed dict over lcm(den), where a key
+met by one piece at coefficient 1 keeps its code and only the others are
+summed, two codes at a time without coefficients, else as sums of products
+in one encode and one decode.  `_dense` (at most 4 slots per term) is the
+one window rule; `Series._residues` reads back the windows of codes: dense products,
 the dense inverse below (its first period repeated) and `substitute`'s
 x^i, added at their strides, a periodic one from its period alone (see
 `morphisms._window`).  `Series._remap` is the one exponent map, k/den
@@ -80,8 +83,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, lcm
+from operator import mul
 
 from .errors import PrecisionError, Record, SeriesError
 from .fields import FieldCtx, make_field
@@ -103,6 +107,8 @@ def _as_exp(e, what="exponent") -> Fraction:
 
 def _as_cap(c):
     """The one reader of a cap from outside: INF, an int or a Fraction."""
+    if type(c) is Fraction:  # the common case, without Fraction's float compare
+        return c
     return INF if c == INF else _as_exp(c, "a cap other than INF")
 
 
@@ -420,23 +426,40 @@ class Series:
             raise SeriesError("coefficient-field mismatch")
 
     @staticmethod
-    def _sum(ctx, pieces):
-        """Internal, the one merge: the sum of one or more series over ctx by
-        the add rule, on the lcm of their lattices.  Each piece merges into
-        one int-keyed dict, summing codes where exponents meet."""
+    def _sum(ctx, pieces, coeffs=None):
+        """Internal, the one merge and linear combination: sum c_i x_i by the
+        add rule, each c_i a nonzero code (1 without coeffs), on one int-keyed
+        dict.  Without coeffs two codes meet at a time at n = 1 (as in `+`);
+        with them the other keys' summands and the c_i are encoded at once,
+        n the most summands of a key, and their sums of products decoded at once."""
         cap, den = pieces[0].cap, pieces[0].den
         for s in pieces[1:]:
             cap, den = min(cap, s.cap), lcm(den, s.den)
         bound = _int_bound(cap, den)
-        acc = dict(zip(pieces[0]._exps(den), pieces[0].cs))
-        for s in pieces[1:]:
+        acc, sums = {}, {}  # key -> code; key -> its summands (code, index of c_i; 1 last)
+        for i, s in enumerate(pieces):
             more = dict(zip(s._exps(den), s.cs))
-            both = list(acc.keys() & more.keys())  # the exponents whose codes are summed
-            if both:
+            if coeffs is not None:
+                for k in (more.keys() & acc.keys() if coeffs[i] == 1 else more):
+                    if k not in sums:
+                        sums[k] = [(acc[k], len(pieces))] if k in acc else []
+                    sums[k].append((more[k], i))
+            elif acc and (both := list(acc.keys() & more.keys())):
                 vals, cden = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 1)
                 more.update(zip(both, ctx.decode(
                     [x + y for x, y in zip(vals, vals[len(both):])], cden, 1)))
-            acc.update(more)
+            if acc:
+                acc.update(more)
+            else:  # the first piece's dict is not copied
+                acc = more
+        if sums and (ks := [k for k in sums if k < bound]):
+            groups = [sums[k] for k in ks]
+            codes = [v for t in groups for v, _ in t]
+            n, m = max(map(len, groups)), len(codes)
+            vals, cden = ctx.encode(codes + [*coeffs, 1], n)
+            it = map(mul, vals[:m], [vals[m + i] for t in groups for _, i in t])
+            out = [sum(islice(it, len(t))) for t in groups]
+            acc.update(zip(ks, ctx.decode(out, cden * cden, n)))
         ks = sorted(k for k in acc if k < bound)
         return Series._build(ctx, den, ks, [acc[k] for k in ks], cap)
 
@@ -517,7 +540,7 @@ class Series:
     def truncate(self, bound):
         """Forget everything at or above bound.  Caps only ever go down."""
         bound = _as_cap(bound)
-        if bound >= self.cap:
+        if bound is self.cap or not _lt(_pair(bound), _pair(self.cap)):  # nothing to cut
             return self
         i = bisect_left(self.ks, _int_bound(bound, self.den))
         return Series._build(self.ctx, self.den, self.ks[:i], self.cs[:i], bound)

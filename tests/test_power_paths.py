@@ -286,9 +286,9 @@ def _paths(x, y, cap):
         windows.append(r is not None)
         return r
 
-    def sum_spy(ctx, pieces):
+    def sum_spy(ctx, pieces, coeffs=None):
         sums.append(len(pieces))
-        return real_sum(ctx, pieces)
+        return real_sum(ctx, pieces, coeffs)
     with patch.object(morphisms, "_window", window_spy), \
             patch.object(morphisms, "pow_rat", pow_spy), \
             patch.object(Series, "_sum", staticmethod(sum_spy)):
@@ -414,9 +414,10 @@ def test_residue_window_matches_the_per_term_sum(spec):
         seen["sparse" if r is None else "dense"] += 1
         return r
 
-    def sum_spy(ctx, pieces):
-        summed.append([(s.den, s.ks, s.cs, s.cap) for s in pieces])
-        return real_sum(ctx, pieces)
+    def sum_spy(ctx, pieces, coeffs):
+        summed.append([(s.den, s.ks, s.cs, s.cap)
+                       for s in map(Series.scale, pieces, map(ctx.element, coeffs))])
+        return real_sum(ctx, pieces, coeffs)
     for _ in range(500):
         x, y, cap = _window_case(rng, ctx)
         want = _outcome(lambda: _reference_substitute(x, y, cap))

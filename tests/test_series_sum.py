@@ -1,17 +1,20 @@
-"""`Series._sum`, the one merge behind `+` and `substitute`, against a left
-fold of the two-series merge it replaced.
+"""`Series._sum`, the one merge and linear combination behind `+` and
+`substitute`, against a left fold of the two-series merge it replaced.
 
 `reference_add` is that merge as it stood before `_sum`: int-keyed dicts
 over lcm(den), codes summed through the field's kernel encoding where
 exponents meet, and one build.  Every case sums the same pieces both ways
 and compares the packed forms, caps included.  Dense and sparse windows take
-the same merge over every field, so the cases check values, not paths.
+the same merge over every field, so the cases check values, not paths.  A
+linear combination is checked against the fold of the scaled pieces and
+against a term-by-term sum in element arithmetic.
 """
 
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -85,6 +88,80 @@ def test_sum_is_the_fold_of_the_two_piece_merge(spec):
         check(ctx, pieces)
         if len(pieces) == 2:
             assert packed(pieces[0] + pieces[1]) == packed(reference_add(*pieces))
+
+
+def termwise_combination(ctx, pieces, coeffs):
+    """sum c_i x_i over the (exponent, coefficient) terms, in element arithmetic."""
+    cap, acc = min(s.cap for s in pieces), {}
+    for s, c in zip(pieces, coeffs):
+        for e, a in s.terms:
+            acc[e] = acc.get(e, ctx.zero) + a * ctx.element(c)
+    return Series(ctx, {e: v for e, v in acc.items() if v and e < cap}, cap)
+
+
+def _combination(rng, ctx, overlap):
+    """1 to 45 pieces on lattices 1 to 12 with INF or finite caps, and a code
+    per piece: 1, -1 (which is 1 in characteristic 2), another form of 1, or
+    a random one.  "none" puts every exponent in one piece only, "heavy"
+    draws them from six, and "cancel" adds each piece again at -c."""
+    one, minus = ctx.code(ctx.one), ctx.code(-ctx.one)
+    like_one = 1 if not ctx.characteristic else ctx.code(ctx.from_int(ctx.characteristic + 1))
+    pool = [F(rng.randint(-30, 60), rng.randint(1, 12)) for _ in range(6)]
+    used, pieces, coeffs = set(), [], []
+    for _ in range(rng.randint(1, 45 if overlap != "cancel" else 22)):
+        d = rng.randint(1, 12)
+        cap = INF if rng.random() < 0.6 else F(rng.randint(-10, 70), rng.randint(1, 12))
+        if overlap == "heavy":
+            exps = rng.sample(pool, rng.randint(1, 6))
+        else:
+            exps = {F(rng.randint(-3 * d, 6 * d), d) for _ in range(rng.randint(0, 8))} - used
+        if overlap == "none":
+            used |= exps
+        pieces.append(Series(ctx, {e: _coeff(rng, ctx) for e in exps if e < cap}, cap))
+        coeffs.append(rng.choice([one, minus, like_one, ctx.code(_coeff(rng, ctx))]))
+    if overlap == "cancel":
+        pieces += pieces
+        coeffs += [ctx.code(-ctx.element(c)) for c in coeffs]
+    return pieces, coeffs
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_linear_combination_is_the_sum_of_the_scaled_pieces(spec):
+    """`_sum(ctx, pieces, coeffs)` gives the packed form of the fold of the
+    scaled pieces and of the term-by-term sum, with no overlap, partial,
+    heavy and fully cancelling overlap.  The cases must reach at least 50
+    keys that keep their code (met by one piece at coefficient 1), 50 summed
+    keys and 50 pieces at a coefficient other than 1 (none over F2, whose
+    only unit is 1)."""
+    ctx = FIELDS[spec]
+    rng = random.Random(f"series-sum-combination:{spec}")
+    seen = Counter()
+    for case in range(48):
+        overlap = ("none", "partial", "heavy", "cancel")[case % 4]
+        pieces, coeffs = _combination(rng, ctx, overlap)
+        got = packed(Series._sum(ctx, pieces, coeffs))
+        scaled = [s.scale(ctx.element(c)) for s, c in zip(pieces, coeffs)]
+        assert got == packed(reference_sum(ctx, scaled)), (pieces, coeffs)
+        assert got == packed(termwise_combination(ctx, pieces, coeffs)), (pieces, coeffs)
+        if overlap == "cancel":
+            assert not got[1]
+        den = lcm(*(s.den for s in pieces))
+        bound = S._int_bound(min(s.cap for s in pieces), den)
+        met, plain = Counter(), Counter()
+        for s, c in zip(pieces, coeffs):
+            ks = [k for k in s._exps(den) if k < bound]
+            met.update(ks)
+            plain.update(ks if c == 1 else [])
+        kept = sum(1 for k, n in met.items() if n == 1 and plain[k] == 1)
+        seen.update(kept=kept, summed=len(met) - kept, scaled=sum(c != 1 for c in coeffs))
+    assert min(seen[k] for k in ("kept", "summed", "scaled")[:3 if spec != "F2" else 2]) >= 50, seen
+    # 45 products of the element with every digit p - 1 at one exponent: the
+    # largest sum a slot of the kernel encoding must hold
+    p, e = ctx.characteristic, getattr(ctx, "e", 1)
+    top = sum(((p - 1) * ctx.g ** j for j in range(e)), ctx.zero) if e > 1 else ctx.from_int(-1)
+    pieces, coeffs = [Series(ctx, {F(1, 2): top}, F(3))] * 45, [ctx.code(top)] * 45
+    assert (packed(Series._sum(ctx, pieces, coeffs))
+            == packed(termwise_combination(ctx, pieces, coeffs)))
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -4,6 +4,8 @@
 reduced in sympy's GF(p).  `pow_rat`, `invert` and `substitute` over Q are
 checked against `sympy.series` on exact inputs with integer exponents: the
 result must have sympy's terms and, as its cap, the exponent of sympy's O().
+Miller's recurrence (`pow_rat` over Q on a unit) is checked against
+`sympy.polys.ring_series.rs_pow` over QQ, on long dense and gapped units.
 """
 
 import random
@@ -95,6 +97,30 @@ def test_pow_rat_matches_sympy():
             assert res.is_exact
             res = res.truncate(want[1])
         assert got(res) == want, (expr, i, n)
+
+
+@pytest.mark.parametrize("i", [Fraction(1, 2), Fraction(-5, 7), Fraction(3, 4), Fraction(-1, 3),
+                               Fraction(7, 2)], ids=str)
+def test_miller_matches_sympy_rs_pow(i):
+    """(1 + eps)^i below t^(60/d) for eps of 1, 3, 16 and 50 terms with
+    fractional coefficients at k/d, k dense from 1 or gapped, against
+    `rs_pow` below x^60 with x = t^(1/d)."""
+    from sympy.polys.ring_series import rs_pow
+    from sympy.polys.rings import ring
+    R, x = ring("x", sp.QQ)
+    rng = random.Random(f"miller:{i}")
+    for n in (1, 3, 16, 50):
+        for gapped in (False, True):
+            d = rng.choice([1, 2, 3, 7])
+            ks = sorted(rng.sample(range(1, 4 * n + 2), n)) if gapped else range(1, n + 1)
+            cs = [Fraction(rng.choice([-9, -4, -1, 1, 2, 5]), rng.randint(1, 9)) for _ in ks]
+            eps = sum(sp.QQ(c.numerator, c.denominator) * x ** k for k, c in zip(ks, cs))
+            want = rs_pow(R.one + eps, sp.Rational(i.numerator, i.denominator), x, 60)
+            u = Series(Q, {Fraction(0): 1, **{Fraction(k, d): c for k, c in zip(ks, cs)}})
+            res = pow_rat(u, i, Fraction(60, d))
+            assert res.cap == Fraction(60, d)
+            assert dict(res.terms) == {Fraction(k, d): Fraction(int(c.numerator), int(c.denominator))
+                                       for (k,), c in want.terms()}, (n, gapped)
 
 
 def test_invert_matches_sympy():
