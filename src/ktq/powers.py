@@ -2,12 +2,8 @@
 x = t^m (1 + eps), with (1 + eps)^i expanded below the precision needed;
 eps and the result are each built in one step from packed terms.
 
-Over Q the expansion is J.C.P. Miller's power recurrence (Knuth, TAOCP
-vol. 2, 4.7): for eps = sum a_j t^(e_j) and (1 + eps)^q = sum b_k t^k in
-lattice units, b_0 = 1 and k b_k = sum_j ((q + 1) e_j - k) a_j b_(k - e_j),
-run on the reachable-support walk of `Series.invert`.  The sum runs on ints
-(the a_j's numerators, each b's numerator and denominator), over the lcm of
-the b's denominators, and each b_k is built as one Fraction.
+Over Q the expansion is J.C.P. Miller's power recurrence on ints,
+`series._miller`, which `Series.invert` runs at q = -1.
 
 In characteristic p the exponent splits as i = p^b * q with b the exact
 p-adic valuation of i and q having p-free denominator.  The p^b-th power is
@@ -28,12 +24,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
-from math import gcd
 
 from .errors import FieldError, PrecisionError, SeriesError
-from .series import (INF, Series, _as_cap, _as_exp, _cap, _int_bound, _p_split, _pair, _plus,
-                     _reachable, cap_mul, power_cap)
+from .series import (INF, Series, _as_cap, _as_exp, _cap, _int_bound, _miller, _p_split, _pair,
+                     _plus, cap_mul, power_cap)
 
 
 def rat_binomial(ctx, i, n: int):
@@ -62,27 +56,6 @@ def frobenius_map(x: Series, b: int) -> Series:
         raise FieldError("termwise Frobenius needs characteristic p > 0")
     r = Fraction(p) ** b
     return _cut(x.ctx, cap_mul(x.cap, r), INF, b, (r.numerator, r.denominator), (0, 1), x)
-
-
-def _miller(eps: Series, num: int, den: int, bound) -> Series:
-    """(1 + eps)^q, q = num/den, below bound > 0 over Q by Miller's recurrence:
-    b_k's sum is n/d on ints, d the lcm of the denominators of the b it reads."""
-    vals, cden = eps.ctx.encode(eps.cs, 1)  # a_j = vals[j] / cden
-    rs = num + den  # q + 1 = rs / den
-    steps = list(zip(eps.ks, vals))
-    b = {0: Fraction(1)}
-    for k in islice(_reachable(eps.ks, _int_bound(bound, eps.den), b), 1, None):  # after 0
-        n, d = 0, 1
-        for e, a in steps:
-            if (c := b.get(k - e)) is not None:
-                w, cd = (rs * e - den * k) * a * c.numerator, c.denominator
-                if d % cd:  # d becomes lcm(d, cd)
-                    g = gcd(d, cd)
-                    n, d = n * (cd // g), d // g * cd
-                n += w * (d // cd)
-        if n:
-            b[k] = Fraction(n, d * den * cden * k)  # the codes over Q are the coefficients
-    return Series._build(eps.ctx, eps.den, list(b), list(b.values()), bound)
 
 
 def _digits(eps: Series, num: int, den: int, bound) -> Series:
@@ -157,13 +130,14 @@ def _expansions(x: Series, exps, requested_cap):
         plan.append((cap, bound, b, s, mi, q))
         tops[q] = max(tops.get(q, bound), bound)
     for (num, den), bound in tops.items():
+        if not p:  # Miller's recurrence reads eps off x
+            ys[num, den] = _miller(x, num, den, ctx.one, 0, bound)
+            continue
         hi = _int_bound(bound, x.den)
         n = bisect_left(x.ks, hi + x.ks[0])
         eps = Series._build(ctx, x.den, [k - x.ks[0] for k in x.ks[1:n]], x.cs[1:n], bound)
         if hi <= 0:
             ys[num, den] = eps  # no terms, cap bound
-        elif not p:
-            ys[num, den] = _miller(eps, num, den, bound)
         elif num < 0 and den == 1:
             ys[num, den] = _digits(eps, -num, 1, bound)._inverse(bound)
         else:

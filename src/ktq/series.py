@@ -39,19 +39,20 @@ Storage is packed and canonical: a lattice denominator `den`, ascending ints
 denominator of the support (gcd(den, *ks) = 1, den = 1 without terms), so
 equal elements have equal fields.  `Series._from_pairs` is the one entry
 from rational pairs (`Series(...)`, `series_from_json`), on int pairs and one
-int sort; `Series._build` is the one builder on the packed form, dropping
-zero codes and reducing the lattice (the exponents past the first 1024 are
-read only while the gcd is not 1).  `Series._sum` is the one merge and
-linear combination sum c_i x_i, with `+` its two-piece case and `substitute`
-its caller with coefficients: one int-keyed dict over lcm(den), where a key
-met by one piece at coefficient 1 keeps its code and only the others are
-summed, two codes at a time without coefficients, else as sums of products
-in one encode and one decode.  `_dense` (at most 4 slots per term) is the
+int sort; `Series._pack` reduces the lattice (the exponents past the first
+1024 are read only while the gcd is not 1): directly where the codes are
+nonzero by construction (`_residues`, `_remap`, `_miller`, `invert`'s heap
+walk), else after `Series._build` drops the zero codes.  `Series._sum` is
+the one merge and linear combination sum c_i x_i, with `+` its two-piece
+case and `substitute` its caller with coefficients: one int-keyed dict over
+lcm(den), where a key met by one piece at coefficient 1 keeps its code and
+only the others are summed, two codes at a time without coefficients, else
+as sums of products in one encode and one decode.  `_dense` (at most 4 slots per term) is the
 one window rule; `Series._residues` reads back the windows of codes: dense products,
 the dense inverse below (its first period repeated) and `substitute`'s
 x^i, added at their strides, a periodic one from its period alone (see
 `morphisms._window`).  `Series._remap` is the one exponent map, k/den
-to (f k + off)/den' in one `_build`, for `shift`, `scale_exponents` and
+to (f k + off)/den' in one `_pack`, for `shift`, `scale_exponents` and
 `powers._cut` (x^i in `pow_rat`, `frobenius_map`, `substitute`); `truncate` is a
 bisect; `scale` and sparse products sum the field's kernel encoding of the
 codes as plain ints and decode them in one call (see `fields`), with the
@@ -62,11 +63,11 @@ are dense, the field writes each into one buffer of equal slots
 point, the two are multiplied once (Kronecker substitution) and the field
 reads the product's buffer back as a whole (`dense_unpack`); else a loop
 over the pairs allocates nothing per lattice point.  Inverses run a
-recurrence over the sums of their steps: over a finite field on the dense
-window `_dense_step` chooses, one kernel encoding per list slot reduced
-once, up to the first period of 1/(1 + eps), which `Series._inverse` hands
-back unrepeated (see `Series.invert`); over Q and on sparse lattices on a
-heap walk of the reachable sums, decoding once per output term.
+recurrence over the sums of their steps: over Q `_miller` at q = -1, the one
+recurrence of Q's inverses and powers; over F_q, each sum reduced once to the
+kernel encoding of its code, on the dense window `_dense_step` chooses up to
+the first period, handed back unrepeated (see `Series.invert`), or on a sparse
+lattice on the heap walk of the reachable sums (`_reachable`), decoded at once.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -271,6 +272,32 @@ def _reachable(steps, bound, b):
                 if succ not in seen:
                     seen.add(succ)
                     heappush(heap, succ)
+
+
+def _miller(x, num, qden, b0, off, cap):
+    """b0 (1 + eps)^q over Q, q = num/qden, for x = c t^m (1 + eps) with eps =
+    sum a_j t^(e_j/x.den), by J.C.P. Miller's power recurrence (Knuth, TAOCP
+    vol. 2, 4.7): b_0 = b0 and k b_k = sum_j ((q + 1) e_j - k) a_j b_(k - e_j),
+    at q = -1 the invert recurrence.  Each b_k below cap goes to (k + off)/x.den;
+    its sum is n/d on ints (a_j = vals[j]/vals[0], d the lcm of the b's it reads)."""
+    ks, hi = x.ks, _int_bound(cap, x.den) - off
+    top = bisect_left(ks, hi + ks[0], 1)  # c and eps below hi
+    vals, _ = x.ctx.encode(x.cs[:top], 1)
+    es, rs, aden = [k - ks[0] for k in ks[1:top]], num + qden, vals[0]  # q + 1 = rs / qden
+    steps = list(zip(es, vals[1:]))
+    b = {0: b0} if hi > 0 else {}
+    for k in islice(_reachable(es, hi, b), 1, None):  # after 0
+        n, d = 0, 1
+        for e, a in steps:
+            if (c := b.get(k - e)) is not None:
+                w, cd = (rs * e - qden * k) * a * c.numerator, c.denominator
+                if d % cd:  # d becomes lcm(d, cd)
+                    g = gcd(d, cd)
+                    n, d = n * (cd // g), d // g * cd
+                n += w * (d // cd)
+        if n:
+            b[k] = Fraction(n, d * qden * aden * k)  # the codes over Q are the coefficients
+    return Series.__new__(Series)._pack(x.ctx, x.den, [k + off for k in b], list(b.values()), cap)
 
 
 class UnknownAtLeast(Record):
@@ -525,11 +552,11 @@ class Series:
 
     def _remap(self, fn, fd, sn, sd, cs, cap):
         """Internal, the one exponent map: t^(sn/sd) times the terms with
-        each exponent scaled by fn/fd > 0, the codes cs and the cap given,
-        in one `_build` on the lattice lcm(den fd, sd)."""
+        each exponent scaled by fn/fd > 0, the nonzero codes cs and the cap
+        given, in one `_pack` on the lattice lcm(den fd, sd)."""
         den = lcm(self.den * fd, sd)
         f, off = fn * (den // (self.den * fd)), sn * (den // sd)
-        return Series._build(self.ctx, den, [k * f + off for k in self.ks], cs, cap)
+        return Series.__new__(Series)._pack(self.ctx, den, [k * f + off for k in self.ks], cs, cap)
 
     def shift(self, delta):
         """Multiply by t^delta (an exact monomial)."""
@@ -567,10 +594,11 @@ class Series:
         while `morphisms._window` adds them from the period itself.  The
         check costs O(1) a slot: a nonzero b_i equal to b_0 with no nonzero
         slot among the w - 1 before it, tracked by the latest nonzero slot;
-        encodings are canonical, so it compares them as ints.  Over Q and on
-        a sparse lattice the heap walk of `_reachable` visits the sums in
-        increasing order, in the kernel encoding described in the module
-        docstring.  The cap is the invert rule.
+        encodings are canonical, so it compares them as ints.  On a sparse
+        lattice the heap walk of `_reachable` visits the sums in increasing
+        order, keeps each b_k reduced the same way and decodes them once at
+        the end.  Over Q the recurrence is `_miller` at q = -1, seeded with
+        b_0 = 1/c and its exponents offset by -v.  The cap is the invert rule.
         """
         z = self._inverse(requested_cap)
         return z if isinstance(z, Series) else Series._residues(self.ctx, *z)
@@ -583,26 +611,26 @@ class Series:
                 raise SeriesError("cannot invert the zero series")
             raise PrecisionError("cannot invert: no visible leading term")
         requested_cap = _as_cap(requested_cap)
-        ctx = self.ctx
+        ctx, kv = self.ctx, self.ks[0]
         c_inv = 1 / self.leading_coeff()
         result_cap = inverse_cap(self, requested_cap)
+        p = ctx.characteristic
+        if not p:
+            return _miller(self, -1, 1, c_inv, -kv, result_cap)
         n = len(self.ks) - 1
-        # b_k scaled by c_inv: b_0 = c_inv and the steps are -a_j * c_inv,
-        # all over one denominator den (1 except over Q).
+        # b_k scaled by c_inv: b_0 = c_inv and the steps are -a_j * c_inv.
         codes = [ctx.code(c_inv)] + self.scale(-c_inv).cs[1:]
-        vals, den = ctx.encode(codes, n)  # codes itself where each code is its encoding
-        kv = self.ks[0]
+        vals, _ = ctx.encode(codes, n)  # codes itself where each code is its encoding
         es = [k - kv for k in self.ks[1:]]
         bound = _int_bound(result_cap, self.den) + kv
-        p = ctx.characteristic
-        g = _dense_step(es, bound) if p else 0
-        if g:  # a finite field, den = 1
+        reduce = ctx._reduce
+        if g := _dense_step(es, bound):
             steps = [(e // g, a) for e, a in zip(es, vals[1:])]
             size, w, b0 = -(-bound // g), steps[-1][0], vals[0]
             b = [0] * (size + w)
             b[0] = b0
             last = -w  # the latest nonzero slot before i; none before slot 0
-            prime, reduce = ctx.e == 1, ctx._reduce
+            prime = ctx.e == 1
             for i in range(size):
                 c = b[i] = b[i] % p if prime else reduce(b[i], n)
                 if c:
@@ -615,23 +643,13 @@ class Series:
                 i = size
             del b[i:]  # the first period, or all size slots
             return self.den, -kv, g, b if vals is codes else ctx.decode(b, 1, n), result_cap, size
-        steps = list(zip(es, vals[1:]))
-        # b_k is kept as a numerator over den^(1 + k // w): a step adds at
-        # least w to k and one factor of den, so no division is needed.
-        w = es[0] if es else 1
-        b, out = {}, {}
-        decode, encode, exact = ctx.decode, ctx.encode, not p
-        for k in _reachable(es, bound, b):
-            level = k // w
-            m = vals[0] if k == 0 else sum(
-                a * b[k - e] * den ** (level - (k - e) // w - 1)
-                for e, a in steps if k - e in b)
-            code, = decode([m], den ** (level + 1), n)
-            if code:
-                out[k - kv] = code
-                # Finite-field sums are reduced before reuse; over Q they are exact.
-                b[k] = m if exact else encode([code], n)[0][0]
-        return Series._build(ctx, self.den, list(out), list(out.values()), result_cap)
+        steps, b = list(zip(es, vals[1:])), {}
+        for k in _reachable(es, bound, b):  # b_k reduced in the kernel encoding
+            if c := vals[0] if k == 0 else reduce(
+                    sum(a * b[k - e] for e, a in steps if k - e in b), n):
+                b[k] = c
+        cs = list(b.values()) if vals is codes else ctx.decode(list(b.values()), 1, n)
+        return Series.__new__(Series)._pack(ctx, self.den, [k - kv for k in b], cs, result_cap)
 
     # ----------------------------------------------------------- equality
 

@@ -8,8 +8,9 @@ The two results must be equal, term for term and cap for cap, and an inverse
 must also multiply back to 1 below the product's cap.  The fields cover each
 reduction of a window slot: `% p` over F_p, and over F_{p^e} the AND of p = 2
 (F4, F4096), the byte table (F9) and the slot-by-slot `% p` of 2- and 4-byte
-slots (F3125, F10201).  Over Q both runs take the heap walk, so there the
-cases check the heap walk alone.
+slots (F3125, F10201).  Over Q both runs take Miller's recurrence at
+q = -1 (`series._miller`), which never asks the chooser, so there the cases
+check that recurrence alone.
 """
 
 from contextlib import nullcontext
@@ -117,7 +118,7 @@ def test_invert_takes_the_dense_window(spec):
 
 @pytest.mark.parametrize("spec", ("Q",))
 def test_invert_keeps_the_heap_walk_off_prime_fields(spec):
-    """Off the finite fields: Q never asks the chooser."""
+    """Off the finite fields: Q inverts by `_miller` and never asks the chooser."""
     assert deep_inverse(FIELDS[spec]) == []
 
 

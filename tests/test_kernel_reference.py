@@ -204,6 +204,10 @@ def test_empty_operands(spec):
         Series.zero(ctx).invert(Fraction(3))
     with pytest.raises(PrecisionError):
         Series(ctx, (), Fraction(1)).invert(Fraction(3))
+    # An empty window: no term of 1/x (valuation 1/2) lies below the requested cap.
+    for requested in (Fraction(1, 2), Fraction(0), Fraction(-3)):
+        assert x.invert(requested) == Series(ctx, (), requested)
+    assert Series(ctx, {0: ctx.one}, Fraction(1)).invert(0) == Series(ctx, (), Fraction(0))
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -251,11 +255,16 @@ def test_sparse_lattice_mul(spec):
     assert (x * x).terms == tuple((e, c) for e, c in sorted(square.items()) if c)
 
 
-@pytest.mark.parametrize("spec", ("Q", "F2", "F3"))
+@pytest.mark.parametrize("spec", ("Q", "F2", "F3", "F4", "F9", "F4096", "F3125", "F10201",
+                                  "F1000003"))
 @pytest.mark.parametrize("exact", (True, False))
 def test_sparse_lattice_invert(spec, exact):
-    """1/(1 + t^A + t^B) = sum over (n, m) of (-1)^(n+m) C(n+m, n) t^(nA+mB)."""
-    ctx = FIELDS[spec]
+    """1/(1 + t^A + t^B) = sum over (n, m) of (-1)^(n+m) C(n+m, n) t^(nA+mB).
+    Over F_q this is the heap walk, whose every b_k goes through the field's
+    `_reduce` at n = 2: `% p` over F_p, and over F_{p^e} the AND of p = 2 on
+    1- and 2-byte slots (F4, F4096), the byte table (F9) and the 2- and
+    4-byte slots taken mod p one by one (F3125, F10201)."""
+    ctx = make_field(spec)
     cap = 5 * A
     x = Series(ctx, {0: ctx.one, A: ctx.one, B: ctx.one}, INF if exact else 3 * B)
     want_cap = cap if exact else 3 * B
@@ -264,7 +273,13 @@ def test_sparse_lattice_invert(spec, exact):
         for m in range(6):
             if n * A + m * B < want_cap:
                 want[n * A + m * B] = ctx.from_int((-1) ** (n + m) * comb(n + m, n))
-    inv = x.invert(cap)
+    if ctx.characteristic:
+        inv, calls = reduced_slots(x, cap)
+        assert set(calls) == {2}
+        if ctx.e > 1:
+            assert ctx._fold(2)[0] == {"F4096": 2, "F3125": 2, "F10201": 4}.get(spec, 1)
+    else:
+        inv = x.invert(cap)
     assert inv.cap == want_cap
     assert inv.terms == tuple(sorted((e, c) for e, c in want.items() if c))
     assert len(inv.terms) > 5
