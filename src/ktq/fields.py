@@ -23,18 +23,22 @@ sums of at most n pairwise products of them stay exact, and
 encoding is the code; over Q it is numerators over a common denominator;
 over F_{p^e} `encode` widens the slots to `_fold(n)` bytes, where no slot of
 a sum of n products carries, by strided slices (`_widen`), and `decode`
-folds each value's slots of degree e and up into the low e by multiply-adds
-with x^e, ..., x^(2e-2) mod the modulus (`_folded`) and takes them mod p in
-one pass.  `_reduce(v, n)`, the one-value reduction of the element ops and
-of each slot of `Series.invert`'s dense window, is the kernel encoding of
-`decode([v], 1, n)[0]` kept at `_fold(n)` width: `v % p` over F_p, else the
-same fold, then each slot mod p by one AND with the slots' low bits for
-p = 2, the byte table for 1-byte slots, or slot by slot.  A dense product
-moves whole buffers: `dense_pack` writes the encodings one slot a code
-(two's complement over Q; over F_{p^e} the widened digits in blocks of
-2e - 1 slots), and `dense_unpack` reads a product's slots by one array view
-(`_ints`; int.from_bytes slices past 8 bytes), over F_{p^e} folding all
-blocks at once, one multiply a fold row on the whole buffer.
+folds each value's slots of degree e and up into the low e (`_folded`) and
+takes them mod p in one pass.  With f = x^e + f_low, x^e = G = -f_low mod p,
+so the fold is `while hi: v = (v & low) + hi * G` (2 passes for F4096's
+x^12 + x^3 + 1), and `_bound` is its exact worst case on a block of 2e - 1
+slots of e (p - 1)^2, found at construction.  `_reduce(v, n)`, the one-value
+reduction of the element ops and of each slot of `Series.invert`'s dense
+window, is the kernel encoding of `decode([v], 1, n)[0]` kept at `_fold(n)`
+width: `v % p` over F_p, else the same fold, then each slot mod p by one AND
+with the slots' low bits for p = 2, the byte table for 1-byte slots, or
+slot by slot.  A dense product moves whole buffers: `dense_pack` writes the
+encodings one block a code (two's complement over Q; over F_{p^e} 2e - 1
+digit slots sized for n e (p - 1)^2, the product alone), and `dense_unpack`
+reads a product's slots by one array view (`_ints`; int.from_bytes slices
+past 8 bytes), over F_{p^e} folding all blocks at once, at `_fold(n)`'s
+width or, where the slots are narrower or p = 2, at the code width after
+every slot is taken mod p (`_mod_slots`).
 `frobenius_codes` is c |-> c^(p^b) on codes, `_powers_of` at the exponent
 p^(b mod e): the identity over F_p, and over F_{p^e} whenever e divides b.
 
@@ -151,6 +155,21 @@ def _ints(buf, w, signed=False):
     return [int.from_bytes(buf[i:i + w], "little", signed=signed) for i in range(0, len(buf), w)]
 
 
+def _width(bound):
+    """The least power-of-two bytes holding the int bound."""
+    return 1 << ((bound.bit_length() - 1 >> 3).bit_length())
+
+
+def _resized(buf, a, b):
+    """buf's a-byte slots as b-byte slots, each value fitting both widths."""
+    if a == b:
+        return buf
+    out = bytearray(len(buf) // a * b)
+    for i in range(min(a, b)):
+        out[i::b] = buf[i::a]
+    return out
+
+
 def _int_bytes(ints, w, signed=False):
     """The ints in w-byte little-endian slots: the inverse of `_ints`."""
     if w in _ITEM:
@@ -180,13 +199,16 @@ class FieldCtx:
         return self.element(self.parse_code(text))
 
     def dense_pack(self, xcodes, ycodes, n):
-        """Two operands' encodings, one nb-byte slot a code (two's complement
-        over Q), room for sums of n products: (xbuf, ybuf, nb, den of a product)."""
+        """Two operands' encodings, one nb-byte block a code (two's complement
+        over Q), room for sums of n products: (xbuf, ybuf, nb, bytes of a
+        product's slot, den of a product); here a block is one slot."""
         (xv, xden), (yv, yden) = self.encode(xcodes, n), self.encode(ycodes, n)
-        signed = not self.characteristic
-        nb = -(-((n * max(map(abs, xv)) * max(map(abs, yv))).bit_length() + signed) // 8)
+        signed, mx, my = not self.characteristic, max(map(abs, xv)), max(map(abs, yv))
+        if not signed:  # each code fits half a slot, as `series._ks2` reads them
+            mx = my = max(mx, my)
+        nb = -(-((n * mx * my).bit_length() + signed) // 8)
         nb = min((w for w in _ITEM if w >= nb), default=nb)  # an item size up to 8
-        return _int_bytes(xv, nb, signed), _int_bytes(yv, nb, signed), nb, xden * yden
+        return _int_bytes(xv, nb, signed), _int_bytes(yv, nb, signed), nb, nb, xden * yden
 
     def dense_unpack(self, buf, nb, den, n):
         """The codes of a dense product's nb-byte slots."""
@@ -410,9 +432,17 @@ class FiniteField(FieldCtx):
             if not _is_irreducible(modulus, p):
                 raise FieldError("modulus is reducible")
         self.modulus = modulus
-        # A product slot sums e products below p; the fold adds e - 1 slots times p - 1.
-        self._bound = e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))
-        self._folds, self._tables = {}, {}  # n -> _fold(n); its table by width
+        # The fold's exact worst case: every slot of a product block at e (p - 1)^2,
+        # the most of any slot while x^e = G folds the slots of degree e and up.
+        v, tail = [e * (p - 1) ** 2] * (2 * e - 1), [-c % p for c in modulus[:e]]
+        self._bound = v[0]
+        while any(v[e:]):
+            hi, v = v[e:], v[:e] + [0] * (e - 1)
+            for i, h in enumerate(hi):
+                for j, d in enumerate(tail):
+                    v[i + j] += h * d
+            self._bound = max(self._bound, *v)
+        self._folds = {}  # n -> _fold(n)
         self._c = self._fold(1)[0] if e > 1 else 8  # code slot bytes; 8 hold a residue
         self._mod = (bytes(range(min(p, 256))) * (255 // p + 1))[:256]  # byte d -> d % p
         self._gs = _powers("g", e)  # the texts of format_code's powers
@@ -499,12 +529,11 @@ class FiniteField(FieldCtx):
 
     def _fold(self, n):
         """w, the least power-of-two slot bytes holding n * _bound (sums of n
-        products), and the fold table: x^e, ..., x^(2e-2) mod the modulus."""
+        products, folded), and G = x^e mod the modulus (-f_low) in w-byte slots."""
         if n not in self._folds:
-            w = 1 << ((max(n, 1) * self._bound).bit_length() - 1 >> 3).bit_length()
-            self._folds[n] = w, self._tables.get(w) or self._tables.setdefault(w, [
-                sum(d << 8 * w * i for i, d in enumerate(_pmod((0,) * j + (1,), self.modulus, self.p)))
-                for j in range(self.e, 2 * self.e - 1)])
+            w = _width(max(n, 1) * self._bound)
+            tail = self.modulus[:self.e]
+            self._folds[n] = w, sum(-c % self.p << 8 * w * i for i, c in enumerate(tail))
         return self._folds[n]
 
     def _codes(self, digits):
@@ -537,19 +566,15 @@ class FiniteField(FieldCtx):
             return codes, 1
         return _ints(self._widen(codes, w, e * w), e * w), 1
 
-    def _folded(self, values, w, fold):
+    def _folded(self, values, w, G):
         """Each value (in w-byte slots) as the bytes of its low e slots, those
-        of degree e and up folded in: multiply-adds of `_fold`'s rows fold."""
-        e, s = self.e, 8 * w
-        low, top, out = (1 << s * e) - 1, (1 << s) - 1, []
+        of degree e and up folded in by x^e = G until none is left."""
+        s = 8 * w * self.e
+        low, out = (1 << s) - 1, []
         for v in values:
-            hi, v = v >> s * e, v & low
-            for r in fold:
-                if not hi:
-                    break
-                v += (hi & top) * r
-                hi >>= s
-            out.append(v.to_bytes(e * w, "little"))
+            while hi := v >> s:
+                v = (v & low) + hi * G
+            out.append(v.to_bytes(s >> 3, "little"))
         return out
 
     def _reduce(self, v, n):
@@ -557,8 +582,8 @@ class FiniteField(FieldCtx):
         e, p = self.e, self.p
         if e == 1:
             return v % p
-        w, fold = self._fold(n)
-        b, = self._folded((v,), w, fold)
+        w, G = self._fold(n)
+        b, = self._folded((v,), w, G)
         if p == 2:
             return int.from_bytes(b, "little") & ((1 << 8 * w * e) - 1) // ((1 << 8 * w) - 1)
         if w == 1:
@@ -571,37 +596,53 @@ class FiniteField(FieldCtx):
         e, p = self.e, self.p
         if e == 1:
             return [v % p for v in values]
-        w, fold = self._fold(n)
-        folded = self._folded(values, w, fold)
+        w, G = self._fold(n)
+        folded = self._folded(values, w, G)
         if w == 1:  # and so c = 1: one table lookup a byte
             return [int.from_bytes(b.translate(self._mod), "little") for b in folded]
         return self._codes([d % p for d in _ints(b"".join(folded), w)])
 
     def dense_pack(self, xcodes, ycodes, n):
-        """Over F_{p^e}, a block of 2e - 1 `_fold(n)` digit slots a code."""
+        """Over F_{p^e}, a block of 2e - 1 digit slots a code, each the least
+        power-of-two bytes holding n e (p - 1)^2, a slot of the product."""
         if self.e == 1:
             return super().dense_pack(xcodes, ycodes, n)
-        w = self._fold(n)[0]
+        w = _width(n * self.e * (self.p - 1) ** 2)
         nb = (2 * self.e - 1) * w
-        return self._widen(xcodes, w, nb), self._widen(ycodes, w, nb), nb, 1
+        return self._widen(xcodes, w, nb), self._widen(ycodes, w, nb), nb, w, 1
+
+    def _mod_slots(self, buf, w):
+        """buf's w-byte slots mod p, as code-width slots: one AND with their low
+        bits for p = 2, the byte table for w = 1, else slot by slot."""
+        if self.p == 2:
+            mask = int.from_bytes(b"\1".ljust(w, b"\0") * (len(buf) // w), "little")
+            buf = (int.from_bytes(buf, "little") & mask).to_bytes(len(buf), "little")
+            return _resized(buf, w, self._c)
+        if w == 1:
+            return _resized(buf.translate(self._mod), 1, self._c)
+        return _int_bytes([d % self.p for d in _ints(buf, w)], self._c)
 
     def dense_unpack(self, buf, nb, den, n):
-        """Over F_{p^e}, `decode`'s fold on the whole buffer (its masks repeated
-        a block), then the low e slots of every block, gathered, mod p."""
+        """Over F_{p^e}, the fold by G on the whole buffer, masked a block, then
+        the low e slots of every block, gathered, mod p.  Where the product's
+        slots are narrower than `_fold(n)`'s or p = 2, each slot is taken mod
+        p first and narrowed to the code width, and the fold runs there."""
         if self.e == 1:
             return super().dense_unpack(buf, nb, den, n)
-        e, (w, fold) = self.e, self._fold(n)
-        s, size, m = 8 * w, len(buf) // nb, e * w
+        e, c, size = self.e, self._c, len(buf) // nb
+        v, (w, G) = nb // (2 * e - 1), self._fold(n)
+        if v < w or self.p == 2:
+            buf, (w, G) = self._mod_slots(buf, v), self._fold(1)
+        nb, s, m = (2 * e - 1) * w, 8 * w * e, e * w
         z = int.from_bytes(buf, "little")
-        hi, z = z >> s * e, z & int.from_bytes((b"\xff" * m).ljust(nb, b"\0") * size, "little")
-        top = int.from_bytes((b"\xff" * w).ljust(nb, b"\0") * size, "little")
-        for r in fold:
-            z += (hi & top) * r
-            hi >>= s
-        buf, low = z.to_bytes(len(buf), "little"), bytearray(size * m)
+        low = int.from_bytes((b"\xff" * m).ljust(nb, b"\0") * size, "little")
+        high = int.from_bytes((b"\xff" * (m - w)).ljust(nb, b"\0") * size, "little")
+        while hi := z >> s & high:
+            z = (z & low) + hi * G
+        buf, out = z.to_bytes(size * nb, "little"), bytearray(size * m)
         for b in range(m):
-            low[b::m] = buf[b::nb]
-        return self._codes([d % self.p for d in _ints(low, w)])
+            out[b::m] = buf[b::nb]
+        return _ints(self._mod_slots(out, w), e * c)
 
     def _powers_of(self, codes, n):
         """The codes of c^n (n >= 0) for the codes of c: the builtin pow over

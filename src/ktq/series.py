@@ -58,16 +58,19 @@ bisect; `scale` and sparse products sum the field's kernel encoding of the
 codes as plain ints and decode them in one call (see `fields`), with the
 cap as the least int bound at or above cap*den.  A product cuts its operands
 at that bound; if the shorter keeps _KRONECKER_MIN terms and both windows
-are dense, the field writes each into one buffer of equal slots
-(`dense_pack`), `_kronecker` reads it as one int with a slot per lattice
-point, the two are multiplied once (Kronecker substitution) and the field
-reads the product's buffer back as a whole (`dense_unpack`); else a loop
-over the pairs allocates nothing per lattice point.  Inverses run a
+are dense, the field writes each into one buffer of equal product-sized
+slots (`dense_pack`), `_kronecker` reads it as one int with a block per
+lattice point, the two are multiplied once (Kronecker substitution), or
+from _KS2_MIN bits on over a finite field, twice on half slots (`_ks2`,
+Harvey's KS2), and the field reads the product's buffer back as a whole
+(`dense_unpack`); else a loop over the pairs allocates nothing per lattice
+point.  Inverses run a
 recurrence over the sums of their steps: over Q `_miller` at q = -1, the one
 recurrence of Q's inverses and powers; over F_q, each sum reduced once to the
 kernel encoding of its code, on the dense window `_dense_step` chooses up to
 the first period, handed back unrepeated (see `Series.invert`), or on a sparse
-lattice on the heap walk of the reachable sums (`_reachable`), decoded at once.
+lattice on the heap walk of the reachable sums (`_reachable`), decoded at once;
+x is cut at the bound first, as `_miller` cuts it.
 
 Coefficients and Fraction exponents are decoded only at the boundary: `terms`
 (a tuple of (Fraction, coefficient) pairs, a view built on first use and
@@ -89,7 +92,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import PrecisionError, Record, SeriesError
-from .fields import FieldCtx, make_field
+from .fields import FieldCtx, _resized, make_field
 
 INF = float("inf")
 MALFORMED_JSON = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
@@ -237,6 +240,7 @@ def _dense_step(steps, bound):
 
 
 _KRONECKER_MIN = 16  # shorter operand's terms from which `*` packs its operands
+_KS2_MIN = 8192  # shorter operand's bits from which a finite-field `*` takes `_ks2`
 
 
 def _kronecker(ks, buf, nb, bias):
@@ -250,6 +254,23 @@ def _kronecker(ks, buf, nb, bias):
         buf = wide
     u = int.from_bytes(buf, "little")
     return u - ((u & bias) << 1)
+
+
+def _ks2(x, y, w, length):
+    """The first length bytes of x y in w-byte slots, for x and y on w/2-byte
+    slots B = 2^(4w) apart, by Harvey's KS2 (J. Symbolic Comput. 44, 2009):
+    (z(B) + z(-B))/2 and (z(B) - z(-B))/2B are z's even and odd slots, B^2 apart."""
+    h = w // 2
+    odd = int.from_bytes((bytes(h) + b"\xff" * h) * (max(x, y).bit_length() // (16 * h) + 1),
+                         "little")
+    zp, zm = x * y, (x - 2 * (x & odd)) * (y - 2 * (y & odd))
+    buf, n = bytearray(length), length // w  # n slots
+    for r, v in ((0, zp + zm >> 1), (1, zp - zm >> 8 * h + 1)):  # the even slots, the odd
+        k = (n + 1 - r) // 2
+        half = (v & (1 << 8 * w * k) - 1).to_bytes(k * w, "little")
+        for b in range(w):
+            buf[r * w + b::2 * w] = half[b::w]
+    return buf
 
 
 def _reachable(steps, bound, b):
@@ -517,12 +538,17 @@ class Series:
         if (min(i, j) >= _KRONECKER_MIN and _dense(xs[-1] - xs[0] + 1, i)
                 and _dense(ys[-1] - ys[0] + 1, j)):
             lo, size = xs[0] + ys[0], min(xs[-1] + ys[-1] + 1, bound) - xs[0] - ys[0]
-            xb, yb, nb, vden = ctx.dense_pack(self.cs[:i], other.cs[:j], n)
-            # Over Q, + bias makes every slot nonnegative and ^ bias its two's complement.
-            bias = 0 if ctx.characteristic else int.from_bytes(
-                (1 << 8 * nb - 1).to_bytes(nb, "little") * size, "little")
-            z = _kronecker(xs, xb, nb, bias) * _kronecker(ys, yb, nb, bias)
-            buf = ((z + bias & (1 << 8 * nb * size) - 1) ^ bias).to_bytes(nb * size, "little")
+            xb, yb, nb, w, vden = ctx.dense_pack(self.cs[:i], other.cs[:j], n)
+            if (w % 2 == 0 and 8 * nb * min(xs[-1] - xs[0], ys[-1] - ys[0]) >= _KS2_MIN
+                    and ctx.characteristic):
+                buf = _ks2(_kronecker(xs, _resized(xb, w, w // 2), nb // 2, 0),
+                           _kronecker(ys, _resized(yb, w, w // 2), nb // 2, 0), w, nb * size)
+            else:
+                # Over Q, + bias makes every slot nonnegative and ^ bias its two's complement.
+                bias = 0 if ctx.characteristic else int.from_bytes(
+                    (1 << 8 * nb - 1).to_bytes(nb, "little") * size, "little")
+                z = _kronecker(xs, xb, nb, bias) * _kronecker(ys, yb, nb, bias)
+                buf = ((z + bias & (1 << 8 * nb * size) - 1) ^ bias).to_bytes(nb * size, "little")
             return Series._residues(ctx, den, lo, 1, ctx.dense_unpack(buf, nb, vden, n), cap)
         xv, xden = ctx.encode(self.cs[:i], n)
         yv, yden = ctx.encode(other.cs[:j], n)
@@ -617,12 +643,17 @@ class Series:
         p = ctx.characteristic
         if not p:
             return _miller(self, -1, 1, c_inv, -kv, result_cap)
-        n = len(self.ks) - 1
+        x, bound = self, _int_bound(result_cap, self.den) + kv
+        if self.ks[-1] - kv >= bound:  # x cut at the bound, where no step is read
+            top = bisect_left(self.ks, bound + kv, 1)
+            x = Series._build(ctx, self.den, self.ks[:top], self.cs[:top], INF)
+            kv = x.ks[0]
+            bound = _int_bound(result_cap, x.den) + kv  # on the cut's own lattice
+        n = len(x.ks) - 1
         # b_k scaled by c_inv: b_0 = c_inv and the steps are -a_j * c_inv.
-        codes = [ctx.code(c_inv)] + self.scale(-c_inv).cs[1:]
+        codes = [ctx.code(c_inv)] + x.scale(-c_inv).cs[1:]
         vals, _ = ctx.encode(codes, n)  # codes itself where each code is its encoding
-        es = [k - kv for k in self.ks[1:]]
-        bound = _int_bound(result_cap, self.den) + kv
+        es = [k - kv for k in x.ks[1:]]
         reduce = ctx._reduce
         if g := _dense_step(es, bound):
             steps = [(e // g, a) for e, a in zip(es, vals[1:])]
@@ -642,14 +673,14 @@ class Series:
             else:
                 i = size
             del b[i:]  # the first period, or all size slots
-            return self.den, -kv, g, b if vals is codes else ctx.decode(b, 1, n), result_cap, size
+            return x.den, -kv, g, b if vals is codes else ctx.decode(b, 1, n), result_cap, size
         steps, b = list(zip(es, vals[1:])), {}
         for k in _reachable(es, bound, b):  # b_k reduced in the kernel encoding
             if c := vals[0] if k == 0 else reduce(
                     sum(a * b[k - e] for e, a in steps if k - e in b), n):
                 b[k] = c
         cs = list(b.values()) if vals is codes else ctx.decode(list(b.values()), 1, n)
-        return Series.__new__(Series)._pack(ctx, self.den, [k - kv for k in b], cs, result_cap)
+        return Series.__new__(Series)._pack(ctx, x.den, [k - kv for k in b], cs, result_cap)
 
     # ----------------------------------------------------------- equality
 

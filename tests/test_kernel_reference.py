@@ -262,8 +262,8 @@ def test_sparse_lattice_invert(spec, exact):
     """1/(1 + t^A + t^B) = sum over (n, m) of (-1)^(n+m) C(n+m, n) t^(nA+mB).
     Over F_q this is the heap walk, whose every b_k goes through the field's
     `_reduce` at n = 2: `% p` over F_p, and over F_{p^e} the AND of p = 2 on
-    1- and 2-byte slots (F4, F4096), the byte table (F9) and the 2- and
-    4-byte slots taken mod p one by one (F3125, F10201)."""
+    1-byte slots (F4, F4096), the byte table (F9) and the 2- and 4-byte
+    slots taken mod p one by one (F3125, F10201)."""
     ctx = make_field(spec)
     cap = 5 * A
     x = Series(ctx, {0: ctx.one, A: ctx.one, B: ctx.one}, INF if exact else 3 * B)
@@ -277,7 +277,7 @@ def test_sparse_lattice_invert(spec, exact):
         inv, calls = reduced_slots(x, cap)
         assert set(calls) == {2}
         if ctx.e > 1:
-            assert ctx._fold(2)[0] == {"F4096": 2, "F3125": 2, "F10201": 4}.get(spec, 1)
+            assert ctx._fold(2)[0] == {"F3125": 2, "F10201": 4}.get(spec, 1)
     else:
         inv = x.invert(cap)
     assert inv.cap == want_cap
@@ -572,11 +572,17 @@ def test_extension_field_arithmetic_sampled(spec):
 # each.  Every width takes its own branch of the codec: one byte (F9,
 # F4096, reduced by a byte table), two (F3125, F1331), four (F10201 =
 # F_{101^2}) and eight for codes, sixteen for kernel sums (F_{1048573^2},
-# read slot by slot).  Elements are built from their digits by the test's
-# own packing, and the reference is the brute force above.
+# read slot by slot).  Two moduli with a dense tail, x^4 + x^3 + x^2 + x + 1
+# over F2 and the all-ones x^12 + ... + 1 of F4096, fold in 3 and 11 passes
+# where the defaults take 1 or 2, so their slots are wider.  Elements are
+# built from their digits by the test's own packing, and the reference is
+# the brute force above.
 
-SLOT_CLASSES = {"F9": (1, 2), "F4096": (1, 2), "F3125": (2, 4), "F1331": (2, 4),
-                "F10201": (4, 4), "F1099505336329": (8, 16)}  # widths at n = 1 and n = 60
+DENSE_TAIL_16 = "F16:x^4+x^3+x^2+x+1"
+DENSE_TAIL_4096 = "F4096:" + "+".join(f"x^{i}" for i in range(12, 1, -1)) + "+x+1"
+SLOT_CLASSES = {"F9": (1, 2), "F4096": (1, 2), "F3125": (2, 2), "F1331": (2, 4),
+                "F10201": (4, 4), "F1099505336329": (8, 16),
+                DENSE_TAIL_16: (1, 2), DENSE_TAIL_4096: (2, 4)}  # widths at n = 1 and n = 60
 
 
 @pytest.fixture(scope="module")
@@ -634,20 +640,38 @@ def slot_series(rng, ctx, n, step=1, cap=None):
     return Series(ctx, terms, INF if cap is None else Fraction(ks[-1] + cap, 2))
 
 
+def ref_fold(block, tail, e):
+    """The slots of a block folded by x^e = tail until no slot of degree e
+    is left, on plain ints (no slot width), and the most of any slot on the way."""
+    v, top = list(block), max(block)
+    while any(v[e:]):
+        hi, v = v[e:], v[:e] + [0] * (e - 1)
+        for i, h in enumerate(hi):
+            for j, d in enumerate(tail):
+                v[i + j] += h * d
+        top = max(top, *v)
+    return v[:e], top
+
+
 @pytest.mark.parametrize("spec", SLOT_CLASSES)
 def test_slot_widths_and_fold_table(spec, slot_fields):
-    """The widths of each class, and the fold table of each width against
-    x^j mod the modulus for j = e .. 2e - 2."""
+    """The widths of each class; G, the fold of each width, is x^e mod the
+    modulus; and a worst-case block (2e - 1 slots, each n e (p - 1)^2)
+    folds with no carry: the field's fold gives the reference's slots, whose
+    most on the way, n `_bound` at n = 1, fits the width."""
     ctx = slot_fields[spec]
     p, e = ctx.p, ctx.e
     assert (ctx._fold(1)[0], ctx._fold(60)[0]) == SLOT_CLASSES[spec]
     for n in (1, 2, 60, 300):
-        w, table = ctx._fold(n)
-        assert len(table) == e - 1
-        for j, r in enumerate(table, e):
-            assert r < 1 << 8 * w * e
-            digits = tuple(r >> 8 * w * i & (1 << 8 * w) - 1 for i in range(e))
-            assert digits == ref_polymod((0,) * j + (1,), ctx.modulus, p)
+        w, G = ctx._fold(n)
+        assert G < 1 << 8 * w * e
+        tail = tuple(G >> 8 * w * i & (1 << 8 * w) - 1 for i in range(e))
+        assert tail == ref_polymod((0,) * e + (1,), ctx.modulus, p)
+        block = [n * e * (p - 1) ** 2] * (2 * e - 1)
+        low, top = ref_fold(block, tail, e)
+        assert top == n * ctx._bound < 1 << 8 * w
+        folded, = ctx._folded([sum(d << 8 * w * i for i, d in enumerate(block))], w, G)
+        assert [int.from_bytes(folded[i * w:(i + 1) * w], "little") for i in range(e)] == low
 
 
 @pytest.mark.parametrize("spec", SLOT_CLASSES)
@@ -908,14 +932,18 @@ def test_preimage_matches_the_per_element_search(spec):
 # ------------------------------------------- dense products at slot widths
 # A dense product gives each lattice point one slot sized from the bound on
 # its sums, n the shorter operand's terms: n max|x| max|y| over F_p and Q
-# (plus a sign bit over Q), rounded up to an item size up to 8 bytes, and
-# 2e - 1 digit slots of _fold(n) bytes over F_{p^e}.  Worst-case operands
-# (every coefficient p - 1, every digit p - 1 over F_{p^e}) reach that bound:
-# the slot of t^(n-1) sums n products.  Each n below sits on one side of a
-# byte boundary of the bound.  ref_mul checks exact, capped and gapped
-# operands up to 70 terms; past that it takes seconds a product, and the law
-# checks exact and capped ones: n terms c t^k (k < n) squared have
-# c^2 min(k + 1, 2n - 1 - k) at t^k.
+# (plus a sign bit over Q; over F_p the larger of max|x|, max|y| twice),
+# rounded up to an item size up to 8 bytes, and 2e - 1 digit slots of the
+# power of two holding n e (p - 1)^2 over F_{p^e}, read back mod p at
+# _fold(n) bytes or narrowed to the code's.  From _KS2_MIN bits of the
+# shorter operand's window on, a finite-field product with even slots takes
+# KS2 on half slots.  Worst-case operands (every coefficient p - 1, every
+# digit p - 1 over F_{p^e}) reach the bound: the slot of t^(n-1) sums n
+# products.  Each n below sits on one side of a byte boundary of the bound,
+# of a product slot width or of the KS2 switch.  ref_mul checks exact,
+# capped and gapped operands up to 70 terms; past that it takes seconds a
+# product, and the law checks exact and capped ones: n terms c t^k (k < n)
+# squared have c^2 min(k + 1, 2n - 1 - k) at t^k.
 
 WIDTH_SPECS = ("F2", "F3", "F7", "F1000003", "F2147483647", "F2305843009213693951",
                *SLOT_CLASSES)
@@ -941,6 +969,29 @@ def slot_boundaries(ctx, top=3000):
     return [n for b in cuts if 16 <= b < top for n in (b, b + 1)]
 
 
+def product_width(ctx, n):
+    """The bytes of a worst-case n-term square's slots: n e (p - 1)^2 as an
+    item size up to 8 bytes, as a power of two over F_{p^e}."""
+    b = -(-(n * ctx.e * (ctx.p - 1) ** 2).bit_length() // 8)
+    return 1 << (b - 1).bit_length() if ctx.e > 1 or b <= 8 else b
+
+
+def takes_ks2(ctx, n):
+    """Does a worst-case n-term square take KS2: even slots, and its operand
+    of n lattice points spans at least _KS2_MIN bits over its n - 1 steps."""
+    w = product_width(ctx, n)
+    return w % 2 == 0 and 8 * (2 * ctx.e - 1) * w * (n - 1) >= kernel._KS2_MIN
+
+
+def product_boundaries(ctx, top=3000):
+    """The n from 16 to top on either side of a product slot width (the
+    power-of-two widths over F_{p^e}), and of the first n that takes KS2."""
+    cuts = {((1 << 8 * w) - 1) // (ctx.e * (ctx.p - 1) ** 2) for w in (1, 2, 4, 8, 16)
+            if ctx.e > 1}
+    cuts.add(next((n - 1 for n in range(16, top) if takes_ks2(ctx, n)), 0))
+    return [n for b in sorted(cuts) if 16 <= b < top for n in (b, b + 1)]
+
+
 def worst_series(ctx, n, kind):
     """n terms whose every digit is p - 1: at t^0 .. t^(n-1), exact or
     capped at t^n, or gapped (t^(k + k // 3), one lattice point in four
@@ -962,20 +1013,48 @@ def square_law(R, x):
 @pytest.mark.parametrize("spec", WIDTH_SPECS)
 def test_dense_products_at_slot_boundaries(spec, slot_fields, monkeypatch):
     """Worst-case squares at 16 and 17 terms and on both sides of every byte
-    boundary of the slot bound up to 3000 terms, each one packed, against
-    ref_mul up to 70 terms and the law past that."""
+    boundary of the slot bound, of the product's slot width and of the KS2
+    switch up to 3000 terms, each one packed at the product's width (half
+    of it for KS2), against ref_mul up to 70 terms and the law past that."""
     ctx = slot_fields[spec] if spec in SLOT_CLASSES else make_field(spec)
-    R, bounds = SlotRef(ctx), slot_boundaries(ctx)
+    R, bounds, more = SlotRef(ctx), slot_boundaries(ctx), product_boundaries(ctx)
     for below, above in zip(bounds[::2], bounds[1::2]):
         assert slot_width(ctx, below) < slot_width(ctx, above)
-    packed = count_packs(monkeypatch)
-    for n in (16, 17, *bounds):
+    for below, above in zip(more[::2], more[1::2]):
+        assert (product_width(ctx, below), takes_ks2(ctx, below)) < (
+            product_width(ctx, above), takes_ks2(ctx, above))
+    packed, ks2, real = count_packs(monkeypatch), [], kernel._ks2
+    monkeypatch.setattr(kernel, "_ks2", lambda *a: ks2.append(a) or real(*a))
+    for n in (16, 17, *bounds, *more):
         for kind in ("exact", "capped", "gapped")[:3 if n <= 70 else 2]:
             x = worst_series(ctx, n, kind)
-            del packed[:]
+            del packed[:], ks2[:]
             prod = x * x
             assert len(packed) == 2
+            if kind != "gapped":
+                assert len(ks2) == takes_ks2(ctx, n)
+                assert packed[0][2] == (2 * ctx.e - 1) * product_width(ctx, n) // (1 + len(ks2))
             assert got(R, prod) == (ref_mul(R, x, x) if n <= 70 else square_law(R, x))
+
+
+@pytest.mark.parametrize("spec", ("F65537", "F1000003"))
+def test_ks2_half_slots_hold_either_operand(spec, monkeypatch):
+    """Operands whose codes differ in size, p - 1 against 1, on 300 terms:
+    their product alone would fit slots whose halves cannot hold p - 1, so
+    the slots are sized for the larger code twice, and KS2 reads them
+    right: times 1 + t + ... + t^299, the coefficient at t^k is the sum of
+    x's from t^(k - 299) to t^k."""
+    ctx = make_field(spec)
+    R, p, xs = Ref(ctx), ctx.p, [-1 - k % 2 for k in range(300)]
+    x = Series(ctx, {k: ctx.from_int(c) for k, c in enumerate(xs)})
+    y = Series(ctx, {k: ctx.one for k in range(300)})
+    sums = [sum(xs[max(0, k - 299):k + 1]) % p for k in range(599)]
+    ks2, real = [], kernel._ks2
+    monkeypatch.setattr(kernel, "_ks2", lambda *a: ks2.append(a) or real(*a))
+    for a, b in ((x, y), (y, x)):
+        del ks2[:]
+        assert got(R, a * b) == ([(Fraction(k), c) for k, c in enumerate(sums) if c], INF)
+        assert len(ks2) == 1
 
 
 @pytest.mark.parametrize("k", (1, 2, 4, 8, 9))
@@ -1090,11 +1169,14 @@ def test_periodic_inverse(spec, terms, step, caps):
     for e, c in terms.items():
         P[int((e - v) / step)] = c % p
     sizes = {cap: max(0, ceil((cap + v) / step)) for cap in caps}  # the window's slots
-    T = ref_period(P, p, max(sizes.values()))
     for cap in map(Fraction, caps):
         inv, reductions = counted_invert(x, cap)
         assert got(R, inv) == ref_inverse(R, x, cap)
-        assert reductions == (T + 1 if T is not None and T < sizes[cap] else sizes[cap])
+        # invert reads x below its window only: P cut there, a monomial on the heap walk
+        cut = [i for i, c in enumerate(P[:sizes[cap]]) if c]
+        T = ref_period(P[:cut[-1] + 1], p, sizes[cap]) if len(cut) > 1 else None
+        assert reductions == (0 if len(cut) < 2 else T + 1 if T is not None and T < sizes[cap]
+                              else sizes[cap])
         if step == 1 and cap.denominator == 1:
             assert [(e, c.vec[0]) for e, c in inv.terms] == sympy_inverse(x, cap)
 
@@ -1135,4 +1217,4 @@ def test_periodic_inverse_over_extension_fields(spec, T):
     for cap in (T, T + 1, 2 * T + 1, 120):
         inv, calls = reduced_slots(x, cap)
         assert got(R, inv) == ref_inverse(R, x, Fraction(cap))
-        assert calls == [1] * min(cap, T + 1)
+        assert calls == ([1] * min(cap, T + 1) if cap > 1 else [])  # cut to 1 at cap 1
