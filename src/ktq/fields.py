@@ -27,7 +27,10 @@ folds each value's slots of degree e and up into the low e (`_folded`) and
 takes them mod p in one pass.  With f = x^e + f_low, x^e = G = -f_low mod p,
 so the fold is `while hi: v = (v & low) + hi * G` (2 passes for F4096's
 x^12 + x^3 + 1), and `_bound` is its exact worst case on a block of 2e - 1
-slots of e (p - 1)^2, found at construction.  `_reduce(v, n)`, the one-value
+slots of e (p - 1)^2, found at construction.  Over F_{2^e}, where a dense
+tail would lift that bound to wider code slots, each pass first takes the
+slots it folds mod 2 (one AND with their low bits; `_wrap`), and `_bound`
+is an upper bound of that fold.  `_reduce(v, n)`, the one-value
 reduction of the element ops and of each slot of `Series.invert`'s dense
 window, is the kernel encoding of `decode([v], 1, n)[0]` kept at `_fold(n)`
 width: `v % p` over F_p, else the same fold, then each slot mod p by one AND
@@ -38,7 +41,8 @@ digit slots sized for n e (p - 1)^2, the product alone), and `dense_unpack`
 reads a product's slots by one array view (`_ints`; int.from_bytes slices
 past 8 bytes), over F_{p^e} folding all blocks at once, at `_fold(n)`'s
 width or, where the slots are narrower or p = 2, at the code width after
-every slot is taken mod p (`_mod_slots`).
+every slot is taken mod p (`_mod_slots`: for 2-byte slots and odd p up to
+23, by the byte table on both bytes and then on h (256 % p) + l).
 `frobenius_codes` is c |-> c^(p^b) on codes, `_powers_of` at the exponent
 p^(b mod e): the identity over F_p, and over F_{p^e} whenever e divides b.
 
@@ -139,6 +143,21 @@ def _is_irreducible(mod, p):
 _ITEM = {array(t).itemsize: t for t in "QLIHB"}  # array typecodes by item size
 
 
+def _fold_bound(e, p, tail, wrap):
+    """The most of any slot while x^e = tail folds the slots of degree e and
+    up (each taken mod p first if wrap) of a block of 2e - 1 slots of
+    e (p - 1)^2: the exact worst case unwrapped, an upper bound wrapped."""
+    v = [e * (p - 1) ** 2] * (2 * e - 1)
+    top = v[0]
+    while any(v[e:]):
+        hi, v = v[e:], v[:e] + [0] * (e - 1)
+        for i, h in enumerate(hi):
+            for j, d in enumerate(tail):
+                v[i + j] += (min(h, p - 1) if wrap else h) * d
+        top = max(top, *v)
+    return top
+
+
 def _slots(data, w, signed=False):
     """An array of w-byte items (w <= 8) of ints or little-endian bytes, two's
     complement if signed; tobytes: little-endian."""
@@ -203,10 +222,8 @@ class FieldCtx:
         over Q), room for sums of n products: (xbuf, ybuf, nb, bytes of a
         product's slot, den of a product); here a block is one slot."""
         (xv, xden), (yv, yden) = self.encode(xcodes, n), self.encode(ycodes, n)
-        signed, mx, my = not self.characteristic, max(map(abs, xv)), max(map(abs, yv))
-        if not signed:  # each code fits half a slot, as `series._ks2` reads them
-            mx = my = max(mx, my)
-        nb = -(-((n * mx * my).bit_length() + signed) // 8)
+        signed = not self.characteristic
+        nb = -(-((n * max(map(abs, xv)) * max(map(abs, yv))).bit_length() + signed) // 8)
         nb = min((w for w in _ITEM if w >= nb), default=nb)  # an item size up to 8
         return _int_bytes(xv, nb, signed), _int_bytes(yv, nb, signed), nb, nb, xden * yden
 
@@ -432,16 +449,12 @@ class FiniteField(FieldCtx):
             if not _is_irreducible(modulus, p):
                 raise FieldError("modulus is reducible")
         self.modulus = modulus
-        # The fold's exact worst case: every slot of a product block at e (p - 1)^2,
-        # the most of any slot while x^e = G folds the slots of degree e and up.
-        v, tail = [e * (p - 1) ** 2] * (2 * e - 1), [-c % p for c in modulus[:e]]
-        self._bound = v[0]
-        while any(v[e:]):
-            hi, v = v[e:], v[:e] + [0] * (e - 1)
-            for i, h in enumerate(hi):
-                for j, d in enumerate(tail):
-                    v[i + j] += h * d
-            self._bound = max(self._bound, *v)
+        # A dense tail multiplies the fold's bound by up to e (p - 1) a pass: over
+        # F_{2^e}, where that widens the code slots, each pass takes its slots mod 2.
+        tail = [-c % p for c in modulus[:e]]
+        self._bound, self._wrap = _fold_bound(e, p, tail, False), False
+        if p == 2 and _width(b := _fold_bound(e, p, tail, True)) < _width(self._bound):
+            self._bound, self._wrap = b, True
         self._folds = {}  # n -> _fold(n)
         self._c = self._fold(1)[0] if e > 1 else 8  # code slot bytes; 8 hold a residue
         self._mod = (bytes(range(min(p, 256))) * (255 // p + 1))[:256]  # byte d -> d % p
@@ -541,11 +554,14 @@ class FiniteField(FieldCtx):
         return _ints(_int_bytes(digits, self._c), self.e * self._c)
 
     def _widen(self, codes, w, nb):
-        """The codes' digits in w-byte slots, one nb-byte block a code."""
+        """The codes' digits in w-byte slots, one nb-byte block a code: the low
+        k = min(c, w) bytes of each, as w may be below the code width c (a
+        digit, below p, fits a product's slot)."""
         e, c = self.e, self._c
+        k = min(c, w)
         raw, out = _int_bytes(codes, e * c), bytearray(len(codes) * nb)
-        for i in range(e * c):  # byte i % c of digit i // c
-            out[i // c * w + i % c::nb] = raw[i::e * c]
+        for i in range(e * k):  # byte i % k of digit i // k
+            out[i // k * w + i % k::nb] = raw[i // k * c + i % k::e * c]
         return out
 
     def _digits(self, k):
@@ -568,12 +584,14 @@ class FiniteField(FieldCtx):
 
     def _folded(self, values, w, G):
         """Each value (in w-byte slots) as the bytes of its low e slots, those
-        of degree e and up folded in by x^e = G until none is left."""
-        s = 8 * w * self.e
-        low, out = (1 << s) - 1, []
+        of degree e and up (their low bits where the fold wraps) folded in by
+        x^e = G until none is left."""
+        e = self.e
+        s, low, out = 8 * w * e, (1 << 8 * w * e) - 1, []
+        odd = self._wrap and int.from_bytes(b"\1".ljust(w, b"\0") * (e - 1), "little")
         for v in values:
             while hi := v >> s:
-                v = (v & low) + hi * G
+                v = (v & low) + (hi & odd if odd else hi) * G
             out.append(v.to_bytes(s >> 3, "little"))
         return out
 
@@ -613,20 +631,28 @@ class FiniteField(FieldCtx):
 
     def _mod_slots(self, buf, w):
         """buf's w-byte slots mod p, as code-width slots: one AND with their low
-        bits for p = 2, the byte table for w = 1, else slot by slot."""
-        if self.p == 2:
+        bits for p = 2, the byte table for w = 1 (and for w = 2, on both bytes
+        and then on h (256 % p) + l where that fits a byte), else slot by slot."""
+        p, c = self.p, self._c
+        if p == 2:
             mask = int.from_bytes(b"\1".ljust(w, b"\0") * (len(buf) // w), "little")
             buf = (int.from_bytes(buf, "little") & mask).to_bytes(len(buf), "little")
-            return _resized(buf, w, self._c)
+            return _resized(buf, w, c)
+        if w == 2 and (p - 1) * (256 % p + 1) < 256:
+            buf = buf.translate(self._mod)
+            hi, lo = int.from_bytes(buf[1::2], "little"), int.from_bytes(buf[::2], "little")
+            buf, w = (hi * (256 % p) + lo).to_bytes(len(buf) // 2, "little"), 1
         if w == 1:
-            return _resized(buf.translate(self._mod), 1, self._c)
-        return _int_bytes([d % self.p for d in _ints(buf, w)], self._c)
+            return _resized(buf.translate(self._mod), 1, c)
+        return _int_bytes([d % p for d in _ints(buf, w)], c)
 
     def dense_unpack(self, buf, nb, den, n):
         """Over F_{p^e}, the fold by G on the whole buffer, masked a block, then
         the low e slots of every block, gathered, mod p.  Where the product's
         slots are narrower than `_fold(n)`'s or p = 2, each slot is taken mod
-        p first and narrowed to the code width, and the fold runs there."""
+        p first and narrowed to the code width, and the fold runs there; where
+        it wraps, the mask keeps the low bit of each slot it folds, and the
+        even slots it leaves are never read."""
         if self.e == 1:
             return super().dense_unpack(buf, nb, den, n)
         e, c, size = self.e, self._c, len(buf) // nb
@@ -636,7 +662,8 @@ class FiniteField(FieldCtx):
         nb, s, m = (2 * e - 1) * w, 8 * w * e, e * w
         z = int.from_bytes(buf, "little")
         low = int.from_bytes((b"\xff" * m).ljust(nb, b"\0") * size, "little")
-        high = int.from_bytes((b"\xff" * (m - w)).ljust(nb, b"\0") * size, "little")
+        top = b"\1".ljust(w, b"\0") if self._wrap else b"\xff" * w  # of a slot it folds
+        high = int.from_bytes((top * (e - 1)).ljust(nb, b"\0") * size, "little")
         while hi := z >> s & high:
             z = (z & low) + hi * G
         buf, out = z.to_bytes(size * nb, "little"), bytearray(size * m)

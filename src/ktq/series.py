@@ -61,7 +61,7 @@ at that bound; if the shorter keeps _KRONECKER_MIN terms and both windows
 are dense, the field writes each into one buffer of equal product-sized
 slots (`dense_pack`), `_kronecker` reads it as one int with a block per
 lattice point, the two are multiplied once (Kronecker substitution), or
-from _KS2_MIN bits on over a finite field, twice on half slots (`_ks2`,
+from _KS2_MIN bits on over F_{p^e} (e > 1), twice on half slots (`_ks2`,
 Harvey's KS2), and the field reads the product's buffer back as a whole
 (`dense_unpack`); else a loop over the pairs allocates nothing per lattice
 point.  Inverses run a
@@ -240,7 +240,7 @@ def _dense_step(steps, bound):
 
 
 _KRONECKER_MIN = 16  # shorter operand's terms from which `*` packs its operands
-_KS2_MIN = 8192  # shorter operand's bits from which a finite-field `*` takes `_ks2`
+_KS2_MIN = 8192  # shorter operand's bits from which an F_{p^e} `*` takes `_ks2`
 
 
 def _kronecker(ks, buf, nb, bias):
@@ -539,8 +539,8 @@ class Series:
                 and _dense(ys[-1] - ys[0] + 1, j)):
             lo, size = xs[0] + ys[0], min(xs[-1] + ys[-1] + 1, bound) - xs[0] - ys[0]
             xb, yb, nb, w, vden = ctx.dense_pack(self.cs[:i], other.cs[:j], n)
-            if (w % 2 == 0 and 8 * nb * min(xs[-1] - xs[0], ys[-1] - ys[0]) >= _KS2_MIN
-                    and ctx.characteristic):
+            # KS2 over F_{p^e}, e > 1 (a block of 2e - 1 slots: w < nb), on even slots
+            if w < nb and w % 2 == 0 and 8 * nb * min(xs[-1] - xs[0], ys[-1] - ys[0]) >= _KS2_MIN:
                 buf = _ks2(_kronecker(xs, _resized(xb, w, w // 2), nb // 2, 0),
                            _kronecker(ys, _resized(yb, w, w // 2), nb // 2, 0), w, nb * size)
             else:

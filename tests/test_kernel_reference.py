@@ -572,17 +572,21 @@ def test_extension_field_arithmetic_sampled(spec):
 # each.  Every width takes its own branch of the codec: one byte (F9,
 # F4096, reduced by a byte table), two (F3125, F1331), four (F10201 =
 # F_{101^2}) and eight for codes, sixteen for kernel sums (F_{1048573^2},
-# read slot by slot).  Two moduli with a dense tail, x^4 + x^3 + x^2 + x + 1
-# over F2 and the all-ones x^12 + ... + 1 of F4096, fold in 3 and 11 passes
-# where the defaults take 1 or 2, so their slots are wider.  Elements are
-# built from their digits by the test's own packing, and the reference is
-# the brute force above.
+# read slot by slot).  Three moduli with a dense tail, x^4 + x^3 + x^2 + x + 1
+# over F2 and F3 and the all-ones x^12 + ... + 1 of F4096, fold in 3, 3 and
+# 11 passes where the defaults take 1 or 2, so F81's code slots are 2 bytes
+# (1 byte at the default x^4 + x + 2).  Over F4096 each pass takes the slots
+# it folds mod 2 first (an AND), since without it its codes would need
+# 2-byte slots.
+# Elements are built from their digits by the test's own packing, and the
+# reference is the brute force above.
 
 DENSE_TAIL_16 = "F16:x^4+x^3+x^2+x+1"
+DENSE_TAIL_81 = "F81:x^4+x^3+x^2+x+1"
 DENSE_TAIL_4096 = "F4096:" + "+".join(f"x^{i}" for i in range(12, 1, -1)) + "+x+1"
 SLOT_CLASSES = {"F9": (1, 2), "F4096": (1, 2), "F3125": (2, 2), "F1331": (2, 4),
-                "F10201": (4, 4), "F1099505336329": (8, 16),
-                DENSE_TAIL_16: (1, 2), DENSE_TAIL_4096: (2, 4)}  # widths at n = 1 and n = 60
+                "F10201": (4, 4), "F1099505336329": (8, 16), DENSE_TAIL_16: (1, 2),
+                DENSE_TAIL_81: (2, 2), DENSE_TAIL_4096: (1, 2)}  # widths at n = 1 and n = 60
 
 
 @pytest.fixture(scope="module")
@@ -640,12 +644,13 @@ def slot_series(rng, ctx, n, step=1, cap=None):
     return Series(ctx, terms, INF if cap is None else Fraction(ks[-1] + cap, 2))
 
 
-def ref_fold(block, tail, e):
+def ref_fold(block, tail, e, p=0):
     """The slots of a block folded by x^e = tail until no slot of degree e
-    is left, on plain ints (no slot width), and the most of any slot on the way."""
+    is left, on plain ints (no slot width), those slots taken mod p before
+    each pass if p is given, and the most of any slot on the way."""
     v, top = list(block), max(block)
     while any(v[e:]):
-        hi, v = v[e:], v[:e] + [0] * (e - 1)
+        hi, v = [h % p for h in v[e:]] if p else v[e:], v[:e] + [0] * (e - 1)
         for i, h in enumerate(hi):
             for j, d in enumerate(tail):
                 v[i + j] += h * d
@@ -658,20 +663,39 @@ def test_slot_widths_and_fold_table(spec, slot_fields):
     """The widths of each class; G, the fold of each width, is x^e mod the
     modulus; and a worst-case block (2e - 1 slots, each n e (p - 1)^2)
     folds with no carry: the field's fold gives the reference's slots, whose
-    most on the way, n `_bound` at n = 1, fits the width."""
+    most on the way, n `_bound` at n = 1, fits the width.  Where that most
+    at n = 1 needs wider slots than the code's (over F_{2^e}), the fold
+    takes the slots it folds mod 2 first: then the block's slots are the
+    most below n e (p - 1)^2 that are -1 mod p, and their most on the way
+    is at most n `_bound`."""
     ctx = slot_fields[spec]
     p, e = ctx.p, ctx.e
     assert (ctx._fold(1)[0], ctx._fold(60)[0]) == SLOT_CLASSES[spec]
+    tail = ref_polymod((0,) * e + (1,), ctx.modulus, p)
+    wrap = ref_fold([e * (p - 1) ** 2] * (2 * e - 1), tail, e)[1] >> 8 * ctx._fold(1)[0] > 0
+    assert wrap == (spec == DENSE_TAIL_4096)
     for n in (1, 2, 60, 300):
         w, G = ctx._fold(n)
         assert G < 1 << 8 * w * e
-        tail = tuple(G >> 8 * w * i & (1 << 8 * w) - 1 for i in range(e))
-        assert tail == ref_polymod((0,) * e + (1,), ctx.modulus, p)
-        block = [n * e * (p - 1) ** 2] * (2 * e - 1)
-        low, top = ref_fold(block, tail, e)
-        assert top == n * ctx._bound < 1 << 8 * w
+        assert tuple(G >> 8 * w * i & (1 << 8 * w) - 1 for i in range(e)) == tail
+        m = n * e * (p - 1) ** 2
+        block = [m - (m + 1) % p if wrap else m] * (2 * e - 1)
+        low, top = ref_fold(block, tail, e, wrap and p)
+        assert top <= n * ctx._bound < 1 << 8 * w and (wrap or top == n * ctx._bound)
         folded, = ctx._folded([sum(d << 8 * w * i for i, d in enumerate(block))], w, G)
         assert [int.from_bytes(folded[i * w:(i + 1) * w], "little") for i in range(e)] == low
+
+
+@pytest.mark.parametrize("spec", ("F4", "F9", "F3125", "F1331", "F289", "F529", "F841", "F961"))
+def test_mod_slots_on_every_two_byte_value(spec):
+    """Every 2-byte slot value mod p, read back in code-width slots: the AND
+    of p = 2, the byte table on both bytes and then on h (256 % p) + l where
+    (p - 1)(256 % p + 1) < 256 (p = 3, 5, 11, 17, 23), and slot by slot past
+    it (p = 29, 31)."""
+    ctx = make_field(spec)
+    buf = b"".join(v.to_bytes(2, "little") for v in range(1 << 16))
+    want = b"".join((v % ctx.p).to_bytes(ctx._c, "little") for v in range(1 << 16))
+    assert bytes(ctx._mod_slots(buf, 2)) == want
 
 
 @pytest.mark.parametrize("spec", SLOT_CLASSES)
@@ -932,18 +956,17 @@ def test_preimage_matches_the_per_element_search(spec):
 # ------------------------------------------- dense products at slot widths
 # A dense product gives each lattice point one slot sized from the bound on
 # its sums, n the shorter operand's terms: n max|x| max|y| over F_p and Q
-# (plus a sign bit over Q; over F_p the larger of max|x|, max|y| twice),
-# rounded up to an item size up to 8 bytes, and 2e - 1 digit slots of the
-# power of two holding n e (p - 1)^2 over F_{p^e}, read back mod p at
-# _fold(n) bytes or narrowed to the code's.  From _KS2_MIN bits of the
-# shorter operand's window on, a finite-field product with even slots takes
-# KS2 on half slots.  Worst-case operands (every coefficient p - 1, every
-# digit p - 1 over F_{p^e}) reach the bound: the slot of t^(n-1) sums n
-# products.  Each n below sits on one side of a byte boundary of the bound,
-# of a product slot width or of the KS2 switch.  ref_mul checks exact,
-# capped and gapped operands up to 70 terms; past that it takes seconds a
-# product, and the law checks exact and capped ones: n terms c t^k (k < n)
-# squared have c^2 min(k + 1, 2n - 1 - k) at t^k.
+# (plus a sign bit over Q), rounded up to an item size up to 8 bytes, and
+# 2e - 1 digit slots of the power of two holding n e (p - 1)^2 over F_{p^e},
+# read back mod p at _fold(n) bytes or narrowed to the code's.  From
+# _KS2_MIN bits of the shorter operand's window on, an F_{p^e} product
+# (e > 1) with even slots takes KS2 on half slots.  Worst-case operands
+# (every coefficient p - 1, every digit p - 1 over F_{p^e}) reach the bound:
+# the slot of t^(n-1) sums n products.  Each n below sits on one side of a
+# byte boundary of the bound, of a product slot width or of the KS2 switch.
+# ref_mul checks exact, capped and gapped operands up to 70 terms; past that
+# it takes seconds a product, and the law checks exact and capped ones: n
+# terms c t^k (k < n) squared have c^2 min(k + 1, 2n - 1 - k) at t^k.
 
 WIDTH_SPECS = ("F2", "F3", "F7", "F1000003", "F2147483647", "F2305843009213693951",
                *SLOT_CLASSES)
@@ -977,10 +1000,10 @@ def product_width(ctx, n):
 
 
 def takes_ks2(ctx, n):
-    """Does a worst-case n-term square take KS2: even slots, and its operand
-    of n lattice points spans at least _KS2_MIN bits over its n - 1 steps."""
+    """Does a worst-case n-term square take KS2: e > 1, even slots, and its
+    operand of n lattice points spans at least _KS2_MIN bits over its n - 1 steps."""
     w = product_width(ctx, n)
-    return w % 2 == 0 and 8 * (2 * ctx.e - 1) * w * (n - 1) >= kernel._KS2_MIN
+    return ctx.e > 1 and w % 2 == 0 and 8 * (2 * ctx.e - 1) * w * (n - 1) >= kernel._KS2_MIN
 
 
 def product_boundaries(ctx, top=3000):
@@ -1035,26 +1058,6 @@ def test_dense_products_at_slot_boundaries(spec, slot_fields, monkeypatch):
                 assert len(ks2) == takes_ks2(ctx, n)
                 assert packed[0][2] == (2 * ctx.e - 1) * product_width(ctx, n) // (1 + len(ks2))
             assert got(R, prod) == (ref_mul(R, x, x) if n <= 70 else square_law(R, x))
-
-
-@pytest.mark.parametrize("spec", ("F65537", "F1000003"))
-def test_ks2_half_slots_hold_either_operand(spec, monkeypatch):
-    """Operands whose codes differ in size, p - 1 against 1, on 300 terms:
-    their product alone would fit slots whose halves cannot hold p - 1, so
-    the slots are sized for the larger code twice, and KS2 reads them
-    right: times 1 + t + ... + t^299, the coefficient at t^k is the sum of
-    x's from t^(k - 299) to t^k."""
-    ctx = make_field(spec)
-    R, p, xs = Ref(ctx), ctx.p, [-1 - k % 2 for k in range(300)]
-    x = Series(ctx, {k: ctx.from_int(c) for k, c in enumerate(xs)})
-    y = Series(ctx, {k: ctx.one for k in range(300)})
-    sums = [sum(xs[max(0, k - 299):k + 1]) % p for k in range(599)]
-    ks2, real = [], kernel._ks2
-    monkeypatch.setattr(kernel, "_ks2", lambda *a: ks2.append(a) or real(*a))
-    for a, b in ((x, y), (y, x)):
-        del ks2[:]
-        assert got(R, a * b) == ([(Fraction(k), c) for k, c in enumerate(sums) if c], INF)
-        assert len(ks2) == 1
 
 
 @pytest.mark.parametrize("k", (1, 2, 4, 8, 9))
