@@ -382,7 +382,7 @@ class FFElement:
     def inverse(self):
         if not self:
             raise FieldError("division by zero in finite field")
-        return self ** (self.field.q - 2)  # Fermat: c^(q-1) = 1
+        return self if self.code == 1 else self ** (self.field.q - 2)  # Fermat: c^(q-1) = 1
 
     def __truediv__(self, other):
         o = self._peer(other)

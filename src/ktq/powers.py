@@ -1,9 +1,9 @@
-"""Rational powers of monic series: x^i = t^(m i) (1 + eps)^i for monic
-x = t^m (1 + eps), with (1 + eps)^i expanded below the precision needed;
-eps and the result are each built in one step from packed terms.
+"""Rational powers x^i = c^i t^(m i) (1 + eps)^i of x = c t^m (1 + eps), c = 1
+unless i is an integer, with c^i (1 + eps)^i expanded below the precision
+needed; eps and the result are each built in one step from packed terms.
 
 Over Q the expansion is J.C.P. Miller's power recurrence on ints,
-`series._miller`, which `Series.invert` runs at q = -1.
+`series._miller`, seeded with c^i, as `Series.invert` seeds it with 1/c.
 
 In characteristic p the exponent splits as i = p^b * q with b the exact
 p-adic valuation of i and q having p-free denominator.  The p^b-th power is
@@ -13,11 +13,11 @@ rule in `series`), which shrinks certification for large power-of-p
 denominators.  The same map gives the q-th power: q is a p-adic integer
 with base-p digits d_j and (1 + eps)^(p^j) = 1 + F^j(eps), so (1 + eps)^q
 is the product of (1 + F^j(eps))^(d_j), stopping once p^j v(eps) reaches
-the target.  A negative integer q takes the digits of |q| and one inverse.
-The digit loop runs on ints, and the first factor starts the product.
-As x^(p^b q) = F^b(x^q), exponents with the same q share one expansion below
-the largest of their bounds (`_expansions`), and `_cut` alone turns it into
-each x^i, for `pow_rat`, `frobenius_map` and `substitute`.
+the target, times c^|q|.  A negative integer q takes the digits of |q| and
+one inverse.  The digit loop runs on ints, and the first factor starts the
+product.  As x^(p^b q) = F^b(x^q), exponents with the same q share one
+expansion below the largest of their bounds (`_expansions`), and `_cut`
+alone turns it into each x^i, for `pow_rat`, `frobenius_map` and `substitute`.
 """
 
 from __future__ import annotations
@@ -86,13 +86,12 @@ def _digits(eps: Series, num: int, den: int, bound) -> Series:
 def pow_rat(x: Series, i, requested_cap=INF) -> Series:
     """x^i for rational i and x with a visible leading term.
 
-    A fractional i needs a monic x.  An integer i also takes a non-monic x =
-    c * u, as c^i * u^i, and a positive integer i an x with no visible term
-    (exact 0 to any i > 0 is exact 0).  The cap is the power rule of the
-    `series` table, so exact inputs give exact integer powers such as
-    (1+t)^3, and an expansion that never ends needs a finite requested_cap.
-    The expansion is Miller's recurrence over Q and the digit product in
-    characteristic p, via one inverse for a negative integer q, cut by `_cut`.
+    A fractional i needs a monic x, an integer i also takes a non-monic x,
+    and a positive integer i an x with no visible term (exact 0 to any i > 0
+    is exact 0).  The cap is the power rule of the `series` table, so exact
+    inputs give exact integer powers such as (1+t)^3, and an expansion that
+    never ends needs a finite requested_cap.  The one expansion, seeded with
+    c^q, is `_expansions`, cut by `_cut`.
     """
     ctx, i, requested_cap = x.ctx, _as_exp(i), _as_cap(requested_cap)
     if i == 0:
@@ -103,23 +102,19 @@ def pow_rat(x: Series, i, requested_cap=INF) -> Series:
         if x.is_exact or i.denominator == 1 and i > 0:
             return Series(ctx, (), power_cap(x, i, requested_cap))
         raise PrecisionError("no visible leading term to raise to a power")
-    if not x.is_monic():
-        if i.denominator != 1:
-            raise SeriesError("rational powers need a monic base")
-        c = x.leading_coeff()  # a monomial's monic part is t^m, with no 1/c
-        u = Series._build(ctx, x.den, x.ks, [1], x.cap) if len(x.ks) == 1 else x.scale(1 / c)
-        return pow_rat(u, i, requested_cap).scale(c ** i.numerator)
+    if i.denominator != 1 and not x.is_monic():
+        raise SeriesError("rational powers need a monic base")
     return _cut(ctx, *_expansions(x, [i], requested_cap)[0])
 
 
 def _expansions(x: Series, exps, requested_cap):
-    """(cap, bound, b, s, mi, y) for x^i, x = t^m (1 + eps) monic, and each
-    i = p^b q in exps: cap the power rule, s = p^b and mi = m i int pairs, y =
-    (1 + eps)^q below bound = (cap - m i)/p^b or past it, expanded once per q
-    below its largest bound (eps at or above a bound only reaches above it).
-    In characteristic p a negative integer q keeps what `Series._inverse`
-    returns, so y may be a first period, the arguments of `Series._residues`;
-    `_cut` turns an entry into x^i."""
+    """(cap, bound, b, s, mi, y) for x^i, x = c t^m (1 + eps) (c = 1 unless
+    every q is an integer), and each i = p^b q in exps: cap the power rule, s =
+    p^b and mi = m i int pairs, y = c^q (1 + eps)^q below bound = (cap - m i)/p^b
+    or past it, expanded once per q below its largest bound (eps at or above a
+    bound only reaches above it).  In characteristic p a negative integer q
+    keeps what `Series._inverse` returns, so y may be a first period, the
+    arguments of `Series._residues`; `_cut` turns an entry into x^i."""
     ctx, p, plan, tops, ys = x.ctx, x.ctx.characteristic, [], {}, {}
     for i in exps:
         split = b, s, q = _p_split(i, p) if i else (0, (1, 1), (0, 1))
@@ -129,19 +124,21 @@ def _expansions(x: Series, exps, requested_cap):
         bound = _cap(rel and (rel[0] * s[1], rel[1] * s[0]))
         plan.append((cap, bound, b, s, mi, q))
         tops[q] = max(tops.get(q, bound), bound)
+    c = None if x.is_monic() else x.leading_coeff()
     for (num, den), bound in tops.items():
-        if not p:  # Miller's recurrence reads eps off x
-            ys[num, den] = _miller(x, num, den, ctx.one, 0, bound)
+        if not p:  # Miller's recurrence reads c and eps off x
+            ys[num, den] = _miller(x, num, den, c ** num if c else ctx.one, 0, bound)
             continue
         hi = _int_bound(bound, x.den)
         n = bisect_left(x.ks, hi + x.ks[0])
         eps = Series._build(ctx, x.den, [k - x.ks[0] for k in x.ks[1:n]], x.cs[1:n], bound)
         if hi <= 0:
             ys[num, den] = eps  # no terms, cap bound
-        elif num < 0 and den == 1:
-            ys[num, den] = _digits(eps, -num, 1, bound)._inverse(bound)
-        else:
-            ys[num, den] = _digits(eps, num, den, bound)
+            continue
+        neg = num < 0 and den == 1  # the digits of |q|, then one inverse
+        y = _digits(eps.scale(1 / c) if c and eps.ks else eps, -num if neg else num, den, bound)
+        y = y.scale(c ** abs(num)) if c else y
+        ys[num, den] = y._inverse(bound) if neg else y
     return [(cap, bound, b, s, mi, ys[q]) for cap, bound, b, s, mi, q in plan]
 
 
@@ -158,7 +155,7 @@ def _cut(ctx, cap, bound, b, s, mi, y):
 
 
 def nth_root(x: Series, n: int, requested_cap=INF) -> Series:
-    """The canonical n-th root of a monic series, n >= 1."""
-    if n < 1:
-        raise SeriesError("root order must be >= 1")
-    return pow_rat(x, Fraction(1, n), requested_cap)
+    """The canonical n-th root of a monic series, for an integer n >= 1."""
+    if (n := _as_exp(n, "root order")) < 1 or n.denominator != 1:
+        raise SeriesError("root order must be >= 1" if n < 1 else "root order must be an integer")
+    return pow_rat(x, 1 / n, requested_cap)

@@ -135,6 +135,19 @@ def test_inverses_f9(F9):
         F9.zero.inverse()
 
 
+@pytest.mark.parametrize("spec", ["F3", "F9", "F3125", "F4096", "F1000003"])
+def test_inverse_of_one_takes_no_power(spec, monkeypatch):
+    """1 is its own inverse, with no call to `_powers_of`; any other
+    nonzero element takes Fermat's c^(q-2), one call."""
+    f = make_field(spec)
+    calls = []
+    powers_of = f._powers_of
+    monkeypatch.setattr(f, "_powers_of", lambda codes, n: calls.append(n) or powers_of(codes, n))
+    assert f.one.inverse() == f.one and 1 / f.one == f.one and calls == []
+    a = f.g if f.e > 1 else f.coerce(2)
+    assert a * a.inverse() == f.one and calls == [f.q - 2]
+
+
 def test_from_int_reduces_mod_p(F3):
     assert F3.from_int(7) == F3.from_int(1)
     assert F3.from_int(-1) == F3.from_int(2)

@@ -1,7 +1,8 @@
 """A seeded differential of the F_{p^e} kernel against perfbench/oracle.py.
 
-Random `*`, `invert`, `Series._sum` with coefficients and `pow_rat` over
-F4, F8, F9, F27, F3125, F4096 and four moduli with a dense tail:
+Random `*`, `invert`, `Series._sum` with coefficients and `pow_rat` (on
+monic and non-monic bases) over F4, F8, F9, F27, F3125, F4096 and four
+moduli with a dense tail:
 x^4+x^3+x^2+x+1 over F2 and F3, the all-ones x^12+...+1 of F4096 (whose
 fold takes the slots mod 2 between passes) and a degree-8 one of F6561
 (4-byte codes, written into products' 2-byte slots by their digits), at
@@ -176,6 +177,15 @@ def test_fpe_kernel_against_the_oracle(spec, monkeypatch):
         x = unit(rng, ctx, rng.choice((3, 20)), monic=True).shift(Fraction(rng.randint(0, 2), 2))
         req = Fraction(rng.randint(10, 40))
         check(pow_rat(x, i, req), *O.power(oracle(x), i, req), f"pow_rat {i}")
+    for i in (Fraction(2), Fraction(-1), Fraction(-2), Fraction(p)):  # c^i times (x/c)^i
+        c = rng.choice(ctx.elements()[2:])  # neither 0 nor 1
+        x = unit(rng, ctx, rng.choice((3, 20)), monic=True).scale(c).shift(rng.randint(-2, 2))
+        req = Fraction(rng.randint(10, 40))
+        truth, lo, hi = O.power(oracle(x.scale(1 / c)), i, req)
+        fo = oracle_field(ctx.spec_string())
+        ci = fo.parse(ctx.format_coeff(c ** int(i)))
+        check(pow_rat(x, i, req), lambda cap: {e: fo.mul(ci, v) for e, v in truth(cap).items()},
+              lo, hi, f"pow_rat c^i (x/c)^i at {i}")
     fold = p > 2 and any(product_width(ctx, n) >= ctx._fold(n)[0] for n in sizes)
     want = [path for path in PATHS if path != "fold width" or fold]
     assert {path: hits[path] for path in want if hits[path] < HITS} == {}, hits

@@ -236,6 +236,13 @@ def test_nth_root_of_monomial_exact(Q):
 def test_nth_root_order_validated(Q):
     with pytest.raises(SeriesError):
         nth_root(Series.t(Q), 0)
+    # read as every exponent is, an integer >= 1: a float, a string or a
+    # fraction is a SeriesError, never a raw TypeError or a power at 1/n
+    x = Series.one(Q) + Series.t(Q)
+    for n in (2.5, "2", None, F(5, 2), F(1, 2), -1):
+        with pytest.raises(SeriesError, match="root order must be"):
+            nth_root(x, n, F(4))
+    assert nth_root(x, F(2), F(4)) == nth_root(x, 2, F(4)) == pow_rat(x, F(1, 2), F(4))
 
 
 def test_roots_compose_across_fields(F2, F3, F9):

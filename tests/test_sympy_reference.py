@@ -100,13 +100,15 @@ def test_pow_rat_matches_sympy():
 
 
 @pytest.mark.parametrize("i", [Fraction(1, 2), Fraction(-5, 7), Fraction(3, 4), Fraction(-1, 3),
-                               Fraction(7, 2), Fraction(-1)], ids=str)
+                               Fraction(7, 2), Fraction(-1), Fraction(-2)], ids=str)
 def test_miller_matches_sympy_rs_pow(i):
     """(1 + eps)^i below t^(60/d) for eps of 1, 3, 16 and 50 terms with
     fractional coefficients at k/d, k dense from 1 or gapped, against
-    `rs_pow` below x^60 with x = t^(1/d).  At i = -1 the same recurrence
-    is `invert`: u.invert and the inverse of a non-monic c t^v u match
-    `rs_pow` too, and each equals pow_rat(x, -1) field for field."""
+    `rs_pow` below x^60 with x = t^(1/d).  At an integer i the power of a
+    non-monic c t^v u, whose recurrence is seeded with c^i, matches c^i
+    t^(v i) times `rs_pow`.  At i = -1 the same recurrence is `invert`:
+    u.invert and the inverse of c t^v u match too, and each equals
+    pow_rat(x, -1) field for field."""
     from sympy.polys.ring_series import rs_pow
     from sympy.polys.rings import ring
     R, x = ring("x", sp.QQ)
@@ -124,17 +126,18 @@ def test_miller_matches_sympy_rs_pow(i):
                      for (k,), c in want.terms()}
             assert res.cap == Fraction(60, d)
             assert dict(res.terms) == terms, (n, gapped)
-            if i == -1:
+            if i.denominator == 1:
                 c = Fraction(rng.choice([-7, 3, 5]), rng.randint(1, 4))
                 v = Fraction(rng.randint(-9, 9), d)
-                x_terms = {e - v: b / c for e, b in terms.items()}  # of 1/x, x = c t^v u
+                x_terms = {e + v * i: b * c ** i.numerator for e, b in terms.items()}  # x = c t^v u
                 for z, z_terms, cap in ((u, terms, Fraction(60, d)),
-                                        (u.scale(c).shift(v), x_terms, Fraction(60, d) - v)):
-                    inv = z.invert(cap)
-                    assert (dict(inv.terms), inv.cap) == (z_terms, cap), (n, gapped)
-                    power = pow_rat(z, -1, cap)
-                    assert (inv.den, inv.ks, inv.cs, inv.cap) == (
-                        power.den, power.ks, power.cs, power.cap)
+                                        (u.scale(c).shift(v), x_terms, Fraction(60, d) + v * i)):
+                    power = pow_rat(z, i, cap)
+                    assert (dict(power.terms), power.cap) == (z_terms, cap), (n, gapped)
+                    if i == -1:
+                        inv = z.invert(cap)
+                        assert (inv.den, inv.ks, inv.cs, inv.cap) == (
+                            power.den, power.ks, power.cs, power.cap)
 
 
 def test_invert_matches_sympy():
