@@ -9,18 +9,20 @@ a product of two codes is one int operation reduced by `_reduce(value, 1)`
 exponentiation (the builtin pow when e = 1, square-and-multiply on the whole
 list otherwise), and inverses follow Fermat: c^-1 = c^(q-2).
 
-Rational coefficients simply are fractions.Fraction values, already exact
-and canonical.
-
-A series stores each coefficient as its field's code (`code(c)`, and
-`element(k)` back): the residue over F_p, the vector's digits in e
-little-endian `_fold(1)`-byte slots over F_{p^e} (its own n = 1 kernel
-encoding), and the Fraction itself over Q.  Codes are canonical, and the
-code of 1 is 1.  The kernel side is a pair on lists of codes:
-`encode(codes, n)` gives ints and a common denominator such that integer
-sums of at most n pairwise products of them stay exact, and
-`decode(values, den, n)` maps such sums back to codes.  Over F_p the
-encoding is the code; over Q it is numerators over a common denominator;
+A rational coefficient is a Fraction where it leaves or enters the engine,
+and an int inside it.  A series stores its coefficients as int codes over
+one positive denominator `cden` (FLINT's `fmpq_poly` form): over Q the
+numerators, canonical when gcd(cden, *codes) = 1; over F_q cden = 1, with
+the residue over F_p and the vector's digits in e little-endian
+`_fold(1)`-byte slots over F_{p^e} (its own n = 1 kernel encoding).  The
+code of 1 is 1.  One coefficient's `code(c)` is an int, over Q the pair
+(numerator, denominator); `codes` puts a list of them over one denominator,
+`_element(k, cden)` reads one back unchecked, and `element(k)` (or
+`FFElement(field, k)`) refuses an int that is no code.  The kernel
+side is a pair on lists of codes: `encode(codes, n)` gives ints whose sums
+of at most n pairwise products stay exact, and `decode(values, n)` maps
+such sums back to codes, over the product of the operands' cden.  Over Q
+and F_p the encoding is the code, and `decode` is the identity or `% p`;
 over F_{p^e} `encode` widens the slots to `_fold(n)` bytes, where no slot of
 a sum of n products carries, by strided slices (`_widen`), and `decode`
 folds each value's slots of degree e and up into the low e (`_folded`) and
@@ -32,7 +34,7 @@ tail would lift that bound to wider code slots, each pass first takes the
 slots it folds mod 2 (one AND with their low bits; `_wrap`), and `_bound`
 is an upper bound of that fold.  `_reduce(v, n)`, the one-value
 reduction of the element ops and of each slot of `Series.invert`'s dense
-window, is the kernel encoding of `decode([v], 1, n)[0]` kept at `_fold(n)`
+window, is the kernel encoding of `decode([v], n)[0]` kept at `_fold(n)`
 width: `v % p` over F_p, else the same fold, then each slot mod p by one AND
 with the slots' low bits for p = 2, the byte table for 1-byte slots, or
 slot by slot.  A dense product moves whole buffers: `dense_pack` writes the
@@ -204,32 +206,31 @@ class FieldCtx:
 
     characteristic: int
 
-    def code(self, c):
-        """The code a series stores for coefficient c (c itself by default)."""
-        return c
-
-    def element(self, k):
-        return k
+    def codes(self, codes):
+        """Single coefficients' codes as a series stores them: (ints, cden)."""
+        return codes, 1
 
     def format_coeff(self, c) -> str:
-        return self.format_code(self.code(self.coerce(c)))
+        (k,), cden = self.codes([self.code(self.coerce(c))])
+        return self.format_code(k, cden)
 
     def parse_coeff(self, text: str):
-        return self.element(self.parse_code(text))
+        (k,), cden = self.codes([self.parse_code(text)])
+        return self._element(k, cden)
 
     def dense_pack(self, xcodes, ycodes, n):
         """Two operands' encodings, one nb-byte block a code (two's complement
         over Q), room for sums of n products: (xbuf, ybuf, nb, bytes of a
-        product's slot, den of a product); here a block is one slot."""
-        (xv, xden), (yv, yden) = self.encode(xcodes, n), self.encode(ycodes, n)
+        product's slot); here a block is one slot."""
+        xv, yv = self.encode(xcodes, n), self.encode(ycodes, n)
         signed = not self.characteristic
         nb = -(-((n * max(map(abs, xv)) * max(map(abs, yv))).bit_length() + signed) // 8)
         nb = min((w for w in _ITEM if w >= nb), default=nb)  # an item size up to 8
-        return _int_bytes(xv, nb, signed), _int_bytes(yv, nb, signed), nb, nb, xden * yden
+        return _int_bytes(xv, nb, signed), _int_bytes(yv, nb, signed), nb, nb
 
-    def dense_unpack(self, buf, nb, den, n):
+    def dense_unpack(self, buf, nb, n):
         """The codes of a dense product's nb-byte slots."""
-        return self.decode(_ints(buf, nb, not self.characteristic), den, n)
+        return self.decode(_ints(buf, nb, not self.characteristic), n)
 
 
 class RationalField(FieldCtx):
@@ -263,29 +264,42 @@ class RationalField(FieldCtx):
             return Fraction(value)
         raise FieldError(f"not a rational coefficient: {value!r}")
 
+    def code(self, c):
+        return c.numerator, c.denominator
+
+    def codes(self, pairs):
+        """(numerator, denominator) pairs as numerators over their lcm: (ints, cden)."""
+        den = lcm(*(d for _, d in pairs))
+        return [n * (den // d) for n, d in pairs], den
+
+    def element(self, k, cden=1):
+        return Fraction(k, cden)
+
+    _element = element
+
     def encode(self, codes, n):
-        """Numerators over the coefficients' common denominator: (ints, den)."""
-        den = lcm(*(c.denominator for c in codes))
-        return [c.numerator * (den // c.denominator) for c in codes], den
+        return codes
 
-    def decode(self, values, den, n):
-        return [Fraction(v, den) for v in values]
+    def decode(self, values, n):
+        return values
 
-    def format_code(self, k: Fraction) -> str:
+    def format_code(self, k: int, cden=1) -> str:
+        """k/cden in lowest terms, as str(Fraction(k, cden)) writes it."""
+        g = gcd(k, cden)
         try:
-            return str(k)
+            return str(k // g) if cden == g else f"{k // g}/{cden // g}"
         except ValueError as exc:  # CPython's bound on int-to-str conversion
             raise FieldError(
                 f"coefficient too large to print: over {sys.get_int_max_str_digits()}"
                 " decimal digits, the interpreter's integer-to-string limit") from exc
 
-    def parse_code(self, text: str) -> Fraction:
-        """The inverse of format_code: an optional "-", digits and an
-        optional "/d" with d > 1, in lowest terms."""
+    def parse_code(self, text: str):
+        """The inverse of format_code, as a (numerator, denominator) pair: an
+        optional "-", digits and an optional "/d" with d > 1, in lowest terms."""
         m = _RATIONAL.fullmatch(text)
         try:
             if m and gcd(n := int(m[1]), d := int(m[3] or 1)) == 1:
-                return Fraction(n, d)
+                return n, d
         except ValueError:  # the digit limit
             pass
         raise FieldError(f"bad rational literal {text!r}")
@@ -332,6 +346,9 @@ class FFElement:
     __slots__ = ("field", "code")
 
     def __init__(self, field, code):
+        if (type(code) is not int or not 0 <= code < 1 << 8 * field._c * field.e
+                or max(field._digits(code)) >= field.p):  # a digit of p or more
+            raise FieldError(f"{code!r} is not a code of {field.spec_string()}")
         self.field = field
         self.code = code
 
@@ -350,13 +367,13 @@ class FFElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return FFElement(f, f._reduce(self.code + o.code, 1))
+        return f._element(f._reduce(self.code + o.code, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        return FFElement(f, f._reduce((f.p - 1) * self.code, 1))
+        return f._element(f._reduce((f.p - 1) * self.code, 1))
 
     def __sub__(self, other):
         o = self._peer(other)
@@ -375,7 +392,7 @@ class FFElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return FFElement(f, f._reduce(self.code * o.code, 1))
+        return f._element(f._reduce(self.code * o.code, 1))
 
     __rmul__ = __mul__
 
@@ -401,7 +418,7 @@ class FFElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        return FFElement(self.field, self.field._powers_of([self.code], n)[0])
+        return self.field._element(self.field._powers_of([self.code], n)[0])
 
     def __eq__(self, other):
         if not isinstance(other, FFElement):
@@ -459,8 +476,7 @@ class FiniteField(FieldCtx):
         self._c = self._fold(1)[0] if e > 1 else 8  # code slot bytes; 8 hold a residue
         self._mod = (bytes(range(min(p, 256))) * (255 // p + 1))[:256]  # byte d -> d % p
         self._gs = _powers("g", e)  # the texts of format_code's powers
-        self.zero = FFElement(self, 0)
-        self.one = FFElement(self, 1)
+        self.zero, self.one = self._element(0), self._element(1)
         self._element_cache = None
 
     @property
@@ -498,13 +514,13 @@ class FiniteField(FieldCtx):
         return _format_poly(self.modulus, _powers("x", self.e + 1))
 
     def from_int(self, n: int) -> FFElement:
-        return FFElement(self, n % self.p)
+        return self._element(n % self.p)
 
     @property
     def g(self) -> FFElement:
         if self.e < 2:
             raise FieldError("prime fields have no generator symbol g")
-        return FFElement(self, 1 << 8 * self._c)
+        return self._element(1 << 8 * self._c)
 
     def coerce(self, value):
         if isinstance(value, FFElement):
@@ -521,7 +537,7 @@ class FiniteField(FieldCtx):
             raise FieldError("field too large for exhaustive enumeration")
         if self._element_cache is None:
             digits = [d for v in _base_p_vectors(self.p, self.e) for d in v]
-            self._element_cache = tuple(FFElement(self, k) for k in self._codes(digits))
+            self._element_cache = tuple(map(self._element, self._codes(digits)))
         return self._element_cache
 
     def frobenius(self, c: FFElement, b: int = 1) -> FFElement:
@@ -574,13 +590,19 @@ class FiniteField(FieldCtx):
     def element(self, k):
         return FFElement(self, k)
 
+    def _element(self, k, cden=1):
+        """The element of a code known to be valid, unchecked."""
+        x = object.__new__(FFElement)
+        x.field, x.code = self, k
+        return x
+
     def encode(self, codes, n):
         """The list of codes itself (e = 1, or code slots `_fold(n)` wide) or
-        their vectors widened to `_fold(n)` slots, lowest degree lowest: (ints, 1)."""
+        their vectors widened to `_fold(n)` slots, lowest degree lowest."""
         e, w = self.e, self._fold(n)[0]
         if e == 1 or w == self._c:
-            return codes, 1
-        return _ints(self._widen(codes, w, e * w), e * w), 1
+            return codes
+        return _ints(self._widen(codes, w, e * w), e * w)
 
     def _folded(self, values, w, G):
         """Each value (in w-byte slots) as the bytes of its low e slots, those
@@ -596,7 +618,7 @@ class FiniteField(FieldCtx):
         return out
 
     def _reduce(self, v, n):
-        """decode([v], 1, n)[0] in the kernel encoding (see the module docstring)."""
+        """decode([v], n)[0] in the kernel encoding (see the module docstring)."""
         e, p = self.e, self.p
         if e == 1:
             return v % p
@@ -608,7 +630,7 @@ class FiniteField(FieldCtx):
             return int.from_bytes(b.translate(self._mod), "little")
         return sum(d % p << 8 * w * i for i, d in enumerate(_ints(b, w)))
 
-    def decode(self, values, den, n):
+    def decode(self, values, n):
         """The codes standing for sums of at most n products of encoded
         values: `_folded`, then each slot taken mod p."""
         e, p = self.e, self.p
@@ -627,7 +649,7 @@ class FiniteField(FieldCtx):
             return super().dense_pack(xcodes, ycodes, n)
         w = _width(n * self.e * (self.p - 1) ** 2)
         nb = (2 * self.e - 1) * w
-        return self._widen(xcodes, w, nb), self._widen(ycodes, w, nb), nb, w, 1
+        return self._widen(xcodes, w, nb), self._widen(ycodes, w, nb), nb, w
 
     def _mod_slots(self, buf, w):
         """buf's w-byte slots mod p, as code-width slots: one AND with their low
@@ -646,7 +668,7 @@ class FiniteField(FieldCtx):
             return _resized(buf.translate(self._mod), 1, c)
         return _int_bytes([d % p for d in _ints(buf, w)], c)
 
-    def dense_unpack(self, buf, nb, den, n):
+    def dense_unpack(self, buf, nb, n):
         """Over F_{p^e}, the fold by G on the whole buffer, masked a block, then
         the low e slots of every block, gathered, mod p.  Where the product's
         slots are narrower than `_fold(n)`'s or p = 2, each slot is taken mod
@@ -654,7 +676,7 @@ class FiniteField(FieldCtx):
         it wraps, the mask keeps the low bit of each slot it folds, and the
         even slots it leaves are never read."""
         if self.e == 1:
-            return super().dense_unpack(buf, nb, den, n)
+            return super().dense_unpack(buf, nb, n)
         e, c, size = self.e, self._c, len(buf) // nb
         v, (w, G) = nb // (2 * e - 1), self._fold(n)
         if v < w or self.p == 2:
@@ -679,17 +701,17 @@ class FiniteField(FieldCtx):
         out, dec = None, self.decode
         while n:
             if n & 1:
-                out = codes if out is None else dec(list(map(mul, out, codes)), 1, 1)
+                out = codes if out is None else dec(list(map(mul, out, codes)), 1)
             n >>= 1
             if n:
-                codes = dec([k * k for k in codes], 1, 1)
+                codes = dec([k * k for k in codes], 1)
         return [1] * len(codes) if out is None else out
 
     def frobenius_codes(self, codes, b):
         """The codes of c^(p^b) for the codes of c (b < 0: the inverse)."""
         return self._powers_of(codes, self.p ** (b % self.e))  # the Frobenius has order e
 
-    def format_code(self, k: int) -> str:
+    def format_code(self, k: int, cden=1) -> str:
         return str(k) if self.e == 1 else _format_poly(self._digits(k), self._gs)
 
     def parse_code(self, text: str) -> int:
@@ -835,9 +857,9 @@ class AdditivePoly:
         codes = [c.code for c in ctx.elements()]
         terms = [(a.code, ctx.frobenius_codes(codes, i)) for i, a in enumerate(self.coeffs) if a]
         n = len(terms)
-        scale = ctx.encode([a for a, _ in terms], n)[0]
-        cols = zip(*(ctx.encode(f, n)[0] for _, f in terms))
-        return ctx.decode([sum(map(mul, scale, col)) for col in cols], 1, n)
+        scale = ctx.encode([a for a, _ in terms], n)
+        cols = zip(*(ctx.encode(f, n) for _, f in terms))
+        return ctx.decode([sum(map(mul, scale, col)) for col in cols], n)
 
     def separable_part(self):
         """Write P = F^j o Q with Q separable; return (Q, j).

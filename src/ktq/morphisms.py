@@ -127,9 +127,11 @@ def rescale(lam: ExpHom, y: Series) -> Series:
     """sum c_i t^i  |->  sum lam(i) c_i t^i.  The cap is unchanged."""
     if lam.ctx != y.ctx:
         raise SeriesError("coefficient-field mismatch")
-    vals, den = y.ctx.encode(y.cs + [y.ctx.code(lam.query(Fraction(k, y.den))) for k in y.ks], 1)
-    return Series._build(y.ctx, y.den, y.ks, y.ctx.decode(
-        [a * b for a, b in zip(vals, vals[len(y.ks):])], den * den, 1), y.cap)
+    ctx = y.ctx
+    lams, cden = ctx.codes([ctx.code(lam.query(Fraction(k, y.den))) for k in y.ks])
+    vals = ctx.encode(y.cs + lams, 1)
+    prods = [a * b for a, b in zip(vals, vals[len(y.ks):])]
+    return Series._build(ctx, y.den, y.ks, ctx.decode(prods, 1), y.cap, y.cden * cden)
 
 
 def scale_exponents(y: Series, r) -> Series:
@@ -192,7 +194,8 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
         pieces = ([_cut(ctx, *e) for e in plan] if plan
                   else [pow_rat(x, i, requested_cap) for i, _ in y.terms])
         caps = [xi.cap for xi in pieces]
-        result = (Series._sum(ctx, pieces, y.cs) if pieces else Series.zero(ctx)).truncate(cap)
+        result = Series._sum(ctx, pieces, y.cs, y.cden) if pieces else Series.zero(ctx)
+        result = result.truncate(cap)
     negs = [b for b in (_padic_val(e, p) for e, _ in y.terms if e) if b < 0] if p else []
     risk = len(negs) >= 2 and any(b2 < b1 for b1, b2 in zip(negs, negs[1:]))
     diag = SubstDiagnostics(tuple(zip([i for i, _ in y.terms], caps)), risk)

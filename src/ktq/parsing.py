@@ -379,7 +379,7 @@ def _series(node, env):
 
 def _big_o(y) -> Series:
     """O(t^c), the printer's cap: no terms, known below c, read from an exact t^c."""
-    if y.is_exact and len(y.ks) == 1 and y.cs[0] == 1:
+    if y.is_exact and len(y.ks) == 1 and y.is_monic():
         return Series(y.ctx, (), Fraction(y.ks[0], y.den))
     raise ParseError("O(...) takes a power of t, such as O(t^3)")
 

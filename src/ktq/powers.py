@@ -126,8 +126,9 @@ def _expansions(x: Series, exps, requested_cap):
         tops[q] = max(tops.get(q, bound), bound)
     c = None if x.is_monic() else x.leading_coeff()
     for (num, den), bound in tops.items():
-        if not p:  # Miller's recurrence reads c and eps off x
-            ys[num, den] = _miller(x, num, den, c ** num if c else ctx.one, 0, bound)
+        if not p:  # Miller's recurrence reads c and eps off x, seeded with c^q as an int pair
+            a, d = ((x.cs[0], x.cden) if num >= 0 else (x.cden, x.cs[0])) if c else (1, 1)
+            ys[num, den] = _miller(x, num, den, (a ** abs(num), d ** abs(num)), 0, bound)
             continue
         hi = _int_bound(bound, x.den)
         n = bisect_left(x.ks, hi + x.ks[0])

@@ -34,58 +34,61 @@ target defaults to min(0, v*(b)) / 2 (INF over Q); over F_p an INF cap is
 refused if b has a nonconstant term; exact b = 0 gives exact 0.
 
 Storage is packed and canonical: a lattice denominator `den`, ascending ints
-`ks` for the exponents k/den, one nonzero code per term in `cs` (the field's
-`code`; see the `fields` docstring) and the cap.  `den` is the least
-denominator of the support (gcd(den, *ks) = 1, den = 1 without terms), so
-equal elements have equal fields.  `Series._from_pairs` is the one entry
-from rational pairs (`Series(...)`, `series_from_json`), on int pairs and one
-int sort; `Series._pack` reduces the lattice (the exponents past the first
-1024 are read only while the gcd is not 1): directly where the codes are
-nonzero by construction (`_residues`, `_remap`, `_miller`, `invert`'s heap
-walk), else after `Series._build` drops the zero codes.  `Series._sum` is
-the one merge and linear combination sum c_i x_i, with `+` its two-piece
-case and `substitute` its caller with coefficients: one int-keyed dict over
-lcm(den), where a key met by one piece at coefficient 1 keeps its code and
-only the others are summed, two codes at a time without coefficients, else
-as sums of products in one encode and one decode.  `_dense` (at most 4 slots per term) is the
-one window rule; `Series._residues` reads back the windows of codes: dense products,
-the dense inverse below (its first period repeated) and `substitute`'s
-x^i, added at their strides, a periodic one from its period alone (see
-`morphisms._window`).  `Series._remap` is the one exponent map, k/den
-to (f k + off)/den' in one `_pack`, for `shift`, `scale_exponents` and
-`powers._cut` (x^i in `pow_rat`, `frobenius_map`, `substitute`); `truncate` is a
-bisect; `scale` and sparse products sum the field's kernel encoding of the
-codes as plain ints and decode them in one call (see `fields`), with the
-cap as the least int bound at or above cap*den.  A product cuts its operands
-at that bound; if the shorter keeps _KRONECKER_MIN terms and both windows
-are dense, the field writes each into one buffer of equal product-sized
-slots (`dense_pack`), `_kronecker` reads it as one int with a block per
-lattice point, the two are multiplied once (Kronecker substitution), or
-from _KS2_MIN bits on over F_{p^e} (e > 1), twice on half slots (`_ks2`,
-Harvey's KS2), and the field reads the product's buffer back as a whole
-(`dense_unpack`); else a loop over the pairs allocates nothing per lattice
-point.  Inverses run a
-recurrence over the sums of their steps: over Q `_miller` at q = -1, the one
-recurrence of Q's inverses and powers; over F_q, each sum reduced once to the
-kernel encoding of its code, on the dense window `_dense_step` chooses up to
-the first period, handed back unrepeated (see `Series.invert`), or on a sparse
-lattice on the heap walk of the reachable sums (`_reachable`), decoded at once;
-x is cut at the bound first, as `_miller` cuts it.
+`ks` for the exponents k/den, one nonzero int code per term in `cs` over one
+coefficient denominator `cden` > 0 (see `fields`), and the cap.  gcd(den, *ks)
+= 1 (den = 1 without terms) and gcd(cden, *cs) = 1 (cden = 1 over F_q), so
+equal elements have equal fields.  `Series._from_pairs` is the one entry from
+rational pairs (`Series(...)`, `series_from_json`), on int pairs and one int
+sort; `Series._pack` is the one reduction to that form, of the lattice (the
+exponents past the first 1024 are read only while the gcd is not 1) and, where
+cden is not 1, of the codes by one gcd and one exact division: directly where
+the codes are nonzero by construction (`_residues`, `_remap`, `_miller`,
+`invert`'s heap walk), else after `Series._build` drops the zero codes.
+`Series._sum` is the one merge and linear combination sum c_i x_i, with `+` its
+two-piece case and `substitute` its caller with coefficients: one int-keyed
+dict over lcm(den), codes over lcm(cden), where a key met by one piece at the
+code 1 keeps its code and only the others are summed, two codes at a time
+without coefficients, else as sums of products in one encode and one decode.
+`_dense` (at most 4 slots per term) is the one window rule; `Series._residues`
+reads back the windows of codes: dense products, the dense inverse below (its
+first period repeated) and `substitute`'s x^i, added at their strides, a
+periodic one from its period alone (see `morphisms._window`).  `Series._remap`
+is the one exponent map, k/den to (f k + off)/den' in one `_pack`, for `shift`,
+`scale_exponents` and `powers._cut` (x^i in `pow_rat`, `frobenius_map`,
+`substitute`); `truncate` is a bisect; `scale` and sparse products sum the
+field's kernel encoding of the codes as plain ints and decode them in one call
+(see `fields`), over the product of the cden, with the cap as the least int
+bound at or above cap*den.  A product cuts its operands at that bound; if the
+shorter keeps _KRONECKER_MIN terms and both windows are dense, the field writes
+each into one buffer of equal product-sized slots (`dense_pack`), `_kronecker`
+reads it as one int with a block per lattice point, the two are multiplied once
+(Kronecker substitution), or from _KS2_MIN bits on over F_{p^e} (e > 1), twice
+on half slots (`_ks2`, Harvey's KS2), and the field reads the product's buffer
+back as a whole (`dense_unpack`); else a loop over the pairs allocates nothing
+per lattice point.  Inverses run a recurrence over the sums of their steps:
+over Q `_miller` at q = -1, the one recurrence of Q's inverses and powers; over
+F_q, each sum reduced once to the kernel encoding of its code, on the dense
+window `_dense_step` chooses up to the first period, handed back unrepeated
+(see `Series.invert`), or on a sparse lattice on the heap walk of the reachable
+sums (`_reachable`), decoded at once; x is cut at the bound first, as `_miller`
+cuts it.
 
-Coefficients and Fraction exponents are decoded only at the boundary: `terms`
-(a tuple of (Fraction, coefficient) pairs, a view built on first use and
-cached), `coeff` (a bisect), `valuation` and `leading_coeff`.  Text is not
+A Q coefficient is a Fraction, and an exponent one, only at the boundary:
+`terms` (a tuple of (Fraction, coefficient) pairs, a view built on first use
+and cached), `coeff` (a bisect), `valuation` and `leading_coeff`.  Text is not
 decoded: `format_series` and `to_json_dict` write each exponent k/den reduced
-by an int gcd and each code through the field's `format_code` (over F_{p^e}
-each distinct one once a series, its texts kept on it like `terms`);
-`series_from_json` reduces int pairs [num, den] by a gcd and sends any other
-value through Fraction(num, den), which reports it.
+by an int gcd and each code through `format_code` (over Q code/cden; over
+F_{p^e} each distinct one once a series, its texts kept on it like `terms`);
+`series_from_json` reduces int pairs [num, den] by a gcd, sends any other value
+through Fraction(num, den), which reports it, and puts Q's int pairs over their
+lcm once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from itertools import compress, islice
 from math import gcd, lcm
@@ -300,25 +303,28 @@ def _miller(x, num, qden, b0, off, cap):
     sum a_j t^(e_j/x.den), by J.C.P. Miller's power recurrence (Knuth, TAOCP
     vol. 2, 4.7): b_0 = b0 and k b_k = sum_j ((q + 1) e_j - k) a_j b_(k - e_j),
     at q = -1 the invert recurrence.  Each b_k below cap goes to (k + off)/x.den;
-    its sum is n/d on ints (a_j = vals[j]/vals[0], d the lcm of the b's it reads)."""
+    it is an int pair n/d, b0 too (a_j = cs[j]/cs[0], d the lcm of the b's it
+    reads, n/d reduced by a gcd), and the series holds the b's over their lcm."""
     ks, hi = x.ks, _int_bound(cap, x.den) - off
     top = bisect_left(ks, hi + ks[0], 1)  # c and eps below hi
-    vals, _ = x.ctx.encode(x.cs[:top], 1)
-    es, rs, aden = [k - ks[0] for k in ks[1:top]], num + qden, vals[0]  # q + 1 = rs / qden
-    steps = list(zip(es, vals[1:]))
+    es, rs, aden = [k - ks[0] for k in ks[1:top]], num + qden, x.cs[0]  # q + 1 = rs / qden
+    steps = list(zip(es, x.cs[1:top]))
     b = {0: b0} if hi > 0 else {}
     for k in islice(_reachable(es, hi, b), 1, None):  # after 0
         n, d = 0, 1
         for e, a in steps:
             if (c := b.get(k - e)) is not None:
-                w, cd = (rs * e - qden * k) * a * c.numerator, c.denominator
+                w, cd = (rs * e - qden * k) * a * c[0], c[1]
                 if d % cd:  # d becomes lcm(d, cd)
                     g = gcd(d, cd)
                     n, d = n * (cd // g), d // g * cd
                 n += w * (d // cd)
         if n:
-            b[k] = Fraction(n, d * qden * aden * k)  # the codes over Q are the coefficients
-    return Series.__new__(Series)._pack(x.ctx, x.den, [k + off for k in b], list(b.values()), cap)
+            d *= qden * aden * k
+            b[k] = n // (g := gcd(n, d)), d // g
+    cden = lcm(*(d for _, d in b.values()))
+    return Series.__new__(Series)._pack(x.ctx, x.den, [k + off for k in b],
+                                        [n * (cden // d) for n, d in b.values()], cap, cden)
 
 
 class UnknownAtLeast(Record):
@@ -330,7 +336,7 @@ class UnknownAtLeast(Record):
 class Series:
     """An element of k((t^Q)), known exactly below its cap."""
 
-    __slots__ = ("ctx", "den", "ks", "cs", "cap", "_terms", "_texts")
+    __slots__ = ("ctx", "den", "ks", "cs", "cden", "cap", "_terms", "_texts")
 
     def __init__(self, ctx: FieldCtx, terms=(), cap=INF):
         cap = _as_cap(cap)
@@ -342,16 +348,18 @@ class Series:
 
     # ------------------------------------------------------------ builders
 
-    def _pack(self, ctx, den, ks, cs, cap):
+    def _pack(self, ctx, den, ks, cs, cap, cden=1):
         """Fill self from ascending int lists ks (exponents k/den, all below
-        cap) and cs (nonzero codes), reducing the lattice to canonical form."""
+        cap) and cs (nonzero codes over cden > 0), reduced to canonical form."""
         g = den if den == 1 else gcd(den, *ks[:1024])  # the first terms settle most lattices
         if g != 1 and len(ks) > 1024:  # so the rest is read only when they do not
             g = gcd(g, *ks[1024:])
         if g != 1:
             den //= g
             ks = [k // g for k in ks]
-        self.ctx, self.den, self.ks, self.cs, self.cap = ctx, den, ks, cs, cap
+        if cden != 1 and (g := gcd(cden, *cs)) != 1:  # one gcd, one exact division
+            cden, cs = cden // g, [c // g for c in cs]
+        self.ctx, self.den, self.ks, self.cs, self.cden, self.cap = ctx, den, ks, cs, cden, cap
         self._terms = self._texts = None  # the views `terms` and `_formatter` keep
         return self
 
@@ -360,10 +368,10 @@ class Series:
         num/den in lowest terms with den > 0.  Each term is checked in input
         order for a zero code, an exponent at or above cap (cross-multiplied)
         and a repeated exponent; then the exponents go onto one lattice
-        lcm(den) and one int sort."""
-        top, seen = _pair(cap), {}
+        lcm(den) and one int sort, and the codes over one denominator (`codes`)."""
+        top, seen, zero = _pair(cap), {}, ctx.code(ctx.zero)
         for n, d, c in terms:
-            if not c:
+            if c == zero:
                 raise SeriesError(f"zero coefficient stored at exponent {Fraction(n, d)}")
             if top and n * top[1] >= top[0] * d:
                 raise SeriesError(f"term at exponent {Fraction(n, d)} is not below the cap {cap}")
@@ -373,25 +381,26 @@ class Series:
         den = lcm(*(d for _, d in seen))
         by_k = {n * (den // d): c for (n, d), c in seen.items()}
         ks = sorted(by_k)
-        return self._pack(ctx, den, ks, [by_k[k] for k in ks], cap)
+        cs, cden = ctx.codes([by_k[k] for k in ks])
+        return self._pack(ctx, den, ks, cs, cap, cden)
 
     @classmethod
-    def _build(cls, ctx, den, ks, cs, cap):
+    def _build(cls, ctx, den, ks, cs, cap, cden=1):
         """Internal, the one builder on the packed form: `_pack` without the zero codes."""
         if not all(cs):
             keep = [i for i, c in enumerate(cs) if c]
             ks, cs = [ks[i] for i in keep], [cs[i] for i in keep]
-        return cls.__new__(cls)._pack(ctx, den, ks, cs, cap)
+        return cls.__new__(cls)._pack(ctx, den, ks, cs, cap, cden)
 
     @classmethod
-    def _residues(cls, ctx, den, lo, g, w, cap, size=0):
+    def _residues(cls, ctx, den, lo, g, w, cap, size=0, cden=1):
         """Internal, the one read-back of a window of codes: code j of w at (lo + j g)/den;
         a w shorter than size slots is a period, repeated to size."""
         if size > len(w):
             w = w * (size // len(w) + 1)
             del w[size:]
         return cls.__new__(cls)._pack(ctx, den, list(compress(range(lo, lo + g * len(w), g), w)),
-                                      list(filter(None, w)), cap)
+                                      list(filter(None, w)), cap, cden)
 
     def _exps(self, den):
         """The exponents as ints over den, a multiple of self.den."""
@@ -404,11 +413,11 @@ class Series:
 
     @classmethod
     def one(cls, ctx):
-        return cls._build(ctx, 1, [0], [ctx.code(ctx.one)], INF)
+        return cls._build(ctx, 1, [0], [1], INF)
 
     @classmethod
     def t(cls, ctx):
-        return cls._build(ctx, 1, [1], [ctx.code(ctx.one)], INF)
+        return cls._build(ctx, 1, [1], [1], INF)
 
     @classmethod
     def constant(cls, ctx, c):
@@ -429,7 +438,7 @@ class Series:
         """The (Fraction exponent, coefficient) pairs, decoded on first use."""
         if self._terms is None:
             self._terms = tuple(zip(map(Fraction, self.ks, [self.den] * len(self.ks)),
-                                    map(self.ctx.element, self.cs)))
+                                    map(self.ctx._element, self.cs, [self.cden] * len(self.cs))))
         return self._terms
 
     @property
@@ -448,10 +457,10 @@ class Series:
     def leading_coeff(self):
         if not self.ks:
             raise SeriesError("no visible leading term")
-        return self.ctx.element(self.cs[0])
+        return self.ctx._element(self.cs[0], self.cden)
 
     def is_monic(self) -> bool:
-        return bool(self.ks) and self.cs[0] == 1
+        return bool(self.ks) and self.cs[0] == self.cden
 
     def coeff(self, e):
         """The certified coefficient at exponent e."""
@@ -462,7 +471,7 @@ class Series:
             k = e.numerator * (self.den // e.denominator)
             i = bisect_left(self.ks, k)
             if i < len(self.ks) and self.ks[i] == k:
-                return self.ctx.element(self.cs[i])
+                return self.ctx._element(self.cs[i], self.cden)
         return self.ctx.zero
 
     # ---------------------------------------------------------- arithmetic
@@ -474,28 +483,30 @@ class Series:
             raise SeriesError("coefficient-field mismatch")
 
     @staticmethod
-    def _sum(ctx, pieces, coeffs=None):
+    def _sum(ctx, pieces, coeffs=None, cden=1):
         """Internal, the one merge and linear combination: sum c_i x_i by the
-        add rule, each c_i a nonzero code (1 without coeffs), on one int-keyed
-        dict.  Without coeffs two codes meet at a time at n = 1 (as in `+`);
-        with them the other keys' summands and the c_i are encoded at once,
-        n the most summands of a key, and their sums of products decoded at once."""
-        cap, den = pieces[0].cap, pieces[0].den
+        add rule, each c_i a nonzero code over cden (1 without coeffs), on one
+        int-keyed dict of codes over lcm(cden).  Without coeffs two codes meet at
+        a time at n = 1 (as in `+`); with them the other keys' summands and the
+        c_i are encoded at once, n the most summands of a key, and decoded at once."""
+        cap, den, cd = pieces[0].cap, pieces[0].den, pieces[0].cden
         for s in pieces[1:]:
             cap, den = min(cap, s.cap), lcm(den, s.den)
+            cd = cd if s.cden == cd else lcm(cd, s.cden)
         bound = _int_bound(cap, den)
         acc, sums = {}, {}  # key -> code; key -> its summands (code, index of c_i; 1 last)
         for i, s in enumerate(pieces):
-            more = dict(zip(s._exps(den), s.cs))
+            more = dict(zip(s._exps(den),
+                            s.cs if s.cden == cd else [c * (cd // s.cden) for c in s.cs]))
             if coeffs is not None:
                 for k in (more.keys() & acc.keys() if coeffs[i] == 1 else more):
                     if k not in sums:
                         sums[k] = [(acc[k], len(pieces))] if k in acc else []
                     sums[k].append((more[k], i))
             elif acc and (both := list(acc.keys() & more.keys())):
-                vals, cden = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 1)
+                vals = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 1)
                 more.update(zip(both, ctx.decode(
-                    [x + y for x, y in zip(vals, vals[len(both):])], cden, 1)))
+                    [x + y for x, y in zip(vals, vals[len(both):])], 1)))
             if acc:
                 acc.update(more)
             else:  # the first piece's dict is not copied
@@ -504,12 +515,12 @@ class Series:
             groups = [sums[k] for k in ks]
             codes = [v for t in groups for v, _ in t]
             n, m = max(map(len, groups)), len(codes)
-            vals, cden = ctx.encode(codes + [*coeffs, 1], n)
+            vals = ctx.encode(codes + [*coeffs, 1], n)
             it = map(mul, vals[:m], [vals[m + i] for t in groups for _, i in t])
             out = [sum(islice(it, len(t))) for t in groups]
-            acc.update(zip(ks, ctx.decode(out, cden * cden, n)))
+            acc.update(zip(ks, ctx.decode(out, n)))
         ks = sorted(k for k in acc if k < bound)
-        return Series._build(ctx, den, ks, [acc[k] for k in ks], cap)
+        return Series._build(ctx, den, ks, [acc[k] for k in ks], cap, cd * cden)
 
     def __add__(self, other):
         self._check_peer(other)
@@ -538,7 +549,7 @@ class Series:
         if (min(i, j) >= _KRONECKER_MIN and _dense(xs[-1] - xs[0] + 1, i)
                 and _dense(ys[-1] - ys[0] + 1, j)):
             lo, size = xs[0] + ys[0], min(xs[-1] + ys[-1] + 1, bound) - xs[0] - ys[0]
-            xb, yb, nb, w, vden = ctx.dense_pack(self.cs[:i], other.cs[:j], n)
+            xb, yb, nb, w = ctx.dense_pack(self.cs[:i], other.cs[:j], n)
             # KS2 over F_{p^e}, e > 1 (a block of 2e - 1 slots: w < nb), on even slots
             if w < nb and w % 2 == 0 and 8 * nb * min(xs[-1] - xs[0], ys[-1] - ys[0]) >= _KS2_MIN:
                 buf = _ks2(_kronecker(xs, _resized(xb, w, w // 2), nb // 2, 0),
@@ -549,9 +560,9 @@ class Series:
                     (1 << 8 * nb - 1).to_bytes(nb, "little") * size, "little")
                 z = _kronecker(xs, xb, nb, bias) * _kronecker(ys, yb, nb, bias)
                 buf = ((z + bias & (1 << 8 * nb * size) - 1) ^ bias).to_bytes(nb * size, "little")
-            return Series._residues(ctx, den, lo, 1, ctx.dense_unpack(buf, nb, vden, n), cap)
-        xv, xden = ctx.encode(self.cs[:i], n)
-        yv, yden = ctx.encode(other.cs[:j], n)
+            return Series._residues(ctx, den, lo, 1, ctx.dense_unpack(buf, nb, n), cap,
+                                    cden=self.cden * other.cden)
+        xv, yv = ctx.encode(self.cs[:i], n), ctx.encode(other.cs[:j], n)
         ys_vals = list(zip(ys, yv))
         acc = {}
         get = acc.get
@@ -562,7 +573,8 @@ class Series:
                     break
                 acc[k] = get(k, 0) + vx * vy
         ks = sorted(acc)
-        return Series._build(ctx, den, ks, ctx.decode([acc[k] for k in ks], xden * yden, n), cap)
+        return Series._build(ctx, den, ks, ctx.decode([acc[k] for k in ks], n), cap,
+                             self.cden * other.cden)
 
     def scale(self, c):
         """Multiply by a single coefficient.  Scaling by zero is exactly 0."""
@@ -572,9 +584,10 @@ class Series:
             return Series.zero(ctx)
         if c == ctx.one:
             return self
-        (*vals, vc), den = ctx.encode(self.cs + [ctx.code(c)], 1)
-        return Series._build(ctx, self.den, self.ks,
-                             ctx.decode([v * vc for v in vals], den * den, 1), self.cap)
+        (k,), cden = ctx.codes([ctx.code(c)])
+        *vals, vc = ctx.encode(self.cs + [k], 1)
+        return Series._build(ctx, self.den, self.ks, ctx.decode([v * vc for v in vals], 1),
+                             self.cap, self.cden * cden)
 
     def _remap(self, fn, fd, sn, sd, cs, cap):
         """Internal, the one exponent map: t^(sn/sd) times the terms with
@@ -582,7 +595,8 @@ class Series:
         given, in one `_pack` on the lattice lcm(den fd, sd)."""
         den = lcm(self.den * fd, sd)
         f, off = fn * (den // (self.den * fd)), sn * (den // sd)
-        return Series.__new__(Series)._pack(self.ctx, den, [k * f + off for k in self.ks], cs, cap)
+        return Series.__new__(Series)._pack(self.ctx, den, [k * f + off for k in self.ks], cs, cap,
+                                            self.cden)
 
     def shift(self, delta):
         """Multiply by t^delta (an exact monomial)."""
@@ -596,7 +610,7 @@ class Series:
         if bound is self.cap or not _lt(_pair(bound), _pair(self.cap)):  # nothing to cut
             return self
         i = bisect_left(self.ks, _int_bound(bound, self.den))
-        return Series._build(self.ctx, self.den, self.ks[:i], self.cs[:i], bound)
+        return Series._build(self.ctx, self.den, self.ks[:i], self.cs[:i], bound, self.cden)
 
     def invert(self, requested_cap=INF):
         """Multiplicative inverse, certified below min(requested, cap - 2v).
@@ -638,11 +652,11 @@ class Series:
             raise PrecisionError("cannot invert: no visible leading term")
         requested_cap = _as_cap(requested_cap)
         ctx, kv = self.ctx, self.ks[0]
-        c_inv = 1 / self.leading_coeff()
         result_cap = inverse_cap(self, requested_cap)
         p = ctx.characteristic
         if not p:
-            return _miller(self, -1, 1, c_inv, -kv, result_cap)
+            return _miller(self, -1, 1, (self.cden, self.cs[0]), -kv, result_cap)
+        c_inv = 1 / self.leading_coeff()
         x, bound = self, _int_bound(result_cap, self.den) + kv
         if self.ks[-1] - kv >= bound:  # x cut at the bound, where no step is read
             top = bisect_left(self.ks, bound + kv, 1)
@@ -652,7 +666,7 @@ class Series:
         n = len(x.ks) - 1
         # b_k scaled by c_inv: b_0 = c_inv and the steps are -a_j * c_inv.
         codes = [ctx.code(c_inv)] + x.scale(-c_inv).cs[1:]
-        vals, _ = ctx.encode(codes, n)  # codes itself where each code is its encoding
+        vals = ctx.encode(codes, n)  # codes itself where each code is its encoding
         es = [k - kv for k in x.ks[1:]]
         reduce = ctx._reduce
         if g := _dense_step(es, bound):
@@ -673,13 +687,13 @@ class Series:
             else:
                 i = size
             del b[i:]  # the first period, or all size slots
-            return x.den, -kv, g, b if vals is codes else ctx.decode(b, 1, n), result_cap, size
+            return x.den, -kv, g, b if vals is codes else ctx.decode(b, n), result_cap, size
         steps, b = list(zip(es, vals[1:])), {}
         for k in _reachable(es, bound, b):  # b_k reduced in the kernel encoding
             if c := vals[0] if k == 0 else reduce(
                     sum(a * b[k - e] for e, a in steps if k - e in b), n):
                 b[k] = c
-        cs = list(b.values()) if vals is codes else ctx.decode(list(b.values()), 1, n)
+        cs = list(b.values()) if vals is codes else ctx.decode(list(b.values()), n)
         return Series.__new__(Series)._pack(ctx, x.den, [k - kv for k in b], cs, result_cap)
 
     # ----------------------------------------------------------- equality
@@ -689,16 +703,16 @@ class Series:
         self._check_peer(other)
         joint = min(self.cap, other.cap, _as_cap(bound))
         a, b = self.truncate(joint), other.truncate(joint)
-        return (a.den, a.ks, a.cs) == (b.den, b.ks, b.cs)  # canonical forms
+        return (a.den, a.ks, a.cs, a.cden) == (b.den, b.ks, b.cs, b.cden)  # canonical forms
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         return (self.ctx == other.ctx and self.den == other.den and self.ks == other.ks
-                and self.cs == other.cs and self.cap == other.cap)
+                and self.cs == other.cs and self.cden == other.cden and self.cap == other.cap)
 
     def __hash__(self):
-        return hash((self.ctx, self.den, tuple(self.ks), tuple(self.cs), self.cap))
+        return hash((self.ctx, self.den, tuple(self.ks), tuple(self.cs), self.cden, self.cap))
 
     # --------------------------------------------------------- formatting
 
@@ -730,11 +744,11 @@ def format_exp_part(n: int, d: int) -> str:
 
 
 def _formatter(x: Series):
-    """format_code, over F_{p^e} (e > 1) once for each distinct code of x:
-    the texts stay on x for its next `to_json_dict` or `str`."""
+    """format_code, over Q on x's cden, over F_{p^e} (e > 1) once for each
+    distinct code of x: the texts stay on x for its next `to_json_dict` or `str`."""
     ctx = x.ctx
     if not ctx.characteristic or ctx.e == 1:
-        return ctx.format_code
+        return ctx.format_code if ctx.characteristic else partial(ctx.format_code, cden=x.cden)
     if x._texts is None:
         x._texts = {c: ctx.format_code(c) for c in set(x.cs)}
     return x._texts.__getitem__
@@ -747,7 +761,7 @@ def format_series(x: Series) -> str:
         sign = "+"
         if signed and c < 0:
             sign, c = "-", -c
-        if n and c == 1:  # the code of 1 is 1 in every field
+        if n and c == x.cden:  # the coefficient 1
             body = format_exp_part(n, d)
         else:
             body = fmt(c)

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 import ktq.parsing
-from ktq import (AdditivePoly, ExpHom, FieldError, FiniteField, Invert,
+from ktq import (AdditivePoly, ExpHom, FFElement, FieldError, FiniteField, Invert,
                  RationalField, Rescale, ScaleExp, Series, Substitute,
                  SeriesError, Transform, Translate, hypothesis_a_check, make_field,
                  series_from_json)
@@ -418,8 +418,28 @@ def test_an_element_is_its_code(spec):
     ctx = make_field(spec)
     for k, c in enumerate(ctx.elements()):
         assert ctx.code(c) == c.code and ctx.element(c.code) == c
-        assert ctx.encode([c.code], 1) == ([c.code], 1)
+        assert ctx.encode([c.code], 1) == [c.code]
         assert sum(d * ctx.p ** i for i, d in enumerate(c.vec)) == k
+
+
+@pytest.mark.parametrize("spec", ["F2", "F9", "F4096", "F1000003"])
+def test_a_code_is_checked_at_the_public_entry(spec):
+    """`FFElement(field, code)` and `element(code)` refuse an int with a digit
+    of p or more (in the lowest digit and in the top one), a negative code,
+    one past the code width and a code that is no int: each a FieldError,
+    exit 1 through the CLI.  Every valid code builds the element it holds."""
+    ctx = make_field(spec)
+    p, top = ctx.p, 8 * ctx._c * (ctx.e - 1)  # the top digit's bit offset
+    bad = [p, p << top, (p - 1) << top | p, -1, -(p - 1), 1 << 8 * ctx._c * ctx.e,
+           2 << 8 * ctx._c * ctx.e, 1.0, Fraction(1), True]
+    for k in bad:
+        for build in (lambda: FFElement(ctx, k), lambda: ctx.element(k)):
+            with pytest.raises(FieldError, match="is not a code of"):
+                build()
+    els = ctx.elements() if ctx.q <= 1 << 12 else [ctx.zero, ctx.one, ctx.from_int(-1)]
+    for c in els:
+        assert FFElement(ctx, c.code) == ctx.element(c.code) == c
+    assert ctx.element((p - 1) << top).vec == (0,) * (ctx.e - 1) + (p - 1,)
 
 
 def _units(ctx):
@@ -513,7 +533,8 @@ def test_prime_field_with_any_modulus_round_trips(p):
                                    Fraction(-(10 ** 4299), 3), Fraction(10 ** 4300 - 1),
                                    Fraction(1, 10 ** 4300 - 1)])
 def test_rational_parse_code_inverts_format_code(Q, value):
-    assert Q.parse_code(Q.format_code(value)) == value
+    pair = value.numerator, value.denominator
+    assert Q.parse_code(Q.format_code(*pair)) == pair
 
 
 @pytest.mark.parametrize("text", [" 3 ", "1.5", "1e3", "6/4", "3/1", "-0", "+3", "007", "0/5",

@@ -97,10 +97,10 @@ def spy(monkeypatch, hits):
     unpack, ks2 = FiniteField.dense_unpack, kernel._ks2
     dense_step, mul = kernel._dense_step, Series.__mul__
 
-    def unpack_spy(ctx, buf, nb, den, n):
+    def unpack_spy(ctx, buf, nb, n):
         narrowed = nb // (2 * ctx.e - 1) < ctx._fold(n)[0] or ctx.p == 2
         hits["narrowed" if narrowed else "fold width"] += 1
-        return unpack(ctx, buf, nb, den, n)
+        return unpack(ctx, buf, nb, n)
 
     def step_spy(steps, bound):
         g = dense_step(steps, bound)

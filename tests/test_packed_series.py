@@ -13,7 +13,7 @@ an equal hash) to the same element rebuilt by the validating constructor.
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -110,7 +110,8 @@ def assert_canonical(s):
     assert exps == sorted(set(exps)) and all(e < s.cap for e in exps)
     assert all(type(e) is Fraction and c for e, c in s.terms)
     assert s.den == lcm(*(e.denominator for e in exps))
-    assert len(s.ks) == len(s.cs) and all(s.cs)
+    assert len(s.ks) == len(s.cs) and all(s.cs) and all(type(c) is int for c in s.cs)
+    assert s.cden > 0 and gcd(s.cden, *s.cs) == 1 and (s.cden == 1 or not s.ctx.characteristic)
     rebuilt = Series(s.ctx, s.terms, s.cap)
     assert rebuilt == s and hash(rebuilt) == hash(s)
 
@@ -298,7 +299,7 @@ def test_one_element_by_four_routes(spec):
         routes += [frobenius_map(frobenius_map(a, -j), j) for j in (1, 3)]
     for s in routes:
         assert s == a and hash(s) == hash(a)
-        assert (s.den, s.ks, s.cs, s.cap) == (a.den, a.ks, a.cs, a.cap)
+        assert (s.den, s.ks, s.cs, s.cden, s.cap) == (a.den, a.ks, a.cs, a.cden, a.cap)
     assert (c - b).den == 2
 
 
@@ -323,10 +324,10 @@ def test_zero_codes_are_dropped_by_the_builders_and_refused_by_the_constructor()
     zero coefficient rather than drop it."""
     F3 = FIELDS["F3"]
     s = Series._build(F3, 2, [0, 1, 2], [1, 0, 2], INF)
-    assert (s.den, s.ks, s.cs) == (1, [0, 1], [1, 2])
+    assert (s.den, s.ks, s.cs, s.cden) == (1, [0, 1], [1, 2], 1)
     assert_canonical(s)
     s = Series._residues(F3, 2, 0, 1, [1, 0, 2, 0, 1], INF)
-    assert (s.den, s.ks, s.cs) == (1, [0, 1, 2], [1, 2, 1])
+    assert (s.den, s.ks, s.cs, s.cden) == (1, [0, 1, 2], [1, 2, 1], 1)
     assert_canonical(s)
     with pytest.raises(SeriesError, match="zero coefficient"):
         Series(F3, {0: 1, Fraction(1, 2): 0})

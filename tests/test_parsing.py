@@ -179,7 +179,7 @@ def test_printed_series_read_back(spec):
         x = _printable_series(rng, ctx)
         text = format_series(x)
         y = eval_expression(parse_expression(text), EvalEnv(ctx, INF))
-        assert (y.den, y.ks, y.cs, y.cap) == (x.den, x.ks, x.cs, x.cap), text
+        assert (y.den, y.ks, y.cs, y.cden, y.cap) == (x.den, x.ks, x.cs, x.cden, x.cap), text
 
 
 @pytest.mark.parametrize("text, printed", [

@@ -286,9 +286,9 @@ def _paths(x, y, cap):
         windows.append(r is not None)
         return r
 
-    def sum_spy(ctx, pieces, coeffs=None):
+    def sum_spy(ctx, pieces, coeffs=None, cden=1):
         sums.append(len(pieces))
-        return real_sum(ctx, pieces, coeffs)
+        return real_sum(ctx, pieces, coeffs, cden)
     with patch.object(morphisms, "_window", window_spy), \
             patch.object(morphisms, "pow_rat", pow_spy), \
             patch.object(Series, "_sum", staticmethod(sum_spy)):
@@ -357,14 +357,14 @@ def _reference_substitute(x, y, cap):
     xis = [pow_rat(x, i, cap) for i, _ in y.terms]
     total = Series._sum(x.ctx, [xi.scale(c) for xi, (_, c) in zip(xis, y.terms)]
                         or [Series.zero(x.ctx)]).truncate(substitute_cap(x, y, cap))
-    return ((total.den, total.ks, total.cs, total.cap), total.cap,
+    return ((total.den, total.ks, total.cs, total.cden, total.cap), total.cap,
             tuple((i, xi.cap) for (i, _), xi in zip(y.terms, xis)), _risk(y, x.ctx.characteristic))
 
 
 def _substitute_fields(x, y, cap):
     r = substitute(x, y, cap)
     s = r.series
-    return ((s.den, s.ks, s.cs, s.cap), r.achieved_cap, r.diagnostics.term_caps,
+    return ((s.den, s.ks, s.cs, s.cden, s.cap), r.achieved_cap, r.diagnostics.term_caps,
             r.diagnostics.hypothesis_a_risk)
 
 
@@ -414,10 +414,10 @@ def test_residue_window_matches_the_per_term_sum(spec):
         seen["sparse" if r is None else "dense"] += 1
         return r
 
-    def sum_spy(ctx, pieces, coeffs):
-        summed.append([(s.den, s.ks, s.cs, s.cap)
+    def sum_spy(ctx, pieces, coeffs, cden):
+        summed.append([(s.den, s.ks, s.cs, s.cden, s.cap)
                        for s in map(Series.scale, pieces, map(ctx.element, coeffs))])
-        return real_sum(ctx, pieces, coeffs)
+        return real_sum(ctx, pieces, coeffs, cden)
     for _ in range(500):
         x, y, cap = _window_case(rng, ctx)
         want = _outcome(lambda: _reference_substitute(x, y, cap))
@@ -431,14 +431,15 @@ def test_residue_window_matches_the_per_term_sum(spec):
             continue
         if summed:  # a sparse window: each piece is exactly c_i x^i
             pieces = [pow_rat(x, i, cap).scale(c) for i, c in y.terms]
-            assert summed == [[(s.den, s.ks, s.cs, s.cap) for s in pieces]]
+            assert summed == [[(s.den, s.ks, s.cs, s.cden, s.cap) for s in pieces]]
         m = x.terms[0][0]
         seen["empty x^i"] += any(c <= m * i for i, c in want[2])
         plan = _expansions(x, [i for i, _ in y.terms], cap)
         for (i, _), entry in zip(y.terms, plan):
             # this exponent's share of the shared expansion
             xi, mine = pow_rat(x, i, cap), _cut(ctx, *entry)
-            assert (mine.den, mine.ks, mine.cs, mine.cap) == (xi.den, xi.ks, xi.cs, xi.cap)
+            assert (mine.den, mine.ks, mine.cs, mine.cden, mine.cap) == (
+                xi.den, xi.ks, xi.cs, xi.cden, xi.cap)
     assert min(seen.values()) >= 20, seen
 
 
@@ -559,8 +560,8 @@ def test_shared_plan_cuts_make_each_exponents_own_power(spec):
             with patch.object(Series, "_residues", classmethod(spy)):
                 mine = _cut(ctx, *entry)
             xi = pow_rat(x, i, cap)
-            assert (mine.den, mine.ks, mine.cs, mine.cap) == (xi.den, xi.ks, xi.cs, xi.cap), \
-                (x, i, cap)
+            assert (mine.den, mine.ks, mine.cs, mine.cden, mine.cap) == (
+                xi.den, xi.ks, xi.cs, xi.cden, xi.cap), (x, i, cap)
             seen["F^b"] += bool(b and mine.ks)
             seen["bound <= 0"] += bound <= 0
             if type(z) is tuple:

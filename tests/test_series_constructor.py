@@ -37,8 +37,9 @@ def ref_series(ctx, terms=(), cap=INF):
         seen[e] = c
     pairs = sorted(seen.items())
     den = lcm(*(e.denominator for e, _ in pairs))
+    cs, cden = ctx.codes([ctx.code(c) for _, c in pairs])
     return Series._build(ctx, den, [e.numerator * (den // e.denominator) for e, _ in pairs],
-                         [ctx.code(c) for _, c in pairs], cap)
+                         cs, cap, cden)
 
 
 def outcome(build):
@@ -47,7 +48,7 @@ def outcome(build):
         s = build()
     except Exception as exc:  # compared by type and message below
         return type(exc), str(exc)
-    return s.den, s.ks, s.cs, s.cap
+    return s.den, s.ks, s.cs, s.cden, s.cap
 
 
 def coeff(rng, ctx, zero=False):

@@ -2,8 +2,8 @@
 `substitute`, against a left fold of the two-series merge it replaced.
 
 `reference_add` is that merge as it stood before `_sum`: int-keyed dicts
-over lcm(den), codes summed through the field's kernel encoding where
-exponents meet, and one build.  Every case sums the same pieces both ways
+over lcm(den), codes over lcm(cden) summed through the field's kernel
+encoding where exponents meet, and one build.  Every case sums the same pieces both ways
 and compares the packed forms, caps included.  Dense and sparse windows take
 the same merge over every field, so the cases check values, not paths.  A
 linear combination is checked against the fold of the scaled pieces and
@@ -31,16 +31,16 @@ FIELDS = {spec: make_field(spec) for spec in SPECS}
 
 
 def reference_add(x, y):
-    ctx, cap, den = x.ctx, min(x.cap, y.cap), lcm(x.den, y.den)
-    acc = dict(zip(x._exps(den), x.cs))
-    more = dict(zip(y._exps(den), y.cs))
+    ctx, cap, den, cden = x.ctx, min(x.cap, y.cap), lcm(x.den, y.den), lcm(x.cden, y.cden)
+    acc = dict(zip(x._exps(den), [c * (cden // x.cden) for c in x.cs]))
+    more = dict(zip(y._exps(den), [c * (cden // y.cden) for c in y.cs]))
     both = list(acc.keys() & more.keys())
-    vals, cden = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 2)
+    vals = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 2)
     acc.update(more)
-    acc.update(zip(both, ctx.decode([a + b for a, b in zip(vals, vals[len(both):])], cden, 2)))
+    acc.update(zip(both, ctx.decode([a + b for a, b in zip(vals, vals[len(both):])], 2)))
     bound = S._int_bound(cap, den)
     ks = sorted(k for k in acc if k < bound)
-    return Series._build(ctx, den, ks, [acc[k] for k in ks], cap)
+    return Series._build(ctx, den, ks, [acc[k] for k in ks], cap, cden)
 
 
 def reference_sum(ctx, pieces):
@@ -51,7 +51,7 @@ def reference_sum(ctx, pieces):
 
 
 def packed(s):
-    return s.den, s.ks, s.cs, s.cap
+    return s.den, s.ks, s.cs, s.cden, s.cap
 
 
 def check(ctx, pieces):
@@ -95,17 +95,20 @@ def termwise_combination(ctx, pieces, coeffs):
     cap, acc = min(s.cap for s in pieces), {}
     for s, c in zip(pieces, coeffs):
         for e, a in s.terms:
-            acc[e] = acc.get(e, ctx.zero) + a * ctx.element(c)
+            acc[e] = acc.get(e, ctx.zero) + a * c
     return Series(ctx, {e: v for e, v in acc.items() if v and e < cap}, cap)
 
 
 def _combination(rng, ctx, overlap):
-    """1 to 45 pieces on lattices 1 to 12 with INF or finite caps, and a code
-    per piece: 1, -1 (which is 1 in characteristic 2), another form of 1, or
-    a random one.  "none" puts every exponent in one piece only, "heavy"
-    draws them from six, and "cancel" adds each piece again at -c."""
-    one, minus = ctx.code(ctx.one), ctx.code(-ctx.one)
-    like_one = 1 if not ctx.characteristic else ctx.code(ctx.from_int(ctx.characteristic + 1))
+    """1 to 45 pieces on lattices 1 to 12 with INF or finite caps, and a
+    coefficient per piece: 1, -1 (which is 1 in characteristic 2), another
+    form of 1, or a random one.  "none" puts every exponent in one piece
+    only, "heavy" draws them from six, and "cancel" adds each piece again at -c.
+    Over Q every other case takes integer coefficients: their codes are over
+    cden = 1, where the code 1 is the coefficient 1 and keeps a piece's codes."""
+    one, minus = ctx.one, -ctx.one
+    whole = not ctx.characteristic and rng.random() < 0.5
+    like_one = F(1) if not ctx.characteristic else ctx.from_int(ctx.characteristic + 1)
     pool = [F(rng.randint(-30, 60), rng.randint(1, 12)) for _ in range(6)]
     used, pieces, coeffs = set(), [], []
     for _ in range(rng.randint(1, 45 if overlap != "cancel" else 22)):
@@ -118,16 +121,22 @@ def _combination(rng, ctx, overlap):
         if overlap == "none":
             used |= exps
         pieces.append(Series(ctx, {e: _coeff(rng, ctx) for e in exps if e < cap}, cap))
-        coeffs.append(rng.choice([one, minus, like_one, ctx.code(_coeff(rng, ctx))]))
+        c = _coeff(rng, ctx)
+        coeffs.append(rng.choice([one, minus, like_one, F(c.numerator) if whole else c]))
     if overlap == "cancel":
         pieces += pieces
-        coeffs += [ctx.code(-ctx.element(c)) for c in coeffs]
+        coeffs += [-c for c in coeffs]
     return pieces, coeffs
+
+
+def codes(ctx, coeffs):
+    """The coefficients as `_sum` takes them: codes over one denominator."""
+    return ctx.codes([ctx.code(c) for c in coeffs])
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_linear_combination_is_the_sum_of_the_scaled_pieces(spec):
-    """`_sum(ctx, pieces, coeffs)` gives the packed form of the fold of the
+    """`_sum(ctx, pieces, coeffs, cden)` gives the packed form of the fold of the
     scaled pieces and of the term-by-term sum, with no overlap, partial,
     heavy and fully cancelling overlap.  The cases must reach at least 50
     keys that keep their code (met by one piece at coefficient 1), 50 summed
@@ -139,8 +148,9 @@ def test_linear_combination_is_the_sum_of_the_scaled_pieces(spec):
     for case in range(48):
         overlap = ("none", "partial", "heavy", "cancel")[case % 4]
         pieces, coeffs = _combination(rng, ctx, overlap)
-        got = packed(Series._sum(ctx, pieces, coeffs))
-        scaled = [s.scale(ctx.element(c)) for s, c in zip(pieces, coeffs)]
+        cs, cden = codes(ctx, coeffs)
+        got = packed(Series._sum(ctx, pieces, cs, cden))
+        scaled = [s.scale(c) for s, c in zip(pieces, coeffs)]
         assert got == packed(reference_sum(ctx, scaled)), (pieces, coeffs)
         assert got == packed(termwise_combination(ctx, pieces, coeffs)), (pieces, coeffs)
         if overlap == "cancel":
@@ -148,19 +158,19 @@ def test_linear_combination_is_the_sum_of_the_scaled_pieces(spec):
         den = lcm(*(s.den for s in pieces))
         bound = S._int_bound(min(s.cap for s in pieces), den)
         met, plain = Counter(), Counter()
-        for s, c in zip(pieces, coeffs):
+        for s, c in zip(pieces, cs):
             ks = [k for k in s._exps(den) if k < bound]
             met.update(ks)
             plain.update(ks if c == 1 else [])
         kept = sum(1 for k, n in met.items() if n == 1 and plain[k] == 1)
-        seen.update(kept=kept, summed=len(met) - kept, scaled=sum(c != 1 for c in coeffs))
+        seen.update(kept=kept, summed=len(met) - kept, scaled=sum(c != 1 for c in cs))
     assert min(seen[k] for k in ("kept", "summed", "scaled")[:3 if spec != "F2" else 2]) >= 50, seen
     # 45 products of the element with every digit p - 1 at one exponent: the
     # largest sum a slot of the kernel encoding must hold
     p, e = ctx.characteristic, getattr(ctx, "e", 1)
     top = sum(((p - 1) * ctx.g ** j for j in range(e)), ctx.zero) if e > 1 else ctx.from_int(-1)
-    pieces, coeffs = [Series(ctx, {F(1, 2): top}, F(3))] * 45, [ctx.code(top)] * 45
-    assert (packed(Series._sum(ctx, pieces, coeffs))
+    pieces, coeffs = [Series(ctx, {F(1, 2): top}, F(3))] * 45, [top] * 45
+    assert (packed(Series._sum(ctx, pieces, *codes(ctx, coeffs)))
             == packed(termwise_combination(ctx, pieces, coeffs)))
 
 

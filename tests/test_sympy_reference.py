@@ -136,8 +136,8 @@ def test_miller_matches_sympy_rs_pow(i):
                     assert (dict(power.terms), power.cap) == (z_terms, cap), (n, gapped)
                     if i == -1:
                         inv = z.invert(cap)
-                        assert (inv.den, inv.ks, inv.cs, inv.cap) == (
-                            power.den, power.ks, power.cs, power.cap)
+                        assert (inv.den, inv.ks, inv.cs, inv.cden, inv.cap) == (
+                            power.den, power.ks, power.cs, power.cden, power.cap)
 
 
 def test_invert_matches_sympy():
