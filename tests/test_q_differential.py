@@ -11,9 +11,8 @@ and of each width of the dense product's slots (1, 2, 4 and 8 bytes, then
 for each width the largest numerator M that fits and M + 1 are pinned, over
 a common denominator; a gapped window and a sparse one (the pair loop) ride
 along.  Every result must carry the oracle's terms below its cap, a cap
-inside the oracle's [rule, certifiable], and canonical codes: nonzero, and
-over Q ints over a positive cden with gcd(cden, *codes) = 1 (each a Fraction
-in lowest terms where the codes are Fractions).  Each path is counted while
+inside the oracle's [rule, certifiable], and canonical codes: nonzero ints
+over a positive cden with gcd(cden, *codes) = 1.  Each path is counted while
 the ops run: the Kronecker product at each slot width, the pair loop and
 `_miller`; each must be hit at least 3 times.
 """
@@ -75,13 +74,9 @@ def fitting(n, w):
 
 
 def assert_canonical(s):
-    """Nonzero codes; over ints, a positive cden coprime to them."""
-    cden = getattr(s, "cden", None)
-    if cden is None:  # codes that are Fractions are each in lowest terms
-        assert all(type(c) is Fraction and c for c in s.cs)
-    else:
-        assert type(cden) is int and cden > 0 and gcd(cden, *s.cs) == 1
-        assert all(type(c) is int and c for c in s.cs)
+    """Nonzero int codes over a positive cden coprime to them."""
+    assert type(s.cden) is int and s.cden > 0 and gcd(s.cden, *s.cs) == 1
+    assert all(type(c) is int and c for c in s.cs)
 
 
 def oracle(s):
