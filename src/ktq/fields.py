@@ -716,8 +716,8 @@ class FiniteField(FieldCtx):
 
     def parse_code(self, text: str) -> int:
         """The inverse of format_code: over F_p, str(k) for 0 <= k < p."""
-        if self.e == 1 and text.isascii() and text.isdigit() and len(text) <= len(str(self.p)):
-            if str(k := int(text)) == text and k < self.p:  # digits bounded before int()
+        if self.e == 1 and text.isascii() and text.isdigit() and len(text) <= 19:
+            if str(k := int(text)) == text and k < self.p:  # p < 2^63 has at most 19 digits
                 return k
         elif self.e > 1 and (vec := _parse_poly(text, "g", self._gs, self.p)) is not None:
             return self._codes(vec)[0]

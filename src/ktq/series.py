@@ -76,12 +76,14 @@ cuts it.
 A Q coefficient is a Fraction, and an exponent one, only at the boundary:
 `terms` (a tuple of (Fraction, coefficient) pairs, a view built on first use
 and cached), `coeff` (a bisect), `valuation` and `leading_coeff`.  Text is not
-decoded: `format_series` and `to_json_dict` write each exponent k/den reduced
-by an int gcd and each code through `format_code` (over Q code/cden; over
-F_{p^e} each distinct one once a series, its texts kept on it like `terms`);
+decoded: `format_series` and `to_json_dict` write on the packed form, each
+exponent k/den reduced by one int gcd (none at den = 1) and each code from
+`_formatter`'s table, one `format_code` per distinct code (over Q on cden, made
+per call; `str` over F_p; over F_{p^e} kept on the series like `terms`), which
+also gives `format_series` each code's sign and parentheses once;
 `series_from_json` reduces int pairs [num, den] by a gcd, sends any other value
-through Fraction(num, den), which reports it, and puts Q's int pairs over their
-lcm once.
+through Fraction(num, den), which reports it, parses each distinct text once a
+call and puts Q's int pairs over their lcm once.
 """
 
 from __future__ import annotations
@@ -370,14 +372,14 @@ class Series:
         and a repeated exponent; then the exponents go onto one lattice
         lcm(den) and one int sort, and the codes over one denominator (`codes`)."""
         top, seen, zero = _pair(cap), {}, ctx.code(ctx.zero)
-        for n, d, c in terms:
+        for i, (n, d, c) in enumerate(terms, 1):
             if c == zero:
                 raise SeriesError(f"zero coefficient stored at exponent {Fraction(n, d)}")
             if top and n * top[1] >= top[0] * d:
                 raise SeriesError(f"term at exponent {Fraction(n, d)} is not below the cap {cap}")
-            if (n, d) in seen:
-                raise SeriesError(f"duplicate exponent {Fraction(n, d)}")
             seen[n, d] = c
+            if len(seen) < i:
+                raise SeriesError(f"duplicate exponent {Fraction(n, d)}")
         den = lcm(*(d for _, d in seen))
         by_k = {n * (den // d): c for (n, d), c in seen.items()}
         ks = sorted(by_k)
@@ -722,18 +724,15 @@ class Series:
     def __repr__(self):
         return f"Series({self})"
 
-    def _lowest_exps(self):
-        """Each exponent k/den as (numerator, denominator) in lowest terms."""
-        return [(k // g, self.den // g) for k in self.ks for g in (gcd(k, self.den),)]
-
     def to_json_dict(self):
-        fmt = _formatter(self)
+        ks, den, texts = self.ks, self.den, map(_formatter(self), self.cs)
         return {"field": self.ctx.spec_string(),
-                "terms": [[n, d, fmt(c)] for (n, d), c in zip(self._lowest_exps(), self.cs)],
+                "terms": [[k, 1, t] for k, t in zip(ks, texts)] if den == 1 else
+                         [[k // (g := gcd(k, den)), den // g, t] for k, t in zip(ks, texts)],
                 "cap": "inf" if self.is_exact else [self.cap.numerator, self.cap.denominator]}
 
 
-def format_exp_part(n: int, d: int) -> str:
+def format_exp_part(n: int, d: int = 1) -> str:
     """The "t^..." piece for the exponent n/d in lowest terms, parenthesized
     where the expression grammar needs it (negative or fractional n/d)."""
     if n == 0:
@@ -744,32 +743,37 @@ def format_exp_part(n: int, d: int) -> str:
 
 
 def _formatter(x: Series):
-    """format_code, over Q on x's cden, over F_{p^e} (e > 1) once for each
-    distinct code of x: the texts stay on x for its next `to_json_dict` or `str`."""
+    """The one table of x's code texts, as a function of the code: over Q one
+    format_code on x's cden per distinct code, made for this call; over F_p
+    `str`; over F_{p^e} (e > 1) one format_code per distinct code, the texts
+    kept on x for its next `to_json_dict` or `str`."""
     ctx = x.ctx
-    if not ctx.characteristic or ctx.e == 1:
-        return ctx.format_code if ctx.characteristic else partial(ctx.format_code, cden=x.cden)
+    if not ctx.characteristic:
+        fmt = partial(ctx.format_code, cden=x.cden)
+        return {c: fmt(c) for c in set(x.cs)}.__getitem__
+    if ctx.e == 1:
+        return str
     if x._texts is None:
         x._texts = {c: ctx.format_code(c) for c in set(x.cs)}
     return x._texts.__getitem__
 
 
 def format_series(x: Series) -> str:
-    fmt, signed = _formatter(x), x.ctx.characteristic == 0
-    parts = []
-    for (n, d), c in zip(x._lowest_exps(), x.cs):
-        sign = "+"
-        if signed and c < 0:
-            sign, c = "-", -c
-        if n and c == x.cden:  # the coefficient 1
-            body = format_exp_part(n, d)
+    """x as text: a head per distinct code (its sign, then its text, in parentheses
+    where that holds a "+", and "*"; the sign alone for the code of 1) and per
+    term format_exp_part of k/den, reduced by one int gcd (none at den = 1)."""
+    fmt, cden, den, ks, cs, heads = _formatter(x), x.cden, x.den, x.ks, x.cs, {}
+    for c in set(cs):
+        if c < 0:  # over Q only
+            sign, body = "- ", fmt(c)[1:]
         else:
-            body = fmt(c)
-            if "+" in body or "-" in body[1:]:
-                body = f"({body})"
-            if n:
-                body = f"{body}*{format_exp_part(n, d)}"
-        parts.append(f"{sign} {body}")
+            sign, body = "+ ", fmt(c)
+        heads[c] = sign if abs(c) == cden else f"{sign}({body})*" if "+" in body else f"{sign}{body}*"
+    exps = map(format_exp_part, ks) if den == 1 else [
+        format_exp_part(k // den) if (g := gcd(k, den)) == den else f"t^({k // g}/{den // g})" for k in ks]
+    parts = [heads[c] + e for c, e in zip(cs, exps)]
+    if (i := bisect_left(ks, 0)) < len(ks) and ks[i] == 0:  # the constant term: no "*1"
+        parts[i] = parts[i].removesuffix("*1")
     if not x.is_exact:
         parts.append(f"+ O({format_exp_part(x.cap.numerator, x.cap.denominator)})")
     out = " ".join(parts)
@@ -785,12 +789,16 @@ def series_from_json(data, ctx=None) -> Series:
                                  and {type(v) for v in cap} == {int}):
             raise ValueError(f"cap {cap!r}")  # only "inf" or the [n, d] to_json_dict writes
         cap = INF if cap == "inf" else Fraction(*cap)
-        parse, terms = ctx.parse_code, []
+        parse, known, terms = ctx.parse_code, {}, []
         for num, den, text in data.get("terms", []):
             if type(num) is not int or type(den) is not int or not den:  # Fraction reports it
                 num, den = (e := Fraction(num, den)).numerator, e.denominator
-            g = gcd(num, den) if den > 0 else -gcd(num, den)
-            terms.append((num // g, den // g, parse(text)))
+            elif den != 1 and (g := gcd(num, den) if den > 0 else -gcd(num, den)) != 1:
+                num, den = num // g, den // g
+            c = known.get(text) if type(text) is str else parse(text)  # parse refuses the rest
+            if c is None:
+                c = known[text] = parse(text)
+            terms.append((num, den, c))
     except MALFORMED_JSON as exc:
         raise SeriesError(f"malformed series JSON: {exc!r}") from exc
     return Series.__new__(Series)._from_pairs(ctx, terms, cap)

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ktq import INF, Series, make_field, series_from_json
-from ktq.errors import PrecisionError, SeriesError
+from ktq.errors import FieldError, PrecisionError, SeriesError
 from ktq.morphisms import scale_exponents
 from ktq.powers import frobenius_map
 from ktq.series import UnknownAtLeast, format_series
@@ -440,6 +440,31 @@ def printer_cases(ctx):
         cap = Fraction(rng.randint(-3 * den, 6 * den), rng.choice(DENS))
         cases.append(Series(ctx, terms) if rng.random() < 0.4 else
                      Series(ctx, {e: v for e, v in terms.items() if e < cap}, cap))
+    return cases + long_printer_cases(ctx)
+
+
+PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+
+
+def long_printer_cases(ctx):
+    """300 terms at den 1 and at den 6 (t^0 among them), exact and capped,
+    coefficients repeated from a pool with the units 1 and -1 and, over
+    F_{p^e}, texts holding "+"; over Q also 1/prime coefficients, so that
+    cden has hundreds of bits."""
+    rng = random.Random(f"long:{ctx.spec_string()}")
+    pool = [ctx.one, ctx.coerce(-1)] + [element(ctx, n) for n in (2, 3, 7, -9)]
+    if ctx.characteristic == 0:
+        pool += [Fraction(3, 4), Fraction(-7, 6), Fraction(5, 3)]
+    elif ctx.e > 1:
+        pool += [ctx.g + ctx.one, ctx.g * ctx.g + ctx.g, -ctx.g - ctx.one]  # "g+1", "g^2+g", ...
+    draws = [lambda: rng.choice(pool)]
+    if ctx.characteristic == 0:
+        draws.append(lambda: Fraction(rng.choice([-1, 1]), rng.choice(PRIMES)))
+    cases = []
+    for draw in draws:
+        for den in (1, 6):
+            terms = {Fraction(k, den): draw() for k in range(-150, 150)}
+            cases += [Series(ctx, terms), Series(ctx, terms, Fraction(150, den))]
     return cases
 
 
@@ -449,6 +474,7 @@ def test_printers_write_codes_as_the_decoded_reference(spec, monkeypatch):
     same text as the printer on decoded pairs, without decoding a term."""
     ctx = FIELDS[spec]
     cases = [(x, old_format_series(x), old_json(x)) for x in printer_cases(ctx)]
+    assert ctx.characteristic or max(x.cden for x, _, _ in cases).bit_length() > 200
 
     def refuse(*args):
         raise AssertionError("a printer decoded the packed form")
@@ -458,3 +484,18 @@ def test_printers_write_codes_as_the_decoded_reference(spec, monkeypatch):
     for x, text, blob in cases:
         assert format_series(x) == str(x) == text
         assert json.dumps(x.to_json_dict()) == json.dumps(blob)
+
+
+@pytest.mark.parametrize("terms", [
+    {0: Fraction(2 ** 20000)},  # a numerator past the interpreter's digit limit
+    {**{k: Fraction(1 + k % 3) for k in range(300)}, 150: Fraction(-(2 ** 20000), 3)},
+    {**{Fraction(k, 6): Fraction(1 + k % 3) for k in range(300)}, -1: Fraction(1, 3 ** 13000)},
+])
+def test_writers_raise_the_typed_too_large_error(terms):
+    """str, format_series and to_json_dict, called directly, raise the
+    FieldError of RationalField.format_code, not the interpreter's ValueError."""
+    x = Series(FIELDS["Q"], terms, 400)
+    for write in (str, format_series, Series.to_json_dict):
+        with pytest.raises(FieldError, match="^coefficient too large to print: ") as info:
+            write(x)
+        assert type(info.value) is FieldError

@@ -218,3 +218,79 @@ def test_json_round_trip_in_any_term_order(spec):
     assert series_from_json(doc) == x
     rng.shuffle(doc["terms"])
     assert series_from_json(doc, ctx) == x
+
+
+BAD_TEXTS = {"Q": "6/4", "F2": "01", "F9": "g+g", "F4096": "g^12", "F1000003": "1000003"}
+
+
+def repeated_doc(spec):
+    """A 300-term exact series at exponents k/6 whose texts repeat (five
+    distinct coefficients), as its JSON document, and the series."""
+    ctx = make_field(spec)
+    rng = random.Random(f"ktq:json-repeats:{spec}")
+    pool = [coeff(rng, ctx) for _ in range(5)]
+    x = Series(ctx, {F(k, 6): rng.choice(pool) for k in range(-50, 250)})
+    return json.loads(json.dumps(x.to_json_dict())), x
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+@pytest.mark.parametrize("where", [[0], [250], [299], [250, 260]])
+def test_json_refuses_a_bad_text_wherever_it_sits(spec, where):
+    """A text parse_code refuses is a FieldError at term 250 of 300 as at the
+    first and the last, though every other text was met before it."""
+    doc, _ = repeated_doc(spec)
+    bad = BAD_TEXTS[spec]
+    for i in where:
+        doc["terms"][i][2] = bad
+    with pytest.raises(FieldError) as info:
+        series_from_json(doc)
+    spec_text = make_field(spec).spec_string()
+    assert str(info.value) == (f"bad rational literal {bad!r}" if spec == "Q" else
+                               f"not a coefficient of {spec_text}: {bad!r}")
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_json_reads_exponent_pairs_in_any_form(spec):
+    """[2, 2, ..], [3, -1, ..], [0, 5, ..] and every pair scaled by 2 or -1
+    read as their lowest terms, among texts that repeat."""
+    doc, x = repeated_doc(spec)
+    rng = random.Random(f"ktq:json-pairs:{spec}")
+    for row in doc["terms"]:
+        m = rng.choice([1, 2, -1, 5])
+        row[0], row[1] = row[0] * m, row[1] * m
+    assert series_from_json(doc) == x
+    text = doc["terms"][0][2]
+    ctx = make_field(spec)
+    c = ctx.parse_coeff(text)
+    assert read([[2, 2, text], [3, -1, text], [0, 5, text]], spec) == Series(ctx, {1: c, -3: c, 0: c})
+
+
+@pytest.mark.parametrize("spec, terms, message", [
+    ("Q", [[1, 1, "1"], [2, 1, ["1"]]],
+     "malformed series JSON: TypeError(\"expected string or bytes-like object, got 'list'\")"),
+    ("Q", [[1, 1, {"a": 1}]],
+     "malformed series JSON: TypeError(\"expected string or bytes-like object, got 'dict'\")"),
+    ("Q", [[1, 1, None]],
+     "malformed series JSON: TypeError(\"expected string or bytes-like object, got 'NoneType'\")"),
+    ("Q", [[1, 1, 3]],
+     "malformed series JSON: TypeError(\"expected string or bytes-like object, got 'int'\")"),
+    ("F9", [[1, 1, "g"], [2, 1, ["g"]]],
+     "malformed series JSON: AttributeError(\"'list' object has no attribute 'split'\")"),
+    ("F1000003", [[1, 1, "3"], [2, 1, ["3"]]],
+     "malformed series JSON: AttributeError(\"'list' object has no attribute 'isascii'\")"),
+    ("F1000003", [[1, 1, 3]],
+     "malformed series JSON: AttributeError(\"'int' object has no attribute 'isascii'\")"),
+    ("Q", [[1, 2]], "malformed series JSON: ValueError('not enough values to unpack (expected 3, got 2)')"),
+    ("Q", [[1, 2, "1", 4]], "malformed series JSON: ValueError('too many values to unpack (expected 3)')"),
+    ("Q", [5], "malformed series JSON: TypeError('cannot unpack non-iterable int object')"),
+    ("Q", [[1, 1, "1"], [2, 0, "6/4"]], "malformed series JSON: ZeroDivisionError('Fraction(2, 0)')"),
+    ("Q", [[1, 1, "1"], [1, 1, "1"]], "duplicate exponent 1"),
+    ("Q", [[2, 4, "1"], [-1, -2, "2"]], "duplicate exponent 1/2"),
+    ("F9", [[1, 2, "0"]], "zero coefficient stored at exponent 1/2"),
+])
+def test_json_faults_by_field(spec, terms, message):
+    """The SeriesError of the first fault in input order, its message too,
+    where a term's text is no text at all or follows one met before."""
+    with pytest.raises(SeriesError) as info:
+        series_from_json({"field": spec, "terms": terms, "cap": "inf"})
+    assert type(info.value) is SeriesError and str(info.value) == message
