@@ -269,7 +269,7 @@ class RationalField(FieldCtx):
 
     def codes(self, pairs):
         """(numerator, denominator) pairs as numerators over their lcm: (ints, cden)."""
-        den = lcm(*(d for _, d in pairs))
+        den = lcm(*{d for _, d in pairs})
         return [n * (den // d) for n, d in pairs], den
 
     def element(self, k, cden=1):

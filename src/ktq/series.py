@@ -380,7 +380,7 @@ class Series:
             seen[n, d] = c
             if len(seen) < i:
                 raise SeriesError(f"duplicate exponent {Fraction(n, d)}")
-        den = lcm(*(d for _, d in seen))
+        den = lcm(*{d for _, d in seen})
         by_k = {n * (den // d): c for (n, d), c in seen.items()}
         ks = sorted(by_k)
         cs, cden = ctx.codes([by_k[k] for k in ks])
@@ -762,16 +762,14 @@ def format_series(x: Series) -> str:
     """x as text: a head per distinct code (its sign, then its text, in parentheses
     where that holds a "+", and "*"; the sign alone for the code of 1) and per
     term format_exp_part of k/den, reduced by one int gcd (none at den = 1)."""
-    fmt, cden, den, ks, cs, heads = _formatter(x), x.cden, x.den, x.ks, x.cs, {}
-    for c in set(cs):
-        if c < 0:  # over Q only
-            sign, body = "- ", fmt(c)[1:]
-        else:
-            sign, body = "+ ", fmt(c)
-        heads[c] = sign if abs(c) == cden else f"{sign}({body})*" if "+" in body else f"{sign}{body}*"
-    exps = map(format_exp_part, ks) if den == 1 else [
-        format_exp_part(k // den) if (g := gcd(k, den)) == den else f"t^({k // g}/{den // g})" for k in ks]
-    parts = [heads[c] + e for c, e in zip(cs, exps)]
+    fmt, cden, den, ks, cs = _formatter(x), x.cden, x.den, x.ks, x.cs
+    heads = {c: f"- {t[1:]}*" if c < 0 else f"+ ({t})*" if "+" in t else f"+ {t}*"  # c < 0 over Q
+             for c in set(cs) for t in (fmt(c),)}
+    for u in {cden, -cden} & heads.keys():  # the code of 1 or -1: the sign alone
+        heads[u] = heads[u][:2]
+    parts = [heads[c] + format_exp_part(k) for c, k in zip(cs, ks)] if den == 1 else [
+        heads[c] + format_exp_part(k // den) if (g := gcd(k, den)) == den else
+        f"{heads[c]}t^({k // g}/{den // g})" for c, k in zip(cs, ks)]
     if (i := bisect_left(ks, 0)) < len(ks) and ks[i] == 0:  # the constant term: no "*1"
         parts[i] = parts[i].removesuffix("*1")
     if not x.is_exact:
