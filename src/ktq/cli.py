@@ -128,7 +128,7 @@ def _eval(args, ctx, env):
     for binding in args.let:
         name, sep, text = binding.partition("=")
         name = name.strip()
-        if not sep or not name.isidentifier():
+        if not sep or not name.isidentifier() or name in ("t", "g"):  # the grammar's own symbols
             raise ParseError(f"bad --let binding {binding!r}")
         env.bindings[name] = _series_arg(text, env, name)
     return eval_expression(parse_expression(args.expr), env)  # or an OrbitClass

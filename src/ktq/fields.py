@@ -37,14 +37,16 @@ reduction of the element ops and of each slot of `Series.invert`'s dense
 window, is the kernel encoding of `decode([v], n)[0]` kept at `_fold(n)`
 width: `v % p` over F_p, else the same fold, then each slot mod p by one AND
 with the slots' low bits for p = 2, the byte table for 1-byte slots, or
-slot by slot.  A dense product moves whole buffers: `dense_pack` writes the
-encodings one block a code (two's complement over Q; over F_{p^e} 2e - 1
-digit slots sized for n e (p - 1)^2, the product alone), and `dense_unpack`
-reads a product's slots by one array view (`_ints`; int.from_bytes slices
-past 8 bytes), over F_{p^e} folding all blocks at once, at `_fold(n)`'s
-width or, where the slots are narrower or p = 2, at the code width after
-every slot is taken mod p (`_mod_slots`: for 2-byte slots and odd p up to
-23, by the byte table on both bytes and then on h (256 % p) + l).
+slot by slot.  `dense_mul` alone owns a dense product's bytes: it writes the
+operands one block a code (two's complement over Q; over F_{p^e} 2e - 1 digit
+slots sized for n e (p - 1)^2, the product alone), reads each as one int
+(`_kronecker`), multiplies once (Kronecker substitution; over F_{p^e} from
+_KS2_MIN bits on, twice on half slots: `_ks2`, Harvey's KS2), and reads the
+product's slots by one array view (`_ints`; int.from_bytes slices past 8
+bytes), over F_{p^e} folding all blocks at once, at `_fold(n)`'s width or,
+where the slots are narrower or p = 2, at the code width after every slot is
+taken mod p (`_mod_slots`: for 2-byte slots and odd p up to 23, by the byte
+table on both bytes and then on h (256 % p) + l).
 `frobenius_codes` is c |-> c^(p^b) on codes, `_powers_of` at the exponent
 p^(b mod e): the identity over F_p, and over F_{p^e} whenever e divides b.
 
@@ -198,6 +200,39 @@ def _int_bytes(ints, w, signed=False):
     return b"".join(v.to_bytes(w, "little", signed=signed) for v in ints)
 
 
+_KS2_MIN = 8192  # shorter operand's bits from which an F_{p^e} `dense_mul` takes `_ks2`
+
+
+def _kronecker(ks, buf, nb, bias):
+    """One int of buf's nb-byte slots, slot i at ks[i] - ks[0] (one slice a term
+    where ks has gaps); two's-complement slots (bias: the top bit of each) borrow."""
+    k0 = ks[0]
+    if ks[-1] - k0 >= len(ks):
+        buf, wide = memoryview(buf), bytearray((ks[-1] - k0 + 1) * nb)
+        for k, o in zip(ks, range(0, len(buf), nb)):
+            wide[(k - k0) * nb:(k - k0 + 1) * nb] = buf[o:o + nb]
+        buf = wide
+    u = int.from_bytes(buf, "little")
+    return u - ((u & bias) << 1)
+
+
+def _ks2(x, y, w, length):
+    """The first length bytes of x y in w-byte slots, for x and y on w/2-byte
+    slots B = 2^(4w) apart, by Harvey's KS2 (J. Symbolic Comput. 44, 2009):
+    (z(B) + z(-B))/2 and (z(B) - z(-B))/2B are z's even and odd slots, B^2 apart."""
+    h = w // 2
+    odd = int.from_bytes((bytes(h) + b"\xff" * h) * (max(x, y).bit_length() // (16 * h) + 1),
+                         "little")
+    zp, zm = x * y, (x - 2 * (x & odd)) * (y - 2 * (y & odd))
+    buf, n = bytearray(length), length // w  # n slots
+    for r, v in ((0, zp + zm >> 1), (1, zp - zm >> 8 * h + 1)):  # the even slots, the odd
+        k = (n + 1 - r) // 2
+        half = (v & (1 << 8 * w * k) - 1).to_bytes(k * w, "little")
+        for b in range(w):
+            buf[r * w + b::2 * w] = half[b::w]
+    return buf
+
+
 # ------------------------------------------------------------ field contexts
 
 
@@ -218,19 +253,21 @@ class FieldCtx:
         (k,), cden = self.codes([self.parse_code(text)])
         return self._element(k, cden)
 
-    def dense_pack(self, xcodes, ycodes, n):
-        """Two operands' encodings, one nb-byte block a code (two's complement
-        over Q), room for sums of n products: (xbuf, ybuf, nb, bytes of a
-        product's slot); here a block is one slot."""
+    def dense_mul(self, xs, xcodes, ys, ycodes, n, size):
+        """The size product codes from xs[0] + ys[0] on, zeros included, of two
+        dense operands (codes at the ascending int exponents xs and ys), n the
+        most products a slot sums: one multiply of two `_kronecker` ints of the
+        encodings, one nb-byte slot a code (two's complement over Q)."""
         xv, yv = self.encode(xcodes, n), self.encode(ycodes, n)
         signed = not self.characteristic
         nb = -(-((n * max(map(abs, xv)) * max(map(abs, yv))).bit_length() + signed) // 8)
         nb = min((w for w in _ITEM if w >= nb), default=nb)  # an item size up to 8
-        return _int_bytes(xv, nb, signed), _int_bytes(yv, nb, signed), nb, nb
-
-    def dense_unpack(self, buf, nb, n):
-        """The codes of a dense product's nb-byte slots."""
-        return self.decode(_ints(buf, nb, not self.characteristic), n)
+        # Over Q, + bias makes every slot nonnegative and ^ bias its two's complement.
+        bias = signed and int.from_bytes((1 << 8 * nb - 1).to_bytes(nb, "little") * size, "little")
+        z = (_kronecker(xs, _int_bytes(xv, nb, signed), nb, bias)
+             * _kronecker(ys, _int_bytes(yv, nb, signed), nb, bias))
+        buf = ((z + bias & (1 << 8 * nb * size) - 1) ^ bias).to_bytes(nb * size, "little")
+        return self.decode(_ints(buf, nb, signed), n)
 
 
 class RationalField(FieldCtx):
@@ -572,7 +609,7 @@ class FiniteField(FieldCtx):
     def _widen(self, codes, w, nb):
         """The codes' digits in w-byte slots, one nb-byte block a code: the low
         k = min(c, w) bytes of each, as w may be below the code width c (a
-        digit, below p, fits a product's slot)."""
+        digit, below p, fits a product's slot, and half of an even one)."""
         e, c = self.e, self._c
         k = min(c, w)
         raw, out = _int_bytes(codes, e * c), bytearray(len(codes) * nb)
@@ -642,15 +679,6 @@ class FiniteField(FieldCtx):
             return [int.from_bytes(b.translate(self._mod), "little") for b in folded]
         return self._codes([d % p for d in _ints(b"".join(folded), w)])
 
-    def dense_pack(self, xcodes, ycodes, n):
-        """Over F_{p^e}, a block of 2e - 1 digit slots a code, each the least
-        power-of-two bytes holding n e (p - 1)^2, a slot of the product."""
-        if self.e == 1:
-            return super().dense_pack(xcodes, ycodes, n)
-        w = _width(n * self.e * (self.p - 1) ** 2)
-        nb = (2 * self.e - 1) * w
-        return self._widen(xcodes, w, nb), self._widen(ycodes, w, nb), nb, w
-
     def _mod_slots(self, buf, w):
         """buf's w-byte slots mod p, as code-width slots: one AND with their low
         bits for p = 2, the byte table for w = 1 (and for w = 2, on both bytes
@@ -668,18 +696,30 @@ class FiniteField(FieldCtx):
             return _resized(buf.translate(self._mod), 1, c)
         return _int_bytes([d % p for d in _ints(buf, w)], c)
 
-    def dense_unpack(self, buf, nb, n):
-        """Over F_{p^e}, the fold by G on the whole buffer, masked a block, then
-        the low e slots of every block, gathered, mod p.  Where the product's
-        slots are narrower than `_fold(n)`'s or p = 2, each slot is taken mod
-        p first and narrowed to the code width, and the fold runs there; where
-        it wraps, the mask keeps the low bit of each slot it folds, and the
-        even slots it leaves are never read."""
+    def dense_mul(self, xs, xcodes, ys, ycodes, n, size):
+        """Over F_{p^e}, a block of 2e - 1 digit slots a code, each v bytes, the
+        least power of two holding n e (p - 1)^2 (v/2 for `_ks2`, from
+        _KS2_MIN bits of the shorter operand on, v even).  Then the fold by G
+        on the whole product, masked a block, and the low e slots of every
+        block, gathered, mod p.  Where v is below `_fold(n)`'s width or p = 2,
+        each slot is taken mod p first and narrowed to the code width, and the
+        fold runs there; where it wraps, the mask keeps the low bit of each
+        slot it folds, and the even slots it leaves are never read."""
         if self.e == 1:
-            return super().dense_unpack(buf, nb, n)
-        e, c, size = self.e, self._c, len(buf) // nb
-        v, (w, G) = nb // (2 * e - 1), self._fold(n)
-        if v < w or self.p == 2:
+            return super().dense_mul(xs, xcodes, ys, ycodes, n, size)
+        e, p, c = self.e, self.p, self._c
+        v = _width(n * e * (p - 1) ** 2)
+        nb = (2 * e - 1) * v
+        if v % 2 == 0 and 8 * nb * min(xs[-1] - xs[0], ys[-1] - ys[0]) >= _KS2_MIN:
+            h = nb // 2
+            buf = _ks2(_kronecker(xs, self._widen(xcodes, v // 2, h), h, 0),
+                       _kronecker(ys, self._widen(ycodes, v // 2, h), h, 0), v, nb * size)
+        else:
+            z = (_kronecker(xs, self._widen(xcodes, v, nb), nb, 0)
+                 * _kronecker(ys, self._widen(ycodes, v, nb), nb, 0))
+            buf = (z & (1 << 8 * nb * size) - 1).to_bytes(nb * size, "little")
+        w, G = self._fold(n)
+        if v < w or p == 2:
             buf, (w, G) = self._mod_slots(buf, v), self._fold(1)
         nb, s, m = (2 * e - 1) * w, 8 * w * e, e * w
         z = int.from_bytes(buf, "little")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress, cycle, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 
 from .errors import ExpHomError, FieldError, OrbitError, Record, SeriesError
@@ -129,9 +129,8 @@ def rescale(lam: ExpHom, y: Series) -> Series:
         raise SeriesError("coefficient-field mismatch")
     ctx = y.ctx
     lams, cden = ctx.codes([ctx.code(lam.query(Fraction(k, y.den))) for k in y.ks])
-    vals = ctx.encode(y.cs + lams, 1)
-    prods = [a * b for a, b in zip(vals, vals[len(y.ks):])]
-    return Series._build(ctx, y.den, y.ks, ctx.decode(prods, 1), y.cap, y.cden * cden)
+    return Series._build(ctx, y.den, y.ks, ctx.decode(list(map(mul, y.cs, lams)), 1), y.cap,
+                         y.cden * cden)
 
 
 def scale_exponents(y: Series, r) -> Series:
@@ -186,33 +185,34 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
         raise SeriesError("substitution base must have positive valuation")
 
     p, cap, result, plan = ctx.characteristic, substitute_cap(x, y, requested_cap), None, None
-    if p and ctx.e == 1 and y.ks:
-        plan = _expansions(x, [i for i, _ in y.terms], requested_cap)
+    exps = [Fraction(k, y.den) for k in y.ks]  # y's coefficients are never read as elements
+    if p and ctx.e == 1 and exps:
+        plan = _expansions(x, exps, requested_cap)
         caps = [e[0] for e in plan]
         result = _window(x, y, plan, min(cap, *caps))
     if result is None:  # over F_p each x^i is cut from its group's expansion
         pieces = ([_cut(ctx, *e) for e in plan] if plan
-                  else [pow_rat(x, i, requested_cap) for i, _ in y.terms])
+                  else [pow_rat(x, i, requested_cap) for i in exps])
         caps = [xi.cap for xi in pieces]
         result = Series._sum(ctx, pieces, y.cs, y.cden) if pieces else Series.zero(ctx)
         result = result.truncate(cap)
-    negs = [b for b in (_padic_val(e, p) for e, _ in y.terms if e) if b < 0] if p else []
+    negs = [b for b in (_padic_val(e, p) for e in exps if e) if b < 0] if p else []
     risk = len(negs) >= 2 and any(b2 < b1 for b1, b2 in zip(negs, negs[1:]))
-    diag = SubstDiagnostics(tuple(zip([i for i, _ in y.terms], caps)), risk)
+    diag = SubstDiagnostics(tuple(zip(exps, caps)), risk)
     return SubstResult(result, result.cap, diag)
 
 
 def _window(x, y, plan, cap):
     """Over F_p, the sum of the c_i x^i below cap on one list of residues, or
     None unless `_dense` (4 slots per term of the x^i): slot j is (lo + j)/D,
-    D = den(x) lcm(den(i)), lo the least m i; for i = p^b q, the codes of its
+    D = den(x) den(y), lo the least m i; for i = p^b q, the codes of its
     (1 + eps)^q below i's bound go to slots m i D + k p^b D / den at once.
     One left as its period (den, 0, g, period, cap, size) by `_expansions`
     is added from the period, cycled, at stride g p^b D / den, and counts the
     nonzero residues of its slots below i's bound, as its Series would.  The
     sum is reduced mod p by the field's byte table when no slot can reach
     256 (members (p - 1)^2 < 256)."""
-    D = x.den * lcm(*(i.denominator for i, _ in y.terms))
+    D = x.den * y.den  # packed, gcd(den(y), *ks) = 1: den(y) = lcm(den(i))
     members = []  # (offset, stride, last slot, terms, y_q, its period, c_i)
     for (_, bound, _, (sn, sd), (mn, md), z), c in zip(plan, y.cs):
         if type(z) is tuple:  # T residues, nonzero at slots nz, repeated over size slots of step g

@@ -59,19 +59,17 @@ is the one exponent map, k/den to (f k + off)/den' in one `_pack`, for `shift`,
 field's kernel encoding of the codes as plain ints and decode them in one call
 (see `fields`), over the product of the cden, with the cap as the least int
 bound at or above cap*den.  A product cuts its operands at that bound; if the
-shorter keeps _KRONECKER_MIN terms and both windows are dense, the field writes
-each into one buffer of equal product-sized slots (`dense_pack`), `_kronecker`
-reads it as one int with a block per lattice point, the two are multiplied once
-(Kronecker substitution), or from _KS2_MIN bits on over F_{p^e} (e > 1), twice
-on half slots (`_ks2`, Harvey's KS2), and the field reads the product's buffer
-back as a whole (`dense_unpack`); else a loop over the pairs allocates nothing
-per lattice point.  Inverses run a recurrence over the sums of their steps:
-over Q `_miller` at q = -1, the one recurrence of Q's inverses and powers; over
-F_q, each sum reduced once to the kernel encoding of its code, on the dense
-window `_dense_step` chooses up to the first period, handed back unrepeated
-(see `Series.invert`), or on a sparse lattice on the heap walk of the reachable
-sums (`_reachable`), decoded at once; x is cut at the bound first, as `_miller`
-cuts it.
+shorter keeps _KRONECKER_MIN terms and both windows are dense, the field's
+`dense_mul` (the one owner of the byte layout; see `fields`) returns the
+product's window of codes from one big-int multiply, and `_residues` reads it
+back; else a loop over the pairs allocates nothing per lattice point.
+Inverses run a recurrence over the sums of their steps: over Q `_miller` at
+q = -1, the one recurrence of Q's inverses and powers; over F_q, each sum
+reduced once to the kernel encoding of its code, on the dense window
+`_dense_step` chooses up to the first period, handed back unrepeated (see
+`Series.invert`), or on a sparse lattice on the heap walk of the reachable
+sums (`_reachable`), decoded at once; x is cut at the bound first, as
+`_miller` cuts it.
 
 A Q coefficient is a Fraction, and an exponent one, only at the boundary:
 `terms` (a tuple of (Fraction, coefficient) pairs, a view built on first use
@@ -97,7 +95,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import PrecisionError, Record, SeriesError
-from .fields import FieldCtx, _resized, make_field
+from .fields import FieldCtx, make_field
 
 INF = float("inf")
 MALFORMED_JSON = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
@@ -244,38 +242,7 @@ def _dense_step(steps, bound):
     return g if _dense(steps[0], g) else 0
 
 
-_KRONECKER_MIN = 16  # shorter operand's terms from which `*` packs its operands
-_KS2_MIN = 8192  # shorter operand's bits from which an F_{p^e} `*` takes `_ks2`
-
-
-def _kronecker(ks, buf, nb, bias):
-    """One int of buf's nb-byte slots, slot i at ks[i] - ks[0] (one slice a term
-    where ks has gaps); two's-complement slots (bias: the top bit of each) borrow."""
-    k0 = ks[0]
-    if ks[-1] - k0 >= len(ks):
-        buf, wide = memoryview(buf), bytearray((ks[-1] - k0 + 1) * nb)
-        for k, o in zip(ks, range(0, len(buf), nb)):
-            wide[(k - k0) * nb:(k - k0 + 1) * nb] = buf[o:o + nb]
-        buf = wide
-    u = int.from_bytes(buf, "little")
-    return u - ((u & bias) << 1)
-
-
-def _ks2(x, y, w, length):
-    """The first length bytes of x y in w-byte slots, for x and y on w/2-byte
-    slots B = 2^(4w) apart, by Harvey's KS2 (J. Symbolic Comput. 44, 2009):
-    (z(B) + z(-B))/2 and (z(B) - z(-B))/2B are z's even and odd slots, B^2 apart."""
-    h = w // 2
-    odd = int.from_bytes((bytes(h) + b"\xff" * h) * (max(x, y).bit_length() // (16 * h) + 1),
-                         "little")
-    zp, zm = x * y, (x - 2 * (x & odd)) * (y - 2 * (y & odd))
-    buf, n = bytearray(length), length // w  # n slots
-    for r, v in ((0, zp + zm >> 1), (1, zp - zm >> 8 * h + 1)):  # the even slots, the odd
-        k = (n + 1 - r) // 2
-        half = (v & (1 << 8 * w * k) - 1).to_bytes(k * w, "little")
-        for b in range(w):
-            buf[r * w + b::2 * w] = half[b::w]
-    return buf
+_KRONECKER_MIN = 16  # shorter operand's terms from which `*` takes the field's `dense_mul`
 
 
 def _reachable(steps, bound, b):
@@ -505,10 +472,8 @@ class Series:
                     if k not in sums:
                         sums[k] = [(acc[k], len(pieces))] if k in acc else []
                     sums[k].append((more[k], i))
-            elif acc and (both := list(acc.keys() & more.keys())):
-                vals = ctx.encode([acc[k] for k in both] + [more[k] for k in both], 1)
-                more.update(zip(both, ctx.decode(
-                    [x + y for x, y in zip(vals, vals[len(both):])], 1)))
+            elif acc and (both := list(acc.keys() & more.keys())):  # n = 1: codes are encodings
+                more.update(zip(both, ctx.decode([acc[k] + more[k] for k in both], 1)))
             if acc:
                 acc.update(more)
             else:  # the first piece's dict is not copied
@@ -551,19 +516,9 @@ class Series:
         if (min(i, j) >= _KRONECKER_MIN and _dense(xs[-1] - xs[0] + 1, i)
                 and _dense(ys[-1] - ys[0] + 1, j)):
             lo, size = xs[0] + ys[0], min(xs[-1] + ys[-1] + 1, bound) - xs[0] - ys[0]
-            xb, yb, nb, w = ctx.dense_pack(self.cs[:i], other.cs[:j], n)
-            # KS2 over F_{p^e}, e > 1 (a block of 2e - 1 slots: w < nb), on even slots
-            if w < nb and w % 2 == 0 and 8 * nb * min(xs[-1] - xs[0], ys[-1] - ys[0]) >= _KS2_MIN:
-                buf = _ks2(_kronecker(xs, _resized(xb, w, w // 2), nb // 2, 0),
-                           _kronecker(ys, _resized(yb, w, w // 2), nb // 2, 0), w, nb * size)
-            else:
-                # Over Q, + bias makes every slot nonnegative and ^ bias its two's complement.
-                bias = 0 if ctx.characteristic else int.from_bytes(
-                    (1 << 8 * nb - 1).to_bytes(nb, "little") * size, "little")
-                z = _kronecker(xs, xb, nb, bias) * _kronecker(ys, yb, nb, bias)
-                buf = ((z + bias & (1 << 8 * nb * size) - 1) ^ bias).to_bytes(nb * size, "little")
-            return Series._residues(ctx, den, lo, 1, ctx.dense_unpack(buf, nb, n), cap,
-                                    cden=self.cden * other.cden)
+            return Series._residues(ctx, den, lo, 1,
+                                    ctx.dense_mul(xs, self.cs[:i], ys, other.cs[:j], n, size),
+                                    cap, cden=self.cden * other.cden)
         xv, yv = ctx.encode(self.cs[:i], n), ctx.encode(other.cs[:j], n)
         ys_vals = list(zip(ys, yv))
         acc = {}
@@ -587,8 +542,7 @@ class Series:
         if c == ctx.one:
             return self
         (k,), cden = ctx.codes([ctx.code(c)])
-        *vals, vc = ctx.encode(self.cs + [k], 1)
-        return Series._build(ctx, self.den, self.ks, ctx.decode([v * vc for v in vals], 1),
+        return Series._build(ctx, self.den, self.ks, ctx.decode([v * k for v in self.cs], 1),
                              self.cap, self.cden * cden)
 
     def _remap(self, fn, fd, sn, sd, cs, cap):

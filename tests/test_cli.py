@@ -206,7 +206,7 @@ def test_eval_reads_back_its_printed_cap(capsys):
 def test_eval_let_bindings(capsys):
     assert run(["eval", "y*y", "--field", "F2", "--let", "y=t+t^2"]) == 0
     assert capsys.readouterr().out == "t^2 + t^4\n"
-    for binding in ("noequals", "1x=t"):
+    for binding in ("noequals", "1x=t", "t=1", "g=t"):
         assert run(["eval", "t", "--let", binding]) == 2
         assert capsys.readouterr().err == f"ktq: bad --let binding {binding!r}\n"
 

@@ -156,9 +156,9 @@ def test_sparse_lattice_takes_the_heap_walk(spec):
 @pytest.mark.parametrize("walk", ("as chosen", "heap walk"))
 def test_invert_encodes_x_only_below_its_bound(spec, walk):
     """A 20000-term all-ones x (one far term t^50000 too) inverted to cap 3
-    reads only its terms below t^3: `encode` sees those 3 codes and the
-    scale factor, never the other 19998, on either walk, and the inverse is
-    the 3-term x's, which times x is 1 below the cap."""
+    reads only its terms below t^3: `encode` sees those 3 codes, never the
+    other 19998, on either walk, and the inverse is the 3-term x's, which
+    times x is 1 below the cap."""
     ctx = FIELDS.get(spec) or make_field(spec)
     ones = {k: ctx.one for k in range(20000)}
     x, cut = Series(ctx, {**ones, 50000: ctx.one}), Series(ctx, {k: ctx.one for k in range(3)})

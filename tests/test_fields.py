@@ -18,6 +18,21 @@ from ktq.fields import _format_poly, _is_irreducible, _is_prime, _monic_polys, _
 
 # ------------------------------------------------------------- construction
 
+@pytest.mark.parametrize("spec", [
+    "Q", "F2", "F1000003", "F9", "F4096", "F3125", "F81:x^4+x^3+x^2+x+1",
+    "F4096:" + "+".join(f"x^{i}" for i in range(12, 1, -1)) + "+x+1",
+    "F6561:x^8+x^7+x^6+x^5+2*x^4+2*x^3+2*x^2+2*x+2"])
+def test_n1_encoding_is_the_code(spec):
+    """encode(codes, 1) hands back the list itself on every field, so sums and
+    products of single codes (`+`, `scale`, `rescale`) skip it."""
+    ctx, rng = make_field(spec), random.Random(f"n1:{spec}")
+    if ctx.characteristic:
+        cs = ctx._codes([rng.randrange(ctx.p) for _ in range(8 * ctx.e)])
+    else:
+        cs = [rng.randint(-99, 99) for _ in range(8)]
+    assert ctx.encode(cs, 1) is cs
+
+
 def test_make_field_specs(Q, F2, F9):
     assert isinstance(Q, RationalField)
     assert make_field("rationals") == Q

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import ktq.fields as fields
 import ktq.series as kernel
 from ktq import INF, Series, make_field, pow_rat
 from ktq.fields import FiniteField
@@ -86,7 +87,7 @@ def switch_sizes(ctx, top=420):
     dense n-term window."""
     def path(n):
         w = product_width(ctx, n)
-        ks2 = w % 2 == 0 and 8 * (2 * ctx.e - 1) * w * (n - 1) >= kernel._KS2_MIN
+        ks2 = w % 2 == 0 and 8 * (2 * ctx.e - 1) * w * (n - 1) >= fields._KS2_MIN
         return w, ctx._fold(n)[0], ks2
     cuts = {m for n in range(17, top) if path(n) != path(n - 1) for m in (n - 1, n)}
     return sorted({15, 16} | cuts)
@@ -94,13 +95,13 @@ def switch_sizes(ctx, top=420):
 
 def spy(monkeypatch, hits):
     """Count each path of the dense product and of `invert` into hits."""
-    unpack, ks2 = FiniteField.dense_unpack, kernel._ks2
+    dense_mul, ks2 = FiniteField.dense_mul, fields._ks2
     dense_step, mul = kernel._dense_step, Series.__mul__
 
-    def unpack_spy(ctx, buf, nb, n):
-        narrowed = nb // (2 * ctx.e - 1) < ctx._fold(n)[0] or ctx.p == 2
+    def dense_mul_spy(ctx, xs, xcodes, ys, ycodes, n, size):
+        narrowed = product_width(ctx, n) < ctx._fold(n)[0] or ctx.p == 2
         hits["narrowed" if narrowed else "fold width"] += 1
-        return unpack(ctx, buf, nb, n)
+        return dense_mul(ctx, xs, xcodes, ys, ycodes, n, size)
 
     def step_spy(steps, bound):
         g = dense_step(steps, bound)
@@ -112,8 +113,8 @@ def spy(monkeypatch, hits):
         out = mul(x, y)
         hits["pair loop"] += hits["narrowed"] + hits["fold width"] == before
         return out
-    monkeypatch.setattr(FiniteField, "dense_unpack", unpack_spy)
-    monkeypatch.setattr(kernel, "_ks2", lambda *a: hits.update(["ks2"]) or ks2(*a))
+    monkeypatch.setattr(FiniteField, "dense_mul", dense_mul_spy)
+    monkeypatch.setattr(fields, "_ks2", lambda *a: hits.update(["ks2"]) or ks2(*a))
     monkeypatch.setattr(kernel, "_dense_step", step_spy)
     monkeypatch.setattr(Series, "__mul__", mul_spy)
 

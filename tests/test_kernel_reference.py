@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ktq.fields as fields
 import ktq.series as kernel
 from ktq import INF, Series, make_field, series_from_json
 from ktq.errors import FieldError, PrecisionError, SeriesError
@@ -326,8 +327,8 @@ DENSE_CASES = (((16, 1), (16, 1, 1), True), ((15, 1), (40, 1, 1), False),
 
 def count_packs(monkeypatch):
     """A list that gains one entry per operand `*` packs into one int."""
-    packed, kronecker = [], kernel._kronecker
-    monkeypatch.setattr(kernel, "_kronecker", lambda *a: packed.append(a) or kronecker(*a))
+    packed, kronecker = [], fields._kronecker
+    monkeypatch.setattr(fields, "_kronecker", lambda *a: packed.append(a) or kronecker(*a))
     return packed
 
 
@@ -1003,7 +1004,7 @@ def takes_ks2(ctx, n):
     """Does a worst-case n-term square take KS2: e > 1, even slots, and its
     operand of n lattice points spans at least _KS2_MIN bits over its n - 1 steps."""
     w = product_width(ctx, n)
-    return ctx.e > 1 and w % 2 == 0 and 8 * (2 * ctx.e - 1) * w * (n - 1) >= kernel._KS2_MIN
+    return ctx.e > 1 and w % 2 == 0 and 8 * (2 * ctx.e - 1) * w * (n - 1) >= fields._KS2_MIN
 
 
 def product_boundaries(ctx, top=3000):
@@ -1046,8 +1047,8 @@ def test_dense_products_at_slot_boundaries(spec, slot_fields, monkeypatch):
     for below, above in zip(more[::2], more[1::2]):
         assert (product_width(ctx, below), takes_ks2(ctx, below)) < (
             product_width(ctx, above), takes_ks2(ctx, above))
-    packed, ks2, real = count_packs(monkeypatch), [], kernel._ks2
-    monkeypatch.setattr(kernel, "_ks2", lambda *a: ks2.append(a) or real(*a))
+    packed, ks2, real = count_packs(monkeypatch), [], fields._ks2
+    monkeypatch.setattr(fields, "_ks2", lambda *a: ks2.append(a) or real(*a))
     for n in (16, 17, *bounds, *more):
         for kind in ("exact", "capped", "gapped")[:3 if n <= 70 else 2]:
             x = worst_series(ctx, n, kind)

@@ -7,7 +7,7 @@ import pytest
 from ktq import (INF, ExpHom, ExpHomError, Invert, OrbitClass, OrbitError,
                  Rescale, ScaleExp, Series, SeriesError, Substitute,
                  Transform, Translate, classify_orbit, orbit_transform,
-                 rescale, scale_exponents, standard_endomorphism, substitute)
+                 pow_rat, rescale, scale_exponents, standard_endomorphism, substitute)
 from conftest import random_monic_positive, random_series, rng_for
 
 F = Fraction
@@ -213,6 +213,20 @@ def test_substitute_diagnostics_record_term_caps(F2):
     r = substitute(x, y, F(1))
     exponents = [e for e, _ in r.diagnostics.term_caps]
     assert exponents == [F(-1, 2), F(2)]
+
+
+@pytest.mark.parametrize("spec", ["Q", "F3", "F9"])
+def test_substitute_reads_y_on_the_packed_form(spec, request):
+    """substitute reads y's exponents from its packed ints and its codes as
+    they are stored: y's `terms` view (every coefficient decoded) stays unbuilt."""
+    ctx = request.getfixturevalue(spec)
+    x = Series(ctx, {F(1): 1, F(2): 1, F(5, 2): 2})
+    y = Series(ctx, {F(-1, 2): 2, F(1, 3): 1, F(1): 1, F(7, 6): 2}, F(4))
+    r = substitute(x, y, F(3))
+    assert y._terms is None
+    assert [e for e, _ in r.diagnostics.term_caps] == [e for e, _ in y.terms]
+    parts = [pow_rat(x, e, F(3)).scale(c) for e, c in y.terms]
+    assert r.series == sum(parts[1:], parts[0]).truncate(r.achieved_cap)
 
 
 def test_risk_flag_fires_on_sinking_p_adic_valuations(F2):

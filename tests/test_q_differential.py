@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import ktq.fields
 import ktq.powers
 import ktq.series as kernel
 from ktq import INF, EvalEnv, Series, eval_expression, make_field, parse_expression, pow_rat
@@ -109,7 +110,7 @@ def check_read_back(x):
 
 def spy(monkeypatch, hits):
     """Count the Kronecker product by slot width, the pair loop and `_miller`."""
-    kronecker, mul, miller = kernel._kronecker, Series.__mul__, kernel._miller
+    kronecker, mul, miller = ktq.fields._kronecker, Series.__mul__, kernel._miller
 
     def kronecker_spy(ks, buf, nb, bias):
         hits[f"{nb} byte{'s' if nb > 1 else ''}" if nb in WIDTHS else "slices"] += 1
@@ -125,7 +126,7 @@ def spy(monkeypatch, hits):
     def miller_spy(*args):
         hits["_miller"] += 1
         return miller(*args)
-    monkeypatch.setattr(kernel, "_kronecker", kronecker_spy)
+    monkeypatch.setattr(ktq.fields, "_kronecker", kronecker_spy)
     monkeypatch.setattr(Series, "__mul__", mul_spy)
     monkeypatch.setattr(kernel, "_miller", miller_spy)
     monkeypatch.setattr(ktq.powers, "_miller", miller_spy)
