@@ -52,8 +52,10 @@ p^(b mod e): the identity over F_p, and over F_{p^e} whenever e divides b.
 
 Text is one codec per field on codes: `parse_code` reads back exactly what
 `format_code` writes ("-3/4", "5", "g^2+2*g+1") and nothing else, and
-`FieldCtx.format_coeff`/`parse_coeff` wrap it.  `make_field` reads exactly
-what `spec_string` writes, so ktq's JSON never reaches the grammar.
+`FieldCtx.format_coeff`/`parse_coeff` wrap it.  Over F_{p^e} `format_code`
+is the field's memo of its texts, keyed on the code alone, filled on demand,
+kept for the 2^16 codes used last and shared by all writers.  `make_field`
+reads exactly what `spec_string` writes: JSON never reaches the grammar.
 
 Exhaustive operations (element enumeration, root search, surjectivity
 checks) are restricted to q <= 2**20.  Larger prime fields still construct,
@@ -66,6 +68,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import mul
@@ -247,7 +250,7 @@ class FieldCtx:
 
     def format_coeff(self, c) -> str:
         (k,), cden = self.codes([self.code(self.coerce(c))])
-        return self.format_code(k, cden)
+        return self.format_code(k, cden) if cden != 1 else self.format_code(k)  # keyed on k alone
 
     def parse_coeff(self, text: str):
         (k,), cden = self.codes([self.parse_code(text)])
@@ -469,7 +472,7 @@ class FFElement:
         return self.code != 0
 
     def __str__(self):
-        return self.field.format_coeff(self)
+        return self.field.format_code(self.code)
 
     def __repr__(self):
         return f"<{self} in {self.field.spec_string()}>"
@@ -513,6 +516,8 @@ class FiniteField(FieldCtx):
         self._c = self._fold(1)[0] if e > 1 else 8  # code slot bytes; 8 hold a residue
         self._mod = (bytes(range(min(p, 256))) * (255 // p + 1))[:256]  # byte d -> d % p
         self._gs = _powers("g", e)  # the texts of format_code's powers
+        if e > 1:  # each code's text made once, keyed on the code; the last 2^16 kept
+            self.format_code = lru_cache(1 << 16)(self.format_code)
         self.zero, self.one = self._element(0), self._element(1)
         self._element_cache = None
 
@@ -530,6 +535,9 @@ class FiniteField(FieldCtx):
             if _is_irreducible(cand, p):
                 return cand
         raise FieldError("no irreducible modulus found")  # unreachable
+
+    def __reduce__(self):  # copy and pickle rebuild the field, with a memo of its own
+        return FiniteField, (self.p, self.e, self.modulus)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField)

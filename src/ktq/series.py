@@ -72,13 +72,13 @@ sums (`_reachable`), decoded at once; x is cut at the bound first, as
 `_miller` cuts it.
 
 A Q coefficient is a Fraction, and an exponent one, only at the boundary:
-`terms` (a tuple of (Fraction, coefficient) pairs, a view built on first use
-and cached), `coeff` (a bisect), `valuation` and `leading_coeff`.  Text is not
-decoded: `format_series` and `to_json_dict` write on the packed form, each
-exponent k/den reduced by one int gcd (none at den = 1) and each code from
-`_formatter`'s table, one `format_code` per distinct code (over Q on cden, made
-per call; `str` over F_p; over F_{p^e} kept on the series like `terms`), which
-also gives `format_series` each code's sign and parentheses once;
+`terms` (the (Fraction, coefficient) pairs, decoded at each read), `coeff`
+(a bisect), `valuation` and `leading_coeff`.  Text is not decoded:
+`format_series` and `to_json_dict` write on the packed form, each exponent
+k/den reduced by one int gcd (none at den = 1) and each code from
+`_formatter`'s table (over Q one `format_code` on cden per distinct code,
+made per call; over F_q the field's: `str` over F_p, its memo over F_{p^e}),
+which also gives `format_series` each code's sign and parentheses once;
 `series_from_json` reduces int pairs [num, den] by a gcd, sends any other value
 through Fraction(num, den), which reports it, parses each distinct text once a
 call and puts Q's int pairs over their lcm once.
@@ -292,8 +292,8 @@ def _miller(x, num, qden, b0, off, cap):
             d *= qden * aden * k
             b[k] = n // (g := gcd(n, d)), d // g
     cden = lcm(*(d for _, d in b.values()))
-    return Series.__new__(Series)._pack(x.ctx, x.den, [k + off for k in b],
-                                        [n * (cden // d) for n, d in b.values()], cap, cden)
+    cs = [n if d == cden else n * (cden // d) for n, d in b.values()]  # d = cden: n itself, not a copy
+    return Series.__new__(Series)._pack(x.ctx, x.den, [k + off for k in b], cs, cap, cden)
 
 
 class UnknownAtLeast(Record):
@@ -305,7 +305,7 @@ class UnknownAtLeast(Record):
 class Series:
     """An element of k((t^Q)), known exactly below its cap."""
 
-    __slots__ = ("ctx", "den", "ks", "cs", "cden", "cap", "_terms", "_texts")
+    __slots__ = ("ctx", "den", "ks", "cs", "cden", "cap")
 
     def __init__(self, ctx: FieldCtx, terms=(), cap=INF):
         cap = _as_cap(cap)
@@ -329,7 +329,6 @@ class Series:
         if cden != 1 and (g := gcd(cden, *cs)) != 1:  # one gcd, one exact division
             cden, cs = cden // g, [c // g for c in cs]
         self.ctx, self.den, self.ks, self.cs, self.cden, self.cap = ctx, den, ks, cs, cden, cap
-        self._terms = self._texts = None  # the views `terms` and `_formatter` keep
         return self
 
     def _from_pairs(self, ctx, terms, cap):
@@ -404,11 +403,9 @@ class Series:
 
     @property
     def terms(self):
-        """The (Fraction exponent, coefficient) pairs, decoded on first use."""
-        if self._terms is None:
-            self._terms = tuple(zip(map(Fraction, self.ks, [self.den] * len(self.ks)),
-                                    map(self.ctx._element, self.cs, [self.cden] * len(self.cs))))
-        return self._terms
+        """The (Fraction exponent, coefficient) pairs, decoded at each read."""
+        return tuple(zip(map(Fraction, self.ks, [self.den] * len(self.ks)),
+                         map(self.ctx._element, self.cs, [self.cden] * len(self.cs))))
 
     @property
     def is_exact(self) -> bool:
@@ -697,19 +694,13 @@ def format_exp_part(n: int, d: int = 1) -> str:
 
 
 def _formatter(x: Series):
-    """The one table of x's code texts, as a function of the code: over Q one
-    format_code on x's cden per distinct code, made for this call; over F_p
-    `str`; over F_{p^e} (e > 1) one format_code per distinct code, the texts
-    kept on x for its next `to_json_dict` or `str`."""
+    """x's code texts as a function of the code: over Q a table of format_code
+    on x's cden per distinct code, made per call; over F_q the field's own."""
     ctx = x.ctx
     if not ctx.characteristic:
         fmt = partial(ctx.format_code, cden=x.cden)
         return {c: fmt(c) for c in set(x.cs)}.__getitem__
-    if ctx.e == 1:
-        return str
-    if x._texts is None:
-        x._texts = {c: ctx.format_code(c) for c in set(x.cs)}
-    return x._texts.__getitem__
+    return str if ctx.e == 1 else ctx.format_code
 
 
 def format_series(x: Series) -> str:

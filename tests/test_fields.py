@@ -1,10 +1,12 @@
 """Coefficient fields: F_p^e towers, rationals, additive polynomials."""
 
+import copy
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -13,7 +15,9 @@ from ktq import (AdditivePoly, ExpHom, FFElement, FieldError, FiniteField, Inver
                  RationalField, Rescale, ScaleExp, Series, Substitute,
                  SeriesError, Transform, Translate, hypothesis_a_check, make_field,
                  series_from_json)
-from ktq.fields import _format_poly, _is_irreducible, _is_prime, _monic_polys, _parse_poly
+from ktq.fields import (_base_p_vectors, _format_poly, _is_irreducible, _is_prime, _monic_polys,
+                        _parse_poly)
+from ktq.series import format_exp_part
 
 
 # ------------------------------------------------------------- construction
@@ -569,31 +573,75 @@ def test_rational_parse_code_refuses_text_format_code_does_not_write(Q, text):
 @pytest.mark.parametrize("spec, n", [("F9", None), ("F4096", 500), ("F243", None),
                                      ("F1953125", 300)])
 def test_series_keeps_the_texts_of_its_codes(spec, n):
-    """to_json_dict and str format each distinct code of an F_{p^e} series
-    once and keep the texts on the series (with q past EXHAUSTIVE_BOUND too,
-    as 5^9): each is the text of the code's digits, and a second write gives
-    the same output from them."""
+    """to_json_dict and str take the texts of an F_{p^e} series' codes from
+    the field's memo (with q past EXHAUSTIVE_BOUND too, as 5^9): one format
+    per distinct code, the text of its digits, kept for a second write and
+    for `format_coeff` and `str` of an element, with no second entry for
+    format_coeff's positional cden."""
     ctx = make_field(spec)
+    memo = ctx.format_code.cache_info
     rng = random.Random(spec)
     codes = [ctx._codes([rng.randrange(ctx.p) for _ in range(ctx.e)])[0] for _ in range(n)] \
         if n else [c.code for c in ctx.elements()]
     codes = [k for k in codes if k]
     x = Series(ctx, {Fraction(i, 2): ctx.element(k) for i, k in enumerate(codes + codes[::-1])})
-    assert x._texts is None
+    assert memo().currsize == 0
     first = json.dumps(x.to_json_dict()), str(x)
-    assert x._texts == {k: _format_poly(ctx._digits(k), ctx._gs) for k in set(codes)}
-    assert all(ctx.format_code(k) == text for k, text in x._texts.items())
-    kept = x._texts
-    assert (json.dumps(x.to_json_dict()), str(x)) == first and x._texts is kept
+    texts = {k: _format_poly(ctx._digits(k), ctx._gs) for k in set(codes)}
+    assert [t for _, _, t in json.loads(first[0])["terms"]] == [texts[k] for k in x.cs]
+    assert first[1] == _reference_str(x, texts)
+    assert (json.dumps(x.to_json_dict()), str(x)) == first
     assert series_from_json(json.loads(first[0])) == x
+    assert memo().currsize == memo().misses == len(texts)  # each text made once, then kept
+    k = codes[0]
+    assert ctx.format_coeff(ctx.element(k)) == str(ctx.element(k)) == texts[k]
+    assert all(ctx.format_code(k) == text for k, text in texts.items())
+    assert memo().currsize == memo().misses == len(texts)
+
+
+def _reference_str(x, texts):
+    """str(x) of an exact F_{p^e} series, term by term from its codes' texts."""
+    heads = {k: "" if t == "1" else f"({t})*" if "+" in t else f"{t}*" for k, t in texts.items()}
+    return " + ".join((heads[k] + format_exp_part(e.numerator, e.denominator)).removesuffix("*1")
+                      for (e, _), k in zip(x.terms, x.cs))
+
+
+def test_field_keeps_texts_up_to_its_limit():
+    """Over F1953125 a series with more distinct codes than the memo's limit
+    (2^16) writes the reference texts, twice alike, and the memo stays at its
+    limit."""
+    ctx = make_field("F1953125")
+    memo = ctx.format_code.cache_info
+    vecs = islice(_base_p_vectors(ctx.p, ctx.e), 1, (1 << 16) + 2001)  # nonzero, distinct
+    x = Series(ctx, {Fraction(i): ctx._element(k)
+                     for i, k in enumerate(ctx._codes([d for v in vecs for d in v]))})
+    texts = {k: _format_poly(ctx._digits(k), ctx._gs) for k in x.cs}
+    assert len(texts) > memo().maxsize == 1 << 16
+    for _ in "ab":
+        assert [t for _, _, t in x.to_json_dict()["terms"]] == [texts[k] for k in x.cs]
+        assert str(x) == _reference_str(x, texts)
+        assert memo().currsize == memo().maxsize
+
+
+@pytest.mark.parametrize("spec", ["F9", "F4096", "F7"])
+def test_copy_and_pickle_rebuild_a_finite_field(spec):
+    """A copied or unpickled field equals the original and writes the same
+    texts from a memo of its own."""
+    ctx = make_field(spec)
+    x = Series(ctx, {Fraction(i): ctx.from_int(i) + (ctx.g if ctx.e > 1 else 0) for i in range(1, 7)})
+    for other in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert other == ctx and other.format_code is not ctx.format_code
+        assert str(Series(other, dict(x.terms))) == str(x)
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 @pytest.mark.parametrize("spec", ["Q", "F7", "F1000003"])
 def test_series_keeps_no_texts_over_q_and_f_p(spec):
+    """Q and F_p keep no memo: format_code stays the class's method."""
     ctx = make_field(spec)
     x = Series(ctx, {Fraction(i, 3): ctx.from_int(i % 5 + 1) for i in range(-6, 40)})
     assert series_from_json(json.loads(json.dumps(x.to_json_dict()))) == x and str(x)
-    assert x._texts is None
+    assert "format_code" not in vars(ctx) and not hasattr(ctx.format_code, "cache_info")
 
 
 @pytest.mark.parametrize("spec", ["F2", "F7", "F1000003"])

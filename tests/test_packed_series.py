@@ -311,7 +311,6 @@ def test_terms_keep_the_pair_layout(spec):
     x = Series(ctx, pairs, Fraction(5))
     assert x.terms == tuple(sorted(pairs.items()))
     assert all(type(e) is Fraction and type(c) is type(ctx.one) for e, c in x.terms)
-    assert x.terms is x.terms  # decoded once, then cached
     want = dict(pairs)
     for e, c in pairs.items():
         want[e + 1] = want[e + 1] + c if e + 1 in want else c

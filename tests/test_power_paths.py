@@ -206,6 +206,25 @@ def test_miller_natural_power_of_exact_input_is_exact():
     assert got.is_exact and got == _q_series(base ** 5, t)
 
 
+def test_miller_copies_no_code_over_its_own_denominator():
+    """Over an integer power every b_k of `_miller` is n/1, so the series
+    takes those very ints: (1 + t^(1/4000))^40000 below t^8 (32000 codes of
+    up to 40000 bits) peaks near 150 MB in a fresh process, against 280 MB
+    where each code was copied once more."""
+    pytest.importorskip("resource")
+    code = ("import resource\n"
+            "from fractions import Fraction\n"
+            "from ktq import Series, make_field, pow_rat\n"
+            "Q = make_field('Q')\n"
+            "pow_rat(Series(Q, {0: 1, Fraction(1, 4000): 1}), 40000, 8)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ktq.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 210, f"peak RSS {out.stdout.strip()} MB"  # ru_maxrss: KiB on Linux
+
+
 # ------------------------------------------------------------- substitution
 
 
