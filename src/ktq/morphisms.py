@@ -36,7 +36,7 @@ from operator import add, mul
 from .errors import ExpHomError, FieldError, OrbitError, Record, SeriesError
 from .fields import FieldCtx, format_coeff
 from .powers import _cut, _expansions, pow_rat
-from .series import (INF, MALFORMED_JSON, Series, _as_cap, _as_exp, _dense, _int_bound,
+from .series import (INF, MALFORMED_JSON, Series, _as_cap, _as_exp, _dense, _int_bound, _least,
                      _padic_val, cap_mul, series_from_json, substitute_cap)
 
 
@@ -181,7 +181,7 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
         raise SeriesError("substitution base has no visible leading term")
     if not x.is_monic():
         raise SeriesError("substitution base must be monic")
-    if x.known_valuation() <= 0:
+    if x.ks[0] <= 0:  # v(x) = ks[0]/den, den > 0
         raise SeriesError("substitution base must have positive valuation")
 
     p, cap, result, plan = ctx.characteristic, substitute_cap(x, y, requested_cap), None, None
@@ -189,7 +189,7 @@ def substitute(x: Series, y: Series, requested_cap=INF) -> SubstResult:
     if p and ctx.e == 1 and exps:
         plan = _expansions(x, exps, requested_cap)
         caps = [e[0] for e in plan]
-        result = _window(x, y, plan, min(cap, *caps))
+        result = _window(x, y, plan, _least([cap, *caps]))
     if result is None:  # over F_p each x^i is cut from its group's expansion
         pieces = ([_cut(ctx, *e) for e in plan] if plan
                   else [pow_rat(x, i, requested_cap) for i in exps])

@@ -26,8 +26,8 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import FieldError, PrecisionError, SeriesError
-from .series import (INF, Series, _as_cap, _as_exp, _cap, _int_bound, _miller, _p_split, _pair,
-                     _plus, cap_mul, power_cap)
+from .series import (INF, Series, _as_cap, _as_exp, _below, _cap, _int_bound, _lt, _miller,
+                     _p_split, _pair, _plus, _scaled, _times, power_cap)
 
 
 def rat_binomial(ctx, i, n: int):
@@ -54,8 +54,8 @@ def frobenius_map(x: Series, b: int) -> Series:
     p = x.ctx.characteristic
     if p == 0:
         raise FieldError("termwise Frobenius needs characteristic p > 0")
-    r = Fraction(p) ** b
-    return _cut(x.ctx, cap_mul(x.cap, r), INF, b, (r.numerator, r.denominator), (0, 1), x)
+    s = (p ** b, 1) if b > 0 else (1, p ** -b)
+    return _cut(x.ctx, _scaled(x.cap, s), INF, b, s, (0, 1), x)
 
 
 def _digits(eps: Series, num: int, den: int, bound) -> Series:
@@ -120,12 +120,12 @@ def _expansions(x: Series, exps, requested_cap):
         split = b, s, q = _p_split(i, p) if i else (0, (1, 1), (0, 1))
         cap = power_cap(x, i, requested_cap, split)
         mi = (x.ks[0] * i.numerator, x.den * i.denominator)
-        rel = _plus(_pair(cap), (-mi[0], mi[1]))
-        bound = _cap(rel and (rel[0] * s[1], rel[1] * s[0]))
-        plan.append((cap, bound, b, s, mi, q))
-        tops[q] = max(tops.get(q, bound), bound)
+        top = _times(_plus(_pair(cap), (-mi[0], mi[1])), (s[1], s[0]))
+        plan.append((cap, bound := _cap(top), b, s, mi, q))
+        if q not in tops or _lt(tops[q][0], top):
+            tops[q] = top, bound
     c = None if x.is_monic() else x.leading_coeff()
-    for (num, den), bound in tops.items():
+    for (num, den), (_, bound) in tops.items():
         if not p:  # Miller's recurrence reads c and eps off x, seeded with c^q as an int pair
             a, d = ((x.cs[0], x.cden) if num >= 0 else (x.cden, x.cs[0])) if c else (1, 1)
             ys[num, den] = _miller(x, num, den, (a ** abs(num), d ** abs(num)), 0, bound)
@@ -148,7 +148,7 @@ def _cut(ctx, cap, bound, b, s, mi, y):
     exponents times s plus mi, at cap."""
     if type(y) is tuple:  # a period, repeated over its slots below bound only
         den, lo, g, per, ycap, size = y
-        if bound < ycap:
+        if _below(bound, ycap):
             size, ycap = max(0, -(-_int_bound(bound, den) // g)), bound  # lo = 0 for 1 + eps
         y = Series._residues(ctx, den, lo, g, per[:size] if len(per) > size else per, ycap, size)
     u = y.truncate(bound)

@@ -10,11 +10,13 @@ Every cap a public operation returns comes from one rule of this table, one
 function each in the "cap rules" section below; `_as_cap` is the one reader
 of a cap from outside (INF, an int or a Fraction).  v*(z) is the valuation
 of the known part (the cap if no term is known), m = v*(x), req the request.
-The mul, invert and power rules compute on int pairs (None for INF), compare
-by cross-multiplying and build one Fraction per result cap.
+Every rule computes on int pairs (None for INF) and compares by
+cross-multiplying, as do `coeff`, `truncate` and the callers in `powers`,
+`morphisms` and `solvers`; a rule builds at most one Fraction per result cap
+(`_cap`) and returns an input cap or the request uncopied where it binds.
 
     rule        cap of the result                    function        callers
-    add         min(cap_x, cap_y)                    min             +, -
+    add         min(cap_x, cap_y)                    Series._sum     +, -
     shift       cap_x + d                            cap_add         shift
     scale       r cap_x, r > 0 (p^b in Frobenius)    cap_mul         scale_exponents, frobenius_map
     mul         min(cap_x + v*(y), cap_y + v*(x))    product_cap     *
@@ -88,7 +90,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from heapq import heappop, heappush
 from itertools import compress, islice
 from math import gcd, lcm
@@ -120,13 +122,18 @@ def _as_cap(c):
 
 
 def cap_add(cap, delta: Fraction):
-    return _as_cap(cap) if type(cap) is float else cap + delta
+    return _as_cap(cap) if type(cap) is float else _cap(
+        _plus(_pair(cap), (delta.numerator, delta.denominator)))
 
 
 def cap_mul(cap, factor: Fraction):
-    if factor <= 0:
+    if factor.numerator <= 0:
         raise SeriesError("cap scaling factor must be positive")
-    return _as_cap(cap) if type(cap) is float else cap * factor
+    return _scaled(cap, (factor.numerator, factor.denominator))
+
+
+def _scaled(cap, s):  # cap times the positive int pair s
+    return _as_cap(cap) if type(cap) is float else _cap(_times(_pair(cap), s))
 
 
 def _pair(c):  # a finite cap as an int pair (num, den > 0); None for INF
@@ -142,8 +149,21 @@ def _plus(a, b):
     return None if a is None or b is None else (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
 
 
+def _times(a, b):
+    return None if a is None or b is None else (a[0] * b[0], a[1] * b[1])
+
+
 def _lt(a, b):  # a < b by a cross-multiplied compare
     return a is not None and (b is None or a[0] * b[1] < b[0] * a[1])
+
+
+def _below(a, b):  # cap a < cap b (INF, an int or a Fraction), cross-multiplied, no pair built
+    return type(a) is not float and (type(b) is float or
+                                     a.numerator * b.denominator < b.numerator * a.denominator)
+
+
+def _least(caps):  # the least of caps, the object itself (the first of equal ones)
+    return reduce(lambda cap, c: c if _below(c, cap) else cap, caps)
 
 
 def _cap(a):  # the one Fraction a rule builds
@@ -158,8 +178,8 @@ def product_cap(x, y):
 
 
 def inverse_cap(x, req):
-    hi, req = _plus(_pair(x.cap), _val_pair(x, -2)), _pair(req)
-    cap = _cap(hi if _lt(hi, req) else req)
+    hi = _plus(_pair(x.cap), _val_pair(x, -2))
+    cap = _cap(hi) if _lt(hi, _pair(req)) else req
     if type(cap) is float and len(x.ks) > 1:
         raise PrecisionError("inverse has infinite support; pass a finite cap")
     return cap
@@ -188,31 +208,42 @@ def power_cap(x, i: Fraction, req, split=None):
     (split: _p_split(i, p), if the caller has it)."""
     if not i or len(x.ks) <= 1 and type(x.cap) is float:
         return INF
+    ip, r = (i.numerator, i.denominator), _pair(req)
     if not x.ks:
-        return min(req, cap_mul(x.cap, i))
+        hi = _times(_pair(x.cap), ip)
+        return _cap(hi) if _lt(hi, r) else req
     _, s, q = split or _p_split(i, x.ctx.characteristic)
     rel = _plus(_pair(x.cap), _val_pair(x, -1))  # cap_x - m
-    hi = _plus(rel and (rel[0] * s[0], rel[1] * s[1]),
-               (x.ks[0] * i.numerator, x.den * i.denominator))  # + m i
-    cap = hi if _lt(hi, _pair(req)) else _pair(req)
+    hi = _plus(_times(rel, s), (x.ks[0] * ip[0], x.den * ip[1]))  # + m i
+    cap = hi if _lt(hi, r) else r
     if q[0] > 0 and q[1] == 1:
         e1 = (x.ks[1], x.den) if len(x.ks) > 1 else _pair(x.cap)
-        if _lt(e1 and (i.numerator * e1[0], i.denominator * e1[1]), cap):
+        if _lt(_times(e1, ip), cap):
             cap = hi
     elif cap is None:
         raise PrecisionError("power expansion has infinite support; pass a finite cap")
-    return _cap(cap)
+    return req if cap is r else _cap(cap)
 
 
-def substitute_cap(x, y, req):
-    return min(req, cap_mul(y.cap, x.known_valuation()))
+def substitute_cap(x, y, req):  # x of positive valuation, as `substitute` checks
+    hi = _times(_pair(y.cap), _val_pair(x))
+    return _cap(hi) if _lt(hi, _pair(req)) else req
 
 
 def solve_cap(b, target, j=0):
     p = b.ctx.characteristic
-    if target is None:  # the table's default target
-        target = min(Fraction(0), b.known_valuation()) / 2 if p else INF
-    cap = min(_as_cap(target), cap_mul(b.cap, Fraction(p or 1) ** -j))
+    if target is not None or not p:
+        target = INF if target is None else _as_cap(target)
+        t = _pair(target)
+    else:  # the table's default target, min(0, v*(b)) / 2
+        v = _val_pair(b)
+        t = (v[0], 2 * v[1]) if _lt(v, (0, 1)) else (0, 1)
+    f = (p or 1) ** abs(j)
+    c = _times(_pair(b.cap), (1, f) if j >= 0 else (f, 1))  # p^(-j) cap_b
+    if _lt(c, t):
+        cap = b.cap if f == 1 else _cap(c)
+    else:
+        cap = _cap(t) if target is None else target
     if p and type(cap) is float and any(b.ks):  # the greedy loop would not end
         raise PrecisionError("the solution has infinite support; pass a finite cap")
     return cap
@@ -294,6 +325,18 @@ def _miller(x, num, qden, b0, off, cap):
     cden = lcm(*(d for _, d in b.values()))
     cs = [n if d == cden else n * (cden // d) for n, d in b.values()]  # d = cden: n itself, not a copy
     return Series.__new__(Series)._pack(x.ctx, x.den, [k + off for k in b], cs, cap, cden)
+
+
+def _combine(ctx, groups, coeffs):
+    """The codes of `Series._sum`'s linear combinations: for each group of
+    summands (code, index into coeffs), sum code * coeffs[index], the codes
+    and coeffs encoded at once for n the most summands of a group, and the
+    sums decoded at once."""
+    codes = [v for t in groups for v, _ in t]
+    n, m = max(map(len, groups)), len(codes)
+    vals = ctx.encode(codes + coeffs, n)
+    it = map(mul, vals[:m], [vals[m + i] for t in groups for _, i in t])
+    return ctx.decode([sum(islice(it, len(t))) for t in groups], n)
 
 
 class UnknownAtLeast(Record):
@@ -429,9 +472,10 @@ class Series:
         return bool(self.ks) and self.cs[0] == self.cden
 
     def coeff(self, e):
-        """The certified coefficient at exponent e."""
-        e = _as_exp(e)
-        if e >= self.cap:
+        """The certified coefficient at exponent e (an int e is read as it is)."""
+        if type(e) is not int:
+            e = _as_exp(e)
+        if not _below(e, self.cap):
             raise PrecisionError(f"coefficient at {e} is not certified (cap {self.cap})")
         if self.den % e.denominator == 0:
             k = e.numerator * (self.den // e.denominator)
@@ -453,12 +497,13 @@ class Series:
         """Internal, the one merge and linear combination: sum c_i x_i by the
         add rule, each c_i a nonzero code over cden (1 without coeffs), on one
         int-keyed dict of codes over lcm(cden).  Without coeffs two codes meet at
-        a time at n = 1 (as in `+`); with them the other keys' summands and the
-        c_i are encoded at once, n the most summands of a key, and decoded at once."""
+        a time at n = 1 (as in `+`); with them `_combine` sums the other keys'
+        summands times their c_i."""
         cap, den, cd = pieces[0].cap, pieces[0].den, pieces[0].cden
         for s in pieces[1:]:
-            cap, den = min(cap, s.cap), lcm(den, s.den)
-            cd = cd if s.cden == cd else lcm(cd, s.cden)
+            if _below(s.cap, cap):  # the add rule, on the pieces' own caps
+                cap = s.cap
+            den, cd = lcm(den, s.den), cd if s.cden == cd else lcm(cd, s.cden)
         bound = _int_bound(cap, den)
         acc, sums = {}, {}  # key -> code; key -> its summands (code, index of c_i; 1 last)
         for i, s in enumerate(pieces):
@@ -476,13 +521,7 @@ class Series:
             else:  # the first piece's dict is not copied
                 acc = more
         if sums and (ks := [k for k in sums if k < bound]):
-            groups = [sums[k] for k in ks]
-            codes = [v for t in groups for v, _ in t]
-            n, m = max(map(len, groups)), len(codes)
-            vals = ctx.encode(codes + [*coeffs, 1], n)
-            it = map(mul, vals[:m], [vals[m + i] for t in groups for _, i in t])
-            out = [sum(islice(it, len(t))) for t in groups]
-            acc.update(zip(ks, ctx.decode(out, n)))
+            acc.update(zip(ks, _combine(ctx, [sums[k] for k in ks], [*coeffs, 1])))
         ks = sorted(k for k in acc if k < bound)
         return Series._build(ctx, den, ks, [acc[k] for k in ks], cap, cd * cden)
 
@@ -559,11 +598,13 @@ class Series:
 
     def truncate(self, bound):
         """Forget everything at or above bound.  Caps only ever go down."""
-        bound = _as_cap(bound)
-        if bound is self.cap or not _lt(_pair(bound), _pair(self.cap)):  # nothing to cut
+        if type(bound) is not int:  # an int bound becomes a Fraction only if it cuts
+            bound = _as_cap(bound)
+        if bound is self.cap or not _below(bound, self.cap):  # nothing to cut
             return self
         i = bisect_left(self.ks, _int_bound(bound, self.den))
-        return Series._build(self.ctx, self.den, self.ks[:i], self.cs[:i], bound, self.cden)
+        return Series._build(self.ctx, self.den, self.ks[:i], self.cs[:i], _as_cap(bound),
+                             self.cden)
 
     def invert(self, requested_cap=INF):
         """Multiplicative inverse, certified below min(requested, cap - 2v).
@@ -654,7 +695,7 @@ class Series:
     def agrees_below(self, other, bound=INF) -> bool:
         """Do the certified parts agree below min(caps, bound)?"""
         self._check_peer(other)
-        joint = min(self.cap, other.cap, _as_cap(bound))
+        joint = _least((self.cap, other.cap, _as_cap(bound)))
         a, b = self.truncate(joint), other.truncate(joint)
         return (a.den, a.ks, a.cs, a.cden) == (b.den, b.ks, b.cs, b.cden)  # canonical forms
 

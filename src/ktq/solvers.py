@@ -21,10 +21,12 @@ leaves q_0 c t^s (above 0) or q_n c^(p^n) t^(s p^n) (below) in its image.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import FieldError, NoSolutionError, PrecisionError, Record, SeriesError
 from .fields import AdditivePoly, FiniteField
 from .powers import frobenius_map
-from .series import Series, solve_cap
+from .series import Series, _below, _lt, _pair, solve_cap
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -59,7 +61,7 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
 
     if not b.ks and b.is_exact:
         return Series.zero(ctx)
-    if b.cap <= 0:
+    if not _below(0, b.cap):
         raise PrecisionError("the constant level of the right side is not certified")
 
     Q, j = P.separable_part()
@@ -73,15 +75,15 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
             f"constant obstruction: {ctx.format_coeff(c0)} is outside the image of "
             f"{Q.format()} on {ctx.spec_string()}", witness=c0)
 
-    if bp.ks and bp.ks[0] < 0 and bound >= 0:  # bp.cap > 0, so the target is >= 0
+    if bp.ks and bp.ks[0] < 0 and not _below(bound, 0):  # bp.cap > 0, so the target is >= 0
         raise SeriesError(
             "no positive cap is reachable when the right side has negative exponents; "
             "pass a target_cap below 0")
 
-    steps, n = [Series.constant(ctx, x0)], Q.p_degree
+    steps, n, top = [Series.constant(ctx, x0)], Q.p_degree, _pair(bound)
     r = bp - Series.constant(ctx, c0)
-    while r.ks and (e := r.known_valuation()) < bound:
-        i = n if e < 0 else 0
+    while r.ks and _lt((r.ks[0], r.den), top):  # v(r) below the bound
+        i = n if r.ks[0] < 0 else 0
         steps.append(frobenius_map(r.truncate(bound).scale(1 / Q.coeffs[i]), -i))
         r = r - apply_additive(Q, steps[-1])
     return Series._sum(ctx, steps).truncate(bound)
@@ -111,10 +113,9 @@ def valuation_sign_via_trace(x: Series) -> str:
         raise SeriesError("no visible leading term")
     if trace(x):
         raise SeriesError("defined only for trace-zero elements")
-    v = x.known_valuation()
     num = frobenius_map(x, 1)
     den = num - x
-    inv = den.invert(1 - p * v)
+    inv = den.invert(Fraction(x.den - p * x.ks[0], x.den))  # 1 - p v(x)
     w = num * inv
     t0 = w.coeff(0)  # raises PrecisionError if the input caps are too small
     if t0 == ctx.zero:

@@ -5,6 +5,7 @@ independent reference in perfbench/oracle.py (lo is the rule's bound, hi
 what the inputs can certify)."""
 
 import importlib.util
+import math
 from fractions import Fraction as F
 from functools import lru_cache
 from pathlib import Path
@@ -227,3 +228,176 @@ def test_solve_rule(spec):
         if p and (b.ks or not b.is_exact):  # the table: min(target, p^(-j) cap_b)
             default = min(F(0), b.known_valuation()) / 2
             assert x.cap == min(default if target is None else target, b.cap / p ** j)
+
+
+# ------------------------------------------------ the table, with Fractions
+#
+# Each rule of the `ktq.series` docstring table written out with plain
+# Fraction arithmetic, float INF and the builtin min; REFUSED where the table
+# refuses an infinite cap.  The rule functions compute on int pairs, so these
+# pin them to the table on caps the operations above rarely reach: INF,
+# negative and zero caps, ties, and denominators above 2^64.
+
+REFUSED = object()
+HUGE = 2 ** 65 + 1  # a denominator above 2^64
+REF_CAPS = (INF, F(0), F(-3), F(-5, 2), F(1, 3), F(2), F(7, 2), F(5, HUGE), F(-(3 ** 41), 2 ** 67),
+            F(2 ** 70 + 1, 2 ** 66))
+REF_EXPS = EXPS + (F(1, HUGE), F(-3, HUGE), F(2 ** 66 + 1, 3), F(1, 2 ** 66), F(1, 3 ** 42))
+
+
+def _v(z):
+    return F(z.ks[0], z.den) if z.ks else z.cap
+
+
+def _ref_mul(x, y):
+    return min(x.cap + _v(y), y.cap + _v(x))
+
+
+def _ref_invert(x, req):
+    cap = min(req, x.cap - 2 * _v(x))
+    return REFUSED if cap == INF and len(x.ks) > 1 else cap
+
+
+def _ref_power(x, i, req):
+    if i == 0 or len(x.ks) <= 1 and x.cap == INF:
+        return INF
+    if not x.ks:
+        return min(req, i * x.cap)
+    p, b, q = x.ctx.characteristic, 0, i
+    while p and q.numerator % p == 0:
+        q, b = q / p, b + 1
+    while p and q.denominator % p == 0:
+        q, b = q * p, b - 1
+    m = _v(x)
+    hi = m * i + F(p or 1) ** b * (x.cap - m)
+    cap = min(req, hi)
+    if q > 0 and q.denominator == 1:
+        e1 = F(x.ks[1], x.den) if len(x.ks) > 1 else x.cap
+        if i * e1 < cap:  # the expansion ends by itself
+            cap = hi
+    elif cap == INF:
+        return REFUSED
+    return cap
+
+
+def _ref_substitute(x, y, req):
+    return min(req, _v(x) * y.cap)
+
+
+def _ref_solve(b, target, j):
+    p = b.ctx.characteristic
+    if target is None:
+        target = min(F(0), _v(b)) / 2 if p else INF
+    cap = min(target, b.cap * F(p or 1) ** -j)
+    return REFUSED if p and cap == INF and any(b.ks) else cap
+
+
+def _is_cap(cap):
+    """A cap is INF itself or exactly a Fraction: never an int or a tuple."""
+    return cap is INF or type(cap) is F
+
+
+def _ref_series(rng, ctx, caps=REF_CAPS, lo=-4):
+    """Up to four terms on a lattice 1/d (d up to 2^65 + 1), below a cap of
+    REF_CAPS; only the rule functions and cheap operations read these."""
+    cap, d = rng.choice(caps), rng.choice((1, 2, 3, HUGE))
+    ks = {rng.randint(lo * d, 5 * d) for _ in range(rng.randint(0, 4))}
+    return Series(ctx, {F(k, d): random_coeff(rng, ctx, nonzero=True) for k in ks
+                        if F(k, d) < cap}, cap)
+
+
+def _check_rule(rule, want, *args):
+    if want is REFUSED:
+        with pytest.raises(PrecisionError, match="infinite support"):
+            rule(*args)
+        return
+    got = rule(*args)
+    assert got == want and _is_cap(got), (rule.__name__, args, got, want)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_rule_functions_match_the_table_in_fractions(spec):
+    ctx, rng, runs = _cases("reference", spec, n=150)
+    for _ in runs:
+        x, y = _ref_series(rng, ctx), _ref_series(rng, ctx)
+        req, d, r = rng.choice(REF_CAPS), rng.choice(REF_EXPS), abs(rng.choice(REF_EXPS))
+        for pieces in ([x, y], [x, y, _ref_series(rng, ctx)], [x, x]):  # [x, x]: a tie
+            got = Series._sum(ctx, pieces).cap
+            assert got == min(s.cap for s in pieces) and _is_cap(got)
+        assert (x + y).cap == min(x.cap, y.cap)
+        _check_rule(cap_add, x.cap + d, x.cap, d)
+        _check_rule(cap_mul, r * x.cap, x.cap, r)
+        with pytest.raises(KtqError, match="must be positive"):
+            cap_mul(x.cap, -r)
+        for a, b in ((x, y), (x, x)):  # x * x: both candidates equal
+            _check_rule(product_cap, _ref_mul(a, b), a, b)
+        if x.ks:
+            _check_rule(inverse_cap, _ref_invert(x, req), x, req)
+            if type(tie := x.cap - 2 * _v(x)) is F:  # the request equal to the other candidate
+                _check_rule(inverse_cap, _ref_invert(x, tie), x, tie)
+        i = rng.choice(REF_EXPS) if x.ks else F(rng.randint(1, 3))
+        _check_rule(power_cap, _ref_power(x, i, req), x, i, req)
+        if type(tie := _ref_power(x, i, INF)) is F:  # the request equal to the rule's value
+            _check_rule(power_cap, _ref_power(x, i, tie), x, i, tie)
+        j, target = rng.randint(-1, 2), rng.choice((None,) + REF_CAPS)
+        _check_rule(solve_cap, _ref_solve(x, target, j), x, target, j)
+        if type(tie := x.cap * F(ctx.characteristic or 1) ** -j) is F:
+            _check_rule(solve_cap, _ref_solve(x, tie, j), x, tie, j)
+        if x.ks and x.ks[0] > 0:
+            _check_rule(substitute_cap, _ref_substitute(x, y, req), x, y, req)
+            if type(tie := _v(x) * y.cap) is F:
+                _check_rule(substitute_cap, _ref_substitute(x, y, tie), x, y, tie)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_coeff_raises_at_the_cap_and_reads_just_below(spec):
+    """coeff compares an int or a Fraction exponent with the cap: at the cap
+    (and above it) it raises, just below it reads the term."""
+    ctx, rng, _ = _cases("coeff-at-cap", spec)
+    for cap in REF_CAPS[1:]:
+        a = random_coeff(rng, ctx, nonzero=True)
+        n = math.floor(cap)
+        below = n - 1 if n == cap else n  # the greatest int below the cap
+        for e in (below, F(below), cap - F(1, HUGE)):
+            x = Series(ctx, {e: a}, cap)
+            assert x.coeff(e) == a and x.coeff(e - 1) == ctx.zero
+            for at in ([int(cap)] if cap.denominator == 1 else []) + [cap, n + 1]:
+                with pytest.raises(PrecisionError, match=rf"coefficient at {at} is not certified"):
+                    x.coeff(at)
+    x = Series(ctx, {F(-1, 2): a})
+    assert x.coeff(F(-1, 2)) == a and x.coeff(10 ** 30) == ctx.zero  # INF: every exponent reads
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_public_caps_are_fractions_or_inf(spec):
+    """Requests, targets, shifts and factors given as ints: every cap an
+    operation returns is INF or exactly a Fraction."""
+    ctx, rng, runs = _cases("cap-types", spec)
+    p = ctx.characteristic
+    P = AdditivePoly(ctx, [F(3)] if not p else [1, 1])
+    for _ in runs:
+        x = random_series(rng, ctx, max_terms=4, lo=0, hi=4)
+        y = random_series(rng, ctx, max_terms=3, lo=-1, hi=3)
+        req = rng.randint(-2, 6)
+        ops = [lambda: x.truncate(req), lambda: x.shift(rng.randint(-2, 2)), lambda: x + y,
+               lambda: x * y, lambda: scale_exponents(x, rng.randint(1, 3)),
+               lambda: x.invert(req), lambda: pow_rat(x, rng.choice((2, -1, 3)), req),
+               lambda: solve_additive(P, y, rng.randint(-2, 2)),
+               lambda: Series(ctx, (), req).valuation().bound]
+        if x.ks and x.is_monic():
+            ops.append(lambda: pow_rat(x, F(1, 3), req))
+        if p:
+            ops.append(lambda: frobenius_map(x, rng.randint(-2, 2)))
+        z = random_monic_positive(rng, ctx, max_terms=3, hi=3, exact=rng.random() < 0.5)
+        try:
+            r = substitute(z, y, req)
+        except KtqError:
+            pass
+        else:
+            assert _is_cap(r.achieved_cap) and all(_is_cap(c) for _, c in r.diagnostics.term_caps)
+        for op in ops:
+            try:
+                got = op()
+            except KtqError:
+                continue
+            assert _is_cap(got if not isinstance(got, Series) else got.cap), got

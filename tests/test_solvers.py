@@ -468,6 +468,49 @@ def test_sign_oracle_random(F2, F3):
     assert decided >= 40
 
 
+def _sign_product_cap(x):
+    """The mul rule's cap of w = x^p (x^p - x)^(-1) in the sign oracle, in
+    Fractions: F(x) at cap p c, its difference with x at min(p c, c), the
+    inverse at the invert rule with the oracle's request 1 - p v."""
+    p, c, v = x.ctx.characteristic, x.cap, F(x.ks[0], x.den)
+    den_cap, den_v = min(p * c, c), min(p * v, v)
+    inv_cap = min(1 - p * v, den_cap - 2 * den_v)
+    inv_v = min(-den_v, inv_cap)  # v*: the cap when no term is visible
+    return min(p * c + inv_v, inv_cap + p * v)
+
+
+def test_sign_oracle_at_its_precision_boundary(F2, F3, F4, F9):
+    """Capped inputs without a t^0 term, with caps at, just above and below
+    0: the oracle returns the true sign exactly when its trace-zero input is
+    certified (cap above 0) and the mul rule's cap of x^p / (x^p - x) is
+    above 0, and raises PrecisionError otherwise.  That cap is above 0 on
+    every input (the request 1 - p v suffices), so an uncertified trace is
+    the one refusal."""
+    rng = rng_for("sign-boundary")
+    seen = set()
+    for ctx in (F2, F3, F4, F9):
+        p = ctx.characteristic
+        for _ in range(120):
+            d = rng.choice((1, 2, p, p * p))
+            cap = F(rng.choice((0, 1, -1, rng.randint(-3 * d, 3 * d))), d)
+            ks = {rng.randint(-3 * d, 3 * d) for _ in range(rng.randint(1, 4))}
+            ks.add(rng.choice((cap * d - 1, -1, 1)))  # a first term just below the cap
+            terms = {F(k, d): random_coeff(rng, ctx, nonzero=True)
+                     for k in ks if k and F(k, d) < cap}
+            if not terms:
+                continue
+            x = Series(ctx, terms, cap)
+            decided = x.cap > 0 and _sign_product_cap(x) > 0
+            seen.add((decided, x.ks[0] > 0))
+            if decided:
+                assert valuation_sign_via_trace(x) == (POSITIVE if x.ks[0] > 0 else NEGATIVE), x
+            else:
+                with pytest.raises(PrecisionError):
+                    valuation_sign_via_trace(x)
+            assert _sign_product_cap(x) > 0
+    assert seen == {(True, True), (True, False), (False, False)}  # v > 0 puts the cap above 0
+
+
 def test_sign_oracle_preconditions(F2, Q):
     with pytest.raises(SeriesError):
         valuation_sign_via_trace(Series.one(F2) + Series.t(F2))  # trace 1

@@ -2,6 +2,7 @@
 trees of its source.  Each gate names the concept it keeps in one place."""
 
 import ast
+import re
 from pathlib import Path
 
 import ktq
@@ -42,3 +43,54 @@ def test_a_series_is_its_packed_value():
         "a Series holds only its packed value"
     assert not _named(TREES["series"]) & {"_terms", "_texts"}, \
         "series.py keeps no view: no decoded terms, no code texts (the field keeps those)"
+
+
+def _defs(tree):
+    """The module's functions and its classes' methods, by qualified name."""
+    return [(f"{c.name}.{f.name}" if c else f.name, f)
+            for c, body in [(None, tree.body)] + [(c, c.body) for c in tree.body
+                                                  if isinstance(c, ast.ClassDef)]
+            for f in body if isinstance(f, ast.FunctionDef)]
+
+
+def _calls(func, names):
+    """The calls in func of a plain name in names, as "name:line"."""
+    return sorted(f"{c.func.id}:{c.lineno}" for c in ast.walk(func)
+                  if isinstance(c, ast.Call) and getattr(c.func, "id", None) in names)
+
+
+def test_inf_sentinel_only_in_series_py():
+    """Only series.py tests a cap for INF (`is float`, `== INF`), matched line
+    by line as a text search; every other module calls its cap rules."""
+    hits = [f"{p.name}:{n}" for p in sorted(Path(ktq.__file__).parent.glob("*.py"))
+            if p.name != "series.py"
+            for n, line in enumerate(p.read_text().splitlines(), 1)
+            if re.search(r"is float|== INF", line)]
+    assert not hits, f"only src/ktq/series.py may test for INF; call its cap rules instead: {hits}"
+
+
+def test_q_codes_are_ints():
+    """The Q kernel functions of series.py call no Fraction: codes are ints
+    over the series cden."""
+    kernel = {"__mul__", "_sum", "scale", "_inverse", "_miller"}
+    funcs = [f for f in ast.walk(TREES["series"]) if isinstance(f, ast.FunctionDef)
+             and f.name in kernel]
+    hits = sorted(hit for f in funcs for hit in _calls(f, {"Fraction"}))
+    assert sorted(f.name for f in funcs) == sorted(kernel), "each kernel function, once"
+    assert not hits, \
+        "Q codes are ints over the series cden in the kernel; Fraction only at the boundary"
+
+
+def test_caps_are_int_pairs_in_the_engine():
+    """The cap rules and the engine's cap reads call no Fraction and no
+    builtin min or max: they compare int pairs (`_lt`, `_below`, `_least`)
+    and build at most one Fraction per result, by `_cap`."""
+    engine = {"series": {"product_cap", "inverse_cap", "power_cap", "substitute_cap", "solve_cap",
+                         "cap_mul", "cap_add", "Series._sum", "Series.coeff"},
+              "powers": {"frobenius_map", "_expansions"}}
+    for module, names in engine.items():
+        funcs = [(name, f) for name, f in _defs(TREES[module]) if name in names]
+        assert sorted(name for name, _ in funcs) == sorted(names), f"each {module} function, once"
+        hits = [f"{module}.{name} {hit}" for name, f in funcs
+                for hit in _calls(f, {"Fraction", "min", "max"})]
+        assert not hits, f"caps are int pairs in the engine; _cap builds the one Fraction: {hits}"
