@@ -26,7 +26,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import FieldError, PrecisionError, SeriesError
-from .series import (INF, Series, _as_cap, _as_exp, _below, _cap, _int_bound, _lt, _miller,
+from .series import (INF, Series, _as_cap, _as_exp, _cap, _int_bound, _lt, _miller,
                      _p_split, _pair, _plus, _scaled, _times, power_cap)
 
 
@@ -148,7 +148,7 @@ def _cut(ctx, cap, bound, b, s, mi, y):
     exponents times s plus mi, at cap."""
     if type(y) is tuple:  # a period, repeated over its slots below bound only
         den, lo, g, per, ycap, size = y
-        if _below(bound, ycap):
+        if _lt(_pair(bound), _pair(ycap)):
             size, ycap = max(0, -(-_int_bound(bound, den) // g)), bound  # lo = 0 for 1 + eps
         y = Series._residues(ctx, den, lo, g, per[:size] if len(per) > size else per, ycap, size)
     u = y.truncate(bound)

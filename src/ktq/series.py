@@ -90,7 +90,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from heapq import heappop, heappush
 from itertools import compress, islice
 from math import gcd, lcm
@@ -122,13 +122,16 @@ def _as_cap(c):
 
 
 def cap_add(cap, delta: Fraction):
-    return _as_cap(cap) if type(cap) is float else _cap(
-        _plus(_pair(cap), (delta.numerator, delta.denominator)))
+    if type(cap) is float:
+        return _as_cap(cap)
+    delta = _as_exp(delta, "cap shift")
+    return _cap(_plus(_pair(cap), (delta.numerator, delta.denominator)))
 
 
 def cap_mul(cap, factor: Fraction):
-    if factor.numerator <= 0:
+    if factor <= 0:
         raise SeriesError("cap scaling factor must be positive")
+    factor = _as_exp(factor, "cap scaling factor")
     return _scaled(cap, (factor.numerator, factor.denominator))
 
 
@@ -157,13 +160,13 @@ def _lt(a, b):  # a < b by a cross-multiplied compare
     return a is not None and (b is None or a[0] * b[1] < b[0] * a[1])
 
 
-def _below(a, b):  # cap a < cap b (INF, an int or a Fraction), cross-multiplied, no pair built
-    return type(a) is not float and (type(b) is float or
-                                     a.numerator * b.denominator < b.numerator * a.denominator)
-
-
 def _least(caps):  # the least of caps, the object itself (the first of equal ones)
-    return reduce(lambda cap, c: c if _below(c, cap) else cap, caps)
+    least, *rest = caps
+    low = _pair(least)
+    for c in rest:
+        if _lt(pc := _pair(c), low):
+            least, low = c, pc
+    return least
 
 
 def _cap(a):  # the one Fraction a rule builds
@@ -327,18 +330,6 @@ def _miller(x, num, qden, b0, off, cap):
     return Series.__new__(Series)._pack(x.ctx, x.den, [k + off for k in b], cs, cap, cden)
 
 
-def _combine(ctx, groups, coeffs):
-    """The codes of `Series._sum`'s linear combinations: for each group of
-    summands (code, index into coeffs), sum code * coeffs[index], the codes
-    and coeffs encoded at once for n the most summands of a group, and the
-    sums decoded at once."""
-    codes = [v for t in groups for v, _ in t]
-    n, m = max(map(len, groups)), len(codes)
-    vals = ctx.encode(codes + coeffs, n)
-    it = map(mul, vals[:m], [vals[m + i] for t in groups for _, i in t])
-    return ctx.decode([sum(islice(it, len(t))) for t in groups], n)
-
-
 class UnknownAtLeast(Record):
     """Valuation outcome when no term is known below the cap."""
 
@@ -475,10 +466,11 @@ class Series:
         """The certified coefficient at exponent e (an int e is read as it is)."""
         if type(e) is not int:
             e = _as_exp(e)
-        if not _below(e, self.cap):
+        n, d = e.numerator, e.denominator
+        if not _lt((n, d), _pair(self.cap)):
             raise PrecisionError(f"coefficient at {e} is not certified (cap {self.cap})")
-        if self.den % e.denominator == 0:
-            k = e.numerator * (self.den // e.denominator)
+        if self.den % d == 0:
+            k = n * (self.den // d)
             i = bisect_left(self.ks, k)
             if i < len(self.ks) and self.ks[i] == k:
                 return self.ctx._element(self.cs[i], self.cden)
@@ -497,11 +489,11 @@ class Series:
         """Internal, the one merge and linear combination: sum c_i x_i by the
         add rule, each c_i a nonzero code over cden (1 without coeffs), on one
         int-keyed dict of codes over lcm(cden).  Without coeffs two codes meet at
-        a time at n = 1 (as in `+`); with them `_combine` sums the other keys'
-        summands times their c_i."""
+        a time at n = 1 (as in `+`); with them the other keys' summands and the
+        c_i are encoded at once, n the most summands of a key, and decoded at once."""
         cap, den, cd = pieces[0].cap, pieces[0].den, pieces[0].cden
         for s in pieces[1:]:
-            if _below(s.cap, cap):  # the add rule, on the pieces' own caps
+            if _lt(_pair(s.cap), _pair(cap)):  # the add rule, on the pieces' own caps
                 cap = s.cap
             den, cd = lcm(den, s.den), cd if s.cden == cd else lcm(cd, s.cden)
         bound = _int_bound(cap, den)
@@ -521,7 +513,13 @@ class Series:
             else:  # the first piece's dict is not copied
                 acc = more
         if sums and (ks := [k for k in sums if k < bound]):
-            acc.update(zip(ks, _combine(ctx, [sums[k] for k in ks], [*coeffs, 1])))
+            groups = [sums[k] for k in ks]
+            codes = [v for t in groups for v, _ in t]
+            n, m = max(map(len, groups)), len(codes)
+            vals = ctx.encode(codes + [*coeffs, 1], n)
+            it = map(mul, vals[:m], [vals[m + i] for t in groups for _, i in t])
+            out = [sum(islice(it, len(t))) for t in groups]
+            acc.update(zip(ks, ctx.decode(out, n)))
         ks = sorted(k for k in acc if k < bound)
         return Series._build(ctx, den, ks, [acc[k] for k in ks], cap, cd * cden)
 
@@ -598,13 +596,11 @@ class Series:
 
     def truncate(self, bound):
         """Forget everything at or above bound.  Caps only ever go down."""
-        if type(bound) is not int:  # an int bound becomes a Fraction only if it cuts
-            bound = _as_cap(bound)
-        if bound is self.cap or not _below(bound, self.cap):  # nothing to cut
+        bound = _as_cap(bound)
+        if bound is self.cap or not _lt(_pair(bound), _pair(self.cap)):  # nothing to cut
             return self
         i = bisect_left(self.ks, _int_bound(bound, self.den))
-        return Series._build(self.ctx, self.den, self.ks[:i], self.cs[:i], _as_cap(bound),
-                             self.cden)
+        return Series._build(self.ctx, self.den, self.ks[:i], self.cs[:i], bound, self.cden)
 
     def invert(self, requested_cap=INF):
         """Multiplicative inverse, certified below min(requested, cap - 2v).

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import FieldError, NoSolutionError, PrecisionError, Record, SeriesError
 from .fields import AdditivePoly, FiniteField
 from .powers import frobenius_map
-from .series import Series, _below, _lt, _pair, solve_cap
+from .series import Series, _lt, _pair, solve_cap
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -61,7 +61,7 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
 
     if not b.ks and b.is_exact:
         return Series.zero(ctx)
-    if not _below(0, b.cap):
+    if not _lt((0, 1), _pair(b.cap)):
         raise PrecisionError("the constant level of the right side is not certified")
 
     Q, j = P.separable_part()
@@ -75,7 +75,7 @@ def solve_additive(P: AdditivePoly, b: Series, target_cap=None) -> Series:
             f"constant obstruction: {ctx.format_coeff(c0)} is outside the image of "
             f"{Q.format()} on {ctx.spec_string()}", witness=c0)
 
-    if bp.ks and bp.ks[0] < 0 and not _below(bound, 0):  # bp.cap > 0, so the target is >= 0
+    if bp.ks and bp.ks[0] < 0 and not _lt(_pair(bound), (0, 1)):  # bp.cap > 0, so the target is >= 0
         raise SeriesError(
             "no positive cap is reachable when the right side has negative exponents; "
             "pass a target_cap below 0")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ktq import (INF, AdditivePoly, KtqError, PrecisionError, Series, frobenius_map,
+from ktq import (INF, AdditivePoly, KtqError, PrecisionError, Series, SeriesError, frobenius_map,
                  make_field, pow_rat, scale_exponents, solve_additive, substitute)
 from ktq.series import (cap_add, cap_mul, inverse_cap, power_cap, product_cap, solve_cap,
                         substitute_cap)
@@ -347,6 +347,24 @@ def test_rule_functions_match_the_table_in_fractions(spec):
             _check_rule(substitute_cap, _ref_substitute(x, y, req), x, y, req)
             if type(tie := _v(x) * y.cap) is F:
                 _check_rule(substitute_cap, _ref_substitute(x, y, tie), x, y, tie)
+
+
+@pytest.mark.parametrize("cap", (F(3), F(-7, 2), INF))
+def test_scale_and_shift_read_only_rationals(cap):
+    """cap_mul refuses a factor <= 0 of any type, as "must be positive", and
+    a positive non-rational one as a SeriesError; cap_add refuses a
+    non-rational shift of a finite cap.  Int factors and shifts read as
+    Fractions."""
+    for factor in (-0.5, 0.0, F(-1, 2), 0, -3):
+        with pytest.raises(SeriesError, match="cap scaling factor must be positive"):
+            cap_mul(cap, factor)
+    if type(cap) is F:
+        with pytest.raises(SeriesError, match="cap scaling factor must be rational, got 0.5"):
+            cap_mul(cap, 0.5)
+        with pytest.raises(SeriesError, match="cap shift must be rational, got 0.5"):
+            cap_add(cap, 0.5)
+    for got, want in ((cap_mul(cap, 2), 2 * cap), (cap_add(cap, -1), cap - 1)):
+        assert got == want and _is_cap(got), (got, want)
 
 
 @pytest.mark.parametrize("spec", SPECS)
